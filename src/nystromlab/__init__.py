@@ -8,6 +8,8 @@ sample-size rule with its Chernoff failure tail, and the translation of
 matrix error into dominant-subspace perturbation.
 """
 
+from types import ModuleType as _ModuleType
+
 from .matcore import (
     EigenDecomposition,
     NonConvergenceError,
@@ -15,7 +17,6 @@ from .matcore import (
     SpectralPartition,
     SymMatrix,
     partition,
-    pinv,
     projector,
     psd_sqrt,
     spectral_norm,
@@ -27,25 +28,20 @@ from .sampling import (
     extract_cw,
     rng_from,
     sample_uniform,
-    selection_matrix,
 )
 from .nystrom import NystromResult, nystrom_extend, sqrt_projection_error
 from .analysis import (
     BoundInapplicableError,
     BoundReport,
     GapViolatedError,
-    RankDeficientError,
     bound_report,
     chernoff_tail,
     coherence,
     davis_kahan_bound,
-    davis_kahan_bound_substituted,
     davis_kahan_distance,
     deterministic_bound,
     full_rank_tolerance,
     min_eig_gram,
-    omega_matrices,
-    pinv_norm_sq_omega1,
     probabilistic_bound,
     required_samples,
 )
@@ -73,60 +69,10 @@ from .experiment import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundInapplicableError",
-    "BoundReport",
-    "ColumnSample",
-    "CoherencePlan",
-    "ConfigError",
-    "EigenDecomposition",
-    "ExperimentConfig",
-    "GapViolatedError",
-    "MatrixFileError",
-    "NonConvergenceError",
-    "NotPSDError",
-    "NystromResult",
-    "RankDeficientError",
-    "RngSeed",
-    "SpectralPartition",
-    "SpectrumSpec",
-    "SymMatrix",
-    "TrialRecord",
-    "bound_report",
-    "chernoff_sweep",
-    "chernoff_tail",
-    "coherence",
-    "config_from_file",
-    "config_from_mapping",
-    "davis_kahan_bound",
-    "davis_kahan_bound_substituted",
-    "davis_kahan_distance",
-    "deterministic_bound",
-    "emit_results",
-    "extract_cw",
-    "flat_orthonormal",
-    "full_rank_tolerance",
-    "load_matrix",
-    "min_eig_gram",
-    "nystrom_extend",
-    "omega_matrices",
-    "partition",
-    "pinv",
-    "pinv_norm_sq_omega1",
-    "planted_instance",
-    "probabilistic_bound",
-    "projector",
-    "psd_from_spectrum",
-    "psd_sqrt",
-    "random_orthonormal",
-    "required_samples",
-    "rng_from",
-    "run_experiment",
-    "sample_uniform",
-    "save_matrix",
-    "selection_matrix",
-    "spectral_norm",
-    "sqrt_projection_error",
-    "sym_eig",
-    "__version__",
-]
+# Every public name imported above; submodules bound by those imports are not
+# part of the interface.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+) + ["__version__"]

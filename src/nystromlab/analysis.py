@@ -7,7 +7,9 @@ This module carries the quantitative story behind uniform column sampling:
   uniform sampling succeed or fail.
 * ``deterministic_bound`` evaluates the structural error bound
   ``||Sigma_2||_2 * (1 + ||Omega_2 Omega_1^+||_2^2)`` for a concrete
-  sample, valid whenever ``Omega_1 = U_1^T S`` has full row rank.
+  sample, valid whenever ``Omega_1 = U_1^T S`` has full row rank.  Since
+  ``[Omega_1; Omega_2] = U^T S`` has orthonormal columns, the bound has
+  the closed form ``||Sigma_2||_2 / lambda_min(Omega_1 Omega_1^T)``.
 * ``required_samples`` / ``probabilistic_bound`` / ``chernoff_tail`` form
   the probabilistic counterpart: sampling
   ``l >= 2 tau k ln(k/delta) / (1-eps)^2`` columns keeps the error below
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import EPS, SymMatrix, pinv, spectral_norm, sym_eig
+from .matcore import EPS, SymMatrix, spectral_norm, sym_eig
 from .matcore import SpectralPartition
 from .sampling import ColumnSample
 
@@ -44,18 +46,6 @@ class BoundInapplicableError(ValueError):
         super().__init__(
             f"deterministic bound inapplicable: min eigenvalue of the sampled "
             f"Gram matrix is {min_eig!r} (rank tolerance {tol!r})"
-        )
-
-
-class RankDeficientError(ValueError):
-    """The sampled rows of U_1 are numerically rank deficient."""
-
-    def __init__(self, min_eig: float, tol: float):
-        self.min_eig = float(min_eig)
-        self.tol = float(tol)
-        super().__init__(
-            f"Omega_1 is rank deficient: min Gram eigenvalue {min_eig!r} "
-            f"<= tolerance {tol!r}"
         )
 
 
@@ -116,24 +106,6 @@ def coherence(u: np.ndarray) -> float:
     return float(n / k * np.max(row_norms_sq))
 
 
-def omega_matrices(
-    part: SpectralPartition, sample: ColumnSample
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sampled-row blocks Omega_1 = U_1^T S and Omega_2 = U_2^T S.
-
-    Both are gathers of rows of the eigenvector blocks (k x l and
-    (n-k) x l); no arithmetic is applied.
-    """
-    if sample.n != part.n:
-        raise ValueError(
-            f"sample is over n={sample.n} but the partition has n={part.n}"
-        )
-    idx = list(sample.indices)
-    omega1 = part.u1[idx, :].T.copy()
-    omega2 = part.u2[idx, :].T.copy()
-    return omega1, omega2
-
-
 def min_eig_gram(u: np.ndarray, sample: ColumnSample) -> float:
     """Smallest eigenvalue of the Gram matrix of the sampled rows of u.
 
@@ -154,28 +126,15 @@ def full_rank_tolerance(n: int) -> float:
     return n * EPS
 
 
-def pinv_norm_sq_omega1(part: SpectralPartition, sample: ColumnSample) -> float:
-    """``||Omega_1^+||_2^2``, computed as ``1 / min_eig_gram(U_1, S)``.
-
-    Raises
-    ------
-    RankDeficientError
-        When the smallest Gram eigenvalue is at or below ``n * eps``,
-        i.e. the sample misses part of the dominant subspace.
-    """
-    m = min_eig_gram(part.u1, sample)
-    tol = full_rank_tolerance(part.n)
-    if m <= tol:
-        raise RankDeficientError(m, tol)
-    return 1.0 / m
-
-
 def deterministic_bound(part: SpectralPartition, sample: ColumnSample) -> float:
     """Structural error bound ``||Sigma_2||_2 * (1 + ||Omega_2 Omega_1^+||_2^2)``.
 
     Valid for any PSD matrix and any sample for which Omega_1 has full row
     rank; dominates the spectral error of the extension built from the
-    same sample.
+    same sample.  Evaluated in closed form: ``Omega = U^T S`` has
+    orthonormal columns, so ``Omega_1^T Omega_1 + Omega_2^T Omega_2 = I``
+    and ``||Omega_2 Omega_1^+||_2^2 = 1 / lambda_min(Omega_1 Omega_1^T) - 1``,
+    which makes the bound ``||Sigma_2||_2 / min_eig_gram(U_1, S)``.
 
     Raises
     ------
@@ -187,10 +146,8 @@ def deterministic_bound(part: SpectralPartition, sample: ColumnSample) -> float:
     tol = full_rank_tolerance(part.n)
     if m <= tol:
         raise BoundInapplicableError(m, tol)
-    omega1, omega2 = omega_matrices(part, sample)
     sigma2_norm = float(np.max(np.abs(part.sigma2))) if part.sigma2.size else 0.0
-    cross = spectral_norm(omega2 @ pinv(omega1))
-    return sigma2_norm * (1.0 + cross**2)
+    return sigma2_norm / m
 
 
 def required_samples(k: int, tau: float, delta: float, epsilon: float) -> int:
@@ -288,31 +245,6 @@ def davis_kahan_bound(a: SymMatrix, a_tilde: SymMatrix, k: int) -> float:
     if gap <= 0.0:
         raise GapViolatedError(gap)
     return spectral_norm(a.entries - a_tilde.entries) / gap
-
-
-def davis_kahan_bound_substituted(a: SymMatrix, k: int, error_bound: float) -> float:
-    """Subspace bound with the approximation error substituted for the gap.
-
-    When only an upper bound ``error_bound >= ||A - A_tilde||_2`` is known
-    (not A_tilde itself), the denominator gap can be lower-bounded through
-    Weyl's inequality, giving
-    ``error_bound / (lambda_k(A) - lambda_{k+1}(A) - error_bound)``.
-    Derived convenience form; the quotient form above is the primitive.
-
-    Raises
-    ------
-    GapViolatedError
-        When the substituted denominator is not positive.
-    """
-    if not 1 <= k <= a.n - 1:
-        raise ValueError(f"k={k} out of range [1, {a.n - 1}]")
-    if error_bound < 0.0:
-        raise ValueError(f"error_bound must be >= 0, got {error_bound!r}")
-    lam = sym_eig(a).eigenvalues
-    denom = float(lam[k - 1] - lam[k]) - error_bound
-    if denom <= 0.0:
-        raise GapViolatedError(denom)
-    return error_bound / denom
 
 
 def bound_report(

@@ -9,7 +9,7 @@ chernoff   empirical validation sweep of the Gram-eigenvalue tail bound
 
 Exit codes: 0 success; 2 configuration error (bad flags or parameters);
 3 input-data error (missing or malformed matrix file); 4 numerical error
-(input not PSD, eigensolver failure).
+(input not PSD, eigensolver failure, overflow to a non-finite value).
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
+
+import numpy as np
 
 from .analysis import GapViolatedError, bound_report
 from .experiment import (
@@ -74,66 +77,42 @@ def _cmd_approx(args) -> int:
     return 0
 
 
+# Flags of `trials` that describe the experiment; each dest doubles as the
+# config-file key of the same name (auto_l only selects the default l).
 _INLINE_FLAGS = (
     "n", "k", "l", "auto_l", "epsilon", "delta", "trials", "seed",
     "gen", "coherence", "lambda1", "matrix",
 )
+# Flags that may also refine a --config run.
+_OUTPUT_FLAGS = ("out", "format", "jobs", "timings")
+
+
+def _given(args, flags) -> dict:
+    """The flags that were set; None, and False for a switch, mean unset."""
+    values = {f: getattr(args, f) for f in flags}
+    return {f: v for f, v in values.items() if v is not None and v is not False}
 
 
 def _cmd_trials(args) -> int:
+    output = _given(args, _OUTPUT_FLAGS)
     if args.config is not None:
         given = [f for f in _INLINE_FLAGS if getattr(args, f) not in (None, False)]
         if given:
             raise ConfigError(given[0].replace("_", "-"),
                               "inline flag conflicts with --config")
         cfg = config_from_file(args.config)
-        overrides = {}
-        if args.out is not None:
-            overrides["out"] = args.out
-        if args.format is not None:
-            overrides["fmt"] = args.format
-        if args.jobs is not None:
-            overrides["jobs"] = args.jobs
-        if args.timings:
-            overrides["timings"] = True
-        if overrides:
-            from dataclasses import replace
-            cfg = replace(cfg, **overrides)
+        if output:
+            if "format" in output:
+                output["fmt"] = output.pop("format")
+            cfg = replace(cfg, **output)
             cfg.validate()
     else:
         if args.l is not None and args.auto_l:
             raise ConfigError("l", "--l conflicts with --auto-l")
-        mapping = {
-            "k": args.k,
-            "trials": args.trials,
-            "seed": args.seed,
-        }
-        if args.n is not None:
-            mapping["n"] = args.n
-        if args.l is not None:
-            mapping["l"] = args.l
-        if args.epsilon is not None:
-            mapping["epsilon"] = args.epsilon
-        if args.delta is not None:
-            mapping["delta"] = args.delta
-        if args.gen is not None:
-            mapping["gen"] = args.gen
-        if args.coherence is not None:
-            mapping["coherence"] = args.coherence
-        if args.lambda1 is not None:
-            mapping["lambda1"] = args.lambda1
-        if args.matrix is not None:
-            mapping["matrix"] = args.matrix
-        if args.out is not None:
-            mapping["out"] = args.out
-        if args.format is not None:
-            mapping["format"] = args.format
-        if args.jobs is not None:
-            mapping["jobs"] = args.jobs
-        if args.timings:
-            mapping["timings"] = True
+        mapping = _given(args, _INLINE_FLAGS) | output
+        mapping.pop("auto_l", None)
         for key in ("k", "trials", "seed"):
-            if mapping.get(key) is None:
+            if key not in mapping:
                 raise ConfigError(key, "required flag is missing")
         cfg = config_from_mapping(mapping)
     records, summary = run_experiment(cfg)
@@ -280,7 +259,8 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except (NotPSDError, NonConvergenceError, GapViolatedError) as exc:
+    except (NotPSDError, NonConvergenceError, GapViolatedError,
+            np.linalg.LinAlgError, FloatingPointError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4
     except ValueError as exc:

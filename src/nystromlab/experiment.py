@@ -15,7 +15,6 @@ measured duration would break byte-identical reruns; pass
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import time
@@ -278,8 +277,6 @@ class TrialRecord:
     """One sampled trial: measurements, bounds, and success flags."""
 
     trial: int
-    seed: int
-    indices_digest: str
     spectral_error: float
     det_bound: float | None
     prob_bound: float
@@ -362,12 +359,9 @@ def run_trial(setup: ExperimentSetup, master_seed: int, t: int) -> TrialRecord:
     else:
         det = None
         pnsq = None
-    digest = hashlib.sha256(",".join(map(str, s.indices)).encode()).hexdigest()[:16]
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return TrialRecord(
         trial=t,
-        seed=t,
-        indices_digest=digest,
         spectral_error=res.spectral_error,
         det_bound=det,
         prob_bound=setup.prob_bound,
@@ -426,12 +420,41 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
     return records, summary
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _cell(v) -> str:
+    """One CSV cell: shortest round-trip floats, true/false, NA for None."""
+    if v is None:
+        return NA
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return repr(float(v))
+    return str(v)
 
 
-def _fmt_or_na(x: float | None) -> str:
-    return NA if x is None else _fmt(x)
+def _emit(columns: list[str], rows: list[dict], doc: dict, fmt: str, path) -> str:
+    """Render rows as CSV under ``columns``, or ``doc`` as JSON; write to path."""
+    if fmt == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join(_cell(row[c]) for c in columns) for row in rows]
+        text = "\n".join(lines) + "\n"
+    elif fmt == "json":
+        text = json.dumps(doc, indent=2) + "\n"
+    else:
+        raise ConfigError("format", f"must be 'csv' or 'json', got {fmt!r}")
+    if path is not None:
+        Path(path).write_text(text)
+    return text
+
+
+def _record_row(r: TrialRecord, summary: dict, timings: bool) -> dict:
+    """The CSV_HEADER fields of one record; the seed column is the trial index."""
+    row = {
+        **vars(r),
+        "seed": r.trial,
+        "wall_ms": r.wall_ms if timings else None,
+        **{key: summary[key] for key in ("l", "k", "epsilon", "delta")},
+    }
+    return {c: row[c] for c in CSV_HEADER.split(",")}
 
 
 def emit_results(
@@ -448,57 +471,9 @@ def emit_results(
     unless ``timings``) are the ``NA`` token in CSV and null in JSON.
     Returns the serialized text; also writes it when ``path`` is given.
     """
-    if fmt == "csv":
-        lines = [CSV_HEADER]
-        for r in records:
-            lines.append(",".join([
-                str(r.trial),
-                str(r.seed),
-                str(summary["l"]),
-                str(summary["k"]),
-                _fmt(summary["epsilon"]),
-                _fmt(summary["delta"]),
-                _fmt(r.spectral_error),
-                _fmt_or_na(r.det_bound),
-                _fmt(r.prob_bound),
-                _fmt(r.min_eig_gram),
-                _fmt_or_na(r.pinv_norm_sq),
-                str(r.rank_w),
-                "true" if r.omega1_full_rank else "false",
-                "true" if r.error_le_bound else "false",
-                _fmt(r.wall_ms) if timings else NA,
-            ]))
-        text = "\n".join(lines) + "\n"
-    elif fmt == "json":
-        doc = {
-            "summary": summary,
-            "records": [
-                {
-                    "trial": r.trial,
-                    "seed": r.seed,
-                    "l": summary["l"],
-                    "k": summary["k"],
-                    "epsilon": summary["epsilon"],
-                    "delta": summary["delta"],
-                    "spectral_error": r.spectral_error,
-                    "det_bound": r.det_bound,
-                    "prob_bound": r.prob_bound,
-                    "min_eig_gram": r.min_eig_gram,
-                    "pinv_norm_sq": r.pinv_norm_sq,
-                    "rank_w": r.rank_w,
-                    "omega1_full_rank": r.omega1_full_rank,
-                    "error_le_bound": r.error_le_bound,
-                    "wall_ms": r.wall_ms if timings else None,
-                }
-                for r in records
-            ],
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        raise ConfigError("format", f"must be 'csv' or 'json', got {fmt!r}")
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+    rows = [_record_row(r, summary, timings) for r in records]
+    doc = {"summary": summary, "records": rows}
+    return _emit(CSV_HEADER.split(","), rows, doc, fmt, path)
 
 
 # ---------------------------------------------------------------------------
@@ -603,25 +578,4 @@ def emit_table(rows: list[dict], fmt: str = "csv", path=None) -> str:
     """Serialize a list of uniform dicts (the chernoff sweep output)."""
     if not rows:
         raise ValueError("no rows to emit")
-    cols = list(rows[0])
-    if fmt == "csv":
-        lines = [",".join(cols)]
-        for row in rows:
-            cells = []
-            for c in cols:
-                v = row[c]
-                if isinstance(v, bool):
-                    cells.append("true" if v else "false")
-                elif isinstance(v, float):
-                    cells.append(_fmt(v))
-                else:
-                    cells.append(str(v))
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
-    elif fmt == "json":
-        text = json.dumps({"rows": rows}, indent=2) + "\n"
-    else:
-        raise ConfigError("format", f"must be 'csv' or 'json', got {fmt!r}")
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+    return _emit(list(rows[0]), rows, {"rows": rows}, fmt, path)

@@ -25,7 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import coherence
-from .matcore import DEGENERACY_REL_TOL, SpectralPartition, SymMatrix, spectral_norm
+from .matcore import (
+    EigenDecomposition,
+    SpectralPartition,
+    SymMatrix,
+    partition,
+    spectral_norm,
+)
 from .sampling import RngSeed, rng_from
 
 _SPECTRUM_KINDS = ("exact-rank-k", "exp-decay", "power-law", "custom")
@@ -110,21 +116,24 @@ class CoherencePlan:
             raise ValueError(f"spiked plan needs m >= 1, got {self.m}")
 
 
-def random_orthonormal(n: int, k: int, seed: RngSeed) -> np.ndarray:
-    """Haar-distributed n x k orthonormal basis.
+def _haar(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """Haar n x k orthonormal basis drawn from the next n*k normals of rng.
 
     QR of an iid standard normal matrix with the sign of each R diagonal
     folded into the corresponding Q column, which is what makes the
     distribution exactly Haar rather than QR-convention dependent.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    rng = rng_from(seed)
-    g = rng.standard_normal((n, k))
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(rng.standard_normal((n, k)))
     sign = np.sign(np.diag(r))
     sign[sign == 0.0] = 1.0
     return q * sign
+
+
+def random_orthonormal(n: int, k: int, seed: RngSeed) -> np.ndarray:
+    """Haar-distributed n x k orthonormal basis on the stream of ``seed``."""
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
+    return _haar(rng_from(seed), n, k)
 
 
 def flat_orthonormal(n: int, k: int) -> np.ndarray:
@@ -182,14 +191,9 @@ def _planted_basis(n: int, plan: CoherencePlan, k: int, seed: RngSeed) -> np.nda
     rng = rng_from(seed)
     spikes = [int(x) for x in rng.permutation(n)[:m]]
     rest = [i for i in range(n) if i not in set(spikes)]
-    g = rng.standard_normal((n - m, n - m))
-    q, r = np.linalg.qr(g)
-    sign = np.sign(np.diag(r))
-    sign[sign == 0.0] = 1.0
-    q = q * sign
     u = np.zeros((n, n))
     u[spikes, np.arange(m)] = 1.0
-    u[np.ix_(rest, np.arange(m, n))] = q
+    u[np.ix_(rest, np.arange(m, n))] = _haar(rng, n - m, n - m)
     return u
 
 
@@ -202,21 +206,10 @@ def planted_instance(
     planted eigenvector/eigenvalue blocks at the spec's k and tau is the
     exact coherence of the planted dominant basis.
     """
-    n, k = spec.n, spec.k
     lam = spec.eigenvalues()
-    u = _planted_basis(n, plan, k, seed)
+    u = _planted_basis(spec.n, plan, spec.k, seed)
     a = psd_from_spectrum(u, lam)
-    degenerate = False
-    if k < n:
-        scale = max(abs(float(lam[0])), 1.0)
-        degenerate = float(lam[k - 1] - lam[k]) <= DEGENERACY_REL_TOL * scale
-    part = SpectralPartition(
-        u1=u[:, :k],
-        u2=u[:, k:],
-        sigma1=lam[:k].copy(),
-        sigma2=lam[k:].copy(),
-        degenerate=degenerate,
-    )
+    part = partition(EigenDecomposition(eigenvalues=lam, eigenvectors=u), spec.k)
     tau = coherence(part.u1)
     return a, part, tau
 

@@ -3,9 +3,8 @@
 Everything downstream (column sampling, the Nystrom extension, the error
 bounds) is written against the small kernel of operations in this module:
 a symmetric eigendecomposition with a fixed descending ordering, a PSD
-square root, a cutoff-based Moore-Penrose pseudoinverse, spectral norms,
-orthogonal projectors onto column spaces, and the split of a decomposition
-into a dominant block and a tail block.
+square root, spectral norms, orthogonal projectors onto column spaces, and
+the split of a decomposition into a dominant block and a tail block.
 
 Conventions
 -----------
@@ -16,8 +15,7 @@ Conventions
 * Eigenvalues are always reported in non-increasing order.  Ties keep the
   backend's output order, so results are deterministic for a fixed input.
 * Rank decisions use the conventional relative cutoff
-  ``max(shape) * machine_eps`` measured against the largest singular value
-  (largest eigenvalue magnitude for symmetric pseudoinverses).
+  ``max(shape) * machine_eps`` measured against the largest singular value.
 * Eigenvalues of a nominally PSD matrix that land in
   ``[-1e-10 * lambda_max, 0)`` are treated as zero; anything below that
   window raises :class:`NotPSDError`.
@@ -202,27 +200,6 @@ def psd_sqrt(a: SymMatrix) -> SymMatrix:
     return SymMatrix(root)
 
 
-def pinv(m, rank_tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with a relative rank cutoff.
-
-    Singular values ``<= rank_tol * sigma_max`` are treated as zero;
-    ``rank_tol`` defaults to ``max(shape) * machine_eps``, the standard
-    numerical-rank convention.
-    """
-    a = _as_array(m)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    if rank_tol is None:
-        rank_tol = max(a.shape) * EPS
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[0]))
-    keep = s > rank_tol * s[0]
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    return (vt.T * inv) @ u.T
-
-
 def spectral_norm(m) -> float:
     """Largest singular value of a real matrix.
 
@@ -248,9 +225,10 @@ def spectral_norm(m) -> float:
 def projector(m) -> SymMatrix:
     """Orthogonal projector onto the column space of ``m``.
 
-    The range is determined by the SVD with the same relative rank cutoff
-    as :func:`pinv`, so ``projector(M) @ M == M`` up to round-off and the
-    projector is exactly symmetric and idempotent to working precision.
+    The range is determined by the SVD with the standard relative rank
+    cutoff ``max(shape) * eps``, so ``projector(M) @ M == M`` up to
+    round-off and the projector is exactly symmetric and idempotent to
+    working precision.
     """
     a = _as_array(m)
     if a.ndim != 2:

@@ -57,7 +57,8 @@ def nystrom_extend(a: SymMatrix, sample: ColumnSample) -> NystromResult:
     ``<= l * eps * lambda_max`` are dropped as numerical zeros and the
     rest inverted.  A W eigenvalue below the clamp window certifies that
     A itself is not PSD (W is a principal submatrix), which raises
-    :class:`NotPSDError`.
+    :class:`NotPSDError`.  A spectral error that overflows to a non-finite
+    value raises :class:`FloatingPointError` rather than being reported.
 
     Parameters
     ----------
@@ -79,6 +80,8 @@ def nystrom_extend(a: SymMatrix, sample: ColumnSample) -> NystromResult:
     z = c @ (ed.eigenvectors[:, keep] / np.sqrt(vals[keep]))
     ext = SymMatrix(z @ z.T)
     err = spectral_norm(a.entries - ext.entries)
+    if not np.isfinite(err):
+        raise FloatingPointError(f"spectral error overflowed to {err!r}")
     ext_min = float(np.linalg.eigvalsh(ext.entries)[0])
     return NystromResult(
         sample=sample,

@@ -96,17 +96,6 @@ def sample_uniform(n: int, l: int, seed: RngSeed) -> ColumnSample:
     return ColumnSample(n=n, indices=tuple(int(x) for x in pool[:l]))
 
 
-def selection_matrix(sample: ColumnSample) -> np.ndarray:
-    """The n x l 0/1 matrix S whose j-th column is e_{indices[j]}.
-
-    Multiplying A @ S gathers the sampled columns; S^T S is the l x l
-    identity exactly.
-    """
-    s = np.zeros((sample.n, sample.l))
-    s[list(sample.indices), np.arange(sample.l)] = 1.0
-    return s
-
-
 def extract_cw(a: SymMatrix, sample: ColumnSample) -> tuple[np.ndarray, SymMatrix]:
     """Gather C = A S (sampled columns) and W = S^T A S (principal block).
 

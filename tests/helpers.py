@@ -1,13 +1,15 @@
-"""Shared construction helpers for the test suite.
+"""Shared construction helpers and reference oracles for the test suite.
 
 Everything is seeded through numpy's default_rng so the suite is
 deterministic end to end; the package's own Philox streams are only used
-where a test targets them specifically.
+where a test targets them specifically.  The oracles (``pinv``,
+``selection_matrix``, ``omega_matrices``) spell out the textbook
+definitions that the package evaluates in shortcut form.
 """
 
 import numpy as np
 
-from nystromlab import SymMatrix
+from nystromlab import ColumnSample, SpectralPartition, SymMatrix
 
 
 def gram_psd(n: int, rng: np.random.Generator, scale: float = 1.0) -> SymMatrix:
@@ -56,3 +58,33 @@ def mixed_spectrum_cases(rng: np.random.Generator, n: int):
     yield "near-singular", planted_psd(n, lam, rng)[0]
     yield "tiny-scale", gram_psd(n, rng, scale=1e-6)
     yield "large-scale", gram_psd(n, rng, scale=1e3)
+
+
+def pinv(a: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudoinverse with the relative cutoff max(shape) * eps.
+
+    Singular values ``<= max(shape) * eps * sigma_max`` are treated as zero.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return np.zeros((a.shape[1], a.shape[0]))
+    keep = s > max(a.shape) * np.finfo(np.float64).eps * s[0]
+    inv = np.zeros_like(s)
+    inv[keep] = 1.0 / s[keep]
+    return (vt.T * inv) @ u.T
+
+
+def selection_matrix(sample: ColumnSample) -> np.ndarray:
+    """The n x l 0/1 matrix S whose j-th column is e_{indices[j]}."""
+    s = np.zeros((sample.n, sample.l))
+    s[list(sample.indices), np.arange(sample.l)] = 1.0
+    return s
+
+
+def omega_matrices(
+    part: SpectralPartition, sample: ColumnSample
+) -> tuple[np.ndarray, np.ndarray]:
+    """Omega_1 = U_1^T S and Omega_2 = U_2^T S as row gathers (k x l, (n-k) x l)."""
+    idx = list(sample.indices)
+    return part.u1[idx, :].T.copy(), part.u2[idx, :].T.copy()

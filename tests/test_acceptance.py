@@ -26,7 +26,6 @@ from nystromlab import (
     min_eig_gram,
     nystrom_extend,
     partition,
-    pinv,
     random_orthonormal,
     run_experiment,
     sample_uniform,
@@ -37,7 +36,7 @@ from nystromlab import (
 from nystromlab.experiment import chernoff_sweep, emit_table
 from nystromlab.generators import _planted_basis
 
-from helpers import gram_psd, haar, mixed_spectrum_cases
+from helpers import gram_psd, haar, mixed_spectrum_cases, pinv
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> None:

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nystromlab import (
     BoundInapplicableError,
     ColumnSample,
     GapViolatedError,
-    RankDeficientError,
     RngSeed,
     SpectralPartition,
     SymMatrix,
@@ -17,17 +18,13 @@ from nystromlab import (
     chernoff_tail,
     coherence,
     davis_kahan_bound,
-    davis_kahan_bound_substituted,
     davis_kahan_distance,
     deterministic_bound,
     flat_orthonormal,
     full_rank_tolerance,
     min_eig_gram,
     nystrom_extend,
-    omega_matrices,
     partition,
-    pinv,
-    pinv_norm_sq_omega1,
     probabilistic_bound,
     required_samples,
     sample_uniform,
@@ -35,7 +32,7 @@ from nystromlab import (
     sym_eig,
 )
 
-from helpers import gram_psd, haar, planted_psd
+from helpers import gram_psd, haar, mixed_spectrum_cases, omega_matrices, pinv, planted_psd
 
 # ---------------------------------------------------------------------------
 # coherence
@@ -188,6 +185,34 @@ def test_det_bound_raises_when_omega1_rank_deficient():
         deterministic_bound(part, s)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(3, 24),
+    family=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_det_bound_closed_form_matches_pinv_route(n, family, seed, data):
+    rng = np.random.default_rng(seed)
+    a = list(mixed_spectrum_cases(rng, n))[family][1]
+    k = data.draw(st.integers(1, n - 1), label="k")
+    l = data.draw(st.integers(k, n), label="l")
+    part = partition(sym_eig(a), k)
+    s = sample_uniform(n, l, RngSeed(seed, 0))
+    m = min_eig_gram(part.u1, s)
+    if m <= full_rank_tolerance(n):
+        with pytest.raises(BoundInapplicableError):
+            deterministic_bound(part, s)
+        return
+    omega1, omega2 = omega_matrices(part, s)
+    sigma2_norm = float(np.max(np.abs(part.sigma2)))
+    expect = sigma2_norm * (1.0 + spectral_norm(omega2 @ pinv(omega1)) ** 2)
+    # eigvalsh leaves an O(n eps) absolute error on the Gram matrix (norm <= 1),
+    # which 1 / m amplifies into a relative error of order n eps / m.
+    tol = 16 * n * np.finfo(np.float64).eps / m
+    assert deterministic_bound(part, s) == pytest.approx(expect, rel=tol, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # sample-size rule
 
@@ -337,16 +362,14 @@ def _part_with_u1(u1):
 
 def test_pinv_norm_sq_full_sample_is_one():
     rng = np.random.default_rng(61)
-    part = _part_with_u1(haar(7, 2, rng))
     s = ColumnSample(n=7, indices=tuple(range(7)))
-    assert pinv_norm_sq_omega1(part, s) == pytest.approx(1.0, rel=1e-9)
+    assert 1.0 / min_eig_gram(haar(7, 2, rng), s) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_pinv_norm_sq_trivial_two_dim():
     # u1 = e0 in R^2, sample hits row 0: omega1 = [1] exactly
-    part = _part_with_u1(np.array([[1.0], [0.0]]))
     s = ColumnSample(n=2, indices=(0,))
-    assert pinv_norm_sq_omega1(part, s) == pytest.approx(1.0, abs=1e-12)
+    assert 1.0 / min_eig_gram(np.array([[1.0], [0.0]]), s) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pinv_norm_sq_matches_pinv_route():
@@ -364,7 +387,7 @@ def test_pinv_norm_sq_matches_pinv_route():
             continue
         omega1 = u[np.asarray(s.indices), :].T
         expect = spectral_norm(pinv(omega1)) ** 2
-        got = pinv_norm_sq_omega1(_part_with_u1(u), s)
+        got = 1.0 / min_eig_gram(u, s)
         assert got == pytest.approx(expect, rel=1e-8), (
             f"trial {trial}: direct {got!r} vs pinv route {expect!r}"
         )
@@ -376,8 +399,8 @@ def test_pinv_norm_sq_raises_when_rank_deficient():
     u[0, 0] = 1.0
     u[1, 1] = 1.0
     s = ColumnSample(n=5, indices=(2, 3))
-    with pytest.raises(RankDeficientError):
-        pinv_norm_sq_omega1(_part_with_u1(u), s)
+    with pytest.raises(BoundInapplicableError):
+        deterministic_bound(_part_with_u1(u), s)
 
 
 # ---------------------------------------------------------------------------
@@ -453,19 +476,6 @@ def test_davis_kahan_bound_gap_violated_raises():
     a_tilde = SymMatrix(np.diag([2.0, 5.0]))
     with pytest.raises(GapViolatedError):
         davis_kahan_bound(a, a_tilde, k=1)
-
-
-def test_davis_kahan_substituted_frozen_value():
-    # error = 0.5, lambda_1 = 2, lambda_2 = 0: 0.5 / (2 - 0 - 0.5) = 1/3
-    a = SymMatrix(np.diag([2.0, 0.0]))
-    got = davis_kahan_bound_substituted(a, k=1, error_bound=0.5)
-    assert got == pytest.approx(1.0 / 3.0, rel=1e-12)
-
-
-def test_davis_kahan_substituted_gap_violation():
-    a = SymMatrix(np.diag([1.0, 0.5]))
-    with pytest.raises(GapViolatedError):
-        davis_kahan_bound_substituted(a, k=1, error_bound=0.6)
 
 
 # ---------------------------------------------------------------------------

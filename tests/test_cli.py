@@ -251,3 +251,22 @@ def test_no_subcommand_exits_2():
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "approx" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# numerical failures at extreme scales exit 4
+
+
+def test_approx_eigensolver_overflow_exits_4(tmp_path, capsys):
+    p = tmp_path / "huge.txt"
+    save_matrix(SymMatrix(1e160 * gram_psd(20, np.random.default_rng(5)).entries), p)
+    assert main(["approx", "--matrix", str(p), "--indices", "0,5,10,15"]) == 4
+    assert "error:" in capsys.readouterr().err
+
+
+def test_approx_non_finite_error_exits_4(tmp_path, capsys):
+    p = tmp_path / "diag.txt"
+    p.write_text("3\n1e200 0 0\n0 1e200 0\n0 0 1e200\n")
+    assert main(["approx", "--matrix", str(p), "--l", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err

@@ -15,6 +15,7 @@ from nystromlab import (
     NotPSDError,
     SpectrumSpec,
     SymMatrix,
+    TrialRecord,
     chernoff_sweep,
     chernoff_tail,
     config_from_file,
@@ -507,3 +508,75 @@ def test_instance_stream_spacing():
     # trial streams are indices; the instance stream must sit far above any
     # realistic trial count so the two can never collide
     assert INSTANCE_STREAM == 2**63
+
+
+# ---------------------------------------------------------------------------
+# exact serializer bytes
+
+
+_PINNED_RECORDS = [
+    TrialRecord(trial=0, spectral_error=0.1, det_bound=1.5, prob_bound=3.0,
+                min_eig_gram=0.25, pinv_norm_sq=4.0, rank_w=3,
+                omega1_full_rank=True, error_le_bound=True, wall_ms=1.25),
+    TrialRecord(trial=1, spectral_error=2.5e-17, det_bound=None, prob_bound=3.0,
+                min_eig_gram=-1e-18, pinv_norm_sq=None, rank_w=0,
+                omega1_full_rank=False, error_le_bound=False, wall_ms=0.5),
+]
+_PINNED_SUMMARY = {"n": 8, "k": 2, "l": 4, "epsilon": 0.5, "delta": 0.05, "trials": 2}
+
+
+def _pinned_json_record(trial, det, gram, pnsq, rank_w, flag, wall_ms):
+    err = 0.1 if flag else 2.5e-17
+    return {
+        "trial": trial, "seed": trial, "l": 4, "k": 2, "epsilon": 0.5,
+        "delta": 0.05, "spectral_error": err, "det_bound": det,
+        "prob_bound": 3.0, "min_eig_gram": gram, "pinv_norm_sq": pnsq,
+        "rank_w": rank_w, "omega1_full_rank": flag, "error_le_bound": flag,
+        "wall_ms": wall_ms,
+    }
+
+
+@pytest.mark.parametrize("timings", [False, True])
+def test_emit_results_csv_exact_bytes(timings):
+    wall = ("1.25", "0.5") if timings else ("NA", "NA")
+    expect = (
+        CSV_HEADER + "\n"
+        f"0,0,4,2,0.5,0.05,0.1,1.5,3.0,0.25,4.0,3,true,true,{wall[0]}\n"
+        f"1,1,4,2,0.5,0.05,2.5e-17,NA,3.0,-1e-18,NA,0,false,false,{wall[1]}\n"
+    )
+    assert emit_results(_PINNED_RECORDS, _PINNED_SUMMARY, "csv", timings=timings) == expect
+
+
+@pytest.mark.parametrize("timings", [False, True])
+def test_emit_results_json_exact_bytes(timings):
+    wall = (1.25, 0.5) if timings else (None, None)
+    doc = {
+        "summary": _PINNED_SUMMARY,
+        "records": [
+            _pinned_json_record(0, 1.5, 0.25, 4.0, 3, True, wall[0]),
+            _pinned_json_record(1, None, -1e-18, None, 0, False, wall[1]),
+        ],
+    }
+    expect = json.dumps(doc, indent=2) + "\n"
+    assert emit_results(_PINNED_RECORDS, _PINNED_SUMMARY, "json", timings=timings) == expect
+
+
+def test_emit_results_empty_keeps_header():
+    assert emit_results([], _PINNED_SUMMARY, "csv") == CSV_HEADER + "\n"
+    doc = {"summary": _PINNED_SUMMARY, "records": []}
+    assert emit_results([], _PINNED_SUMMARY, "json") == json.dumps(doc, indent=2) + "\n"
+
+
+def test_emit_table_exact_bytes(tmp_path):
+    rows = [
+        {"k": 2, "plan": "flat", "tau": 1.0, "l": 7, "rate": 1 / 3, "dominated": True},
+        {"k": 4, "plan": "spiked:1", "tau": 8.0, "l": 20, "rate": 0.0, "dominated": False},
+    ]
+    out = tmp_path / "t.csv"
+    assert emit_table(rows, "csv", path=out) == (
+        "k,plan,tau,l,rate,dominated\n"
+        "2,flat,1.0,7,0.3333333333333333,true\n"
+        "4,spiked:1,8.0,20,0.0,false\n"
+    )
+    assert out.read_text() == emit_table(rows, "csv")
+    assert emit_table(rows, "json") == json.dumps({"rows": rows}, indent=2) + "\n"

@@ -8,14 +8,13 @@ from nystromlab import (
     NotPSDError,
     SymMatrix,
     partition,
-    pinv,
     projector,
     psd_sqrt,
     spectral_norm,
     sym_eig,
 )
 
-from helpers import gram_psd, planted_psd
+from helpers import gram_psd, pinv, planted_psd
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,9 @@ from nystromlab import (
     SymMatrix,
     extract_cw,
     sample_uniform,
-    selection_matrix,
 )
 
-from helpers import gram_psd
+from helpers import gram_psd, selection_matrix
 
 
 def test_full_sample_is_permutation():
