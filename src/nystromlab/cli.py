@@ -96,7 +96,7 @@ def _given(args, flags) -> dict:
 def _cmd_trials(args) -> int:
     output = _given(args, _OUTPUT_FLAGS)
     if args.config is not None:
-        given = [f for f in _INLINE_FLAGS if getattr(args, f) not in (None, False)]
+        given = list(_given(args, _INLINE_FLAGS))
         if given:
             raise ConfigError(given[0].replace("_", "-"),
                               "inline flag conflicts with --config")

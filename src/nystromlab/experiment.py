@@ -274,10 +274,17 @@ def config_from_file(path) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One sampled trial: measurements, bounds, and success flags."""
+    """One sampled trial: measurements, bounds, and success flags.
+
+    ``error_residual`` is the Lanczos residual of ``spectral_error``: the
+    true error lies in ``[spectral_error, spectral_error + error_residual]``,
+    and ``error_le_bound`` compares the upper end with ``prob_bound``.  It
+    is not an artifact column.
+    """
 
     trial: int
     spectral_error: float
+    error_residual: float
     det_bound: float | None
     prob_bound: float
     min_eig_gram: float
@@ -363,13 +370,14 @@ def run_trial(setup: ExperimentSetup, master_seed: int, t: int) -> TrialRecord:
     return TrialRecord(
         trial=t,
         spectral_error=res.spectral_error,
+        error_residual=res.error_residual,
         det_bound=det,
         prob_bound=setup.prob_bound,
         min_eig_gram=gram_min,
         pinv_norm_sq=pnsq,
         rank_w=res.rank_w,
         omega1_full_rank=full_rank,
-        error_le_bound=res.spectral_error <= setup.prob_bound,
+        error_le_bound=res.spectral_error + res.error_residual <= setup.prob_bound,
         wall_ms=wall_ms,
     )
 

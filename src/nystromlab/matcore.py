@@ -3,8 +3,9 @@
 Everything downstream (column sampling, the Nystrom extension, the error
 bounds) is written against the small kernel of operations in this module:
 a symmetric eigendecomposition with a fixed descending ordering, a PSD
-square root, spectral norms, orthogonal projectors onto column spaces, and
-the split of a decomposition into a dominant block and a tail block.
+square root, spectral norms, the matrix-free Lanczos norm of a low-rank
+update ``A - Z Z^T``, orthogonal projectors onto column spaces, and the
+split of a decomposition into a dominant block and a tail block.
 
 Conventions
 -----------
@@ -12,6 +13,10 @@ Conventions
   :class:`SymMatrix`, which enforces exact entrywise symmetry at
   construction time and rejects inputs whose asymmetry exceeds
   ``1e-8 * ||A||_F``.
+* Scale safety: where a norm would square entries past the float64 range
+  (``||A||_F`` or the Gram matrix of :func:`spectral_norm`), the input is
+  first scaled by a power of two, which is exact, and the result scaled
+  back, so extreme input scales such as 1e+-160 give the right value.
 * Eigenvalues are always reported in non-increasing order.  Ties keep the
   backend's output order, so results are deterministic for a fixed input.
 * Rank decisions use the conventional relative cutoff
@@ -23,6 +28,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +44,17 @@ PSD_CLAMP_REL = 1e-10
 
 # Eigenvalue-tie window used to flag degenerate dominant/tail splits.
 DEGENERACY_REL_TOL = 1e-12
+
+# spectral_norm squares M without scaling while max |m_ij| lies within
+# 2^+-480: the Gram entries stay below 2^960 * max(shape), far from
+# overflow, and squares that underflow are below 2^-60 of the largest.
+# This spares an extra copy of M at ordinary scales, where scaling by a
+# power of two would not change the result.
+_GRAM_SAFE_EXPONENT = 480
+
+# Lanczos stopping rule of lowrank_residual_norm: Ritz residual relative to
+# the Ritz value.
+LANCZOS_REL_TOL = 1e-12
 
 
 class NotPSDError(ValueError):
@@ -60,6 +77,17 @@ class NonConvergenceError(RuntimeError):
         super().__init__(f"symmetric eigensolver did not converge: {detail}")
 
 
+def _scale_exponent(big: float) -> int:
+    """The e with ``big * 2**-e`` in ``[0.5, 1)``; 0 unless big is finite and > 0.
+
+    Scaling by ``2**-e`` (``np.ldexp``) is exact, so a value computed on
+    scaled data and scaled back by ``2**e`` picks up no rounding from it.
+    """
+    if big > 0.0 and math.isfinite(big):
+        return math.frexp(big)[1]
+    return 0
+
+
 def _as_array(m) -> np.ndarray:
     """Accept either a plain array or a SymMatrix and return float64 data."""
     if isinstance(m, SymMatrix):
@@ -76,6 +104,11 @@ class SymMatrix:
     symmetrized average ``(A + A^T) / 2`` (exact symmetry: IEEE addition is
     commutative, so ``entries[i, j] == entries[j, i]`` bit for bit).  The
     stored array is frozen; treat instances as immutable values.
+
+    When ``||A||_F`` overflows to inf or underflows to 0 for a nonzero
+    matrix, both norms of the check are recomputed on a copy scaled by a
+    power of two, so the check holds at any scale; inputs with a finite,
+    nonzero norm take no extra pass.
     """
 
     __slots__ = ("entries",)
@@ -88,13 +121,21 @@ class SymMatrix:
             raise ValueError("matrix dimension must be at least 1")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
-        fro = float(np.linalg.norm(a))
-        asym = float(np.linalg.norm(a - a.T))
+        with np.errstate(over="ignore"):  # an inf norm is handled below
+            fro = float(np.linalg.norm(a))
+            asym = float(np.linalg.norm(a - a.T))
+        e = 0
+        if fro in (0.0, math.inf):
+            e = _scale_exponent(float(np.max(np.abs(a))))
+            b = np.ldexp(a, -e)
+            fro = float(np.linalg.norm(b))
+            asym = float(np.linalg.norm(b - b.T))
         if asym > ASYMMETRY_REL_TOL * fro and fro > 0.0:
             raise ValueError(
                 f"matrix is not symmetric within tolerance: "
-                f"||A - A^T||_F = {asym:.3e} exceeds "
-                f"{ASYMMETRY_REL_TOL:g} * ||A||_F = {ASYMMETRY_REL_TOL * fro:.3e}"
+                f"||A - A^T||_F = {math.ldexp(asym, e):.3e} exceeds "
+                f"{ASYMMETRY_REL_TOL:g} * ||A||_F = "
+                f"{math.ldexp(ASYMMETRY_REL_TOL * fro, e):.3e}"
             )
         sym = (a + a.T) / 2.0
         sym.flags.writeable = False
@@ -205,7 +246,10 @@ def spectral_norm(m) -> float:
 
     Computed as the square root of the largest eigenvalue of the smaller
     Gram matrix (M M^T or M^T M), which keeps the work at
-    ``min(shape)``-sized symmetric problems.
+    ``min(shape)``-sized symmetric problems.  When ``max |m_ij|`` lies
+    outside ``2**+-_GRAM_SAFE_EXPONENT``, M is first scaled by the power of
+    two that puts it in ``[0.5, 1)``, so the Gram matrix neither overflows
+    nor underflows, and the norm is scaled back.
     """
     a = _as_array(m)
     if a.ndim == 1:
@@ -214,12 +258,73 @@ def spectral_norm(m) -> float:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
     if a.shape[0] == 0 or a.shape[1] == 0:
         return 0.0
+    e = _scale_exponent(max(float(a.max()), -float(a.min())))
+    if abs(e) > _GRAM_SAFE_EXPONENT:
+        a = np.ldexp(a, -e)
+    else:
+        e = 0
     if a.shape[0] <= a.shape[1]:
         g = a @ a.T
     else:
         g = a.T @ a
     lam = float(np.linalg.eigvalsh(g)[-1])
-    return float(np.sqrt(max(lam, 0.0)))
+    return math.ldexp(math.sqrt(max(lam, 0.0)), e)
+
+
+def lowrank_residual_norm(
+    a: SymMatrix, z: np.ndarray, start: np.ndarray
+) -> tuple[float, float]:
+    """``||A - Z Z^T||_2`` by Lanczos, matrix-free, with its residual bound.
+
+    Returns ``(theta, r)``: ``theta`` is the Ritz value of largest modulus
+    and ``r`` its Ritz residual, so an eigenvalue of ``A - Z Z^T`` lies in
+    ``[theta - r, theta + r]`` (Parlett, *The Symmetric Eigenvalue
+    Problem*, the residual bound).  The extreme Ritz value does not
+    overshoot, so ``[theta, theta + r]`` brackets the norm once the
+    Krylov space has found the top eigenvector; a random start does so
+    with probability one (Kuczynski and Wozniakowski, SIAM J. Matrix Anal.
+    Appl. 1992).
+
+    Lanczos runs on the operator ``x -> s (A x - Z (Z^T x))``, where ``s``
+    is the power of two that puts ``s * max_i a_ii`` in ``[0.5, 1)`` (``s =
+    1`` when the diagonal is 0, so for PSD A, which is then 0, the result
+    is 0).  For PSD A, ``|a_ij| <= max_i a_ii``, so the scaled recurrence
+    stays near 1 at any input scale; ``theta / s`` and ``r / s`` are
+    returned.  No ``n x n`` temporary is formed: each step costs one
+    product with A and two with Z.
+
+    ``start`` is the unit start vector.  The basis is fully
+    reorthogonalised (two classical Gram-Schmidt passes) and grows with
+    the step count.  Fixed stopping rule, checked after every step: ``r <=
+    LANCZOS_REL_TOL * theta``, or ``r <= n * eps`` (scaled units), or a
+    zero next residual ``beta``, or a Krylov dimension of ``n``, at which
+    the result is exact.  For a fixed input the result does not depend on
+    the caller's thread.
+    """
+    n = a.n
+    e = _scale_exponent(float(np.max(np.diagonal(a.entries))))
+    basis = start.reshape(1, n)
+    alphas: list[float] = []
+    betas: list[float] = []
+    while True:
+        q = basis[-1]
+        w = np.ldexp(a.entries @ q - z @ (z.T @ q), -e)
+        h = basis @ w
+        w -= h @ basis
+        h2 = basis @ w
+        w -= h2 @ basis
+        alphas.append(float(h[-1] + h2[-1]))
+        beta = float(np.linalg.norm(w))
+        t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        vals, vecs = np.linalg.eigh(t)
+        i = int(np.argmax(np.abs(vals)))
+        theta = abs(float(vals[i]))
+        r = beta * abs(float(vecs[-1, i]))
+        if (r <= LANCZOS_REL_TOL * theta or r <= n * EPS or beta == 0.0
+                or len(alphas) == n):
+            return math.ldexp(theta, e), math.ldexp(r, e)
+        betas.append(beta)
+        basis = np.vstack([basis, w / beta])
 
 
 def projector(m) -> SymMatrix:

@@ -6,6 +6,12 @@ Given a PSD matrix A and a sample S of its columns, the extension is
 reproduces A exactly whenever ``rank(W) == rank(A)`` (in particular when
 the sample spans the range of A).
 
+The extension is kept in factored form, ``A_tilde = Z Z^T`` with Z of
+size n x rank(W), and its spectral error ``||A - Z Z^T||_2`` is computed
+matrix-free by Lanczos (:func:`matcore.lowrank_residual_norm`), so no
+``n x n`` matrix is formed.  The dense extension and its PSD diagnostic
+are built only when a caller reads them.
+
 The spectral error of the extension admits a second, independent route:
 ``||A - A_tilde||_2`` equals the squared spectral norm of
 ``(I - P) A^(1/2)`` where P is the orthogonal projector onto the column
@@ -15,7 +21,9 @@ so the two can be checked against each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,30 +31,45 @@ from .matcore import (
     EPS,
     SymMatrix,
     clamp_psd_eigenvalues,
+    lowrank_residual_norm,
     projector,
     psd_sqrt,
     spectral_norm,
     sym_eig,
 )
-from .sampling import ColumnSample, extract_cw
+from .sampling import ColumnSample, extract_cw, lanczos_start
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NystromResult:
-    """One extension: the sample, the PSD extension, and its diagnostics.
+    """One extension in factored form, with its error and diagnostics.
 
-    ``spectral_error`` is ``||A - extension||_2``; ``rank_w`` is the
-    numerical rank of the sampled block W under the standard cutoff;
-    ``psd_violation`` is the most negative eigenvalue of the extension
-    (0.0 when there is none), kept as a diagnostic for the PSD-preservation
-    guarantee.
+    ``factor`` is Z (n x ``rank_w``), with ``extension == Z Z^T``.
+    ``spectral_error`` is the Lanczos estimate of ``||A - Z Z^T||_2`` and
+    ``error_residual`` its Ritz residual, so the norm lies in
+    ``[spectral_error, spectral_error + error_residual]`` (see
+    :func:`matcore.lowrank_residual_norm`).  ``rank_w`` is the numerical
+    rank of the sampled block W under the standard cutoff.
+
+    ``extension`` (the dense ``SymMatrix(Z @ Z.T)``) and ``psd_violation``
+    (the most negative eigenvalue of the extension, 0.0 when there is none,
+    a diagnostic for the PSD-preservation guarantee) are computed on first
+    access and cached; each costs dense ``n x n`` work.
     """
 
     sample: ColumnSample
-    extension: SymMatrix
+    factor: np.ndarray
     spectral_error: float
+    error_residual: float
     rank_w: int
-    psd_violation: float
+
+    @cached_property
+    def extension(self) -> SymMatrix:
+        return SymMatrix(self.factor @ self.factor.T)
+
+    @cached_property
+    def psd_violation(self) -> float:
+        return min(float(np.linalg.eigvalsh(self.extension.entries)[0]), 0.0)
 
 
 def nystrom_extend(a: SymMatrix, sample: ColumnSample) -> NystromResult:
@@ -57,8 +80,10 @@ def nystrom_extend(a: SymMatrix, sample: ColumnSample) -> NystromResult:
     ``<= l * eps * lambda_max`` are dropped as numerical zeros and the
     rest inverted.  A W eigenvalue below the clamp window certifies that
     A itself is not PSD (W is a principal submatrix), which raises
-    :class:`NotPSDError`.  A spectral error that overflows to a non-finite
-    value raises :class:`FloatingPointError` rather than being reported.
+    :class:`NotPSDError`.  The error is the scaled Lanczos estimate started
+    from :func:`sampling.lanczos_start`, so it depends only on A and the
+    sample; one that is not finite raises :class:`FloatingPointError`
+    rather than being reported.
 
     Parameters
     ----------
@@ -78,17 +103,15 @@ def nystrom_extend(a: SymMatrix, sample: ColumnSample) -> NystromResult:
     # the round-off amplification a direct product with W^+ would pick up
     # from W's smallest kept eigenvalues.
     z = c @ (ed.eigenvectors[:, keep] / np.sqrt(vals[keep]))
-    ext = SymMatrix(z @ z.T)
-    err = spectral_norm(a.entries - ext.entries)
-    if not np.isfinite(err):
+    err, resid = lowrank_residual_norm(a, z, lanczos_start(a.n))
+    if not (math.isfinite(err) and math.isfinite(resid)):
         raise FloatingPointError(f"spectral error overflowed to {err!r}")
-    ext_min = float(np.linalg.eigvalsh(ext.entries)[0])
     return NystromResult(
         sample=sample,
-        extension=ext,
+        factor=z,
         spectral_error=err,
+        error_residual=resid,
         rank_w=rank_w,
-        psd_violation=min(ext_min, 0.0),
     )
 
 

@@ -8,7 +8,10 @@ stateless 64-bit counter/key design, so distinct stream ids give
 statistically independent streams and the draw for a given key is
 identical across platforms, runs, and thread schedules.  A trial's stream
 id is its trial index, which is what makes per-trial records reproducible
-in isolation.
+in isolation.  One key is reserved: ``LANCZOS_SEED`` draws the start
+vector of the Lanczos error estimate (:func:`lanczos_start`), fixed per
+``n`` so that the error of an extension depends on nothing but the matrix
+and the sample.
 
 Sampling ``l`` of ``n`` columns without replacement is the first ``l``
 entries of a Fisher-Yates shuffle of ``0..n-1``: at step ``i`` the pool
@@ -48,6 +51,21 @@ def rng_from(seed: RngSeed) -> np.random.Generator:
     """Philox generator keyed by (master_seed, stream_id)."""
     key = np.array([seed.master_seed, seed.stream_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+# The top stream id of master seed 0: trial streams are trial indices, and
+# instance streams start at 2^63 and grow by one per grid point.
+LANCZOS_SEED = RngSeed(0, _U64_MAX)
+
+
+def lanczos_start(n: int) -> np.ndarray:
+    """Unit start vector of length n for the Lanczos error estimate.
+
+    Drawn as normalized Gaussians from the reserved ``LANCZOS_SEED``
+    stream, so it is the same for every call with the same n.
+    """
+    v = rng_from(LANCZOS_SEED).standard_normal(n)
+    return v / np.linalg.norm(v)
 
 
 @dataclass(frozen=True)
@@ -100,11 +118,13 @@ def extract_cw(a: SymMatrix, sample: ColumnSample) -> tuple[np.ndarray, SymMatri
     """Gather C = A S (sampled columns) and W = S^T A S (principal block).
 
     Implemented as index gathers, so the entries of C and W are bit-equal
-    to the corresponding entries of A - no arithmetic is applied.
+    to the corresponding entries of A - no arithmetic is applied.  The
+    sampled rows are gathered (contiguous in the row-major store) and C is
+    their transpose, equal to the sampled columns because ``SymMatrix``
+    entries are exactly symmetric.
     """
     if sample.n != a.n:
         raise ValueError(f"sample is over n={sample.n} but the matrix has n={a.n}")
-    idx = list(sample.indices)
-    c = a.entries[:, idx].copy()
-    w = a.entries[np.ix_(idx, idx)]
-    return c, SymMatrix(w)
+    idx = np.array(sample.indices)
+    rows = a.entries.take(idx, axis=0)
+    return rows.T, SymMatrix(rows.take(idx, axis=1))

@@ -471,6 +471,17 @@ def test_davis_kahan_bound_dominates_distance():
         checked += 1
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_davis_kahan_bound_is_scale_invariant(scale):
+    rng = np.random.default_rng(41)
+    lam = np.array([4.0, 2.0, 0.5, 0.25, 0.1, 0.05])
+    a, _, _ = planted_psd(6, lam, rng)
+    a_tilde = nystrom_extend(a, ColumnSample(n=6, indices=(0, 2, 4))).extension
+    want = davis_kahan_bound(a, a_tilde, k=2)
+    got = davis_kahan_bound(SymMatrix(scale * a.entries), SymMatrix(scale * a_tilde.entries), k=2)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_davis_kahan_bound_gap_violated_raises():
     a = SymMatrix(np.diag([2.0, 1.0]))
     a_tilde = SymMatrix(np.diag([2.0, 5.0]))

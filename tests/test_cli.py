@@ -8,6 +8,7 @@ import pytest
 from nystromlab import required_samples, save_matrix, SymMatrix
 from nystromlab.cli import main
 from nystromlab.experiment import CSV_HEADER
+from nystromlab.matcore import EPS
 
 from helpers import gram_psd
 
@@ -150,6 +151,18 @@ def test_trials_config_conflicts_with_inline(tmp_path, capsys):
     assert "conflicts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--l", "--lambda1"])
+def test_trials_config_conflicts_with_inline_zero(tmp_path, capsys, flag):
+    # an inline value of 0 is still a given flag
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({
+        "n": 16, "k": 2, "trials": 3, "seed": 1, "l": 8,
+        "gen": "exact-rank-k", "coherence": "flat",
+    }))
+    assert main(["trials", "--config", str(cfgp), flag, "0"]) == 2
+    assert "conflicts" in capsys.readouterr().err
+
+
 def test_trials_l_conflicts_with_auto_l(capsys):
     assert main(_trials_args("--auto-l")) == 2
 
@@ -254,19 +267,30 @@ def test_help_exits_0(capsys):
 
 
 # ---------------------------------------------------------------------------
-# numerical failures at extreme scales exit 4
+# extreme scales: the scaled error route reports the right value
 
 
-def test_approx_eigensolver_overflow_exits_4(tmp_path, capsys):
-    p = tmp_path / "huge.txt"
-    save_matrix(SymMatrix(1e160 * gram_psd(20, np.random.default_rng(5)).entries), p)
-    assert main(["approx", "--matrix", str(p), "--indices", "0,5,10,15"]) == 4
-    assert "error:" in capsys.readouterr().err
+def test_approx_huge_gram_scales_exactly(tmp_path, capsys):
+    a = gram_psd(20, np.random.default_rng(5))
+    doc = {}
+    for tag, scale in (("unit", 1.0), ("huge", 1e160)):
+        p = tmp_path / f"{tag}.txt"
+        save_matrix(SymMatrix(scale * a.entries), p)
+        assert main(["approx", "--matrix", str(p), "--indices", "0,5,10,15"]) == 0
+        doc[tag] = json.loads(capsys.readouterr().out)
+    assert doc["huge"]["spectral_error"] / 1e160 == pytest.approx(
+        doc["unit"]["spectral_error"], rel=1e-12)
+    assert doc["huge"]["relative_error"] == pytest.approx(
+        doc["unit"]["relative_error"], rel=1e-12)
 
 
-def test_approx_non_finite_error_exits_4(tmp_path, capsys):
+def test_approx_huge_diagonal_reports_error(tmp_path, capsys):
     p = tmp_path / "diag.txt"
     p.write_text("3\n1e200 0 0\n0 1e200 0\n0 0 1e200\n")
-    assert main(["approx", "--matrix", str(p), "--l", "2"]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == "" and "error:" in captured.err
+    assert main(["approx", "--matrix", str(p), "--l", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    # one unsampled unit direction of weight 1e200 is left: the error is
+    # 1e200, up to the rounding of the Lanczos Ritz value
+    assert doc["spectral_error"] == pytest.approx(1e200, rel=4 * EPS)
+    assert doc["relative_error"] == pytest.approx(1.0, rel=4 * EPS)
+    assert doc["psd_violation"] == 0.0

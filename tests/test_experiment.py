@@ -515,11 +515,11 @@ def test_instance_stream_spacing():
 
 
 _PINNED_RECORDS = [
-    TrialRecord(trial=0, spectral_error=0.1, det_bound=1.5, prob_bound=3.0,
-                min_eig_gram=0.25, pinv_norm_sq=4.0, rank_w=3,
+    TrialRecord(trial=0, spectral_error=0.1, error_residual=0.0, det_bound=1.5,
+                prob_bound=3.0, min_eig_gram=0.25, pinv_norm_sq=4.0, rank_w=3,
                 omega1_full_rank=True, error_le_bound=True, wall_ms=1.25),
-    TrialRecord(trial=1, spectral_error=2.5e-17, det_bound=None, prob_bound=3.0,
-                min_eig_gram=-1e-18, pinv_norm_sq=None, rank_w=0,
+    TrialRecord(trial=1, spectral_error=2.5e-17, error_residual=0.0, det_bound=None,
+                prob_bound=3.0, min_eig_gram=-1e-18, pinv_norm_sq=None, rank_w=0,
                 omega1_full_rank=False, error_le_bound=False, wall_ms=0.5),
 ]
 _PINNED_SUMMARY = {"n": 8, "k": 2, "l": 4, "epsilon": 0.5, "delta": 0.05, "trials": 2}

@@ -34,6 +34,18 @@ def test_symmatrix_rejects_gross_asymmetry():
         SymMatrix(a)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_symmatrix_asymmetry_check_at_extreme_scales(scale):
+    # ||A||_F overflows to inf at 1e160 and underflows to 0 at 1e-170
+    a = scale * gram_psd(6, np.random.default_rng(3)).entries
+    m = SymMatrix(a)
+    assert np.array_equal(m.entries, a)
+    bad = a.copy()
+    bad[0, 1] *= 1.5
+    with pytest.raises(ValueError, match="not symmetric"):
+        SymMatrix(bad)
+
+
 def test_symmatrix_rejects_bad_shapes_and_values():
     with pytest.raises(ValueError):
         SymMatrix(np.zeros((2, 3)))
@@ -224,6 +236,14 @@ def test_spectral_norm_product_identity():
         lhs = spectral_norm(m @ m.T)
         rhs = spectral_norm(m) ** 2
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170, 2.0**-1000])
+def test_spectral_norm_at_extreme_scales(scale):
+    # the Gram matrix of the raw input overflows or underflows
+    m = np.random.default_rng(31).standard_normal((5, 7))
+    want = scale * spectral_norm(m)
+    assert spectral_norm(scale * m) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_spectral_norm_empty_axis():

@@ -1,9 +1,12 @@
-"""The extension itself and the two-route error identity."""
+"""The extension itself, its Lanczos error and the two-route error identity."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nystromlab import (
     ColumnSample,
@@ -15,6 +18,8 @@ from nystromlab import (
     spectral_norm,
     sqrt_projection_error,
 )
+from nystromlab.matcore import lowrank_residual_norm
+from nystromlab.sampling import lanczos_start
 
 from helpers import gram_psd, mixed_spectrum_cases, planted_psd
 
@@ -130,3 +135,106 @@ def test_error_equals_direct_norm():
     res = nystrom_extend(a, s)
     direct = spectral_norm(a.entries - res.extension.entries)
     assert res.spectral_error == pytest.approx(direct, rel=1e-12, abs=1e-15)
+
+
+def test_dense_extension_is_built_on_demand():
+    rng = np.random.default_rng(21)
+    a = gram_psd(8, rng)
+    res = nystrom_extend(a, ColumnSample(n=8, indices=(1, 4, 6)))
+    assert res.factor.shape == (8, 3)
+    assert "extension" not in vars(res) and "psd_violation" not in vars(res)
+    assert res.psd_violation <= 0.0
+    assert "extension" in vars(res)
+    assert res.extension is res.extension
+    z = res.factor
+    assert np.array_equal(res.extension.entries, SymMatrix(z @ z.T).entries)
+
+
+def test_zero_matrix_has_zero_error():
+    res = nystrom_extend(SymMatrix(np.zeros((5, 5))), ColumnSample(n=5, indices=(0, 3)))
+    assert (res.spectral_error, res.error_residual, res.rank_w) == (0.0, 0.0, 0)
+
+
+# ---------------------------------------------------------------------------
+# properties of the Lanczos error route on generated PSD inputs
+
+_SCALES = (1.0, 2.0**500, 2.0**-500, 1e150, 1e-150)
+
+
+def _psd_case(n: int, family: int, seed: int) -> SymMatrix:
+    """Family 0-5: the mixed_spectrum_cases families; 6: duplicated columns."""
+    rng = np.random.default_rng(seed)
+    if family < 6:
+        return list(mixed_spectrum_cases(rng, n))[family][1]
+    m = max(1, n // 2)
+    idx = rng.integers(0, m, size=n)
+    return SymMatrix(gram_psd(m, rng).entries[np.ix_(idx, idx)])
+
+
+_case = dict(
+    n=st.integers(1, 30),
+    family=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+    full=st.booleans(),
+    data=st.data(),
+)
+
+
+def _draw_sample(n, seed, full, data) -> ColumnSample:
+    l = n if full else data.draw(st.integers(1, n), label="l")
+    return sample_uniform(n, l, RngSeed(seed, 0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(scale=st.sampled_from(_SCALES), **_case)
+def test_lanczos_error_matches_dense_routes(scale, n, family, seed, full, data):
+    a = SymMatrix(scale * _psd_case(n, family, seed).entries)
+    s = _draw_sample(n, seed, full, data)
+    res = nystrom_extend(a, s)
+    e, r = res.spectral_error, res.error_residual
+    assert e >= 0.0 and r >= 0.0
+    lam1 = spectral_norm(a.entries)
+    dense = spectral_norm(a.entries - res.extension.entries)
+    tol = 1e-8 * max(e, dense) + 1e-12 * lam1  # criterion 1's tolerance
+    assert e - tol <= dense <= e + r + tol
+    # On near-singular inputs the sqrt route itself can miss the dense value
+    # by more than criterion 1 allows; Lanczos must be no further from it.
+    proj = sqrt_projection_error(a, s)
+    assert abs(e - proj) <= abs(dense - proj) + 1e-8 * max(e, proj) + 1e-12 * lam1
+    # rerun and two threads reproduce the same bits
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = list(pool.map(lambda _: nystrom_extend(a, s), range(2)))
+    assert all((x.spectral_error, x.error_residual) == (e, r) for x in runs)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(scale=st.sampled_from(_SCALES[1:]), **_case)
+def test_lanczos_error_scales_with_the_matrix(scale, n, family, seed, full, data):
+    # Families whose W is well conditioned (cond <= 2^30).  With W near
+    # singular (families 1, 3 and 6) the extension itself moves with the
+    # rounding of c * A and with LAPACK's own rescaling of eigh at extreme
+    # norms, by up to 4e-10 * lambda_1; the exact test below covers the
+    # Lanczos scaling on those families.
+    family = (0, 2, 4, 5)[family % 4]
+    a = _psd_case(n, family, seed)
+    s = _draw_sample(n, seed, full, data)
+    e = nystrom_extend(a, s).spectral_error
+    e_scaled = nystrom_extend(SymMatrix(scale * a.entries), s).spectral_error
+    # criterion 1's absolute floor, once for each run
+    lam1 = spectral_norm(a.entries)
+    assert abs(e_scaled / scale - e) <= 1e-12 * e + 2e-12 * lam1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(exponent=st.sampled_from([-250, 250]), **_case)
+def test_lanczos_operator_scaling_is_exact(exponent, n, family, seed, full, data):
+    # scaling A by c = 4^k and Z by 2^k scales the operator exactly, and
+    # the power-of-two scaling inside the routine cancels it bit for bit
+    a = _psd_case(n, family, seed)
+    z = nystrom_extend(a, _draw_sample(n, seed, full, data)).factor
+    v = lanczos_start(n)
+    theta, r = lowrank_residual_norm(a, z, v)
+    a_c = SymMatrix(np.ldexp(a.entries, 2 * exponent))
+    theta_c, r_c = lowrank_residual_norm(a_c, np.ldexp(z, exponent), v)
+    assert theta_c == math.ldexp(theta, 2 * exponent)
+    assert r_c == math.ldexp(r, 2 * exponent)

@@ -116,6 +116,7 @@ def test_extract_cw_gather_is_bit_exact():
     a = gram_psd(6, rng)
     idx = (0, 3, 5)
     c, w = extract_cw(a, ColumnSample(n=6, indices=idx))
+    assert np.array_equal(c, a.entries[:, list(idx)])
     for j, col in enumerate(idx):
         assert np.array_equal(c[:, j], a.entries[:, col])
         for i, row in enumerate(idx):
