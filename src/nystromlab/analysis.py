@@ -33,7 +33,8 @@ from .matcore import EPS, SymMatrix, spectral_norm, sym_eig
 from .matcore import SpectralPartition
 from .sampling import ColumnSample
 
-# Orthonormality tolerance (spectral deviation of U^T U from the identity).
+# Orthonormality tolerance on ||U^T U - I||_F, which bounds the spectral
+# deviation ||U^T U - I||_2 from above.
 ORTHONORMAL_TOL = 1e-8
 
 
@@ -61,8 +62,6 @@ class GapViolatedError(ValueError):
 class BoundReport:
     """Bundle of the probabilistic-analysis quantities for one setting.
 
-    ``det_bound`` is optional: the structural bound needs an actual matrix
-    and sample, which some callers (the ``bounds`` CLI path) do not have.
     ``prob_bound`` is expressed in units of ``lambda_{k+1}`` when the
     caller passes ``lambda_k1 = 1``.
     """
@@ -73,21 +72,27 @@ class BoundReport:
     delta: float
     l_required: int
     prob_bound: float
-    det_bound: float | None
     chernoff_tail: float
 
 
 def _check_orthonormal(u: np.ndarray, what: str) -> None:
+    """Reject u unless it is n x k, 1 <= k <= n, with orthonormal columns.
+
+    The deviation is measured as ``||U^T U - I||_F``, which needs no
+    eigensolve and bounds ``||U^T U - I||_2`` from above, so every accepted
+    u also meets ``ORTHONORMAL_TOL`` in the spectral norm.  A non-finite
+    deviation (a NaN or inf entry) is rejected.
+    """
     if u.ndim != 2:
         raise ValueError(f"{what} must be a 2-d array, got ndim={u.ndim}")
     n, k = u.shape
     if not 1 <= k <= n:
         raise ValueError(f"{what} must have 1 <= k <= n columns, got shape {u.shape}")
-    dev = spectral_norm(u.T @ u - np.eye(k))
-    if dev > ORTHONORMAL_TOL:
+    dev = float(np.linalg.norm(u.T @ u - np.eye(k)))
+    if not dev <= ORTHONORMAL_TOL:
         raise ValueError(
             f"{what} does not have orthonormal columns: "
-            f"||U^T U - I||_2 = {dev:.3e} exceeds {ORTHONORMAL_TOL:g}"
+            f"||U^T U - I||_F = {dev:.3e} exceeds {ORTHONORMAL_TOL:g}"
         )
 
 
@@ -255,7 +260,6 @@ def bound_report(
     delta: float,
     l: int | None = None,
     lambda_k1: float = 1.0,
-    det_bound: float | None = None,
 ) -> BoundReport:
     """Assemble the probabilistic quantities for one parameter setting.
 
@@ -278,6 +282,5 @@ def bound_report(
         delta=float(delta),
         l_required=l_required,
         prob_bound=probabilistic_bound(lambda_k1, n, l_eff, epsilon),
-        det_bound=det_bound,
         chernoff_tail=chernoff_tail(k, tau, l_eff, epsilon),
     )

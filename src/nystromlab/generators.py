@@ -24,14 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import coherence
-from .matcore import (
-    EigenDecomposition,
-    SpectralPartition,
-    SymMatrix,
-    partition,
-    spectral_norm,
-)
+from .analysis import _check_orthonormal, coherence
+from .matcore import EigenDecomposition, SpectralPartition, SymMatrix, partition
 from .sampling import RngSeed, rng_from
 
 _SPECTRUM_KINDS = ("exact-rank-k", "exp-decay", "power-law", "custom")
@@ -156,8 +150,11 @@ def flat_orthonormal(n: int, k: int) -> np.ndarray:
 def psd_from_spectrum(u: np.ndarray, lambdas: np.ndarray) -> SymMatrix:
     """Assemble ``U diag(lambdas) U^T`` from an n x n orthogonal U.
 
-    The eigenvalues must already be non-increasing and non-negative; this
-    is a constructor, so nothing is clamped here.
+    U is checked by the same test as :func:`~nystromlab.analysis.coherence`
+    uses: ``||U^T U - I||_F <= ORTHONORMAL_TOL`` (1e-8), which implies the
+    same bound on ``||U^T U - I||_2``.  The eigenvalues must already be
+    non-increasing and non-negative; this is a constructor, so nothing is
+    clamped here.
     """
     u = np.asarray(u, dtype=np.float64)
     lam = np.asarray(lambdas, dtype=np.float64)
@@ -166,9 +163,7 @@ def psd_from_spectrum(u: np.ndarray, lambdas: np.ndarray) -> SymMatrix:
     n = u.shape[0]
     if lam.shape != (n,):
         raise ValueError(f"lambdas must have shape ({n},), got {lam.shape}")
-    dev = spectral_norm(u.T @ u - np.eye(n))
-    if dev > 1e-8:
-        raise ValueError(f"u is not orthogonal: ||U^T U - I||_2 = {dev:.3e}")
+    _check_orthonormal(u, "u")
     if np.any(lam < 0.0):
         raise ValueError("lambdas must be non-negative")
     if np.any(np.diff(lam) > 0.0):

@@ -13,10 +13,12 @@ Conventions
   :class:`SymMatrix`, which enforces exact entrywise symmetry at
   construction time and rejects inputs whose asymmetry exceeds
   ``1e-8 * ||A||_F``.
-* Scale safety: where a norm would square entries past the float64 range
-  (``||A||_F`` or the Gram matrix of :func:`spectral_norm`), the input is
-  first scaled by a power of two, which is exact, and the result scaled
-  back, so extreme input scales such as 1e+-160 give the right value.
+* Scale safety: :func:`spectral_norm` always scales its input by the
+  power of two that puts ``max |m_ij|`` in ``[0.5, 1)`` before forming a
+  Gram matrix, and :class:`SymMatrix` does so when ``||A||_F`` overflows
+  or underflows.  Scaling by a power of two is exact and the result is
+  scaled back, so extreme input scales such as 1e+-160 give the right
+  value.
 * Eigenvalues are always reported in non-increasing order.  Ties keep the
   backend's output order, so results are deterministic for a fixed input.
 * Rank decisions use the conventional relative cutoff
@@ -44,13 +46,6 @@ PSD_CLAMP_REL = 1e-10
 
 # Eigenvalue-tie window used to flag degenerate dominant/tail splits.
 DEGENERACY_REL_TOL = 1e-12
-
-# spectral_norm squares M without scaling while max |m_ij| lies within
-# 2^+-480: the Gram entries stay below 2^960 * max(shape), far from
-# overflow, and squares that underflow are below 2^-60 of the largest.
-# This spares an extra copy of M at ordinary scales, where scaling by a
-# power of two would not change the result.
-_GRAM_SAFE_EXPONENT = 480
 
 # Lanczos stopping rule of lowrank_residual_norm: Ritz residual relative to
 # the Ritz value.
@@ -88,14 +83,6 @@ def _scale_exponent(big: float) -> int:
     return 0
 
 
-def _as_array(m) -> np.ndarray:
-    """Accept either a plain array or a SymMatrix and return float64 data."""
-    if isinstance(m, SymMatrix):
-        return m.entries
-    a = np.asarray(m, dtype=np.float64)
-    return a
-
-
 class SymMatrix:
     """Dense real symmetric matrix.
 
@@ -105,31 +92,34 @@ class SymMatrix:
     commutative, so ``entries[i, j] == entries[j, i]`` bit for bit).  The
     stored array is frozen; treat instances as immutable values.
 
-    When ``||A||_F`` overflows to inf or underflows to 0 for a nonzero
-    matrix, both norms of the check are recomputed on a copy scaled by a
-    power of two, so the check holds at any scale; inputs with a finite,
-    nonzero norm take no extra pass.
+    The asymmetry is measured as ``2 ||A - (A + A^T) / 2||_F``, which
+    reads the transpose once, in building the stored average.  When
+    ``||A||_F`` overflows to inf or underflows to 0 for a nonzero matrix,
+    both norms of the check are recomputed on copies scaled by a power of
+    two, so the check holds at any scale; inputs with a finite, nonzero
+    norm take no extra pass.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=np.float64, copy=True)
+        a = np.asarray(entries, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise ValueError("matrix dimension must be at least 1")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
+        sym = (a + a.T) / 2.0
+        half_asym = a - sym
         with np.errstate(over="ignore"):  # an inf norm is handled below
             fro = float(np.linalg.norm(a))
-            asym = float(np.linalg.norm(a - a.T))
+            asym = 2.0 * float(np.linalg.norm(half_asym))
         e = 0
         if fro in (0.0, math.inf):
             e = _scale_exponent(float(np.max(np.abs(a))))
-            b = np.ldexp(a, -e)
-            fro = float(np.linalg.norm(b))
-            asym = float(np.linalg.norm(b - b.T))
+            fro = float(np.linalg.norm(np.ldexp(a, -e)))
+            asym = 2.0 * float(np.linalg.norm(np.ldexp(half_asym, -e)))
         if asym > ASYMMETRY_REL_TOL * fro and fro > 0.0:
             raise ValueError(
                 f"matrix is not symmetric within tolerance: "
@@ -137,7 +127,6 @@ class SymMatrix:
                 f"{ASYMMETRY_REL_TOL:g} * ||A||_F = "
                 f"{math.ldexp(ASYMMETRY_REL_TOL * fro, e):.3e}"
             )
-        sym = (a + a.T) / 2.0
         sym.flags.writeable = False
         self.entries = sym
 
@@ -246,12 +235,12 @@ def spectral_norm(m) -> float:
 
     Computed as the square root of the largest eigenvalue of the smaller
     Gram matrix (M M^T or M^T M), which keeps the work at
-    ``min(shape)``-sized symmetric problems.  When ``max |m_ij|`` lies
-    outside ``2**+-_GRAM_SAFE_EXPONENT``, M is first scaled by the power of
-    two that puts it in ``[0.5, 1)``, so the Gram matrix neither overflows
-    nor underflows, and the norm is scaled back.
+    ``min(shape)``-sized symmetric problems.  M is always first scaled by
+    the power of two that puts ``max |m_ij|`` in ``[0.5, 1)``, so the Gram
+    matrix neither overflows nor underflows at any input scale, and the
+    norm is scaled back.  The scaling is exact and costs one copy of M.
     """
-    a = _as_array(m)
+    a = np.asarray(m, dtype=np.float64)
     if a.ndim == 1:
         a = a.reshape(1, -1)
     if a.ndim != 2:
@@ -259,10 +248,7 @@ def spectral_norm(m) -> float:
     if a.shape[0] == 0 or a.shape[1] == 0:
         return 0.0
     e = _scale_exponent(max(float(a.max()), -float(a.min())))
-    if abs(e) > _GRAM_SAFE_EXPONENT:
-        a = np.ldexp(a, -e)
-    else:
-        e = 0
+    a = np.ldexp(a, -e)
     if a.shape[0] <= a.shape[1]:
         g = a @ a.T
     else:
@@ -335,7 +321,7 @@ def projector(m) -> SymMatrix:
     round-off and the projector is exactly symmetric and idempotent to
     working precision.
     """
-    a = _as_array(m)
+    a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
     u, s, _ = np.linalg.svd(a, full_matrices=False)

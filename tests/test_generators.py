@@ -17,6 +17,7 @@ from nystromlab import (
     random_orthonormal,
     sym_eig,
 )
+from nystromlab.analysis import ORTHONORMAL_TOL
 from nystromlab.generators import parse_plan, parse_spectrum
 
 # ---------------------------------------------------------------------------
@@ -161,6 +162,45 @@ def test_psd_from_spectrum_validation():
         psd_from_spectrum(np.eye(3), np.array([1.0, 0.5]))
 
 
+def test_psd_from_spectrum_rejects_nan_basis():
+    u = np.eye(3)
+    u[0, 0] = np.nan
+    with pytest.raises(ValueError, match="orthonormal"):
+        psd_from_spectrum(u, np.ones(3))
+
+
+def _perturbed_basis(n, k, scale):
+    """Orthonormal n x k basis moved so that ||U^T U - I||_F ~ scale * tol.
+
+    ``U (I + t H)`` with H symmetric and ``||H||_F = 1`` has
+    ``U^T U - I = 2 t H + t^2 H^2``, so ``t = scale * tol / 2`` puts the
+    Frobenius deviation at ``scale * tol`` up to rounding near 1e-15.
+    """
+    u = random_orthonormal(n, k, RngSeed(31, n))
+    g = np.random.default_rng(k).standard_normal((k, k))
+    h = (g + g.T) / np.linalg.norm(g + g.T)
+    return u @ (np.eye(k) + scale * ORTHONORMAL_TOL / 2.0 * h)
+
+
+@pytest.mark.parametrize("n,k", [(12, 12), (40, 6)])
+def test_orthonormality_check_boundary(n, k):
+    lam = np.linspace(1.0, 0.0, n)
+    for scale, accept in ((1.0 - 1e-3, True), (1.0 + 1e-3, False)):
+        u = _perturbed_basis(n, k, scale)
+        dev = u.T @ u - np.eye(k)
+        assert (np.linalg.norm(dev) <= ORTHONORMAL_TOL) == accept
+        calls = [lambda: coherence(u)]
+        if n == k:
+            calls.append(lambda: psd_from_spectrum(u, lam))
+        for call in calls:
+            if accept:
+                call()
+                assert np.linalg.norm(dev, 2) <= ORTHONORMAL_TOL
+            else:
+                with pytest.raises(ValueError, match="orthonormal"):
+                    call()
+
+
 # ---------------------------------------------------------------------------
 # planted instances
 
@@ -229,6 +269,20 @@ def test_planted_degenerate_flag_on_tied_split():
     spec = SpectrumSpec(kind="custom", n=4, k=2, values=(2.0, 1.0, 1.0, 0.5))
     _, part, _ = planted_instance(spec, CoherencePlan(target="low"), RngSeed(7, 0))
     assert part.degenerate
+
+
+@pytest.mark.parametrize("target", ["flat", "low", "spiked"])
+def test_planted_instance_does_no_eigensolve(target, monkeypatch):
+    # Every eigenvalue of a planted instance is known, so building one
+    # needs no eigensolve; an n^3 solve here would dominate `prepare`.
+    def refuse(*args, **kwargs):
+        raise AssertionError("planted_instance called an eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    spec = SpectrumSpec(kind="exp-decay", n=64, k=4, rate=0.8)
+    a, part, tau = planted_instance(spec, CoherencePlan(target=target), RngSeed(5, 0))
+    assert a.n == 64 and part.k == 4 and 1.0 - 1e-9 <= tau <= 16.0 + 1e-9
 
 
 def test_planted_deterministic():
