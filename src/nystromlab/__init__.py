@@ -21,6 +21,7 @@ from .matcore import (
     psd_sqrt,
     spectral_norm,
     sym_eig,
+    sym_eigvals,
 )
 from .sampling import (
     ColumnSample,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import EPS, SymMatrix, spectral_norm, sym_eig
+from .matcore import EPS, SymMatrix, spectral_norm, sym_eigvals
 from .matcore import SpectralPartition
 from .sampling import ColumnSample
 
@@ -244,8 +244,8 @@ def davis_kahan_bound(a: SymMatrix, a_tilde: SymMatrix, k: int) -> float:
         raise ValueError(f"matrix sizes differ: {a.n} vs {a_tilde.n}")
     if not 1 <= k <= a.n - 1:
         raise ValueError(f"k={k} out of range [1, {a.n - 1}]")
-    lam_a = sym_eig(a).eigenvalues
-    lam_t = sym_eig(a_tilde).eigenvalues
+    lam_a = sym_eigvals(a)
+    lam_t = sym_eigvals(a_tilde)
     gap = float(lam_a[k - 1] - lam_t[k])
     if gap <= 0.0:
         raise GapViolatedError(gap)

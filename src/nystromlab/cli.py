@@ -34,16 +34,16 @@ from .experiment import (
     run_experiment,
 )
 from .generators import parse_plan
-from .matcore import NonConvergenceError, NotPSDError, clamp_psd_eigenvalues, sym_eig
+from .matcore import NonConvergenceError, NotPSDError, clamp_psd_eigenvalues, sym_eigvals
 from .nystrom import nystrom_extend
 from .sampling import ColumnSample, RngSeed, sample_uniform
 
 
 def _cmd_approx(args) -> int:
     a = load_matrix(args.matrix)
-    ed = sym_eig(a)
-    clamp_psd_eigenvalues(ed.eigenvalues)
-    lambda1 = float(ed.eigenvalues[0])
+    lam = sym_eigvals(a)
+    clamp_psd_eigenvalues(lam)
+    lambda1 = float(lam[0])
     if args.indices is not None:
         idx = tuple(int(tok) for tok in args.indices.split(",") if tok.strip())
         sample = ColumnSample(n=a.n, indices=idx)

@@ -86,34 +86,12 @@ class ConfigError(ValueError):
         super().__init__(f"config error in {field!r}: {message}")
 
 
-def load_matrix(path) -> SymMatrix:
-    """Read the plain-text matrix format.
+def _parse_rows(lines: list[str], n: int) -> np.ndarray:
+    """Parse data lines token by token with ``float()``.
 
-    Line 1 is the integer dimension n; lines 2..n+1 each carry n
-    whitespace-separated reals (row-major).  Trailing blank lines are
-    tolerated; everything else raises :class:`MatrixFileError` with the
-    offending line number.
+    Raises :class:`MatrixFileError` at the first line, in order, with the
+    wrong token count, an unparseable token or a non-finite value.
     """
-    lines = Path(path).read_text().splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise MatrixFileError("empty file: expected a dimension header", 1, "header")
-    head = lines[0].strip()
-    try:
-        n = int(head)
-    except ValueError:
-        raise MatrixFileError(
-            f"line 1: expected an integer dimension, got {head!r}", 1, "header"
-        ) from None
-    if n < 1:
-        raise MatrixFileError(f"line 1: dimension must be >= 1, got {n}", 1, "header")
-    if len(lines) - 1 != n:
-        raise MatrixFileError(
-            f"expected {n} data lines after the header, found {len(lines) - 1}",
-            len(lines),
-            "count",
-        )
     rows = np.empty((n, n))
     for i in range(n):
         lineno = i + 2
@@ -135,6 +113,49 @@ def load_matrix(path) -> SymMatrix:
                 f"line {lineno}: non-finite value", lineno, "value"
             )
         rows[i] = vals
+    return rows
+
+
+def load_matrix(path) -> SymMatrix:
+    """Read the plain-text matrix format.
+
+    Line 1 is the integer dimension n; lines 2..n+1 each carry n
+    whitespace-separated reals (row-major), any finite token ``float()``
+    reads.  Trailing blank lines are tolerated; everything else raises
+    :class:`MatrixFileError` with the offending line number.
+
+    One ``np.loadtxt`` call parses the data lines; it rounds like
+    ``float()``.  Its result stands only when it is n x n and finite.
+    Otherwise :func:`_parse_rows` reparses token by token: it alone
+    reports defects, and it reads the tokens numpy refuses (``1_0``,
+    non-ASCII digits).
+    """
+    lines = Path(path).read_text().splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise MatrixFileError("empty file: expected a dimension header", 1, "header")
+    head = lines[0].strip()
+    try:
+        n = int(head)
+    except ValueError:
+        raise MatrixFileError(
+            f"line 1: expected an integer dimension, got {head!r}", 1, "header"
+        ) from None
+    if n < 1:
+        raise MatrixFileError(f"line 1: dimension must be >= 1, got {n}", 1, "header")
+    if len(lines) - 1 != n:
+        raise MatrixFileError(
+            f"expected {n} data lines after the header, found {len(lines) - 1}",
+            len(lines),
+            "count",
+        )
+    try:
+        rows = np.loadtxt(lines[1:], dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        rows = None
+    if rows is None or rows.shape != (n, n) or not np.isfinite(rows).all():
+        rows = _parse_rows(lines, n)
     try:
         return SymMatrix(rows)
     except ValueError as exc:
@@ -147,10 +168,10 @@ def save_matrix(a: SymMatrix, path) -> None:
     Entries are rendered with shortest round-trip decimal formatting, so a
     write-then-read cycle reproduces every entry bit for bit.
     """
-    out = [str(a.n)]
-    for row in a.entries:
-        out.append(" ".join(repr(float(x)) for x in row))
-    Path(path).write_text("\n".join(out) + "\n")
+    with open(path, "w") as fh:
+        fh.write(f"{a.n}\n")
+        for row in a.entries:
+            fh.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
 @dataclass(frozen=True)

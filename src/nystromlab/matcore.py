@@ -2,10 +2,11 @@
 
 Everything downstream (column sampling, the Nystrom extension, the error
 bounds) is written against the small kernel of operations in this module:
-a symmetric eigendecomposition with a fixed descending ordering, a PSD
-square root, spectral norms, the matrix-free Lanczos norm of a low-rank
-update ``A - Z Z^T``, orthogonal projectors onto column spaces, and the
-split of a decomposition into a dominant block and a tail block.
+a symmetric eigendecomposition with a fixed descending ordering (or its
+eigenvalues alone), a PSD square root, spectral norms, the matrix-free
+Lanczos norm of a low-rank update ``A - Z Z^T``, orthogonal projectors
+onto column spaces, and the split of a decomposition into a dominant
+block and a tail block.
 
 Conventions
 -----------
@@ -95,9 +96,10 @@ class SymMatrix:
     The asymmetry is measured as ``2 ||A - (A + A^T) / 2||_F``, which
     reads the transpose once, in building the stored average.  When
     ``||A||_F`` overflows to inf or underflows to 0 for a nonzero matrix,
-    both norms of the check are recomputed on copies scaled by a power of
-    two, so the check holds at any scale; inputs with a finite, nonzero
-    norm take no extra pass.
+    both norms of the check are computed on copies scaled by a power of
+    two, and mirrored pairs whose sum overflows are averaged on the scaled
+    copy, so the check and the average hold at any scale; inputs with a
+    finite, nonzero norm take no extra pass.
     """
 
     __slots__ = ("entries",)
@@ -110,16 +112,23 @@ class SymMatrix:
             raise ValueError("matrix dimension must be at least 1")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
-        sym = (a + a.T) / 2.0
-        half_asym = a - sym
-        with np.errstate(over="ignore"):  # an inf norm is handled below
+        with np.errstate(over="ignore"):  # inf sums and norms are handled below
+            sym = (a + a.T) / 2.0
             fro = float(np.linalg.norm(a))
-            asym = 2.0 * float(np.linalg.norm(half_asym))
         e = 0
         if fro in (0.0, math.inf):
             e = _scale_exponent(float(np.max(np.abs(a))))
-            fro = float(np.linalg.norm(np.ldexp(a, -e)))
-            asym = 2.0 * float(np.linalg.norm(np.ldexp(half_asym, -e)))
+            scaled = np.ldexp(a, -e)
+            fro = float(np.linalg.norm(scaled))
+            # A mirrored pair can sum past the float64 maximum.  Such a pair
+            # is far from subnormal, so its average on the scaled copy is
+            # exact; every other entry keeps the unscaled average.
+            over = np.isinf(sym)
+            if over.any():
+                sym[over] = np.ldexp((scaled + scaled.T) / 2.0, e)[over]
+        half_asym = a - sym
+        with np.errstate(over="ignore"):
+            asym = 2.0 * float(np.linalg.norm(np.ldexp(half_asym, -e) if e else half_asym))
         if asym > ASYMMETRY_REL_TOL * fro and fro > 0.0:
             raise ValueError(
                 f"matrix is not symmetric within tolerance: "
@@ -202,6 +211,21 @@ def sym_eig(a: SymMatrix) -> EigenDecomposition:
         raise NonConvergenceError(str(exc)) from exc
     order = np.argsort(-vals, kind="stable")
     return EigenDecomposition(eigenvalues=vals[order], eigenvectors=vecs[:, order])
+
+
+def sym_eigvals(a: SymMatrix) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, descending, without eigenvectors.
+
+    Raises
+    ------
+    NonConvergenceError
+        If the backend solver fails to converge.
+    """
+    try:
+        vals = np.linalg.eigvalsh(a.entries)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(str(exc)) from exc
+    return vals[::-1]
 
 
 def clamp_psd_eigenvalues(vals: np.ndarray) -> np.ndarray:

@@ -52,9 +52,10 @@ class NystromResult:
     rank of the sampled block W under the standard cutoff.
 
     ``extension`` (the dense ``SymMatrix(Z @ Z.T)``) and ``psd_violation``
-    (the most negative eigenvalue of the extension, 0.0 when there is none,
+    (the most negative eigenvalue of ``Z @ Z.T``, 0.0 when there is none,
     a diagnostic for the PSD-preservation guarantee) are computed on first
-    access and cached; each costs dense ``n x n`` work.
+    access and cached, each independently of the other; each costs dense
+    ``n x n`` work.
     """
 
     sample: ColumnSample
@@ -69,7 +70,10 @@ class NystromResult:
 
     @cached_property
     def psd_violation(self) -> float:
-        return min(float(np.linalg.eigvalsh(self.extension.entries)[0]), 0.0)
+        # Z @ Z.T is exactly symmetric (numpy forms it with one SYRK), so
+        # it needs no SymMatrix revalidation and the dense extension stays
+        # unbuilt.
+        return min(float(np.linalg.eigvalsh(self.factor @ self.factor.T)[0]), 0.0)
 
 
 def nystrom_extend(a: SymMatrix, sample: ColumnSample) -> NystromResult:

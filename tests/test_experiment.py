@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nystromlab import (
     CoherencePlan,
@@ -70,6 +72,24 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     assert np.array_equal(a.entries, b.entries)
 
 
+def test_save_matrix_exact_bytes(tmp_path):
+    a = SymMatrix(np.array([
+        [-0.0, 5e-324, 0.1],
+        [5e-324, 1e-05, 1e16],
+        [0.1, 1e16, 1.0],
+    ]))
+    p = tmp_path / "m.txt"
+    save_matrix(a, p)
+    assert p.read_bytes() == b"3\n-0.0 5e-324 0.1\n5e-324 1e-05 1e+16\n0.1 1e+16 1.0\n"
+
+
+def test_load_entries_near_float_max(tmp_path):
+    # mirrored entries whose sum overflows are still a valid symmetric file
+    p = tmp_path / "m.txt"
+    p.write_text("2\n1.5e308 1.5e308\n1.5e308 1.5e308\n")
+    assert np.array_equal(load_matrix(p).entries, np.full((2, 2), 1.5e308))
+
+
 def test_load_error_empty(tmp_path):
     p = tmp_path / "m.txt"
     p.write_text("")
@@ -124,6 +144,94 @@ def test_load_error_asymmetric(tmp_path):
     with pytest.raises(MatrixFileError) as ei:
         load_matrix(p)
     assert ei.value.kind == "asymmetry"
+
+
+# Token and line mutations: value-preserving spellings float() reads
+# (underscores, Arabic-Indic digits, Unicode whitespace), separators that
+# split a line, and defects the loader must report.
+_MUTATIONS = (
+    None, "underscore", "arabic", "\t", "\x0b", "\xa0", " ",
+    "blank", "extra", "missing", "inf", "nan", "1e400", "#",
+)
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def _mutate(lines: list[str], mutation, i: int, j: int) -> None:
+    """Apply one mutation to data line i (token j) of a matrix file."""
+    toks = lines[i].split(" ")
+    if mutation == "underscore":
+        tok = toks[j]
+        at = next((p for p in range(1, len(tok))
+                   if tok[p - 1].isdigit() and tok[p].isdigit()), None)
+        if at is not None:
+            toks[j] = tok[:at] + "_" + tok[at:]
+        lines[i] = " ".join(toks)
+    elif mutation == "arabic":
+        lines[i] = lines[i].translate(_ARABIC_INDIC)
+    elif mutation in ("\t", "\x0b", "\xa0", " "):
+        lines[i] = mutation + mutation.join(toks)
+    elif mutation == "blank":
+        lines.insert(i, "")
+    elif mutation == "extra":
+        lines[i] += " 0.0"
+    elif mutation == "missing":
+        lines[i] = " ".join(toks[:-1])
+    elif mutation in ("inf", "nan", "1e400"):
+        toks[j] = mutation
+        lines[i] = " ".join(toks)
+    elif mutation == "#":
+        lines[i] += " # note"
+
+
+def _reference_load(text: str):
+    """The entries ``float()`` gives token by token, or the ``(kind, line)``
+    of the first defect in line order."""
+    lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    n = int(lines[0])
+    if len(lines) - 1 != n:
+        return ("count", len(lines))
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        toks = line.split()
+        if len(toks) != n:
+            return ("count", lineno)
+        try:
+            vals = [float(t) for t in toks]
+        except ValueError:
+            return ("value", lineno)
+        if not all(math.isfinite(v) for v in vals):
+            return ("value", lineno)
+        rows.append(vals)
+    return np.array(rows)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 4),
+    upper=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                   min_size=10, max_size=10),
+    mutation=st.sampled_from(_MUTATIONS),
+    where=st.integers(0, 15),
+)
+def test_load_matrix_agrees_with_float_per_token(tmp_path_factory, n, upper,
+                                                 mutation, where):
+    rows, cols = np.triu_indices(n)
+    m = np.empty((n, n))
+    m[rows, cols] = m[cols, rows] = upper[: rows.size]
+    lines = [str(n)] + [" ".join(map(repr, row)) for row in m.tolist()]
+    _mutate(lines, mutation, 1 + where % n, where // n % n)
+    text = "\n".join(lines) + "\n"
+    p = tmp_path_factory.getbasetemp() / "differential.txt"
+    p.write_text(text)
+    expected = _reference_load(text)
+    if isinstance(expected, tuple):
+        with pytest.raises(MatrixFileError) as ei:
+            load_matrix(p)
+        assert (ei.value.kind, ei.value.line) == expected
+    else:
+        assert load_matrix(p).entries.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from nystromlab import (
     EigenDecomposition,
+    NonConvergenceError,
     NotPSDError,
     SymMatrix,
     partition,
@@ -12,6 +13,7 @@ from nystromlab import (
     psd_sqrt,
     spectral_norm,
     sym_eig,
+    sym_eigvals,
 )
 
 from helpers import gram_psd, pinv, planted_psd
@@ -42,6 +44,18 @@ def test_symmatrix_asymmetry_check_at_extreme_scales(scale):
     assert np.array_equal(m.entries, a)
     bad = a.copy()
     bad[0, 1] *= 1.5
+    with pytest.raises(ValueError, match="not symmetric"):
+        SymMatrix(bad)
+
+
+def test_symmatrix_mirrored_pair_summing_past_float_max():
+    # 1.5e308 + 1.5e308 overflows although both entries are finite; the
+    # subnormal entry must keep its bits through the rescaled branch
+    a = np.array([[1.5e308, 1.5e308], [1.5e308, 5e-324]])
+    m = SymMatrix(a)
+    assert np.array_equal(m.entries, a)
+    assert SymMatrix(np.full((2, 2), 1.5e308)).entries[0, 1] == 1.5e308
+    bad = np.array([[1.5e308, 1.7e308], [1.0e308, 1.5e308]])
     with pytest.raises(ValueError, match="not symmetric"):
         SymMatrix(bad)
 
@@ -99,6 +113,22 @@ def test_sym_eig_deterministic_for_fixed_input():
     e1, e2 = sym_eig(a), sym_eig(a)
     assert np.array_equal(e1.eigenvalues, e2.eigenvalues)
     assert np.array_equal(e1.eigenvectors, e2.eigenvectors)
+
+
+def test_sym_eigvals_descending_and_matches_sym_eig():
+    a = gram_psd(9, np.random.default_rng(5))
+    vals = sym_eigvals(a)
+    assert np.all(np.diff(vals) <= 0)
+    assert np.allclose(vals, sym_eig(a).eigenvalues, rtol=0, atol=1e-13 * vals[0])
+
+
+def test_sym_eigvals_reports_non_convergence(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NonConvergenceError):
+        sym_eigvals(SymMatrix(np.eye(2)))
 
 
 def test_eigendecomposition_rejects_unsorted():

@@ -144,10 +144,12 @@ def test_dense_extension_is_built_on_demand():
     assert res.factor.shape == (8, 3)
     assert "extension" not in vars(res) and "psd_violation" not in vars(res)
     assert res.psd_violation <= 0.0
-    assert "extension" in vars(res)
+    assert "extension" not in vars(res)
     assert res.extension is res.extension
     z = res.factor
     assert np.array_equal(res.extension.entries, SymMatrix(z @ z.T).entries)
+    dense = min(float(np.linalg.eigvalsh(res.extension.entries)[0]), 0.0)
+    assert res.psd_violation == dense
 
 
 def test_zero_matrix_has_zero_error():
