@@ -34,16 +34,16 @@ from .experiment import (
     run_experiment,
 )
 from .generators import parse_plan
-from .matcore import NonConvergenceError, NotPSDError, clamp_psd_eigenvalues, sym_eigvals
+from .matcore import NonConvergenceError, NotPSDError, check_psd, lowrank_residual_norm
 from .nystrom import nystrom_extend
-from .sampling import ColumnSample, RngSeed, sample_uniform
+from .sampling import ColumnSample, RngSeed, lanczos_start, sample_uniform
 
 
 def _cmd_approx(args) -> int:
     a = load_matrix(args.matrix)
-    lam = sym_eigvals(a)
-    clamp_psd_eigenvalues(lam)
-    lambda1 = float(lam[0])
+    check_psd(a)
+    # ||A - 0||_2 by the seeded Lanczos of the error route: lambda_1 of a PSD A
+    lambda1, _ = lowrank_residual_norm(a, np.empty((a.n, 0)), lanczos_start(a.n))
     if args.indices is not None:
         idx = tuple(int(tok) for tok in args.indices.split(",") if tok.strip())
         sample = ColumnSample(n=a.n, indices=idx)

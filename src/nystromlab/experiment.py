@@ -130,7 +130,11 @@ def load_matrix(path) -> SymMatrix:
     reports defects, and it reads the tokens numpy refuses (``1_0``,
     non-ASCII digits).
     """
-    lines = Path(path).read_text().splitlines()
+    # Line by line, so that the whole text and its lines are never held at
+    # once.  Text mode turns \r\n and \r into \n, so splitting each line
+    # gives exactly the lines str.splitlines() finds in the whole text.
+    with open(path) as fh:
+        lines = [part for line in fh for part in line.splitlines()]
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:

@@ -9,8 +9,9 @@ the sample spans the range of A).
 The extension is kept in factored form, ``A_tilde = Z Z^T`` with Z of
 size n x rank(W), and its spectral error ``||A - Z Z^T||_2`` is computed
 matrix-free by Lanczos (:func:`matcore.lowrank_residual_norm`), so no
-``n x n`` matrix is formed.  The dense extension and its PSD diagnostic
-are built only when a caller reads them.
+``n x n`` matrix is formed.  The PSD diagnostic reads the small
+``rank(W) x rank(W)`` Gram matrix ``Z^T Z``, and only when a caller asks
+for it.
 
 The spectral error of the extension admits a second, independent route:
 ``||A - A_tilde||_2`` equals the squared spectral norm of
@@ -44,18 +45,19 @@ from .sampling import ColumnSample, extract_cw, lanczos_start
 class NystromResult:
     """One extension in factored form, with its error and diagnostics.
 
-    ``factor`` is Z (n x ``rank_w``), with ``extension == Z Z^T``.
+    ``factor`` is Z (n x ``rank_w``), with the extension ``Z Z^T``.
     ``spectral_error`` is the Lanczos estimate of ``||A - Z Z^T||_2`` and
     ``error_residual`` its Ritz residual, so the norm lies in
     ``[spectral_error, spectral_error + error_residual]`` (see
     :func:`matcore.lowrank_residual_norm`).  ``rank_w`` is the numerical
     rank of the sampled block W under the standard cutoff.
 
-    ``extension`` (the dense ``SymMatrix(Z @ Z.T)``) and ``psd_violation``
-    (the most negative eigenvalue of ``Z @ Z.T``, 0.0 when there is none,
-    a diagnostic for the PSD-preservation guarantee) are computed on first
-    access and cached, each independently of the other; each costs dense
-    ``n x n`` work.
+    ``psd_violation`` is the most negative eigenvalue of ``Z Z^T``, 0.0
+    when there is none, a diagnostic for the PSD-preservation guarantee.
+    The nonzero spectrum of ``Z Z^T`` is that of ``Z^T Z`` and the other
+    ``n - rank_w`` eigenvalues are exactly 0, so it is read from the
+    ``rank_w x rank_w`` matrix ``Z^T Z``; it is computed on first access
+    and cached.
     """
 
     sample: ColumnSample
@@ -65,15 +67,10 @@ class NystromResult:
     rank_w: int
 
     @cached_property
-    def extension(self) -> SymMatrix:
-        return SymMatrix(self.factor @ self.factor.T)
-
-    @cached_property
     def psd_violation(self) -> float:
-        # Z @ Z.T is exactly symmetric (numpy forms it with one SYRK), so
-        # it needs no SymMatrix revalidation and the dense extension stays
-        # unbuilt.
-        return min(float(np.linalg.eigvalsh(self.factor @ self.factor.T)[0]), 0.0)
+        if self.rank_w == 0:
+            return 0.0
+        return min(float(np.linalg.eigvalsh(self.factor.T @ self.factor)[0]), 0.0)
 
 
 def nystrom_extend(a: SymMatrix, sample: ColumnSample) -> NystromResult:

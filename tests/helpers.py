@@ -3,13 +3,13 @@
 Everything is seeded through numpy's default_rng so the suite is
 deterministic end to end; the package's own Philox streams are only used
 where a test targets them specifically.  The oracles (``pinv``,
-``selection_matrix``, ``omega_matrices``) spell out the textbook
-definitions that the package evaluates in shortcut form.
+``selection_matrix``, ``omega_matrices``, ``dense_extension``) spell out
+the textbook definitions that the package evaluates in shortcut form.
 """
 
 import numpy as np
 
-from nystromlab import ColumnSample, SpectralPartition, SymMatrix
+from nystromlab import ColumnSample, NystromResult, SpectralPartition, SymMatrix
 
 
 def gram_psd(n: int, rng: np.random.Generator, scale: float = 1.0) -> SymMatrix:
@@ -88,3 +88,8 @@ def omega_matrices(
     """Omega_1 = U_1^T S and Omega_2 = U_2^T S as row gathers (k x l, (n-k) x l)."""
     idx = list(sample.indices)
     return part.u1[idx, :].T.copy(), part.u2[idx, :].T.copy()
+
+
+def dense_extension(res: NystromResult) -> SymMatrix:
+    """The extension ``C W^+ C^T`` as a dense matrix, ``Z Z^T`` from its factor."""
+    return SymMatrix(res.factor @ res.factor.T)

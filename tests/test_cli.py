@@ -10,7 +10,7 @@ from nystromlab.cli import main
 from nystromlab.experiment import CSV_HEADER
 from nystromlab.matcore import EPS
 
-from helpers import gram_psd
+from helpers import gram_psd, planted_psd
 
 
 @pytest.fixture
@@ -78,6 +78,53 @@ def test_approx_indefinite_matrix(tmp_path, capsys):
     p = tmp_path / "indef.txt"
     p.write_text("2\n0 1\n1 0\n")
     assert main(["approx", "--matrix", str(p), "--l", "2"]) == 4
+    assert capsys.readouterr().err == (
+        "error: matrix is not PSD within tolerance: eigenvalue -1.0 "
+        "is below the clamp floor -1e-10\n")
+
+
+def test_approx_does_no_dense_eigensolve(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "psd64.txt"
+    save_matrix(gram_psd(64, np.random.default_rng(23)), p)
+
+    def refuse(solver):
+        def guarded(m, *args, **kwargs):
+            assert np.shape(m) != (64, 64), f"{solver.__name__} on the 64 x 64 input"
+            return solver(m, *args, **kwargs)
+        return guarded
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, refuse(getattr(np.linalg, name)))
+    assert main(["approx", "--matrix", str(p), "--l", "8"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rank_w"] == 8 and doc["psd_violation"] == 0.0
+
+
+def _approx_report(tmp_path, capsys, entries, *flags):
+    p = tmp_path / "a.txt"
+    save_matrix(SymMatrix(entries), p)
+    assert main(["approx", "--matrix", str(p), *flags]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_approx_zero_matrix(tmp_path, capsys):
+    doc = _approx_report(tmp_path, capsys, np.zeros((5, 5)), "--l", "2")
+    assert (doc["lambda1"], doc["spectral_error"], doc["relative_error"]) == (0.0, 0.0, 0.0)
+    assert (doc["rank_w"], doc["psd_violation"]) == (0, 0.0)
+
+
+def test_approx_one_by_one(tmp_path, capsys):
+    doc = _approx_report(tmp_path, capsys, [[2.5]], "--l", "1")
+    assert (doc["lambda1"], doc["rank_w"]) == (2.5, 1)
+    assert doc["spectral_error"] <= 4 * EPS * 2.5
+
+
+def test_approx_exact_rank_k(tmp_path, capsys):
+    a, _, lam = planted_psd(12, [3.0, 2.0, 1.0] + [0.0] * 9, np.random.default_rng(8))
+    doc = _approx_report(tmp_path, capsys, a.entries, "--indices", "0,1,2,3,4")
+    assert doc["lambda1"] == pytest.approx(lam[0], rel=8 * 12 * EPS)
+    assert doc["rank_w"] == 3
+    assert doc["spectral_error"] <= 1e-12 * lam[0]
 
 
 # ---------------------------------------------------------------------------

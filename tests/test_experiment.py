@@ -234,6 +234,22 @@ def test_load_matrix_agrees_with_float_per_token(tmp_path_factory, n, upper,
         assert load_matrix(p).entries.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("sep", ["\n", "\r\n", "\r", "\x1c", "\u2028", "\r\r\n"])
+def test_load_matrix_splits_lines_like_str_splitlines(tmp_path, sep):
+    # the loader reads line by line; its lines must be those that
+    # str.splitlines() finds in the whole text, whatever the line break
+    text = sep.join(["2", "1.0 0.5", "0.5 2.0", ""])
+    p = tmp_path / "breaks.txt"
+    p.write_bytes(text.encode())
+    expected = _reference_load(p.read_text())
+    if isinstance(expected, tuple):
+        with pytest.raises(MatrixFileError) as ei:
+            load_matrix(p)
+        assert (ei.value.kind, ei.value.line) == expected
+    else:
+        assert load_matrix(p).entries.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # configs
 

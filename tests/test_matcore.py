@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nystromlab import (
     EigenDecomposition,
@@ -16,7 +18,16 @@ from nystromlab import (
     sym_eigvals,
 )
 
-from helpers import gram_psd, pinv, planted_psd
+from nystromlab.matcore import (
+    EPS,
+    PSD_CLAMP_REL,
+    check_psd,
+    clamp_psd_eigenvalues,
+    lowrank_residual_norm,
+)
+from nystromlab.sampling import lanczos_start
+
+from helpers import gram_psd, mixed_spectrum_cases, pinv, planted_psd
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +140,54 @@ def test_sym_eigvals_reports_non_convergence(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     with pytest.raises(NonConvergenceError):
         sym_eigvals(SymMatrix(np.eye(2)))
+
+
+def _psd_decision(check):
+    """None when ``check()`` accepts, else what its NotPSDError carries."""
+    try:
+        check()
+    except NotPSDError as exc:
+        return exc.eigenvalue, exc.floor, str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 30),
+    family=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+    c=st.sampled_from([0.0, 0.5, 2.0, 100.0]),
+)
+def test_check_psd_matches_the_eigenvalue_decision(n, family, seed, c):
+    # A shifted by c times the clamp window: inside it for c < 1, below it
+    # for c > 1 wherever lambda_min(A) is small
+    a = list(mixed_spectrum_cases(np.random.default_rng(seed), n))[family][1]
+    lam1 = float(sym_eigvals(a)[0])
+    a = SymMatrix(a.entries - c * PSD_CLAMP_REL * lam1 * np.eye(n))
+    want = _psd_decision(lambda: clamp_psd_eigenvalues(sym_eigvals(a)))
+    assert _psd_decision(lambda: check_psd(a)) == want
+    if want is None:
+        theta, r = lowrank_residual_norm(a, np.empty((n, 0)), lanczos_start(n))
+        lam1 = float(sym_eigvals(a)[0])
+        assert abs(theta - lam1) <= r + 8 * n * EPS * lam1
+
+
+def test_check_psd_certifies_without_an_eigensolve(monkeypatch):
+    def fail(*_):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    check_psd(gram_psd(6, np.random.default_rng(3)))
+    check_psd(planted_psd(6, [2.0, 1.0, 0.0, 0.0, 0.0, 0.0], np.random.default_rng(4))[0])
+    check_psd(SymMatrix(1e160 * np.eye(3)))
+
+
+def test_check_psd_falls_back_to_the_eigenvalues():
+    # Cholesky rejects the zero matrix; the eigenvalues accept it
+    check_psd(SymMatrix(np.zeros((3, 3))))
+    with pytest.raises(NotPSDError) as info:
+        check_psd(SymMatrix(np.diag([1.0, -1.0])))
+    assert (info.value.eigenvalue, info.value.floor) == (-1.0, -PSD_CLAMP_REL)
 
 
 def test_eigendecomposition_rejects_unsorted():

@@ -18,15 +18,15 @@ from nystromlab import (
     spectral_norm,
     sqrt_projection_error,
 )
-from nystromlab.matcore import lowrank_residual_norm
+from nystromlab.matcore import EPS, lowrank_residual_norm
 from nystromlab.sampling import lanczos_start
 
-from helpers import gram_psd, mixed_spectrum_cases, planted_psd
+from helpers import dense_extension, gram_psd, mixed_spectrum_cases, planted_psd
 
 
 def test_identity_partial_sample():
     res = nystrom_extend(SymMatrix(np.eye(4)), ColumnSample(n=4, indices=(0, 1)))
-    assert np.allclose(res.extension.entries, np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-12)
+    assert np.allclose(dense_extension(res).entries, np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-12)
     assert res.spectral_error == pytest.approx(1.0, abs=1e-12)
     assert res.rank_w == 2
     assert res.psd_violation == 0.0
@@ -79,7 +79,8 @@ def test_extension_is_psd():
         l = int(rng.integers(1, n + 1))
         res = nystrom_extend(a, sample_uniform(n, l, RngSeed(8, trial)))
         assert res.psd_violation >= -1e-8 * lam1
-        assert np.array_equal(res.extension.entries, res.extension.entries.T)
+        ext = dense_extension(res)
+        assert np.array_equal(ext.entries, ext.entries.T)
 
 
 def test_full_sample_drives_error_to_zero():
@@ -133,7 +134,7 @@ def test_error_equals_direct_norm():
     a = gram_psd(7, rng)
     s = sample_uniform(7, 3, RngSeed(4, 0))
     res = nystrom_extend(a, s)
-    direct = spectral_norm(a.entries - res.extension.entries)
+    direct = spectral_norm(a.entries - dense_extension(res).entries)
     assert res.spectral_error == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
 
@@ -145,11 +146,14 @@ def test_dense_extension_is_built_on_demand():
     assert "extension" not in vars(res) and "psd_violation" not in vars(res)
     assert res.psd_violation <= 0.0
     assert "extension" not in vars(res)
-    assert res.extension is res.extension
+    assert "psd_violation" in vars(res)
     z = res.factor
-    assert np.array_equal(res.extension.entries, SymMatrix(z @ z.T).entries)
-    dense = min(float(np.linalg.eigvalsh(res.extension.entries)[0]), 0.0)
-    assert res.psd_violation == dense
+    ext = dense_extension(res)
+    assert np.array_equal(ext.entries, SymMatrix(z @ z.T).entries)
+    dense = min(float(np.linalg.eigvalsh(ext.entries)[0]), 0.0)
+    # the nonzero spectrum of Z Z^T is that of Z^T Z; the rest is exactly 0
+    assert res.psd_violation == min(float(np.linalg.eigvalsh(z.T @ z)[0]), 0.0)
+    assert abs(res.psd_violation - dense) <= 8 * a.n * EPS * spectral_norm(z) ** 2
 
 
 def test_zero_matrix_has_zero_error():
@@ -196,7 +200,7 @@ def test_lanczos_error_matches_dense_routes(scale, n, family, seed, full, data):
     e, r = res.spectral_error, res.error_residual
     assert e >= 0.0 and r >= 0.0
     lam1 = spectral_norm(a.entries)
-    dense = spectral_norm(a.entries - res.extension.entries)
+    dense = spectral_norm(a.entries - dense_extension(res).entries)
     tol = 1e-8 * max(e, dense) + 1e-12 * lam1  # criterion 1's tolerance
     assert e - tol <= dense <= e + r + tol
     # On near-singular inputs the sqrt route itself can miss the dense value
