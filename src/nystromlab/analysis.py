@@ -75,6 +75,14 @@ class BoundReport:
     chernoff_tail: float
 
 
+def _orthonormal_deviation(u: np.ndarray) -> float:
+    """``||U^T U - I||_F``, with I subtracted in place on the diagonal of
+    the Gram matrix: the same roundings as forming ``U^T U - I``."""
+    gram = u.T @ u
+    gram.flat[:: u.shape[1] + 1] -= 1.0
+    return float(np.linalg.norm(gram))
+
+
 def _check_orthonormal(u: np.ndarray, what: str) -> None:
     """Reject u unless it is n x k, 1 <= k <= n, with orthonormal columns.
 
@@ -88,7 +96,7 @@ def _check_orthonormal(u: np.ndarray, what: str) -> None:
     n, k = u.shape
     if not 1 <= k <= n:
         raise ValueError(f"{what} must have 1 <= k <= n columns, got shape {u.shape}")
-    dev = float(np.linalg.norm(u.T @ u - np.eye(k)))
+    dev = _orthonormal_deviation(u)
     if not dev <= ORTHONORMAL_TOL:
         raise ValueError(
             f"{what} does not have orthonormal columns: "

@@ -15,8 +15,10 @@ measured duration would break byte-identical reruns; pass
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -64,6 +66,9 @@ CSV_HEADER = (
 
 NA = "NA"
 
+# Data lines per np.loadtxt call in load_matrix.
+LOAD_CHUNK = 32
+
 
 class MatrixFileError(ValueError):
     """A matrix file failed to parse or validate.
@@ -86,12 +91,80 @@ class ConfigError(ValueError):
         super().__init__(f"config error in {field!r}: {message}")
 
 
-def _parse_rows(lines: list[str], n: int) -> np.ndarray:
-    """Parse data lines token by token with ``float()``.
+def _lines(fh):
+    """The lines of a text file as str.splitlines() finds them in its text.
 
-    Raises :class:`MatrixFileError` at the first line, in order, with the
-    wrong token count, an unparseable token or a non-finite value.
+    Text mode turns CRLF and CR line ends into LF, so splitting each line
+    read gives exactly those lines, without holding the whole text at once.
     """
+    return (part for line in fh for part in line.splitlines())
+
+
+def _load_rows_chunked(path) -> np.ndarray | None:
+    """The entries of a well-formed matrix file, or None.
+
+    Parses the data lines ``LOAD_CHUNK`` at a time with ``np.loadtxt``
+    (which rounds like ``float()``) into one preallocated n x n array, so
+    that only a chunk of lines is ever held.  Returns None unless line 1
+    is an integer n >= 1, n data lines follow, none of them blank, each
+    chunk parses to a finite ``(len, n)`` block, and only blank lines come
+    after them.  A file of fewer than n * n bytes cannot hold n lines of n
+    tokens, so it gets None before any allocation.
+    """
+    with open(path) as fh:
+        lines = _lines(fh)
+        try:
+            n = int(next(lines, ""))
+        except ValueError:
+            return None
+        if n < 1 or n * n > os.fstat(fh.fileno()).st_size:
+            return None
+        rows = np.empty((n, n))
+        for i in range(0, n, LOAD_CHUNK):
+            dest = rows[i:i + LOAD_CHUNK]
+            chunk = list(itertools.islice(lines, len(dest)))
+            if len(chunk) != len(dest) or not all(s.strip() for s in chunk):
+                return None
+            try:
+                block = np.loadtxt(chunk, dtype=np.float64, comments=None, ndmin=2)
+            except ValueError:
+                return None
+            if block.shape != dest.shape or not np.isfinite(block).all():
+                return None
+            dest[...] = block
+        if any(s.strip() for s in lines):
+            return None
+    return rows
+
+
+def _load_rows_checked(path) -> np.ndarray:
+    """The entries of a matrix file, read token by token with ``float()``.
+
+    Raises :class:`MatrixFileError` at the first defect in line order: the
+    header, the count of data lines, then per line the token count, an
+    unparseable token or a non-finite value.
+    """
+    with open(path) as fh:
+        lines = list(_lines(fh))
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise MatrixFileError("empty file: expected a dimension header", 1, "header")
+    head = lines[0].strip()
+    try:
+        n = int(head)
+    except ValueError:
+        raise MatrixFileError(
+            f"line 1: expected an integer dimension, got {head!r}", 1, "header"
+        ) from None
+    if n < 1:
+        raise MatrixFileError(f"line 1: dimension must be >= 1, got {n}", 1, "header")
+    if len(lines) - 1 != n:
+        raise MatrixFileError(
+            f"expected {n} data lines after the header, found {len(lines) - 1}",
+            len(lines),
+            "count",
+        )
     rows = np.empty((n, n))
     for i in range(n):
         lineno = i + 2
@@ -124,42 +197,16 @@ def load_matrix(path) -> SymMatrix:
     reads.  Trailing blank lines are tolerated; everything else raises
     :class:`MatrixFileError` with the offending line number.
 
-    One ``np.loadtxt`` call parses the data lines; it rounds like
-    ``float()``.  Its result stands only when it is n x n and finite.
-    Otherwise :func:`_parse_rows` reparses token by token: it alone
-    reports defects, and it reads the tokens numpy refuses (``1_0``,
-    non-ASCII digits).
+    :func:`_load_rows_chunked` reads a well-formed file.  For any other
+    file, :func:`_load_rows_checked` reads it again token by token: it
+    alone reports defects, and it reads the tokens numpy refuses (``1_0``,
+    non-ASCII digits).  ``np.loadtxt`` parses each line on its own, so a
+    file the chunks refuse would not parse to a finite n x n array in one
+    call either.
     """
-    # Line by line, so that the whole text and its lines are never held at
-    # once.  Text mode turns \r\n and \r into \n, so splitting each line
-    # gives exactly the lines str.splitlines() finds in the whole text.
-    with open(path) as fh:
-        lines = [part for line in fh for part in line.splitlines()]
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise MatrixFileError("empty file: expected a dimension header", 1, "header")
-    head = lines[0].strip()
-    try:
-        n = int(head)
-    except ValueError:
-        raise MatrixFileError(
-            f"line 1: expected an integer dimension, got {head!r}", 1, "header"
-        ) from None
-    if n < 1:
-        raise MatrixFileError(f"line 1: dimension must be >= 1, got {n}", 1, "header")
-    if len(lines) - 1 != n:
-        raise MatrixFileError(
-            f"expected {n} data lines after the header, found {len(lines) - 1}",
-            len(lines),
-            "count",
-        )
-    try:
-        rows = np.loadtxt(lines[1:], dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
-        rows = None
-    if rows is None or rows.shape != (n, n) or not np.isfinite(rows).all():
-        rows = _parse_rows(lines, n)
+    rows = _load_rows_chunked(path)
+    if rows is None:
+        rows = _load_rows_checked(path)
     try:
         return SymMatrix(rows)
     except ValueError as exc:

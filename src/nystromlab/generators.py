@@ -141,10 +141,21 @@ def flat_orthonormal(n: int, k: int) -> np.ndarray:
         raise ValueError(f"flat basis needs n to be a power of two, got {n}")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
-    h = np.ones((1, 1))
-    while h.shape[0] < n:
-        h = np.block([[h, h], [h, -h]])
-    return h[:, :k] / np.sqrt(n)
+    # H_2m = [[H_m, H_m], [H_m, -H_m]], doubled in place from the top-left
+    # entry; only the first k columns are kept.  Every entry is
+    # +-(1/sqrt(n)), as the division of a +-1 matrix by sqrt(n) rounds.
+    h = np.empty((n, k))
+    h[0, 0] = 1.0 / np.sqrt(n)
+    m = 1
+    while m < n:
+        c = min(m, k)
+        h[m:2 * m, :c] = h[:m, :c]
+        if k > m:
+            r = min(2 * m, k) - m
+            h[:m, m:m + r] = h[:m, :r]
+            np.negative(h[:m, :r], out=h[m:2 * m, m:m + r])
+        m *= 2
+    return h
 
 
 def psd_from_spectrum(u: np.ndarray, lambdas: np.ndarray) -> SymMatrix:
@@ -155,6 +166,10 @@ def psd_from_spectrum(u: np.ndarray, lambdas: np.ndarray) -> SymMatrix:
     same bound on ``||U^T U - I||_2``.  The eigenvalues must already be
     non-increasing and non-negative; this is a constructor, so nothing is
     clamped here.
+
+    A is formed as ``H H^T`` with ``H = U diag(sqrt(lambdas))``: numpy runs
+    a product with its own transpose as one SYRK and mirrors the triangle,
+    so A is exactly symmetric and :class:`SymMatrix` stores it as is.
     """
     u = np.asarray(u, dtype=np.float64)
     lam = np.asarray(lambdas, dtype=np.float64)
@@ -168,7 +183,10 @@ def psd_from_spectrum(u: np.ndarray, lambdas: np.ndarray) -> SymMatrix:
         raise ValueError("lambdas must be non-negative")
     if np.any(np.diff(lam) > 0.0):
         raise ValueError("lambdas must be non-increasing")
-    return SymMatrix((u * lam) @ u.T)
+    h = u * np.sqrt(lam)
+    a = h @ h.T
+    del h  # not alive while SymMatrix copies a
+    return SymMatrix(a)
 
 
 def _planted_basis(n: int, plan: CoherencePlan, k: int, seed: RngSeed) -> np.ndarray:

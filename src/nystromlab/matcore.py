@@ -13,7 +13,10 @@ Conventions
 * Matrices are dense float64 arrays.  Symmetric ones travel as
   :class:`SymMatrix`, which enforces exact entrywise symmetry at
   construction time and rejects inputs whose asymmetry exceeds
-  ``1e-8 * ||A||_F``.
+  ``1e-8 * ||A||_F``.  An input that already equals its transpose bit
+  for bit (a SYRK product ``H @ H.T``, a principal block gathered from a
+  SymMatrix, a saved SymMatrix read back) is stored as a read-only copy;
+  any other input is stored as its average with its transpose.
 * Scale safety: :func:`spectral_norm` always scales its input by the
   power of two that puts ``max |m_ij|`` in ``[0.5, 1)`` before forming a
   Gram matrix, and :class:`SymMatrix` does so when ``||A||_F`` overflows
@@ -49,6 +52,9 @@ PSD_CLAMP_REL = 1e-10
 
 # Eigenvalue-tie window used to flag degenerate dominant/tail splits.
 DEGENERACY_REL_TOL = 1e-12
+
+# Side of the square tiles in which SymMatrix compares A with A^T.
+SYMMETRY_TILE = 128
 
 # Lanczos stopping rule of lowrank_residual_norm: Ritz residual relative to
 # the Ritz value.
@@ -86,6 +92,17 @@ def _scale_exponent(big: float) -> int:
     return 0
 
 
+def _bitwise_symmetric(a: np.ndarray) -> bool:
+    """True when the square float64 array a equals a.T bit for bit."""
+    bits = a.view(np.int64)
+    n, t = a.shape[0], SYMMETRY_TILE
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            if not np.array_equal(bits[i:i + t, j:j + t], bits[j:j + t, i:i + t].T):
+                return False
+    return True
+
+
 class SymMatrix:
     """Dense real symmetric matrix.
 
@@ -94,6 +111,14 @@ class SymMatrix:
     symmetrized average ``(A + A^T) / 2`` (exact symmetry: IEEE addition is
     commutative, so ``entries[i, j] == entries[j, i]`` bit for bit).  The
     stored array is frozen; treat instances as immutable values.
+
+    An input equal to its transpose bit for bit is stored as a copy, with
+    no average and no norms: its average is the input itself (``x + x`` and
+    the halving are exact, and a pair whose sum overflows is averaged back
+    to itself below) and its asymmetry is 0, so the entries and the
+    decision are those of the averaging path.  The bitwise comparison
+    (``-0.0`` differs from ``0.0``) runs over ``SYMMETRY_TILE``-sided tiles,
+    so each pair of tiles is read while it is in cache.
 
     The asymmetry is measured as ``2 ||A - (A + A^T) / 2||_F``, which
     reads the transpose once, in building the stored average.  When
@@ -114,6 +139,10 @@ class SymMatrix:
             raise ValueError("matrix dimension must be at least 1")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
+        if _bitwise_symmetric(a):
+            self.entries = a.copy()
+            self.entries.flags.writeable = False
+            return
         with np.errstate(over="ignore"):  # inf sums and norms are handled below
             sym = (a + a.T) / 2.0
             fro = float(np.linalg.norm(a))

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from nystromlab import (
     config_from_file,
     config_from_mapping,
     emit_results,
+    experiment,
     load_matrix,
     run_experiment,
     save_matrix,
@@ -248,6 +250,64 @@ def test_load_matrix_splits_lines_like_str_splitlines(tmp_path, sep):
         assert (ei.value.kind, ei.value.line) == expected
     else:
         assert load_matrix(p).entries.tobytes() == expected.tobytes()
+
+
+def _chunk_case(n: int, case: str) -> tuple[bytes, bool]:
+    """A symmetric n x n matrix file with one edit, and whether the chunked
+    parse should read it."""
+    m = gram_psd(n, np.random.default_rng(n)).entries
+    rows = [" ".join(map(repr, row)) for row in m.tolist()]
+    sep, tail, chunked = "\n", "", True
+    if case == "blank mid-file":
+        rows.insert(n // 2, "")
+        chunked = False
+    elif case == "trailing blanks":
+        tail = "\n \n\t\n"
+    elif case in ("\r\n", "\r"):
+        sep = case
+    elif case == "\x0c in a row":
+        toks = rows[n // 2].split(" ")
+        rows[n // 2] = " ".join(toks[:1]) + "\x0c" + " ".join(toks[1:])
+        chunked = n == 1  # a lone token then a line break: a trailing blank
+    elif case == "1_0":
+        i, j = n // 3, n - 1
+        toks_i, toks_j = rows[i].split(" "), rows[j].split(" ")
+        toks_i[j] = toks_j[i] = "1_0"
+        rows[i], rows[j] = " ".join(toks_i), " ".join(toks_j)
+        chunked = False
+    return (sep.join([str(n)] + rows) + sep + tail).encode(), chunked
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 65])
+@pytest.mark.parametrize("case", ["clean", "blank mid-file", "trailing blanks", "\r\n",
+                                  "\r", "\x0c in a row", "1_0"])
+def test_chunked_load_agrees_with_token_parse(tmp_path, n, case):
+    text, chunked = _chunk_case(n, case)
+    p = tmp_path / "m.txt"
+    p.write_bytes(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no loadtxt "input contained no data"
+        assert (experiment._load_rows_chunked(p) is not None) == chunked
+        try:
+            expected = SymMatrix(experiment._load_rows_checked(p)).entries
+        except MatrixFileError as exc:
+            with pytest.raises(MatrixFileError) as ei:
+                load_matrix(p)
+            assert (ei.value.kind, ei.value.line, str(ei.value)) == (
+                exc.kind, exc.line, str(exc))
+            assert (exc.kind, exc.line) == _reference_load(p.read_text())
+        else:
+            assert load_matrix(p).entries.tobytes() == expected.tobytes()
+
+
+def test_load_huge_header_allocates_nothing(tmp_path):
+    # a file too short to hold n lines of n tokens is refused by the count
+    p = tmp_path / "m.txt"
+    p.write_text("1000000000\n1\n")
+    assert experiment._load_rows_chunked(p) is None
+    with pytest.raises(MatrixFileError) as ei:
+        load_matrix(p)
+    assert ei.value.kind == "count"
 
 
 # ---------------------------------------------------------------------------

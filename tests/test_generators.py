@@ -12,13 +12,20 @@ from nystromlab import (
     coherence,
     davis_kahan_distance,
     flat_orthonormal,
+    load_matrix,
+    matcore,
+    nystrom_extend,
     planted_instance,
     psd_from_spectrum,
     random_orthonormal,
+    sample_uniform,
+    save_matrix,
     sym_eig,
 )
-from nystromlab.analysis import ORTHONORMAL_TOL
+from nystromlab.analysis import ORTHONORMAL_TOL, _orthonormal_deviation
 from nystromlab.generators import parse_plan, parse_spectrum
+
+from helpers import dense_extension
 
 # ---------------------------------------------------------------------------
 # bases
@@ -72,6 +79,24 @@ def test_flat_orthonormal_coherence_exactly_one():
         assert abs(coherence(u) - 1.0) <= 1e-12, f"n={n}, k={k}"
         assert np.allclose(np.abs(u), 1.0 / math.sqrt(n), atol=1e-15)
         assert np.allclose(u.T @ u, np.eye(k), atol=1e-12)
+
+
+def _flat_by_blocks(n, k):
+    """First k columns of the Sylvester-Hadamard matrix, built by np.block."""
+    h = np.ones((1, 1))
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    return h[:, :k] / np.sqrt(n)
+
+
+@pytest.mark.parametrize("n", [2**e for e in range(12)])
+def test_flat_orthonormal_bitwise_equal_to_block_build(n):
+    ks = range(1, n + 1) if n <= 64 else sorted(
+        {1, 2, 3, 5, n // 4 + 1, n // 2 - 1, n // 2, n // 2 + 1, n - 1, n})
+    for k in ks:
+        u = flat_orthonormal(n, k)
+        ref = _flat_by_blocks(n, k)
+        assert u.shape == ref.shape and u.tobytes() == ref.tobytes(), f"n={n}, k={k}"
 
 
 def test_flat_orthonormal_requires_power_of_two():
@@ -201,6 +226,13 @@ def test_orthonormality_check_boundary(n, k):
                     call()
 
 
+@pytest.mark.parametrize("n,k", [(1, 1), (7, 3), (16, 16), (130, 9)])
+def test_orthonormal_deviation_is_bitwise_the_difference_norm(n, k):
+    for u in (np.eye(n)[:, :k], random_orthonormal(n, k, RngSeed(4, n)),
+              _perturbed_basis(n, k, 0.5)):
+        assert _orthonormal_deviation(u) == float(np.linalg.norm(u.T @ u - np.eye(k)))
+
+
 # ---------------------------------------------------------------------------
 # planted instances
 
@@ -283,6 +315,28 @@ def test_planted_instance_does_no_eigensolve(target, monkeypatch):
     spec = SpectrumSpec(kind="exp-decay", n=64, k=4, rate=0.8)
     a, part, tau = planted_instance(spec, CoherencePlan(target=target), RngSeed(5, 0))
     assert a.n == 64 and part.k == 4 and 1.0 - 1e-9 <= tau <= 16.0 + 1e-9
+
+
+@pytest.mark.parametrize("plan", [CoherencePlan("flat"), CoherencePlan("low"),
+                                  CoherencePlan("spiked", m=2)])
+def test_exactly_symmetric_sites_are_stored_without_averaging(plan, tmp_path, monkeypatch):
+    # planted A (a SYRK product), the W that extract_cw gathers, Z Z^T and a
+    # saved matrix read back all equal their transpose bit for bit
+    original, seen = matcore._bitwise_symmetric, []
+
+    def spy(a):
+        seen.append(original(a))
+        return seen[-1]
+
+    monkeypatch.setattr(matcore, "_bitwise_symmetric", spy)
+    spec = SpectrumSpec(kind="exp-decay", n=256, k=4, rate=0.9)
+    a, _, _ = planted_instance(spec, plan, RngSeed(11, 0))
+    assert a.entries.tobytes() == a.entries.T.copy().tobytes()
+    res = nystrom_extend(a, sample_uniform(256, 40, RngSeed(11, 1)))
+    dense_extension(res)
+    save_matrix(a, tmp_path / "a.txt")
+    assert load_matrix(tmp_path / "a.txt").entries.tobytes() == a.entries.tobytes()
+    assert seen == [True] * 4
 
 
 def test_planted_deterministic():

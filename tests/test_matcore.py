@@ -18,6 +18,7 @@ from nystromlab import (
     sym_eigvals,
 )
 
+from nystromlab import matcore
 from nystromlab.matcore import (
     EPS,
     PSD_CLAMP_REL,
@@ -84,6 +85,74 @@ def test_symmatrix_entries_are_frozen():
     m = SymMatrix(np.eye(3))
     with pytest.raises(ValueError):
         m.entries[0, 0] = 5.0
+
+
+def _averaged(a) -> np.ndarray:
+    """The entries SymMatrix stores for a through the averaging path."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(matcore, "_bitwise_symmetric", lambda a: False)
+        return SymMatrix(a).entries
+
+
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+            1.5e308, -1.5e308, np.finfo(np.float64).max, 1.0, -3.0, 1e-170)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       extra=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4))
+def test_symmatrix_stores_exactly_symmetric_input_as_the_average_would(
+        n, seed, extra):
+    # Mirrored special values: subnormals, -0.0, pairs whose sum overflows,
+    # and n that is rarely a multiple of the tile side.
+    rng = np.random.default_rng(seed)
+    palette = np.array(_SPECIAL + tuple(extra))
+    a = np.where(rng.random((n, n)) < 0.3, rng.choice(palette, (n, n)),
+                 rng.standard_normal((n, n)))
+    a = np.triu(a) + np.triu(a, 1).T
+    assert matcore._bitwise_symmetric(a)
+    m = SymMatrix(a)
+    assert m.entries.tobytes() == a.tobytes()
+    assert m.entries.tobytes() == _averaged(a).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 200, 256, 300])
+def test_symmatrix_one_ulp_asymmetry_in_last_tile_is_averaged(n):
+    a = gram_psd(n, np.random.default_rng(n)).entries.copy()
+    i, j = n - 1, max(n - 2, 0)
+    a[i, j] = np.nextafter(a[i, j], np.inf)
+    if i == j:  # a 1 x 1 matrix has no off-diagonal pair to perturb
+        assert matcore._bitwise_symmetric(a)
+        return
+    assert not matcore._bitwise_symmetric(a)
+    m = SymMatrix(a)
+    assert m.entries.tobytes() == _averaged(a).tobytes()
+    assert m.entries[i, j] == m.entries[j, i]
+
+
+def test_symmatrix_signed_zero_pair_is_averaged():
+    # -0.0 == 0.0 numerically, but the pair differs bit for bit; the
+    # average stores +0.0 in both places
+    a = np.array([[1.0, -0.0], [0.0, 1.0]])
+    assert not matcore._bitwise_symmetric(a)
+    m = SymMatrix(a)
+    assert np.signbit(m.entries).tolist() == [[False, False], [False, False]]
+
+
+def test_symmatrix_neither_freezes_nor_aliases_the_input():
+    a = gram_psd(5, np.random.default_rng(2)).entries.copy()
+    before = a.copy()
+    m = SymMatrix(a)
+    assert a.flags.writeable and not m.entries.flags.writeable
+    assert not np.shares_memory(a, m.entries)
+    a[0, 0] = 99.0
+    assert np.array_equal(m.entries, before)
+
+
+def test_symmatrix_checks_finiteness_before_symmetry():
+    a = np.full((3, 3), np.inf)
+    with pytest.raises(ValueError, match="finite"):
+        SymMatrix(a)
 
 
 # ---------------------------------------------------------------------------
