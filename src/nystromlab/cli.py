@@ -200,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", default=None, help="matrix file instead of --gen")
     p.add_argument("--out", default=None, help="artifact path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--jobs", type=int, default=None, help="trial thread count")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="accepted and validated (>= 1); trials run serially")
     p.add_argument("--timings", action="store_true",
                    help="emit measured wall_ms (breaks byte-identical reruns)")
     p.set_defaults(func=_cmd_trials)
@@ -231,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--out", default=None, help="artifact path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; the sweep runs serially")
     p.set_defaults(func=_cmd_chernoff)
 
     return parser

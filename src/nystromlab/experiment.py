@@ -5,7 +5,8 @@ generators), then repeatedly samples columns, builds the extension, and
 records the measured error next to the deterministic and probabilistic
 bounds.  Each trial is keyed by ``(master_seed, trial_index)``, so any
 record can be reproduced in isolation and the emitted artifact is byte
-identical across runs and thread counts.
+identical across runs.  Trials run serially; the ``jobs`` setting is
+validated and otherwise ignored.
 
 Determinism note: per-trial wall time is measured and kept on the record,
 but the emitted ``wall_ms`` column defaults to the ``NA`` token because a
@@ -20,7 +21,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -216,13 +216,25 @@ def load_matrix(path) -> SymMatrix:
 def save_matrix(a: SymMatrix, path) -> None:
     """Write a matrix in the same plain-text format, round-trip exact.
 
-    Entries are rendered with shortest round-trip decimal formatting, so a
-    write-then-read cycle reproduces every entry bit for bit.
+    Each entry is written as its shortest round-trip ``repr``, one line per
+    row, so a saved matrix reads back bit for bit.  Only the upper triangle
+    is formatted: ``SymMatrix`` stores ``entries[i, j]`` and ``entries[j, i]``
+    equal bit for bit on both of its paths (a copy, or the average
+    ``(A + A^T) / 2``, whose IEEE sum is commutative and turns a mirrored
+    ``-0.0``/``0.0`` pair into ``0.0``), and equal bits give equal text.
+    The text of ``a[i, j]``, ``j > i``, waits in ``pending[j]`` for row j;
+    the pending texts peak at about ``n^2 / 4`` strings.
     """
+    n = a.n
+    pending = [[] for _ in range(n)]
     with open(path, "w") as fh:
-        fh.write(f"{a.n}\n")
-        for row in a.entries:
-            fh.write(" ".join(map(repr, row.tolist())) + "\n")
+        fh.write(f"{n}\n")
+        for i, row in enumerate(a.entries):
+            upper = list(map(repr, row[i:].tolist()))
+            for later, text in zip(pending[i + 1:], upper[1:]):
+                later.append(text)
+            fh.write(" ".join(pending[i] + upper) + "\n")
+            pending[i] = None
 
 
 @dataclass(frozen=True)
@@ -292,6 +304,11 @@ def config_from_mapping(d: dict) -> ExperimentConfig:
     for key in ("k", "trials", "seed"):
         if key not in d:
             raise ConfigError(key, "required key is missing")
+    for key in ("n", "k", "l", "trials", "seed", "jobs"):  # JSON integers: no bool, no 2.0
+        if key in d and type(d[key]) is not int and not (key == "l" and d[key] == "auto"):
+            raise ConfigError(key, f"must be an integer, got {d[key]!r}")
+    if type(d.get("timings", False)) is not bool:
+        raise ConfigError("timings", f"must be true or false, got {d['timings']!r}")
     n = d.get("n")
     k = d["k"]
     l = d.get("l")
@@ -303,7 +320,7 @@ def config_from_mapping(d: dict) -> ExperimentConfig:
         if n is None:
             raise ConfigError("n", "a generator spec needs an explicit dimension")
         try:
-            gen = parse_spectrum(str(d["gen"]), int(n), int(k), float(d.get("lambda1", 1.0)))
+            gen = parse_spectrum(str(d["gen"]), n, k, float(d.get("lambda1", 1.0)))
         except ValueError as exc:
             raise ConfigError("gen", str(exc)) from exc
     if "coherence" in d:
@@ -312,21 +329,21 @@ def config_from_mapping(d: dict) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError("coherence", str(exc)) from exc
     cfg = ExperimentConfig(
-        k=int(k),
-        trials=int(d["trials"]),
-        master_seed=int(d["seed"]),
-        n=int(n) if n is not None else None,
+        k=k,
+        trials=d["trials"],
+        master_seed=d["seed"],
+        n=n,
         epsilon=float(d.get("epsilon", 0.5)),
         delta=float(d.get("delta", 0.05)),
-        l=int(l) if l is not None else None,
+        l=l,
         matrix_path=d.get("matrix"),
         gen=gen,
         coherence=plan,
         lambda1=float(d.get("lambda1", 1.0)),
         out=d.get("out"),
         fmt=str(d.get("format", "csv")),
-        jobs=int(d.get("jobs", 1)),
-        timings=bool(d.get("timings", False)),
+        jobs=d.get("jobs", 1),
+        timings=d.get("timings", False),
     )
     cfg.validate()
     return cfg
@@ -455,20 +472,15 @@ def run_trial(setup: ExperimentSetup, master_seed: int, t: int) -> TrialRecord:
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
-    """Run all trials and summarize.
+    """Run all trials, in index order, and summarize.
 
-    Trials are independent; with ``jobs > 1`` they run on a thread pool,
-    and because each is keyed by its own (master_seed, index) stream the
-    records - and hence the emitted artifact - do not depend on the
-    schedule.
+    Each trial is keyed by its own (master_seed, index) stream, so the
+    records, and hence the emitted artifact, depend on nothing else.
+    ``config.jobs`` is validated but ignored: trials run serially, since
+    a thread pool ran them slower than one thread.
     """
     setup = prepare(config)
-    indices = range(config.trials)
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            records = list(pool.map(lambda t: run_trial(setup, config.master_seed, t), indices))
-    else:
-        records = [run_trial(setup, config.master_seed, t) for t in indices]
+    records = [run_trial(setup, config.master_seed, t) for t in range(config.trials)]
     errors = np.array([r.spectral_error for r in records])
     failures = sum(1 for r in records if not r.error_le_bound)
     deficient = sum(1 for r in records if not r.omega1_full_rank)
@@ -601,7 +613,8 @@ def chernoff_sweep(
     For each (k, plan, epsilon) grid point, builds the planted dominant
     basis, samples ``trials`` times, counts how often
     ``min_eig_gram <= epsilon * l / n``, and compares the frequency
-    against ``chernoff_tail`` at the basis' measured coherence.
+    against ``chernoff_tail`` at the basis' measured coherence.  Trials
+    run serially; ``jobs`` is accepted and ignored.
     """
     grid = [(k, plan, eps) for k in ks for plan in plans for eps in epsilons]
     if ls is not None and len(ls) not in (1, len(grid)):
@@ -623,16 +636,10 @@ def chernoff_sweep(
             raise ConfigError("l", f"must lie in [1, n={n}], got {l}")
         threshold = eps * l / n
         base = p * trials
-
-        def one(t: int) -> bool:
-            s = sample_uniform(n, l, RngSeed(master_seed, base + t))
-            return min_eig_gram(u1, s) <= threshold
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                hits = sum(pool.map(one, range(trials)))
-        else:
-            hits = sum(one(t) for t in range(trials))
+        hits = sum(
+            min_eig_gram(u1, sample_uniform(n, l, RngSeed(master_seed, base + t))) <= threshold
+            for t in range(trials)
+        )
         tail = chernoff_tail(k, tau, l, eps)
         p_cap = min(tail, 1.0)
         sigma = math.sqrt(p_cap * (1.0 - p_cap) / trials)

@@ -3,8 +3,9 @@
 Everything is seeded through numpy's default_rng so the suite is
 deterministic end to end; the package's own Philox streams are only used
 where a test targets them specifically.  The oracles (``pinv``,
-``selection_matrix``, ``omega_matrices``, ``dense_extension``) spell out
-the textbook definitions that the package evaluates in shortcut form.
+``selection_matrix``, ``omega_matrices``, ``dense_extension``,
+``save_matrix_rowwise``) spell out the textbook definitions that the
+package evaluates in shortcut form.
 """
 
 import numpy as np
@@ -93,3 +94,11 @@ def omega_matrices(
 def dense_extension(res: NystromResult) -> SymMatrix:
     """The extension ``C W^+ C^T`` as a dense matrix, ``Z Z^T`` from its factor."""
     return SymMatrix(res.factor @ res.factor.T)
+
+
+def save_matrix_rowwise(a: SymMatrix, path) -> None:
+    """The matrix file format written entry by entry: ``repr`` of every entry."""
+    with open(path, "w") as fh:
+        fh.write(f"{a.n}\n")
+        for row in a.entries:
+            fh.write(" ".join(map(repr, row.tolist())) + "\n")

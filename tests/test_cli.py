@@ -210,6 +210,22 @@ def test_trials_config_conflicts_with_inline_zero(tmp_path, capsys, flag):
     assert "conflicts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("n", 16.0), ("k", 2.9), ("l", 8.0), ("trials", 2.5), ("seed", True),
+    ("jobs", 2.0), ("timings", "false"),
+])
+def test_trials_config_rejects_mistyped_value(tmp_path, capsys, key, value):
+    # integers must be JSON integers and timings a JSON boolean: nothing
+    # is rounded, truncated or coerced by truthiness
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({
+        "n": 16, "k": 2, "trials": 3, "seed": 1, "l": 8,
+        "gen": "exact-rank-k", "coherence": "flat", key: value,
+    }))
+    assert main(["trials", "--config", str(cfgp)]) == 2
+    assert f"config error in {key!r}" in capsys.readouterr().err
+
+
 def test_trials_l_conflicts_with_auto_l(capsys):
     assert main(_trials_args("--auto-l")) == 2
 

@@ -37,7 +37,7 @@ from nystromlab.experiment import (
     run_trial,
 )
 
-from helpers import gram_psd
+from helpers import gram_psd, save_matrix_rowwise
 
 # ---------------------------------------------------------------------------
 # matrix files
@@ -83,6 +83,40 @@ def test_save_matrix_exact_bytes(tmp_path):
     p = tmp_path / "m.txt"
     save_matrix(a, p)
     assert p.read_bytes() == b"3\n-0.0 5e-324 0.1\n5e-324 1e-05 1e+16\n0.1 1e+16 1.0\n"
+
+
+# Values whose repr is special: signed zeros, subnormals, both sides of
+# each switch between positional and exponent notation, and mirrored pairs
+# whose sum overflows.
+_WRITER_PALETTE = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e16, 9999999999999998.0,
+                   1e-05, 0.0001, 0.1, 1.5e308, -1.5e308, 1.0, -3.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 70), seed=st.integers(0, 2**32 - 1),
+       average=st.booleans(),
+       extra=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4))
+def test_save_matrix_matches_rowwise_writer(tmp_path_factory, n, seed, average, extra):
+    # Both SymMatrix paths: an exactly symmetric input is copied (so
+    # -0.0 stays mirrored with -0.0); one with a -0.0/0.0 pair and a
+    # one-ulp pair is averaged.
+    rng = np.random.default_rng(seed)
+    palette = np.array(_WRITER_PALETTE + tuple(extra))
+    a = np.where(rng.random((n, n)) < 0.4, rng.choice(palette, (n, n)),
+                 rng.standard_normal((n, n)))
+    a = np.triu(a) + np.triu(a, 1).T
+    average = average and n > 1
+    if average:
+        a[0, n - 1], a[n - 1, 0] = -0.0, 0.0
+        i, j = rng.choice(n, 2, replace=False)
+        a[i, j] = np.nextafter(a[i, j], 0.0)
+    m = SymMatrix(a)
+    assert (m.entries.tobytes() == a.tobytes()) != average
+    base = tmp_path_factory.getbasetemp()
+    save_matrix(m, base / "mirrored.txt")
+    save_matrix_rowwise(m, base / "rowwise.txt")
+    assert (base / "mirrored.txt").read_bytes() == (base / "rowwise.txt").read_bytes()
+    assert load_matrix(base / "mirrored.txt").entries.tobytes() == m.entries.tobytes()
 
 
 def test_load_entries_near_float_max(tmp_path):
