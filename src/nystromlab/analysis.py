@@ -71,6 +71,7 @@ class BoundReport:
     epsilon: float
     delta: float
     l_required: int
+    l: int  # the l the bounds are evaluated at
     prob_bound: float
     chernoff_tail: float
 
@@ -282,13 +283,14 @@ def bound_report(
     if not (1.0 - 1e-9) <= tau <= n / k + 1e-9:
         raise ValueError(f"tau must lie in [1, n/k={n / k:g}], got {tau!r}")
     l_required = required_samples(k, tau, delta, epsilon)
-    l_eff = int(l) if l is not None else min(l_required, n)
+    l = int(l) if l is not None else min(l_required, n)
     return BoundReport(
         k=int(k),
         tau=float(tau),
         epsilon=float(epsilon),
         delta=float(delta),
         l_required=l_required,
-        prob_bound=probabilistic_bound(lambda_k1, n, l_eff, epsilon),
-        chernoff_tail=chernoff_tail(k, tau, l_eff, epsilon),
+        l=l,
+        prob_bound=probabilistic_bound(lambda_k1, n, l, epsilon),
+        chernoff_tail=chernoff_tail(k, tau, l, epsilon),
     )

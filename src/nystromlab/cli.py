@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -26,11 +25,11 @@ from .experiment import (
     ConfigError,
     MatrixFileError,
     chernoff_sweep,
-    config_from_file,
     config_from_mapping,
     emit_results,
     emit_table,
     load_matrix,
+    read_config,
     run_experiment,
 )
 from .generators import parse_plan
@@ -71,44 +70,24 @@ def _cmd_approx(args) -> int:
     return 0
 
 
-# Flags of `trials` that describe the experiment; each dest doubles as the
-# config-file key of the same name (auto_l only selects the default l).
-_INLINE_FLAGS = (
-    "n", "k", "l", "auto_l", "epsilon", "delta", "trials", "seed",
-    "gen", "coherence", "lambda1", "matrix",
-)
-# Flags that may also refine a --config run.
+# Flags that may also refine a --config run; any other `trials` flag
+# conflicts with it.
 _OUTPUT_FLAGS = ("out", "format", "jobs", "timings")
 
 
-def _given(args, flags) -> dict:
-    """The flags that were set; None, and False for a switch, mean unset."""
-    values = {f: getattr(args, f) for f in flags}
-    return {f: v for f, v in values.items() if v is not None and v is not False}
-
-
 def _cmd_trials(args) -> int:
-    output = _given(args, _OUTPUT_FLAGS)
-    if args.config is not None:
-        given = list(_given(args, _INLINE_FLAGS))
-        if given:
-            raise ConfigError(given[0].replace("_", "-"),
+    # The trials parser defaults to SUPPRESS, so only given flags are set;
+    # each dest doubles as the config-file key of the same name.
+    given = {f: v for f, v in vars(args).items() if f not in ("command", "func")}
+    if "config" in given:
+        inline = [f for f in given if f not in _OUTPUT_FLAGS + ("config",)]
+        if inline:
+            raise ConfigError(inline[0].replace("_", "-"),
                               "inline flag conflicts with --config")
-        cfg = config_from_file(args.config)
-        if output:
-            if "format" in output:
-                output["fmt"] = output.pop("format")
-            cfg = replace(cfg, **output)
-            cfg.validate()
-    else:
-        if args.l is not None and args.auto_l:
-            raise ConfigError("l", "--l conflicts with --auto-l")
-        mapping = _given(args, _INLINE_FLAGS) | output
-        mapping.pop("auto_l", None)
-        for key in ("k", "trials", "seed"):
-            if key not in mapping:
-                raise ConfigError(key, "required flag is missing")
-        cfg = config_from_mapping(mapping)
+        given = read_config(given.pop("config")) | given
+    elif given.pop("auto_l", False) and "l" in given:
+        raise ConfigError("l", "--l conflicts with --auto-l")
+    cfg = config_from_mapping(given)
     records, summary = run_experiment(cfg)
     text = emit_results(records, summary, cfg.fmt, path=cfg.out, timings=cfg.timings)
     summary_text = json.dumps(summary) + "\n"
@@ -130,7 +109,6 @@ def _cmd_bounds(args) -> int:
         l=args.l,
         lambda_k1=args.lambda_k1,
     )
-    l_eff = args.l if args.l is not None else min(report.l_required, args.n)
     lines = [
         f"n={args.n}",
         f"k={report.k}",
@@ -139,7 +117,7 @@ def _cmd_bounds(args) -> int:
         f"delta={report.delta!r}",
         f"lambda_k1={args.lambda_k1!r}",
         f"l_required={report.l_required}",
-        f"l={l_eff}",
+        f"l={report.l}",
         f"prob_bound={report.prob_bound!r}",
         f"chernoff_tail={report.chernoff_tail!r}",
     ]
@@ -182,25 +160,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=_cmd_approx)
 
-    p = sub.add_parser("trials", help="Monte-Carlo sampling experiment")
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--l", type=int, default=None, help="fixed sample size")
+    p = sub.add_parser("trials", help="Monte-Carlo sampling experiment",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--n", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--l", type=int, help="fixed sample size")
     p.add_argument("--auto-l", dest="auto_l", action="store_true",
                    help="derive l from the sample-size rule (the default)")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None, help="master seed")
-    p.add_argument("--gen", default=None,
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int, help="master seed")
+    p.add_argument("--gen",
                    help="spectrum: exact-rank-k | exp:RATE | pow:EXP | custom:v1,...")
-    p.add_argument("--coherence", default=None, help="plan: flat | low | spiked:M")
-    p.add_argument("--lambda1", type=float, default=None, help="spectrum scale")
-    p.add_argument("--matrix", default=None, help="matrix file instead of --gen")
-    p.add_argument("--out", default=None, help="artifact path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--coherence", help="plan: flat | low | spiked:M")
+    p.add_argument("--lambda1", type=float, help="spectrum scale")
+    p.add_argument("--matrix", help="matrix file instead of --gen")
+    p.add_argument("--out", help="artifact path (default: stdout)")
+    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--jobs", type=int,
                    help="accepted and validated (>= 1); trials run serially")
     p.add_argument("--timings", action="store_true",
                    help="emit measured wall_ms (breaks byte-identical reruns)")
@@ -233,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="artifact path (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; the sweep runs serially")
+                   help="accepted and validated (>= 1); the sweep runs serially")
     p.set_defaults(func=_cmd_chernoff)
 
     return parser

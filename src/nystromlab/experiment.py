@@ -237,9 +237,19 @@ def save_matrix(a: SymMatrix, path) -> None:
             pending[i] = None
 
 
+def _check_int(key: str, value, low: int) -> None:
+    """Raise ConfigError(key) unless value is an int, not a bool, in [low, 2^64)."""
+    if type(value) is not int or not low <= value < 2**64:
+        raise ConfigError(key, f"must be an integer in [{low}, 2^64), got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a `trials` run needs; validated before any work starts."""
+    """Everything a `trials` run needs, checked field by field on construction.
+
+    Each check raises :class:`ConfigError` named by the config-file key, so
+    an invalid config never exists.
+    """
 
     k: int
     trials: int
@@ -251,13 +261,27 @@ class ExperimentConfig:
     matrix_path: str | None = None
     gen: SpectrumSpec | None = None
     coherence: CoherencePlan | None = None
-    lambda1: float = 1.0
     out: str | None = None
     fmt: str = "csv"
     jobs: int = 1
     timings: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        for key, value, low in (("n", self.n, 2), ("k", self.k, 1), ("l", self.l, 1),
+                                ("trials", self.trials, 1), ("seed", self.master_seed, 0),
+                                ("jobs", self.jobs, 1)):
+            if value is not None or key not in ("n", "l"):  # n, l: None is allowed
+                _check_int(key, value, low)
+        for key, value in (("epsilon", self.epsilon), ("delta", self.delta)):
+            if not (isinstance(value, float) and 0.0 < value < 1.0):
+                raise ConfigError(key, f"must be a number in (0, 1), got {value!r}")
+        for key, value in (("matrix", self.matrix_path), ("out", self.out)):
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(key, f"must be a path string, got {value!r}")
+        if self.fmt not in ("csv", "json"):
+            raise ConfigError("format", f"must be 'csv' or 'json', got {self.fmt!r}")
+        if type(self.timings) is not bool:
+            raise ConfigError("timings", f"must be true or false, got {self.timings!r}")
         if (self.matrix_path is None) == (self.gen is None):
             raise ConfigError(
                 "matrix", "exactly one matrix source is required: a file path or a generator spec"
@@ -267,27 +291,8 @@ class ExperimentConfig:
                 raise ConfigError("coherence", "a generator spec needs a coherence plan")
             if self.n is None:
                 raise ConfigError("n", "a generator spec needs an explicit dimension")
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ConfigError("k", f"must be a positive integer, got {self.k!r}")
-        if self.n is not None:
-            if not isinstance(self.n, int) or self.n < 2:
-                raise ConfigError("n", f"must be an integer >= 2, got {self.n!r}")
-            if self.k > self.n - 1:
-                raise ConfigError("k", f"must be <= n-1 = {self.n - 1}, got {self.k}")
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ConfigError("trials", f"must be a positive integer, got {self.trials!r}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ConfigError("epsilon", f"must lie in (0, 1), got {self.epsilon!r}")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigError("delta", f"must lie in (0, 1), got {self.delta!r}")
-        if self.l is not None and (not isinstance(self.l, int) or self.l < 1):
-            raise ConfigError("l", f"must be a positive integer or auto, got {self.l!r}")
-        if not isinstance(self.master_seed, int) or not 0 <= self.master_seed < 2**64:
-            raise ConfigError("seed", f"must be an integer in [0, 2^64), got {self.master_seed!r}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError("format", f"must be 'csv' or 'json', got {self.fmt!r}")
-        if not isinstance(self.jobs, int) or self.jobs < 1:
-            raise ConfigError("jobs", f"must be a positive integer, got {self.jobs!r}")
+        if self.n is not None and self.k > self.n - 1:
+            raise ConfigError("k", f"must be <= n-1 = {self.n - 1}, got {self.k}")
 
 
 _CONFIG_KEYS = {
@@ -297,60 +302,57 @@ _CONFIG_KEYS = {
 
 
 def config_from_mapping(d: dict) -> ExperimentConfig:
-    """Build a config from a plain mapping (the JSON config-file schema)."""
+    """Build a config from a plain mapping (the JSON config-file schema).
+
+    Checks the keys and the values parsed here (gen, coherence, lambda1);
+    :class:`ExperimentConfig` checks every field it is given.
+    """
     unknown = set(d) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown config key")
     for key in ("k", "trials", "seed"):
         if key not in d:
-            raise ConfigError(key, "required key is missing")
-    for key in ("n", "k", "l", "trials", "seed", "jobs"):  # JSON integers: no bool, no 2.0
-        if key in d and type(d[key]) is not int and not (key == "l" and d[key] == "auto"):
-            raise ConfigError(key, f"must be an integer, got {d[key]!r}")
-    if type(d.get("timings", False)) is not bool:
-        raise ConfigError("timings", f"must be true or false, got {d['timings']!r}")
-    n = d.get("n")
-    k = d["k"]
-    l = d.get("l")
-    if l == "auto":
-        l = None
-    gen = None
-    plan = None
+            raise ConfigError(key, "a value is required")
+    for key in ("gen", "coherence", "lambda1"):
+        kind = (int, float) if key == "lambda1" else str
+        if key in d and (not isinstance(d[key], kind) or isinstance(d[key], bool)):
+            what = "a number" if key == "lambda1" else "a string"
+            raise ConfigError(key, f"must be {what}, got {d[key]!r}")
+    gen = plan = None
     if "gen" in d:
-        if n is None:
-            raise ConfigError("n", "a generator spec needs an explicit dimension")
+        # The spectrum is built at (n, k), so those two are checked first.
+        _check_int("n", d.get("n"), 2)
+        _check_int("k", d["k"], 1)
         try:
-            gen = parse_spectrum(str(d["gen"]), n, k, float(d.get("lambda1", 1.0)))
+            gen = parse_spectrum(d["gen"], d["n"], d["k"], d.get("lambda1", 1.0))
         except ValueError as exc:
             raise ConfigError("gen", str(exc)) from exc
     if "coherence" in d:
         try:
-            plan = parse_plan(str(d["coherence"]))
+            plan = parse_plan(d["coherence"])
         except ValueError as exc:
             raise ConfigError("coherence", str(exc)) from exc
-    cfg = ExperimentConfig(
-        k=k,
+    l = d.get("l")
+    return ExperimentConfig(
+        k=d["k"],
         trials=d["trials"],
         master_seed=d["seed"],
-        n=n,
-        epsilon=float(d.get("epsilon", 0.5)),
-        delta=float(d.get("delta", 0.05)),
-        l=l,
+        n=d.get("n"),
+        epsilon=d.get("epsilon", 0.5),
+        delta=d.get("delta", 0.05),
+        l=None if l == "auto" else l,
         matrix_path=d.get("matrix"),
         gen=gen,
         coherence=plan,
-        lambda1=float(d.get("lambda1", 1.0)),
         out=d.get("out"),
-        fmt=str(d.get("format", "csv")),
+        fmt=d.get("format", "csv"),
         jobs=d.get("jobs", 1),
         timings=d.get("timings", False),
     )
-    cfg.validate()
-    return cfg
 
 
-def config_from_file(path) -> ExperimentConfig:
-    """Load a JSON config file; parse errors carry the line number."""
+def read_config(path) -> dict:
+    """The JSON object of a config file; parse errors carry the line number."""
     text = Path(path).read_text()
     try:
         d = json.loads(text)
@@ -358,7 +360,12 @@ def config_from_file(path) -> ExperimentConfig:
         raise ConfigError("<config file>", f"line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(d, dict):
         raise ConfigError("<config file>", "top-level value must be an object")
-    return config_from_mapping(d)
+    return d
+
+
+def config_from_file(path) -> ExperimentConfig:
+    """Load a JSON config file into a checked config."""
+    return config_from_mapping(read_config(path))
 
 
 @dataclass(frozen=True)
@@ -403,7 +410,6 @@ class ExperimentSetup:
 
 def prepare(config: ExperimentConfig) -> ExperimentSetup:
     """Load or plant the matrix and resolve tau, l, and the bounds."""
-    config.validate()
     if config.matrix_path is not None:
         a = load_matrix(config.matrix_path)
         n = a.n
@@ -614,8 +620,10 @@ def chernoff_sweep(
     basis, samples ``trials`` times, counts how often
     ``min_eig_gram <= epsilon * l / n``, and compares the frequency
     against ``chernoff_tail`` at the basis' measured coherence.  Trials
-    run serially; ``jobs`` is accepted and ignored.
+    run serially; ``jobs`` is checked (>= 1) and otherwise ignored.
     """
+    _check_int("trials", trials, 1)
+    _check_int("jobs", jobs, 1)
     grid = [(k, plan, eps) for k in ks for plan in plans for eps in epsilons]
     if ls is not None and len(ls) not in (1, len(grid)):
         raise ConfigError("l", f"need 1 or {len(grid)} values, got {len(ls)}")

@@ -504,6 +504,7 @@ def test_davis_kahan_bound_gap_violated_raises():
 def test_bound_report_chains_consistently():
     r = bound_report(n=256, k=4, tau=1.0, epsilon=0.5, delta=0.05)
     assert r.l_required == required_samples(k=4, tau=1.0, epsilon=0.5, delta=0.05)
+    assert r.l == r.l_required  # below n, so the default l is l_required
     assert r.prob_bound == probabilistic_bound(
         lambda_k1=1.0, n=256, l=r.l_required, epsilon=0.5
     )
@@ -515,6 +516,9 @@ def test_bound_report_chains_consistently():
 
 def test_bound_report_respects_explicit_l():
     r = bound_report(n=100, k=2, tau=1.0, epsilon=0.5, delta=0.1, l=20)
+    assert r.l == 20
+    # without l, a required count above n saturates at full sampling
+    assert bound_report(n=100, k=4, tau=25.0, epsilon=0.5, delta=0.1).l == 100
     assert r.prob_bound == probabilistic_bound(lambda_k1=1.0, n=100, l=20, epsilon=0.5)
 
 

@@ -212,18 +212,54 @@ def test_trials_config_conflicts_with_inline_zero(tmp_path, capsys, flag):
 
 @pytest.mark.parametrize("key,value", [
     ("n", 16.0), ("k", 2.9), ("l", 8.0), ("trials", 2.5), ("seed", True),
-    ("jobs", 2.0), ("timings", "false"),
+    ("jobs", 2.0), ("timings", "false"), ("n", "16"),
+    ("matrix", 7), ("matrix", 0), ("out", 5), ("epsilon", None), ("epsilon", "0.25"),
+    ("delta", [1]), ("lambda1", True), ("lambda1", "2"),
+    ("gen", 5), ("coherence", 5), ("format", 5),
 ])
 def test_trials_config_rejects_mistyped_value(tmp_path, capsys, key, value):
-    # integers must be JSON integers and timings a JSON boolean: nothing
-    # is rounded, truncated or coerced by truthiness
+    # integers must be JSON integers, numbers JSON numbers, paths and specs
+    # JSON strings, timings a JSON boolean: nothing is rounded, truncated or
+    # coerced, a number is never taken as a file descriptor, and no trial runs
     cfgp = tmp_path / "c.json"
-    cfgp.write_text(json.dumps({
+    mapping = {
         "n": 16, "k": 2, "trials": 3, "seed": 1, "l": 8,
         "gen": "exact-rank-k", "coherence": "flat", key: value,
-    }))
+    }
+    if key == "matrix":
+        del mapping["gen"]
+    cfgp.write_text(json.dumps(mapping))
     assert main(["trials", "--config", str(cfgp)]) == 2
-    assert f"config error in {key!r}" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert f"config error in {key!r}" in captured.err
+    assert captured.out == ""
+
+
+def test_trials_inline_and_config_routes_agree(tmp_path):
+    # the same experiment as inline flags, as a config file, and as a config
+    # file refined by the output flags gives the same bytes
+    inline, from_file, refined = (tmp_path / f"{name}.json" for name in ("a", "b", "c"))
+    assert main(_trials_args("--format", "json", "--out", str(inline))) == 0
+    cfgp = tmp_path / "c.cfg"
+    cfgp.write_text(json.dumps({
+        "n": 16, "k": 2, "l": 8, "trials": 5, "seed": 3, "gen": "exp:0.5",
+        "coherence": "low", "format": "json", "out": str(from_file),
+    }))
+    assert main(["trials", "--config", str(cfgp)]) == 0
+    cfgp.write_text(json.dumps({
+        "n": 16, "k": 2, "l": 8, "trials": 5, "seed": 3, "gen": "exp:0.5",
+        "coherence": "low", "format": "csv", "out": str(tmp_path / "unused"),
+        "jobs": 1, "timings": False,
+    }))
+    assert main(["trials", "--config", str(cfgp), "--out", str(refined),
+                 "--format", "json", "--jobs", "2"]) == 0
+    assert inline.read_bytes() == from_file.read_bytes() == refined.read_bytes()
+    assert not (tmp_path / "unused").exists()
+    timed = tmp_path / "timed.json"
+    assert main(["trials", "--config", str(cfgp), "--out", str(timed), "--timings"]) == 0
+    rows = timed.read_text().splitlines()  # the file's csv, with measured wall_ms
+    assert rows[0] == CSV_HEADER and len(rows) == 6
+    assert not any(row.endswith(",NA") for row in rows[1:])
 
 
 def test_trials_l_conflicts_with_auto_l(capsys):
@@ -300,6 +336,15 @@ def test_chernoff_grid_and_out(tmp_path, capsys):
                  "--trials", "20", "--seed", "6", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 9  # header + 2*2*2 grid points
+
+
+@pytest.mark.parametrize("flag,value", [("trials", "0"), ("trials", "-3"), ("jobs", "0")])
+def test_chernoff_rejects_counts_below_one(capsys, flag, value):
+    assert main(["chernoff", "--n", "16", "--k", "2", "--coherence", "flat",
+                 "--epsilon", "0.5", f"--{flag}", value]) == 2
+    captured = capsys.readouterr()
+    assert f"config error in {flag!r}" in captured.err
+    assert captured.out == ""
 
 
 def test_chernoff_reproducible(tmp_path):

@@ -363,41 +363,38 @@ def _gen_config(**over):
 
 def test_config_requires_exactly_one_source(tmp_path):
     with pytest.raises(ConfigError) as ei:
-        ExperimentConfig(k=2, trials=1, master_seed=0).validate()
+        ExperimentConfig(k=2, trials=1, master_seed=0)
     assert ei.value.field == "matrix"
     p = tmp_path / "m.txt"
     with pytest.raises(ConfigError):
-        _gen_config(matrix_path=str(p)).validate()
+        _gen_config(matrix_path=str(p))
 
 
 def test_config_gen_needs_plan_and_n():
     with pytest.raises(ConfigError) as ei:
-        _gen_config(coherence=None).validate()
+        _gen_config(coherence=None)
     assert ei.value.field == "coherence"
     with pytest.raises(ConfigError) as ei:
-        _gen_config(n=None).validate()
+        _gen_config(n=None)
     assert ei.value.field == "n"
 
 
 def test_config_bounds_validation():
-    with pytest.raises(ConfigError):
-        _gen_config(k=0).validate()
-    with pytest.raises(ConfigError):
-        _gen_config(k=16).validate()  # k > n-1
-    with pytest.raises(ConfigError):
-        _gen_config(trials=0).validate()
-    with pytest.raises(ConfigError):
-        _gen_config(epsilon=1.0).validate()
-    with pytest.raises(ConfigError):
-        _gen_config(delta=0.0).validate()
-    with pytest.raises(ConfigError):
-        _gen_config(l=0).validate()
-    with pytest.raises(ConfigError):
-        _gen_config(master_seed=-1).validate()
-    with pytest.raises(ConfigError):
-        _gen_config(fmt="xml").validate()
-    with pytest.raises(ConfigError):
-        _gen_config(jobs=0).validate()
+    # an invalid config is refused on construction, named by its config key
+    for over, field in [
+        ({"k": 0}, "k"),
+        ({"k": 16}, "k"),  # k > n-1
+        ({"trials": 0}, "trials"),
+        ({"epsilon": 1.0}, "epsilon"),
+        ({"delta": 0.0}, "delta"),
+        ({"l": 0}, "l"),
+        ({"master_seed": -1}, "seed"),
+        ({"fmt": "xml"}, "format"),
+        ({"jobs": 0}, "jobs"),
+    ]:
+        with pytest.raises(ConfigError) as ei:
+            _gen_config(**over)
+        assert ei.value.field == field, over
 
 
 def test_config_from_mapping_minimal():
@@ -688,6 +685,17 @@ def test_chernoff_sweep_deterministic_and_grid_order():
     assert len(r1) == 8
     assert [r["k"] for r in r1] == [1, 1, 1, 1, 2, 2, 2, 2]
     assert [r["epsilon"] for r in r1[:4]] == [0.25, 0.5, 0.25, 0.5]
+
+
+@pytest.mark.parametrize("over,field", [
+    ({"trials": 0}, "trials"), ({"trials": -3}, "trials"), ({"jobs": 0}, "jobs"),
+])
+def test_chernoff_sweep_rejects_counts_below_one(over, field):
+    args = dict(n=16, ks=[2], plans=[CoherencePlan(target="flat")], epsilons=[0.5],
+                trials=5, master_seed=0)
+    with pytest.raises(ConfigError) as ei:
+        chernoff_sweep(**{**args, **over})
+    assert ei.value.field == field
 
 
 def test_chernoff_sweep_explicit_ls_validation():
