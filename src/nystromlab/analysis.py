@@ -156,7 +156,12 @@ def deterministic_bound(part: SpectralPartition, sample: ColumnSample) -> float:
         When Omega_1 is numerically rank deficient (min Gram eigenvalue
         at or below ``n * eps``), in which case the bound does not apply.
     """
-    m = min_eig_gram(part.u1, sample)
+    return _structural_bound(part, min_eig_gram(part.u1, sample))
+
+
+def _structural_bound(part: SpectralPartition, m: float) -> float:
+    """``||Sigma_2||_2 / m`` for ``m = min_eig_gram(U_1, S)``, as
+    :func:`deterministic_bound` defines it, for a caller that has m."""
     tol = full_rank_tolerance(part.n)
     if m <= tol:
         raise BoundInapplicableError(m, tol)

@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,9 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    _structural_bound,
     chernoff_tail,
     coherence,
-    deterministic_bound,
     full_rank_tolerance,
     min_eig_gram,
     probabilistic_bound,
@@ -304,8 +305,9 @@ _CONFIG_KEYS = {
 def config_from_mapping(d: dict) -> ExperimentConfig:
     """Build a config from a plain mapping (the JSON config-file schema).
 
-    Checks the keys and the values parsed here (gen, coherence, lambda1);
-    :class:`ExperimentConfig` checks every field it is given.
+    Checks the keys and the values parsed here (gen, coherence, lambda1:
+    a finite number > 0); :class:`ExperimentConfig` checks every field it
+    is given.
     """
     unknown = set(d) - _CONFIG_KEYS
     if unknown:
@@ -318,6 +320,8 @@ def config_from_mapping(d: dict) -> ExperimentConfig:
         if key in d and (not isinstance(d[key], kind) or isinstance(d[key], bool)):
             what = "a number" if key == "lambda1" else "a string"
             raise ConfigError(key, f"must be {what}, got {d[key]!r}")
+    if not 0.0 < d.get("lambda1", 1.0) <= sys.float_info.max:  # exact for a big int too
+        raise ConfigError("lambda1", f"must be finite and > 0, got {d['lambda1']!r}")
     gen = plan = None
     if "gen" in d:
         # The spectrum is built at (n, k), so those two are checked first.
@@ -409,7 +413,11 @@ class ExperimentSetup:
 
 
 def prepare(config: ExperimentConfig) -> ExperimentSetup:
-    """Load or plant the matrix and resolve tau, l, and the bounds."""
+    """Load or plant the matrix and resolve tau, l, and the bounds.
+
+    A planted instance or a ``prob_bound`` that overflows raises
+    FloatingPointError naming lambda1.
+    """
     if config.matrix_path is not None:
         a = load_matrix(config.matrix_path)
         n = a.n
@@ -433,6 +441,11 @@ def prepare(config: ExperimentConfig) -> ExperimentSetup:
     l = config.l if config.l is not None else min(l_required, n)
     if not 1 <= l <= n:
         raise ConfigError("l", f"must lie in [1, n={n}], got {l}")
+    prob_bound = probabilistic_bound(lambda_k1, n, l, config.epsilon)
+    if not math.isfinite(prob_bound):
+        raise FloatingPointError(
+            f"prob_bound overflows at lambda1={lambda1!r} (lambda_k+1={lambda_k1!r})"
+        )
     return ExperimentSetup(
         a=a,
         part=part,
@@ -443,20 +456,28 @@ def prepare(config: ExperimentConfig) -> ExperimentSetup:
         tau=tau,
         lambda1=lambda1,
         lambda_k1=lambda_k1,
-        prob_bound=probabilistic_bound(lambda_k1, n, l, config.epsilon),
+        prob_bound=prob_bound,
         tail=chernoff_tail(config.k, tau, l, config.epsilon),
     )
 
 
 def run_trial(setup: ExperimentSetup, master_seed: int, t: int) -> TrialRecord:
-    """Run one trial; fully determined by (master_seed, t)."""
+    """Run one trial; fully determined by (master_seed, t).
+
+    ``min_eig_gram`` is computed once and gives both ``pinv_norm_sq`` and
+    ``det_bound``; a ``det_bound`` that overflows raises FloatingPointError.
+    """
     t0 = time.perf_counter()
     s = sample_uniform(setup.n, setup.l, RngSeed(master_seed, t))
     res = nystrom_extend(setup.a, s)
     gram_min = min_eig_gram(setup.part.u1, s)
     full_rank = gram_min > full_rank_tolerance(setup.n)
     if full_rank:
-        det = deterministic_bound(setup.part, s)
+        det = _structural_bound(setup.part, gram_min)
+        if not math.isfinite(det):
+            raise FloatingPointError(
+                f"det_bound overflows at lambda1={setup.lambda1!r} (trial {t})"
+            )
         pnsq = 1.0 / gram_min
     else:
         det = None

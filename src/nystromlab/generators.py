@@ -5,6 +5,13 @@ orthogonal U, so the dominant subspace, its coherence, and every
 eigenvalue are known exactly - which is what lets the Monte-Carlo harness
 compare measured errors against the bounds without estimating anything.
 
+The ``low`` and ``spiked`` instances are assembled from their basis by
+:func:`psd_from_spectrum` (one SYRK, n^3 work).  The ``flat`` instance
+needs no basis product: with the Sylvester-Hadamard basis,
+``A[i, j] = f[i XOR j]`` for ``f = H (lambdas / n)``, one fast
+Walsh-Hadamard transform, so it is built in O(n^2) and certified by its
+dominant block (:func:`planted_instance`).
+
 Coherence plans
 ---------------
 ``flat``      columns of the normalized Sylvester-Hadamard matrix; every
@@ -20,12 +27,13 @@ Coherence plans
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import _check_orthonormal, coherence
-from .matcore import EigenDecomposition, SpectralPartition, SymMatrix, partition
+from .matcore import EPS, EigenDecomposition, SpectralPartition, SymMatrix, partition
 from .sampling import RngSeed, rng_from
 
 _SPECTRUM_KINDS = ("exact-rank-k", "exp-decay", "power-law", "custom")
@@ -41,7 +49,11 @@ class SpectrumSpec:
         the top k, exactly zero after - rank k with no ties.
       * ``exp-decay``: ``lambda1 * rate ** (j - 1)``, full rank.
       * ``power-law``: ``lambda1 * j ** (-exponent)``, full rank.
-      * ``custom``: explicit values (length n).
+      * ``custom``: explicit values (length n), each finite.
+
+    ``lambda1`` must be finite and > 0.  Only ``exact-rank-k`` can overflow
+    (``lambda1 * k`` is formed first); :meth:`eigenvalues` then raises
+    FloatingPointError naming lambda1.
     """
 
     kind: str
@@ -61,8 +73,8 @@ class SpectrumSpec:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 1 <= self.k <= self.n:
             raise ValueError(f"k must lie in [1, n={self.n}], got {self.k}")
-        if self.kind != "custom" and not self.lambda1 > 0.0:
-            raise ValueError(f"lambda1 must be > 0, got {self.lambda1!r}")
+        if self.kind != "custom" and not 0.0 < self.lambda1 < math.inf:
+            raise ValueError(f"lambda1 must be finite and > 0, got {self.lambda1!r}")
         if self.kind == "exp-decay":
             if self.rate is None or not 0.0 < self.rate <= 1.0:
                 raise ValueError(f"exp-decay needs rate in (0, 1], got {self.rate!r}")
@@ -75,18 +87,25 @@ class SpectrumSpec:
             if self.values is None or len(self.values) != self.n:
                 got = None if self.values is None else len(self.values)
                 raise ValueError(f"custom spectrum needs exactly n={self.n} values, got {got}")
+            if not all(math.isfinite(v) for v in self.values):
+                raise ValueError("custom spectrum values must be finite")
 
     def eigenvalues(self) -> np.ndarray:
         """Materialize the profile as a length-n non-increasing array."""
         j = np.arange(1, self.n + 1, dtype=np.float64)
-        if self.kind == "exact-rank-k":
-            vals = np.where(j <= self.k, self.lambda1 * (self.k - j + 1) / self.k, 0.0)
-        elif self.kind == "exp-decay":
-            vals = self.lambda1 * np.asarray(self.rate) ** (j - 1)
-        elif self.kind == "power-law":
-            vals = self.lambda1 * j ** (-self.exponent)
-        else:
-            vals = np.asarray(self.values, dtype=np.float64)
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            if self.kind == "exact-rank-k":
+                vals = np.where(j <= self.k, self.lambda1 * (self.k - j + 1) / self.k, 0.0)
+            elif self.kind == "exp-decay":
+                vals = self.lambda1 * np.asarray(self.rate) ** (j - 1)
+            elif self.kind == "power-law":
+                vals = self.lambda1 * j ** (-self.exponent)
+            else:
+                vals = np.asarray(self.values, dtype=np.float64)
+        if not np.all(np.isfinite(vals)):
+            raise FloatingPointError(
+                f"the {self.kind} spectrum overflows at lambda1={self.lambda1!r}"
+            )
         if np.any(vals < 0.0):
             raise ValueError("spectrum contains a negative eigenvalue")
         if np.any(np.diff(vals) > 0.0):
@@ -170,6 +189,8 @@ def psd_from_spectrum(u: np.ndarray, lambdas: np.ndarray) -> SymMatrix:
     A is formed as ``H H^T`` with ``H = U diag(sqrt(lambdas))``: numpy runs
     a product with its own transpose as one SYRK and mirrors the triangle,
     so A is exactly symmetric and :class:`SymMatrix` stores it as is.
+    :func:`planted_instance` uses this for the ``low`` and ``spiked``
+    plans; the ``flat`` plan needs no basis product (:func:`_flat_entries`).
     """
     u = np.asarray(u, dtype=np.float64)
     lam = np.asarray(lambdas, dtype=np.float64)
@@ -189,10 +210,83 @@ def psd_from_spectrum(u: np.ndarray, lambdas: np.ndarray) -> SymMatrix:
     return SymMatrix(a)
 
 
+def _flat_entries(lam: np.ndarray) -> np.ndarray:
+    """Entries of ``U diag(lam) U^T`` for ``U = flat_orthonormal(n, n)``.
+
+    With ``H[i, j] = (-1)^popcount(i & j)`` (Sylvester order) and
+    ``U = H / sqrt(n)``, ``A[i, j] = sum_m H[i, m] H[j, m] lam[m] / n``,
+    and ``H[i, m] H[j, m] = H[i XOR j, m]``, so ``A[i, j] = f[i XOR j]``
+    with ``f = H (lam / n)``.  ``f`` is one in-place fast Walsh-Hadamard
+    transform (``log2 n`` butterfly passes); ``lam / n`` is scaled first,
+    so every partial sum is bounded by ``sum(lam) / n <= lam[0]`` and
+    cannot overflow.  Row 0 of A is f, and ``A[i + m, j] = A[i, j XOR m]``
+    for ``i < m`` (m a power of two), so rows ``m .. 2m-1`` are rows
+    ``0 .. m-1`` with their column blocks of width m swapped pairwise.
+    ``A[i, j] = A[j, i]`` bit for bit, by construction.  O(n^2) work.
+    """
+    n = lam.size
+    f = lam / n
+    h = 1
+    while h < n:
+        pairs = f.reshape(-1, 2, h)
+        top = pairs[:, 0] + pairs[:, 1]
+        np.subtract(pairs[:, 0], pairs[:, 1], out=pairs[:, 1])
+        pairs[:, 0] = top
+        h *= 2
+    a = np.empty((n, n))
+    a[0] = f
+    m = 1
+    while m < n:
+        src = a[:m].reshape(m, -1, 2, m)
+        dst = a[m:2 * m].reshape(m, -1, 2, m)
+        dst[:, :, 0] = src[:, :, 1]
+        dst[:, :, 1] = src[:, :, 0]
+        m *= 2
+    return a
+
+
+def _certify_dominant_block(a: np.ndarray, u1: np.ndarray, lam: np.ndarray) -> None:
+    """Raise FloatingPointError unless ``A U_1 = U_1 Sigma_1`` within rounding.
+
+    ``U_1`` is the first k columns of ``flat_orthonormal(n, n)`` and
+    ``Sigma_1 = diag(lam[:k])``, as :func:`planted_instance` returns them;
+    A is :func:`_flat_entries` of ``lam``.  Cost: ``n^2 k``.
+
+    Tolerance (u = EPS / 2 the unit roundoff, ``L = log2 n``,
+    ``s = sum(lam) / n``).  ``U_1 = r H_1`` with ``r = fl(1/sqrt(n))``, and
+    the columns of ``H_1`` are exact eigenvectors of the exact A, so the
+    exact residual of the computed A is ``dA U_1``.  ``dA[i, j] =
+    d[i XOR j]`` for the rounding error d of f, and such a matrix has the
+    eigenvalues ``H d``, so ``||dA||_2 <= ||d||_1``.  The transform sums
+    each ``f_i`` in a tree of depth L, so ``|d_i| <= L u s`` and
+    ``||dA U_1||_F <= ||d||_1 ||U_1||_F <= L u n s sqrt(k)``.  The product
+    ``A U_1`` adds at most ``n u sum_j |a_ij| r <= n u n s r`` per entry,
+    ``sqrt(k) n u n s`` in norm over its ``n k`` entries, and
+    ``U_1 Sigma_1`` adds ``u r lam_m`` per entry, less than ``u n s`` in
+    norm.  The sum, ``sqrt(k) (n + L + 1) u n s``, is allowed more than
+    twice over, ``sqrt(k) (n + L + 2) EPS n s``, which covers the
+    second-order terms.  Subnormal results add at most ``2^-1075`` per
+    rounding, ``2 sqrt(k) n^2 2^-1074`` in all.  Both sides are scaled by
+    the power of two that puts s in ``[0.5, 1)``, so the check holds at any
+    scale; a non-finite A fails it.
+    """
+    n, k = u1.shape
+    s = float(np.sum(lam / n))
+    e = math.frexp(s)[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite A fails below
+        resid = float(np.linalg.norm(np.ldexp(a @ u1 - u1 * lam[:k], -e)))
+    tol = math.sqrt(k) * ((n + n.bit_length() + 1) * EPS * n * math.ldexp(s, -e)
+                          + 2 * n * n * math.ldexp(math.ulp(0.0), -e))
+    if not (math.isfinite(resid) and resid <= tol):
+        raise FloatingPointError(
+            f"planted flat instance fails its certificate at lambda1={float(lam[0])!r}: "
+            f"||A U_1 - U_1 Sigma_1||_F = {math.ldexp(resid, e):.3e} exceeds "
+            f"{math.ldexp(tol, e):.3e}"
+        )
+
+
 def _planted_basis(n: int, plan: CoherencePlan, k: int, seed: RngSeed) -> np.ndarray:
-    """Full n x n orthogonal matrix realizing the coherence plan for U_1."""
-    if plan.target == "flat":
-        return flat_orthonormal(n, n)
+    """Full n x n orthogonal matrix realizing the low or spiked plan for U_1."""
     if plan.target == "low":
         return random_orthonormal(n, n, seed)
     # spiked(m): m distinct coordinate axes first, Haar in the complement.
@@ -218,10 +312,26 @@ def planted_instance(
     Returns ``(A, partition, tau)`` where the partition's blocks are the
     planted eigenvector/eigenvalue blocks at the spec's k and tau is the
     exact coherence of the planted dominant basis.
+
+    ``low`` and ``spiked`` instances come from :func:`psd_from_spectrum`,
+    which checks the basis.  The ``flat`` instance is built from the
+    spectrum alone by :func:`_flat_entries` (O(n^2)); it multiplies no
+    basis, so instead of the n x n Gram check of the basis, its entries
+    are certified by ``||A U_1 - U_1 Sigma_1||_F`` against a derived
+    rounding bound (:func:`_certify_dominant_block`), and :func:`coherence`
+    checks the n x k ``U_1``.  The partition holds the full flat basis.
+    A spectrum or instance that overflows raises FloatingPointError
+    naming lambda1.
     """
     lam = spec.eigenvalues()
-    u = _planted_basis(spec.n, plan, spec.k, seed)
-    a = psd_from_spectrum(u, lam)
+    if plan.target == "flat":
+        u = flat_orthonormal(spec.n, spec.n)
+        entries = _flat_entries(lam)
+        _certify_dominant_block(entries, u[:, :spec.k], lam)
+        a = SymMatrix(entries)
+    else:
+        u = _planted_basis(spec.n, plan, spec.k, seed)
+        a = psd_from_spectrum(u, lam)
     part = partition(EigenDecomposition(eigenvalues=lam, eigenvectors=u), spec.k)
     tau = coherence(part.u1)
     return a, part, tau

@@ -235,6 +235,41 @@ def test_trials_config_rejects_mistyped_value(tmp_path, capsys, key, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("value", [-1.0, 0.0, "inf", "-inf", "nan", "1e400"])
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_trials_lambda1_out_of_range_names_lambda1(tmp_path, capsys, route, value):
+    # lambda1 must be finite and > 0; JSON Infinity/NaN and 1e400 reach the
+    # config as float inf/nan, and a flag parses the same tokens
+    mapping = {"n": 16, "k": 2, "trials": 2, "seed": 1, "l": 8,
+               "gen": "exp:0.5", "coherence": "flat"}
+    if route == "flag":
+        argv = ["trials"] + [a for key, v in mapping.items() for a in (f"--{key}", str(v))]
+        argv.append(f"--lambda1={value}")  # argparse reads "-inf" as a flag otherwise
+    else:
+        cfgp = tmp_path / "c.json"
+        text = json.dumps(mapping)[:-1] + ', "lambda1": '
+        cfgp.write_text(text + {"inf": "Infinity", "-inf": "-Infinity",
+                                "nan": "NaN"}.get(str(value), str(value)) + "}")
+        argv = ["trials", "--config", str(cfgp)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "config error in 'lambda1'" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("gen,coherence", [("exp:0.5", "flat"), ("exp:0.5", "low"),
+                                           ("exact-rank-k", "flat")])
+def test_trials_overflowing_lambda1_exits_4(capsys, gen, coherence):
+    # a bound or a planted spectrum past the float64 range exits 4 naming
+    # lambda1, instead of reporting Infinity
+    assert main(["trials", "--gen", gen, "--coherence", coherence, "--n", "64",
+                 "--k", "2", "--l", "8", "--trials", "1", "--seed", "1",
+                 "--lambda1", "1e308"]) == 4
+    captured = capsys.readouterr()
+    assert "lambda1=1e+308" in captured.err
+    assert captured.out == ""
+
+
 def test_trials_inline_and_config_routes_agree(tmp_path):
     # the same experiment as inline flags, as a config file, and as a config
     # file refined by the output flags gives the same bytes

@@ -19,6 +19,7 @@ from nystromlab import (
     SpectrumSpec,
     SymMatrix,
     TrialRecord,
+    analysis,
     chernoff_sweep,
     chernoff_tail,
     config_from_file,
@@ -497,6 +498,43 @@ def test_run_trial_matches_batch_record():
     a = dataclasses.replace(solo, wall_ms=0.0)
     b = dataclasses.replace(records[7], wall_ms=0.0)
     assert a == b
+
+
+@pytest.mark.parametrize("plan", [CoherencePlan("flat"), CoherencePlan("low")])
+def test_run_trial_takes_one_gram_eigenvalue(plan, monkeypatch):
+    # min_eig_gram runs once per trial, and det_bound keeps the bits that
+    # deterministic_bound gives for the same sample
+    cfg = _gen_config(trials=12, l=6, master_seed=3, coherence=plan)
+    setup = prepare(cfg)
+    calls = []
+
+    def counted(u, sample):
+        calls.append(sample)
+        return analysis.min_eig_gram(u, sample)
+
+    monkeypatch.setattr(experiment, "min_eig_gram", counted)
+    for t in range(cfg.trials):
+        del calls[:]
+        r = run_trial(setup, cfg.master_seed, t)
+        assert len(calls) == 1
+        if r.omega1_full_rank:
+            assert r.det_bound == analysis.deterministic_bound(setup.part, calls[0])
+
+
+def test_run_trial_det_bound_overflow_raises():
+    setup = prepare(_gen_config(l=8))
+    part = dataclasses.replace(setup.part, sigma2=np.full_like(setup.part.sigma2, 1e308))
+    with pytest.raises(FloatingPointError, match="det_bound overflows at lambda1"):
+        run_trial(dataclasses.replace(setup, part=part), 7, 0)
+
+
+@pytest.mark.parametrize("gen", ["exp:0.5", "exact-rank-k"])
+def test_prepare_overflow_names_lambda1(gen):
+    # a prob_bound or a spectrum past the float64 range is an error, not inf
+    cfg = config_from_mapping({"n": 64, "k": 2, "l": 8, "trials": 1, "seed": 1,
+                               "gen": gen, "coherence": "flat", "lambda1": 1e308})
+    with pytest.raises(FloatingPointError, match="lambda1=1e\\+308"):
+        prepare(cfg)
 
 
 def test_full_sample_run_has_no_failures():

@@ -1,9 +1,12 @@
 """Planted-instance construction: bases, spectra, parsing."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nystromlab import (
     CoherencePlan,
@@ -12,6 +15,7 @@ from nystromlab import (
     coherence,
     davis_kahan_distance,
     flat_orthonormal,
+    generators,
     load_matrix,
     matcore,
     nystrom_extend,
@@ -24,6 +28,7 @@ from nystromlab import (
 )
 from nystromlab.analysis import ORTHONORMAL_TOL, _orthonormal_deviation
 from nystromlab.generators import parse_plan, parse_spectrum
+from nystromlab.matcore import EPS
 
 from helpers import dense_extension
 
@@ -99,6 +104,22 @@ def test_flat_orthonormal_bitwise_equal_to_block_build(n):
         assert u.shape == ref.shape and u.tobytes() == ref.tobytes(), f"n={n}, k={k}"
 
 
+@pytest.mark.parametrize("n", [2**e for e in range(13)])
+def test_flat_basis_passes_the_orthonormality_check(n):
+    # planted_instance no longer runs the n x n Gram check on the flat
+    # basis; this is that check, for every n up to 4096.  Each Gram entry
+    # sums n products +-r^2, r = fl(1/sqrt(n)) within 2u of 1/sqrt(n), so in
+    # any summation order, with or without fused multiply-add, it is within
+    # (n + 4) u of the identity's, and ||U^T U - I||_F <= n (n + 2) EPS.
+    # For n = 4^m, r = 2^-m is exact and so is every sum: the closed form
+    # sqrt(n) |n fl(r^2) - 1| is then 0.
+    dev = _orthonormal_deviation(flat_orthonormal(n, n))
+    assert dev <= n * (n + 2) * EPS <= ORTHONORMAL_TOL
+    if n.bit_length() % 2 == 1:
+        r = 1.0 / math.sqrt(n)
+        assert dev == math.sqrt(n) * abs(n * (r * r) - 1.0) == 0.0
+
+
 def test_flat_orthonormal_requires_power_of_two():
     for bad in (3, 6, 12, 100):
         with pytest.raises(ValueError):
@@ -148,6 +169,20 @@ def test_spectrum_validation():
         SpectrumSpec(kind="custom", n=2, k=1, values=(1.0, -0.5)).eigenvalues()
     with pytest.raises(ValueError):
         SpectrumSpec(kind="custom", n=2, k=1, values=(0.5, 1.0)).eigenvalues()
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="lambda1"):
+            SpectrumSpec(kind="exp-decay", n=4, k=2, rate=0.5, lambda1=bad)
+        with pytest.raises(ValueError, match="finite"):
+            SpectrumSpec(kind="custom", n=2, k=1, values=(bad, 1.0))
+
+
+def test_spectrum_overflow_names_lambda1():
+    # exact-rank-k forms lambda1 * k first; the other kinds stay below lambda1
+    with pytest.raises(FloatingPointError, match="lambda1=1e\\+308"):
+        SpectrumSpec(kind="exact-rank-k", n=4, k=2, lambda1=1e308).eigenvalues()
+    for spec in (SpectrumSpec(kind="exp-decay", n=4, k=2, lambda1=1e308, rate=0.5),
+                 SpectrumSpec(kind="power-law", n=4, k=2, lambda1=1e308, exponent=1.0)):
+        assert spec.eigenvalues()[0] == 1e308
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +281,65 @@ def test_planted_exact_rank_tail_is_zero():
     ed = sym_eig(a)
     assert abs(float(ed.eigenvalues[4])) <= 1e-10
     assert tau == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def _spectra(draw, kind, n):
+    """A SpectrumSpec of the given kind at dimension n."""
+    k = draw(st.integers(1, n))
+    lambda1 = draw(st.floats(1e-100, 1e100))
+    if kind == "exp-decay":
+        return SpectrumSpec(kind=kind, n=n, k=k, lambda1=lambda1,
+                            rate=draw(st.floats(1e-3, 1.0)))
+    if kind == "power-law":
+        return SpectrumSpec(kind=kind, n=n, k=k, lambda1=lambda1,
+                            exponent=draw(st.floats(1e-3, 8.0)))
+    if kind == "custom":
+        # n values from a drawn seed and profile keep the example small
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        values = np.sort(rng.random(n) ** draw(st.floats(0.1, 20.0)))[::-1] * lambda1
+        values[n - draw(st.integers(0, n)):] = 0.0  # an exactly zero tail
+        return SpectrumSpec(kind=kind, n=n, k=k, values=tuple(values.tolist()))
+    return SpectrumSpec(kind=kind, n=n, k=k, lambda1=lambda1)
+
+
+@pytest.mark.parametrize("kind", ["exact-rank-k", "exp-decay", "power-law", "custom"])
+@pytest.mark.parametrize("n", [2**e for e in range(11)])
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_flat_instance_agrees_with_basis_product(n, kind, data):
+    # The flat A from the transform identity against U diag(lam) U^T by
+    # SYRK.  With u = EPS / 2 and s = sum(lam) / n, each entry of the
+    # transform is within log2(n) u s of the exact one; each entry of the
+    # SYRK is within (n + 8) u s (n-term sums of products carrying the
+    # roundings of r, sqrt(lam) and r sqrt(lam)).  The bound allows twice
+    # their sum.  The flat A is also symmetric bit for bit.
+    spec = data.draw(_spectra(kind, n))
+    a, part, _ = planted_instance(spec, CoherencePlan("flat"), RngSeed(0, 0))
+    lam = spec.eigenvalues()
+    ref = psd_from_spectrum(flat_orthonormal(n, n), lam).entries
+    bound = (n + math.log2(n) + 8) * EPS * float(np.sum(lam / n))
+    assert float(np.max(np.abs(a.entries - ref))) <= bound
+    assert a.entries.tobytes() == a.entries.T.copy().tobytes()
+    assert np.array_equal(part.u1, flat_orthonormal(n, spec.k))
+
+
+def test_certificate_rejects_a_misordered_block_swap(monkeypatch):
+    # a scratch copy of _flat_entries that copies each column block to its
+    # own place instead of swapping the pair builds a wrong A, which the
+    # certificate of planted_instance refuses
+    source = inspect.getsource(generators._flat_entries)
+    swap = "dst[:, :, 0] = src[:, :, 1]\n        dst[:, :, 1] = src[:, :, 0]"
+    in_place = "dst[:, :, 0] = src[:, :, 0]\n        dst[:, :, 1] = src[:, :, 1]"
+    assert source.count(swap) == 1
+    namespace = dict(vars(generators))
+    exec(source.replace(swap, in_place), namespace)
+    spec = SpectrumSpec(kind="exp-decay", n=64, k=4, rate=0.9)
+    lam = spec.eigenvalues()
+    assert not np.array_equal(namespace["_flat_entries"](lam), generators._flat_entries(lam))
+    monkeypatch.setattr(generators, "_flat_entries", namespace["_flat_entries"])
+    with pytest.raises(FloatingPointError, match="certificate"):
+        planted_instance(spec, CoherencePlan("flat"), RngSeed(0, 0))
 
 
 def test_planted_spiked_hits_worst_case_coherence():
