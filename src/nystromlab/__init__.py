@@ -3,9 +3,8 @@
 The package builds the extension ``A_tilde = C W^+ C^T`` from a uniform
 sample of columns, measures its spectral error, and evaluates the
 structural and probabilistic bounds that govern when uniform sampling is
-enough: subspace coherence, the deterministic error bound, the
-sample-size rule with its Chernoff failure tail, and the translation of
-matrix error into dominant-subspace perturbation.
+enough: subspace coherence, the deterministic error bound, and the
+sample-size rule with its Chernoff failure tail.
 """
 
 from types import ModuleType as _ModuleType
@@ -34,12 +33,9 @@ from .nystrom import NystromResult, nystrom_extend, sqrt_projection_error
 from .analysis import (
     BoundInapplicableError,
     BoundReport,
-    GapViolatedError,
     bound_report,
     chernoff_tail,
     coherence,
-    davis_kahan_bound,
-    davis_kahan_distance,
     deterministic_bound,
     full_rank_tolerance,
     min_eig_gram,

@@ -1,4 +1,4 @@
-"""Coherence, error bounds, and subspace-distance analysis.
+"""Coherence and error bounds.
 
 This module carries the quantitative story behind uniform column sampling:
 
@@ -17,9 +17,6 @@ This module carries the quantitative story behind uniform column sampling:
   ``1 - delta``, and the tail of the event that dominates the failure mode
   (the sampled rows of U_1 losing their smallest Gram eigenvalue) decays
   like ``k * exp(-(1-eps)^2 l / (2 k tau))``.
-* ``davis_kahan_distance`` / ``davis_kahan_bound`` translate a matrix
-  approximation error into a dominant-subspace perturbation through the
-  classical eigenvector perturbation inequality.
 """
 
 from __future__ import annotations
@@ -29,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import EPS, SymMatrix, spectral_norm, sym_eigvals
-from .matcore import SpectralPartition
+from .matcore import EPS, SpectralPartition
 from .sampling import ColumnSample
 
 # Orthonormality tolerance on ||U^T U - I||_F, which bounds the spectral
@@ -48,14 +44,6 @@ class BoundInapplicableError(ValueError):
             f"deterministic bound inapplicable: min eigenvalue of the sampled "
             f"Gram matrix is {min_eig!r} (rank tolerance {tol!r})"
         )
-
-
-class GapViolatedError(ValueError):
-    """The eigenvalue gap needed by the subspace bound is not positive."""
-
-    def __init__(self, gap: float):
-        self.gap = float(gap)
-        super().__init__(f"eigenvalue gap must be positive, got {gap!r}")
 
 
 @dataclass(frozen=True)
@@ -193,10 +181,11 @@ def probabilistic_bound(lambda_k1: float, n: int, l: int, epsilon: float) -> flo
 
     With ``l`` at least :func:`required_samples`, the spectral error of the
     extension stays below this value with probability above ``1 - delta``.
-    At ``epsilon = 1/2`` the factor is ``1 + 2n/l``.
+    At ``epsilon = 1/2`` the factor is ``1 + 2n/l``.  ``lambda_k1`` must be
+    finite and >= 0.
     """
-    if lambda_k1 < 0.0:
-        raise ValueError(f"lambda_k1 must be >= 0, got {lambda_k1!r}")
+    if not 0.0 <= lambda_k1 < math.inf:
+        raise ValueError(f"lambda_k1 must be finite and >= 0, got {lambda_k1!r}")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if not isinstance(l, (int, np.integer)) or not 1 <= l <= n:
@@ -225,47 +214,6 @@ def chernoff_tail(k: int, tau: float, l: int, epsilon: float) -> float:
     return k * math.exp(-((1.0 - epsilon) ** 2) * l / (2.0 * k * tau))
 
 
-def davis_kahan_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Spectral distance between two subspaces: ``||P_U - P_V||_2``.
-
-    Both arguments are orthonormal bases (n x k).  The value equals the
-    sine of the largest principal angle, so it lies in [0, 1]; it is 0
-    exactly for equal spans and 1 when some direction of one span is
-    orthogonal to all of the other.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    _check_orthonormal(u, "first basis")
-    _check_orthonormal(v, "second basis")
-    if u.shape != v.shape:
-        raise ValueError(f"basis shapes differ: {u.shape} vs {v.shape}")
-    return spectral_norm(u @ u.T - v @ v.T)
-
-
-def davis_kahan_bound(a: SymMatrix, a_tilde: SymMatrix, k: int) -> float:
-    """Perturbation bound on the dominant-subspace distance.
-
-    ``||A - A_tilde||_2 / (lambda_k(A) - lambda_{k+1}(A_tilde))``, valid
-    when the gap in the denominator is positive; it dominates
-    ``davis_kahan_distance`` between the two dominant-k eigenspaces.
-
-    Raises
-    ------
-    GapViolatedError
-        When ``lambda_k(A) <= lambda_{k+1}(A_tilde)``.
-    """
-    if a.n != a_tilde.n:
-        raise ValueError(f"matrix sizes differ: {a.n} vs {a_tilde.n}")
-    if not 1 <= k <= a.n - 1:
-        raise ValueError(f"k={k} out of range [1, {a.n - 1}]")
-    lam_a = sym_eigvals(a)
-    lam_t = sym_eigvals(a_tilde)
-    gap = float(lam_a[k - 1] - lam_t[k])
-    if gap <= 0.0:
-        raise GapViolatedError(gap)
-    return spectral_norm(a.entries - a_tilde.entries) / gap
-
-
 def bound_report(
     n: int,
     k: int,
@@ -279,7 +227,8 @@ def bound_report(
 
     ``l`` defaults to ``min(required_samples(...), n)`` - the formula has
     no n in it and can exceed the matrix size, in which case sampling
-    without replacement saturates at full sampling.
+    without replacement saturates at full sampling.  A ``prob_bound`` that
+    overflows raises FloatingPointError naming lambda_k1.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -289,6 +238,9 @@ def bound_report(
         raise ValueError(f"tau must lie in [1, n/k={n / k:g}], got {tau!r}")
     l_required = required_samples(k, tau, delta, epsilon)
     l = int(l) if l is not None else min(l_required, n)
+    prob_bound = probabilistic_bound(lambda_k1, n, l, epsilon)
+    if not math.isfinite(prob_bound):
+        raise FloatingPointError(f"prob_bound overflows at lambda_k1={lambda_k1!r}")
     return BoundReport(
         k=int(k),
         tau=float(tau),
@@ -296,6 +248,6 @@ def bound_report(
         delta=float(delta),
         l_required=l_required,
         l=l,
-        prob_bound=probabilistic_bound(lambda_k1, n, l, epsilon),
+        prob_bound=prob_bound,
         chernoff_tail=chernoff_tail(k, tau, l, epsilon),
     )

@@ -208,6 +208,7 @@ def load_matrix(path) -> SymMatrix:
     rows = _load_rows_chunked(path)
     if rows is None:
         rows = _load_rows_checked(path)
+    rows.flags.writeable = False  # handed over: SymMatrix stores it as is
     try:
         return SymMatrix(rows)
     except ValueError as exc:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import _check_orthonormal, coherence
-from .matcore import EPS, EigenDecomposition, SpectralPartition, SymMatrix, partition
+from .matcore import EPS, SpectralPartition, SymMatrix, split_spectrum
 from .sampling import RngSeed, rng_from
 
 _SPECTRUM_KINDS = ("exact-rank-k", "exp-decay", "power-law", "custom")
@@ -188,7 +188,8 @@ def psd_from_spectrum(u: np.ndarray, lambdas: np.ndarray) -> SymMatrix:
 
     A is formed as ``H H^T`` with ``H = U diag(sqrt(lambdas))``: numpy runs
     a product with its own transpose as one SYRK and mirrors the triangle,
-    so A is exactly symmetric and :class:`SymMatrix` stores it as is.
+    so A is exactly symmetric, and it is handed over read-only, so
+    :class:`SymMatrix` stores it without a copy.
     :func:`planted_instance` uses this for the ``low`` and ``spiked``
     plans; the ``flat`` plan needs no basis product (:func:`_flat_entries`).
     """
@@ -206,7 +207,7 @@ def psd_from_spectrum(u: np.ndarray, lambdas: np.ndarray) -> SymMatrix:
         raise ValueError("lambdas must be non-increasing")
     h = u * np.sqrt(lam)
     a = h @ h.T
-    del h  # not alive while SymMatrix copies a
+    a.flags.writeable = False
     return SymMatrix(a)
 
 
@@ -248,8 +249,8 @@ def _flat_entries(lam: np.ndarray) -> np.ndarray:
 def _certify_dominant_block(a: np.ndarray, u1: np.ndarray, lam: np.ndarray) -> None:
     """Raise FloatingPointError unless ``A U_1 = U_1 Sigma_1`` within rounding.
 
-    ``U_1`` is the first k columns of ``flat_orthonormal(n, n)`` and
-    ``Sigma_1 = diag(lam[:k])``, as :func:`planted_instance` returns them;
+    ``U_1`` is ``flat_orthonormal(n, k)`` and ``Sigma_1 = diag(lam[:k])``,
+    as :func:`planted_instance` returns them;
     A is :func:`_flat_entries` of ``lam``.  Cost: ``n^2 k``.
 
     Tolerance (u = EPS / 2 the unit roundoff, ``L = log2 n``,
@@ -319,20 +320,23 @@ def planted_instance(
     basis, so instead of the n x n Gram check of the basis, its entries
     are certified by ``||A U_1 - U_1 Sigma_1||_F`` against a derived
     rounding bound (:func:`_certify_dominant_block`), and :func:`coherence`
-    checks the n x k ``U_1``.  The partition holds the full flat basis.
-    A spectrum or instance that overflows raises FloatingPointError
-    naming lambda1.
+    checks the n x k ``U_1``.  The flat plan builds only ``U_1``, the
+    first k columns of ``flat_orthonormal(n, n)``, and its n x n ``A`` is
+    the one n x n array it allocates.  A spectrum or instance that
+    overflows raises FloatingPointError naming lambda1.
     """
     lam = spec.eigenvalues()
     if plan.target == "flat":
-        u = flat_orthonormal(spec.n, spec.n)
+        u1 = flat_orthonormal(spec.n, spec.k)
         entries = _flat_entries(lam)
-        _certify_dominant_block(entries, u[:, :spec.k], lam)
+        _certify_dominant_block(entries, u1, lam)
+        entries.flags.writeable = False  # handed over: SymMatrix stores it as is
         a = SymMatrix(entries)
     else:
         u = _planted_basis(spec.n, plan, spec.k, seed)
         a = psd_from_spectrum(u, lam)
-    part = partition(EigenDecomposition(eigenvalues=lam, eigenvectors=u), spec.k)
+        u1 = u[:, :spec.k].copy()
+    part = split_spectrum(u1, lam)
     tau = coherence(part.u1)
     return a, part, tau
 

@@ -5,8 +5,8 @@ bounds) is written against the small kernel of operations in this module:
 a symmetric eigendecomposition with a fixed descending ordering (or its
 eigenvalues alone), a PSD check, a PSD square root, spectral norms, the
 matrix-free Lanczos norm of a low-rank update ``A - Z Z^T``, orthogonal
-projectors onto column spaces, and the split of a decomposition into a
-dominant block and a tail block.
+projectors onto column spaces, and the split of a spectrum into its
+dominant eigenvector block and its eigenvalue blocks.
 
 Conventions
 -----------
@@ -15,8 +15,9 @@ Conventions
   construction time and rejects inputs whose asymmetry exceeds
   ``1e-8 * ||A||_F``.  An input that already equals its transpose bit
   for bit (a SYRK product ``H @ H.T``, a principal block gathered from a
-  SymMatrix, a saved SymMatrix read back) is stored as a read-only copy;
-  any other input is stored as its average with its transpose.
+  SymMatrix, a saved SymMatrix read back) is stored as a read-only copy,
+  or as it is when the caller hands it over read-only; any other input
+  is stored as its average with its transpose.
 * Scale safety: :func:`spectral_norm` always scales its input by the
   power of two that puts ``max |m_ij|`` in ``[0.5, 1)`` before forming a
   Gram matrix, and :class:`SymMatrix` does so when ``||A||_F`` overflows
@@ -112,13 +113,17 @@ class SymMatrix:
     commutative, so ``entries[i, j] == entries[j, i]`` bit for bit).  The
     stored array is frozen; treat instances as immutable values.
 
-    An input equal to its transpose bit for bit is stored as a copy, with
-    no average and no norms: its average is the input itself (``x + x`` and
-    the halving are exact, and a pair whose sum overflows is averaged back
-    to itself below) and its asymmetry is 0, so the entries and the
-    decision are those of the averaging path.  The bitwise comparison
-    (``-0.0`` differs from ``0.0``) runs over ``SYMMETRY_TILE``-sided tiles,
-    so each pair of tiles is read while it is in cache.
+    An input equal to its transpose bit for bit is stored with no average
+    and no norms: its average is the input itself (``x + x`` and the
+    halving are exact, and a pair whose sum overflows is averaged back to
+    itself below) and its asymmetry is 0, so the entries and the decision
+    are those of the averaging path.  The bitwise comparison (``-0.0``
+    differs from ``0.0``) runs over ``SYMMETRY_TILE``-sided tiles, so each
+    pair of tiles is read while it is in cache.  Such an input is stored
+    as a copy, unless it is a float64 array that is read-only and owns its
+    data: a caller that builds a fresh array and freezes it hands it over,
+    and it is stored as it is.  A writeable input is never frozen or
+    aliased.
 
     The asymmetry is measured as ``2 ||A - (A + A^T) / 2||_F``, which
     reads the transpose once, in building the stored average.  When
@@ -140,8 +145,10 @@ class SymMatrix:
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
         if _bitwise_symmetric(a):
-            self.entries = a.copy()
-            self.entries.flags.writeable = False
+            if a.flags.writeable or not a.flags.owndata:
+                a = a.copy()
+                a.flags.writeable = False
+            self.entries = a
             return
         with np.errstate(over="ignore"):  # inf sums and norms are handled below
             sym = (a + a.T) / 2.0
@@ -200,17 +207,18 @@ class EigenDecomposition:
 
 @dataclass(frozen=True)
 class SpectralPartition:
-    """Dominant/tail split of an eigendecomposition at index k.
+    """Dominant/tail split of a spectrum at index k.
 
-    ``u1`` holds the k dominant eigenvectors, ``u2`` the remaining n - k;
-    ``sigma1`` / ``sigma2`` are the matching eigenvalue blocks.  When the
-    eigenvalues at the split are tied within ``DEGENERACY_REL_TOL`` the
-    dominant subspace is not uniquely determined and ``degenerate`` is set;
-    the split itself still follows the deterministic sort order.
+    ``u1`` holds the k dominant eigenvectors (n x k); ``sigma1`` /
+    ``sigma2`` are the dominant and tail eigenvalue blocks.  The tail
+    eigenvectors are not kept: the bounds read only ``U_1`` and
+    ``||Sigma_2||_2``.  When the eigenvalues at the split are tied within
+    ``DEGENERACY_REL_TOL`` the dominant subspace is not uniquely determined
+    and ``degenerate`` is set; the split itself still follows the
+    deterministic sort order.
     """
 
     u1: np.ndarray
-    u2: np.ndarray
     sigma1: np.ndarray
     sigma2: np.ndarray
     degenerate: bool
@@ -413,21 +421,30 @@ def projector(m) -> SymMatrix:
 def partition(ed: EigenDecomposition, k: int) -> SpectralPartition:
     """Split a decomposition into the dominant k block and the tail.
 
-    ``k == n`` is allowed and produces an empty tail block.  A tie between
-    the k-th and (k+1)-th eigenvalues (within ``DEGENERACY_REL_TOL``
-    relative to ``max(|lambda_1|, 1)``) sets the ``degenerate`` flag.
+    ``k == n`` is allowed and produces an empty tail block.  ``u1`` is an
+    n x k copy, so the n x n eigenvector array is not kept alive.
     """
     n = ed.n
     if not 1 <= k <= n:
         raise ValueError(f"partition index k={k} out of range [1, {n}]")
-    vals = ed.eigenvalues
+    return split_spectrum(ed.eigenvectors[:, :k].copy(), ed.eigenvalues)
+
+
+def split_spectrum(u1: np.ndarray, vals: np.ndarray) -> SpectralPartition:
+    """The partition at ``k = u1.shape[1]`` of the non-increasing spectrum
+    ``vals`` whose k dominant eigenvectors are the columns of u1.
+
+    u1 is stored as it is.  A tie between the k-th and (k+1)-th
+    eigenvalues (within ``DEGENERACY_REL_TOL`` relative to
+    ``max(|lambda_1|, 1)``) sets the ``degenerate`` flag.
+    """
+    k = u1.shape[1]
     degenerate = False
-    if k < n:
+    if k < vals.size:
         scale = max(abs(float(vals[0])), 1.0)
         degenerate = float(vals[k - 1] - vals[k]) <= DEGENERACY_REL_TOL * scale
     return SpectralPartition(
-        u1=ed.eigenvectors[:, :k],
-        u2=ed.eigenvectors[:, k:],
+        u1=u1,
         sigma1=vals[:k].copy(),
         sigma2=vals[k:].copy(),
         degenerate=degenerate,

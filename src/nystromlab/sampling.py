@@ -121,10 +121,13 @@ def extract_cw(a: SymMatrix, sample: ColumnSample) -> tuple[np.ndarray, SymMatri
     to the corresponding entries of A - no arithmetic is applied.  The
     sampled rows are gathered (contiguous in the row-major store) and C is
     their transpose, equal to the sampled columns because ``SymMatrix``
-    entries are exactly symmetric.
+    entries are exactly symmetric.  W is handed to ``SymMatrix`` read-only,
+    so it is stored without a copy.
     """
     if sample.n != a.n:
         raise ValueError(f"sample is over n={sample.n} but the matrix has n={a.n}")
     idx = np.array(sample.indices)
     rows = a.entries.take(idx, axis=0)
-    return rows.T, SymMatrix(rows.take(idx, axis=1))
+    w = rows.take(idx, axis=1)
+    w.flags.writeable = False
+    return rows.T, SymMatrix(w)

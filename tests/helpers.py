@@ -5,12 +5,15 @@ deterministic end to end; the package's own Philox streams are only used
 where a test targets them specifically.  The oracles (``pinv``,
 ``selection_matrix``, ``omega_matrices``, ``dense_extension``,
 ``save_matrix_rowwise``) spell out the textbook definitions that the
-package evaluates in shortcut form.
+package evaluates in shortcut form; ``davis_kahan_distance`` and
+``davis_kahan_bound`` measure the dominant-subspace perturbation that the
+acceptance suite checks.
 """
 
 import numpy as np
 
-from nystromlab import ColumnSample, NystromResult, SpectralPartition, SymMatrix
+from nystromlab import ColumnSample, NystromResult, SymMatrix, spectral_norm, sym_eigvals
+from nystromlab.analysis import _check_orthonormal
 
 
 def gram_psd(n: int, rng: np.random.Generator, scale: float = 1.0) -> SymMatrix:
@@ -84,11 +87,12 @@ def selection_matrix(sample: ColumnSample) -> np.ndarray:
 
 
 def omega_matrices(
-    part: SpectralPartition, sample: ColumnSample
+    u: np.ndarray, k: int, sample: ColumnSample
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Omega_1 = U_1^T S and Omega_2 = U_2^T S as row gathers (k x l, (n-k) x l)."""
+    """Omega_1 = U_1^T S and Omega_2 = U_2^T S as row gathers (k x l, (n-k) x l),
+    for the full n x n eigenbasis ``u = [U_1, U_2]`` split at k."""
     idx = list(sample.indices)
-    return part.u1[idx, :].T.copy(), part.u2[idx, :].T.copy()
+    return u[idx, :k].T.copy(), u[idx, k:].T.copy()
 
 
 def dense_extension(res: NystromResult) -> SymMatrix:
@@ -102,3 +106,46 @@ def save_matrix_rowwise(a: SymMatrix, path) -> None:
         fh.write(f"{a.n}\n")
         for row in a.entries:
             fh.write(" ".join(map(repr, row.tolist())) + "\n")
+
+
+class GapViolatedError(ValueError):
+    """The eigenvalue gap needed by the subspace bound is not positive."""
+
+    def __init__(self, gap: float):
+        self.gap = float(gap)
+        super().__init__(f"eigenvalue gap must be positive, got {gap!r}")
+
+
+def davis_kahan_distance(u: np.ndarray, v: np.ndarray) -> float:
+    """Spectral distance between two subspaces: ``||P_U - P_V||_2``.
+
+    Both arguments are orthonormal bases (n x k).  The value equals the
+    sine of the largest principal angle, so it lies in [0, 1]; it is 0
+    exactly for equal spans and 1 when some direction of one span is
+    orthogonal to all of the other.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    _check_orthonormal(u, "first basis")
+    _check_orthonormal(v, "second basis")
+    if u.shape != v.shape:
+        raise ValueError(f"basis shapes differ: {u.shape} vs {v.shape}")
+    return spectral_norm(u @ u.T - v @ v.T)
+
+
+def davis_kahan_bound(a: SymMatrix, a_tilde: SymMatrix, k: int) -> float:
+    """Perturbation bound on the dominant-subspace distance.
+
+    ``||A - A_tilde||_2 / (lambda_k(A) - lambda_{k+1}(A_tilde))``, valid
+    when the gap in the denominator is positive; it dominates
+    ``davis_kahan_distance`` between the two dominant-k eigenspaces.
+    Raises GapViolatedError when ``lambda_k(A) <= lambda_{k+1}(A_tilde)``.
+    """
+    if a.n != a_tilde.n:
+        raise ValueError(f"matrix sizes differ: {a.n} vs {a_tilde.n}")
+    if not 1 <= k <= a.n - 1:
+        raise ValueError(f"k={k} out of range [1, {a.n - 1}]")
+    gap = float(sym_eigvals(a)[k - 1] - sym_eigvals(a_tilde)[k])
+    if gap <= 0.0:
+        raise GapViolatedError(gap)
+    return spectral_norm(a.entries - a_tilde.entries) / gap

@@ -13,12 +13,9 @@ import numpy as np
 from nystromlab import (
     CoherencePlan,
     ExperimentConfig,
-    GapViolatedError,
     RngSeed,
     SpectrumSpec,
     coherence,
-    davis_kahan_bound,
-    davis_kahan_distance,
     deterministic_bound,
     emit_results,
     flat_orthonormal,
@@ -36,7 +33,16 @@ from nystromlab import (
 from nystromlab.experiment import chernoff_sweep, emit_table
 from nystromlab.generators import _planted_basis
 
-from helpers import dense_extension, gram_psd, haar, mixed_spectrum_cases, pinv
+from helpers import (
+    GapViolatedError,
+    davis_kahan_bound,
+    davis_kahan_distance,
+    dense_extension,
+    gram_psd,
+    haar,
+    mixed_spectrum_cases,
+    pinv,
+)
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> None:

@@ -10,15 +10,12 @@ from hypothesis import strategies as st
 from nystromlab import (
     BoundInapplicableError,
     ColumnSample,
-    GapViolatedError,
     RngSeed,
     SpectralPartition,
     SymMatrix,
     bound_report,
     chernoff_tail,
     coherence,
-    davis_kahan_bound,
-    davis_kahan_distance,
     deterministic_bound,
     flat_orthonormal,
     full_rank_tolerance,
@@ -33,7 +30,8 @@ from nystromlab import (
 )
 
 from helpers import (
-    dense_extension, gram_psd, haar, mixed_spectrum_cases, omega_matrices, pinv, planted_psd,
+    GapViolatedError, davis_kahan_bound, davis_kahan_distance, dense_extension, gram_psd, haar,
+    mixed_spectrum_cases, omega_matrices, pinv, planted_psd,
 )
 
 # ---------------------------------------------------------------------------
@@ -92,9 +90,8 @@ def _partition_of(a, k):
 def test_omega_full_sample_orthonormal_rows():
     rng = np.random.default_rng(31)
     a = gram_psd(8, rng)
-    part = _partition_of(a, 3)
     s = ColumnSample(n=8, indices=tuple(range(8)))
-    o1, o2 = omega_matrices(part, s)
+    o1, o2 = omega_matrices(sym_eig(a).eigenvectors, 3, s)
     assert o1.shape == (3, 8)
     assert o2.shape == (5, 8)
     assert np.allclose(o1 @ o1.T, np.eye(3), atol=1e-10)
@@ -105,12 +102,13 @@ def test_omega_full_sample_orthonormal_rows():
 def test_omega_is_column_gather():
     rng = np.random.default_rng(33)
     a = gram_psd(9, rng)
-    part = _partition_of(a, 2)
+    ed = sym_eig(a)
+    part = partition(ed, 2)
     s = sample_uniform(9, 4, RngSeed(5, 0))
-    o1, o2 = omega_matrices(part, s)
+    o1, o2 = omega_matrices(ed.eigenvectors, 2, s)
     idx = np.asarray(s.indices)
     assert np.array_equal(o1, part.u1[idx, :].T)
-    assert np.array_equal(o2, part.u2[idx, :].T)
+    assert np.array_equal(o2, ed.eigenvectors[idx, 2:].T)
 
 
 def test_omega2_norm_at_most_one():
@@ -119,10 +117,9 @@ def test_omega2_norm_at_most_one():
         n = int(rng.integers(3, 15))
         k = int(rng.integers(1, n))
         a = gram_psd(n, rng)
-        part = _partition_of(a, k)
         l = int(rng.integers(1, n + 1))
         s = sample_uniform(n, l, RngSeed(6, trial))
-        _, o2 = omega_matrices(part, s)
+        _, o2 = omega_matrices(sym_eig(a).eigenvectors, k, s)
         assert spectral_norm(o2) <= 1.0 + 1e-9
 
 
@@ -177,13 +174,8 @@ def test_det_bound_raises_when_omega1_rank_deficient():
     # spiked leading basis missed by the sample: omega1 is all zeros
     u1 = np.zeros((4, 1))
     u1[0, 0] = 1.0
-    u2 = np.zeros((4, 3))
-    u2[1, 0] = 1.0
-    u2[2, 1] = 1.0
-    u2[3, 2] = 1.0
     part = SpectralPartition(
         u1=u1,
-        u2=u2,
         sigma1=np.array([2.0]),
         sigma2=np.array([1.0, 0.5, 0.25]),
         degenerate=False,
@@ -205,14 +197,15 @@ def test_det_bound_closed_form_matches_pinv_route(n, family, seed, data):
     a = list(mixed_spectrum_cases(rng, n))[family][1]
     k = data.draw(st.integers(1, n - 1), label="k")
     l = data.draw(st.integers(k, n), label="l")
-    part = partition(sym_eig(a), k)
+    ed = sym_eig(a)
+    part = partition(ed, k)
     s = sample_uniform(n, l, RngSeed(seed, 0))
     m = min_eig_gram(part.u1, s)
     if m <= full_rank_tolerance(n):
         with pytest.raises(BoundInapplicableError):
             deterministic_bound(part, s)
         return
-    omega1, omega2 = omega_matrices(part, s)
+    omega1, omega2 = omega_matrices(ed.eigenvectors, k, s)
     sigma2_norm = float(np.max(np.abs(part.sigma2)))
     expect = sigma2_norm * (1.0 + spectral_norm(omega2 @ pinv(omega1)) ** 2)
     # eigvalsh leaves an O(n eps) absolute error on the Gram matrix (norm <= 1),
@@ -358,10 +351,8 @@ def test_min_eig_gram_matches_explicit_product():
 def _part_with_u1(u1):
     """Minimal partition wrapper: only u1 / n matter to the callee."""
     n, k = u1.shape
-    q, _ = np.linalg.qr(np.eye(n) - u1 @ u1.T)
     return SpectralPartition(
         u1=u1,
-        u2=q[:, : n - k],
         sigma1=np.linspace(2.0, 1.0, k),
         sigma2=np.zeros(n - k),
         degenerate=False,

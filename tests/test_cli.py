@@ -350,6 +350,22 @@ def test_bounds_invalid_tau(capsys):
     assert main(["bounds", "--n", "16", "--k", "4", "--tau", "0.5"]) == 2
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_bounds_non_finite_lambda_k1_exits_2(value, capsys):
+    assert main(["bounds", "--n", "64", "--k", "2", "--tau", "1", "--l", "8",
+                 "--lambda-k1", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "lambda_k1" in captured.err
+
+
+def test_bounds_overflowing_lambda_k1_exits_4(capsys):
+    # 1e308 * (1 + 64 / (0.5 * 8)) overflows, as trials reports with exit 4
+    assert main(["bounds", "--n", "64", "--k", "2", "--tau", "1", "--l", "8",
+                 "--lambda-k1", "1e308"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "prob_bound overflows at lambda_k1=1e+308" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # chernoff
 

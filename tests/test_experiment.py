@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -488,6 +489,23 @@ def test_prepare_instance_independent_of_trial_count():
     s2 = prepare(_gen_config(trials=50))
     assert np.array_equal(s1.a.entries, s2.a.entries)
     assert s1.tau == s2.tau
+
+
+def test_prepare_flat_allocates_one_n_by_n_array():
+    # The planted A is the one n x n array: no n x n basis is built and A
+    # is not copied.  The n^2-byte finiteness mask of SymMatrix and the
+    # n x k blocks fit in the other half of an array.
+    n = 1024
+    cfg = config_from_mapping({"n": n, "k": 16, "l": 400, "trials": 1, "seed": 1,
+                               "gen": "exp:0.9", "coherence": "flat"})
+    tracemalloc.start()
+    try:
+        setup = prepare(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert setup.a.n == n
+    assert peak <= 1.5 * n * n * 8, f"peak {peak} bytes is {peak / (n * n * 8):.2f} n^2 doubles"
 
 
 def test_run_trial_matches_batch_record():

@@ -13,7 +13,6 @@ from nystromlab import (
     RngSeed,
     SpectrumSpec,
     coherence,
-    davis_kahan_distance,
     flat_orthonormal,
     generators,
     load_matrix,
@@ -30,7 +29,7 @@ from nystromlab.analysis import ORTHONORMAL_TOL, _orthonormal_deviation
 from nystromlab.generators import parse_plan, parse_spectrum
 from nystromlab.matcore import EPS
 
-from helpers import dense_extension
+from helpers import davis_kahan_distance, dense_extension
 
 # ---------------------------------------------------------------------------
 # bases
@@ -324,6 +323,19 @@ def test_flat_instance_agrees_with_basis_product(n, kind, data):
     assert np.array_equal(part.u1, flat_orthonormal(n, spec.k))
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(e=st.integers(0, 8), data=st.data())
+def test_planted_flat_u1_is_the_leading_block_of_the_full_basis(e, data):
+    # the flat plan builds only U_1, with the bits of the full basis'
+    # first k columns, and no n x n basis stands behind it
+    n = 2**e
+    k = data.draw(st.integers(1, n), label="k")
+    spec = SpectrumSpec(kind="exp-decay", n=n, k=k, rate=0.5)
+    _, part, _ = planted_instance(spec, CoherencePlan("flat"), RngSeed(0, 0))
+    assert part.u1.shape == (n, k) and part.u1.flags.owndata
+    assert part.u1.tobytes() == flat_orthonormal(n, n)[:, :k].tobytes()
+
+
 def test_certificate_rejects_a_misordered_block_swap(monkeypatch):
     # a scratch copy of _flat_entries that copies each column block to its
     # own place instead of swapping the pair builds a wrong A, which the
@@ -409,6 +421,7 @@ def test_planted_instance_does_no_eigensolve(target, monkeypatch):
     spec = SpectrumSpec(kind="exp-decay", n=64, k=4, rate=0.8)
     a, part, tau = planted_instance(spec, CoherencePlan(target=target), RngSeed(5, 0))
     assert a.n == 64 and part.k == 4 and 1.0 - 1e-9 <= tau <= 16.0 + 1e-9
+    assert part.u1.shape == (64, 4) and part.u1.flags.owndata
 
 
 @pytest.mark.parametrize("plan", [CoherencePlan("flat"), CoherencePlan("low"),

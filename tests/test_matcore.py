@@ -149,6 +149,47 @@ def test_symmatrix_neither_freezes_nor_aliases_the_input():
     assert np.array_equal(m.entries, before)
 
 
+def _handed_over(a):
+    """A fresh float64 copy of a, frozen: the form in which callers hand
+    an array over to SymMatrix."""
+    a = np.array(a, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
+
+def test_symmatrix_stores_a_handed_over_array_without_a_copy():
+    a = gram_psd(5, np.random.default_rng(2)).entries
+    given = _handed_over(a)
+    m = SymMatrix(given)
+    assert np.shares_memory(m.entries, given) and not m.entries.flags.writeable
+    assert m.entries.tobytes() == SymMatrix(a.copy()).entries.tobytes()
+    # a read-only view does not own its data, so it is copied
+    view = given[:, :]
+    assert not np.shares_memory(SymMatrix(view).entries, given)
+
+
+@pytest.mark.parametrize("bad", [
+    [[1.0, np.nan], [np.nan, 1.0]],
+    [[1.0, np.inf], [np.inf, 1.0]],
+    [[1.0, 2.0], [0.0, 1.0]],
+])
+def test_symmatrix_checks_a_handed_over_array_as_any_other(bad):
+    with pytest.raises(ValueError) as public:
+        SymMatrix(np.array(bad))
+    with pytest.raises(ValueError) as handed:
+        SymMatrix(_handed_over(bad))
+    assert str(handed.value) == str(public.value)
+
+
+def test_symmatrix_averages_a_handed_over_asymmetric_array():
+    a = gram_psd(6, np.random.default_rng(4)).entries.copy()
+    a[5, 4] = np.nextafter(a[5, 4], np.inf)
+    given = _handed_over(a)
+    m = SymMatrix(given)
+    assert not np.shares_memory(m.entries, given)
+    assert m.entries.tobytes() == _averaged(a).tobytes()
+
+
 def test_symmatrix_checks_finiteness_before_symmetry():
     a = np.full((3, 3), np.inf)
     with pytest.raises(ValueError, match="finite"):
@@ -447,9 +488,18 @@ def test_projector_zero_matrix():
 def test_partition_full_width_tail_is_empty():
     ed = sym_eig(SymMatrix(np.diag([3.0, 2.0, 1.0])))
     part = partition(ed, 3)
-    assert part.u2.shape == (3, 0)
+    assert part.u1.shape == (3, 3)
     assert part.sigma2.size == 0
     assert part.k == 3
+
+
+def test_partition_u1_owns_its_data():
+    # the n x n eigenvector array is not kept alive by the partition
+    ed = sym_eig(gram_psd(8, np.random.default_rng(43)))
+    part = partition(ed, 3)
+    assert part.u1.shape == (8, 3) and part.u1.flags.owndata
+    assert not np.shares_memory(part.u1, ed.eigenvectors)
+    assert part.u1.tobytes() == ed.eigenvectors[:, :3].tobytes()
 
 
 def test_partition_diagonal_blocks():
@@ -464,9 +514,10 @@ def test_partition_random_block_invariants():
     a = gram_psd(8, rng)
     ed = sym_eig(a)
     part = partition(ed, 3)
+    u2 = ed.eigenvectors[:, 3:]
     assert spectral_norm(part.u1.T @ part.u1 - np.eye(3)) < 1e-10
-    assert spectral_norm(part.u2.T @ part.u2 - np.eye(5)) < 1e-10
-    assert spectral_norm(part.u1.T @ part.u2) < 1e-10
+    assert spectral_norm(u2.T @ u2 - np.eye(5)) < 1e-10
+    assert spectral_norm(part.u1.T @ u2) < 1e-10
     assert np.array_equal(np.concatenate([part.sigma1, part.sigma2]), ed.eigenvalues)
 
 

@@ -11,6 +11,9 @@ REMOVED = (
     "pinv_norm_sq_omega1",
     "RankDeficientError",
     "davis_kahan_bound_substituted",
+    "davis_kahan_distance",
+    "davis_kahan_bound",
+    "GapViolatedError",
 )
 
 
