@@ -56,7 +56,6 @@ from .experiment import (
     MatrixFileError,
     TrialRecord,
     chernoff_sweep,
-    config_from_file,
     config_from_mapping,
     emit_results,
     load_matrix,

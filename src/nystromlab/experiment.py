@@ -101,93 +101,22 @@ def _lines(fh):
     return (part for line in fh for part in line.splitlines())
 
 
-def _load_rows_chunked(path) -> np.ndarray | None:
-    """The entries of a well-formed matrix file, or None.
-
-    Parses the data lines ``LOAD_CHUNK`` at a time with ``np.loadtxt``
-    (which rounds like ``float()``) into one preallocated n x n array, so
-    that only a chunk of lines is ever held.  Returns None unless line 1
-    is an integer n >= 1, n data lines follow, none of them blank, each
-    chunk parses to a finite ``(len, n)`` block, and only blank lines come
-    after them.  A file of fewer than n * n bytes cannot hold n lines of n
-    tokens, so it gets None before any allocation.
-    """
-    with open(path) as fh:
-        lines = _lines(fh)
-        try:
-            n = int(next(lines, ""))
-        except ValueError:
-            return None
-        if n < 1 or n * n > os.fstat(fh.fileno()).st_size:
-            return None
-        rows = np.empty((n, n))
-        for i in range(0, n, LOAD_CHUNK):
-            dest = rows[i:i + LOAD_CHUNK]
-            chunk = list(itertools.islice(lines, len(dest)))
-            if len(chunk) != len(dest) or not all(s.strip() for s in chunk):
-                return None
-            try:
-                block = np.loadtxt(chunk, dtype=np.float64, comments=None, ndmin=2)
-            except ValueError:
-                return None
-            if block.shape != dest.shape or not np.isfinite(block).all():
-                return None
-            dest[...] = block
-        if any(s.strip() for s in lines):
-            return None
-    return rows
-
-
-def _load_rows_checked(path) -> np.ndarray:
-    """The entries of a matrix file, read token by token with ``float()``.
-
-    Raises :class:`MatrixFileError` at the first defect in line order: the
-    header, the count of data lines, then per line the token count, an
-    unparseable token or a non-finite value.
-    """
-    with open(path) as fh:
-        lines = list(_lines(fh))
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise MatrixFileError("empty file: expected a dimension header", 1, "header")
-    head = lines[0].strip()
-    try:
-        n = int(head)
-    except ValueError:
-        raise MatrixFileError(
-            f"line 1: expected an integer dimension, got {head!r}", 1, "header"
-        ) from None
-    if n < 1:
-        raise MatrixFileError(f"line 1: dimension must be >= 1, got {n}", 1, "header")
-    if len(lines) - 1 != n:
-        raise MatrixFileError(
-            f"expected {n} data lines after the header, found {len(lines) - 1}",
-            len(lines),
-            "count",
+def _parse_row(line: str, n: int, lineno: int) -> list[float] | MatrixFileError:
+    """The n values ``float()`` reads from one data line, or the
+    :class:`MatrixFileError` of its first defect: the token count, an
+    unparseable token, then a non-finite value."""
+    toks = line.split()
+    if len(toks) != n:
+        return MatrixFileError(
+            f"line {lineno}: expected {n} values, found {len(toks)}", lineno, "count"
         )
-    rows = np.empty((n, n))
-    for i in range(n):
-        lineno = i + 2
-        toks = lines[i + 1].split()
-        if len(toks) != n:
-            raise MatrixFileError(
-                f"line {lineno}: expected {n} values, found {len(toks)}",
-                lineno,
-                "count",
-            )
-        try:
-            vals = [float(t) for t in toks]
-        except ValueError:
-            raise MatrixFileError(
-                f"line {lineno}: unparseable numeric value", lineno, "value"
-            ) from None
-        if not all(math.isfinite(v) for v in vals):
-            raise MatrixFileError(
-                f"line {lineno}: non-finite value", lineno, "value"
-            )
-        rows[i] = vals
-    return rows
+    try:
+        vals = [float(t) for t in toks]
+    except ValueError:
+        return MatrixFileError(f"line {lineno}: unparseable numeric value", lineno, "value")
+    if not all(map(math.isfinite, vals)):
+        return MatrixFileError(f"line {lineno}: non-finite value", lineno, "value")
+    return vals
 
 
 def load_matrix(path) -> SymMatrix:
@@ -198,16 +127,67 @@ def load_matrix(path) -> SymMatrix:
     reads.  Trailing blank lines are tolerated; everything else raises
     :class:`MatrixFileError` with the offending line number.
 
-    :func:`_load_rows_chunked` reads a well-formed file.  For any other
-    file, :func:`_load_rows_checked` reads it again token by token: it
-    alone reports defects, and it reads the tokens numpy refuses (``1_0``,
-    non-ASCII digits).  ``np.loadtxt`` parses each line on its own, so a
-    file the chunks refuse would not parse to a finite n x n array in one
-    call either.
+    The file is read once, ``LOAD_CHUNK`` data lines at a time, into one
+    preallocated n x n array.  ``np.loadtxt`` (which rounds like
+    ``float()``) parses each chunk; a chunk it refuses is read line by line
+    with ``float()``, which also reads the tokens numpy refuses (``1_0``,
+    non-ASCII digits).  Defects are reported in the order header, count of
+    data lines, first bad line.  A file of fewer than n * n bytes cannot
+    hold n lines of n tokens, so it is only checked, into no array.
     """
-    rows = _load_rows_chunked(path)
-    if rows is None:
-        rows = _load_rows_checked(path)
+    with open(path) as fh:
+        lines = _lines(fh)
+        head = next(lines, "").strip()
+        if not head and not any(s.strip() for s in lines):
+            raise MatrixFileError("empty file: expected a dimension header", 1, "header")
+        try:
+            n = int(head)
+        except ValueError:
+            raise MatrixFileError(
+                f"line 1: expected an integer dimension, got {head!r}", 1, "header"
+            ) from None
+        if n < 1:
+            raise MatrixFileError(f"line 1: dimension must be >= 1, got {n}", 1, "header")
+        size = os.fstat(fh.fileno()).st_size
+        rows = np.empty((n, n)) if n * n <= size else None
+        last = 1  # the last non-blank line
+        defect = None  # the first bad data line's error
+        for i in range(0, n, LOAD_CHUNK):
+            chunk = list(itertools.islice(lines, min(LOAD_CHUNK, n - i)))
+            if not chunk:
+                break
+            if rows is not None and defect is None and all(s.strip() for s in chunk):
+                dest = rows[i:i + len(chunk)]
+                try:
+                    block = np.loadtxt(chunk, dtype=np.float64, comments=None, ndmin=2)
+                except ValueError:
+                    block = None
+                if block is not None and block.shape == dest.shape and np.isfinite(block).all():
+                    dest[...] = block
+                    last = i + 1 + len(chunk)
+                    continue
+            for lineno, line in enumerate(chunk, i + 2):
+                if line.strip():
+                    last = lineno
+                if defect is None:
+                    vals = _parse_row(line, n, lineno)
+                    if isinstance(vals, MatrixFileError):
+                        defect = vals
+                    elif rows is not None:
+                        rows[lineno - 2] = vals
+        for lineno, line in enumerate(lines, n + 2):
+            if line.strip():
+                last = lineno
+    if last - 1 != n:
+        raise MatrixFileError(
+            f"expected {n} data lines after the header, found {last - 1}", last, "count"
+        )
+    if defect is not None:
+        raise defect
+    if rows is None:  # every line checked out, yet st_size said too short
+        raise MatrixFileError(
+            f"{n} x {n} values cannot fit in a file of {size} bytes", None, "count"
+        )
     rows.flags.writeable = False  # handed over: SymMatrix stores it as is
     try:
         return SymMatrix(rows)
@@ -366,11 +346,6 @@ def read_config(path) -> dict:
     if not isinstance(d, dict):
         raise ConfigError("<config file>", "top-level value must be an object")
     return d
-
-
-def config_from_file(path) -> ExperimentConfig:
-    """Load a JSON config file into a checked config."""
-    return config_from_mapping(read_config(path))
 
 
 @dataclass(frozen=True)

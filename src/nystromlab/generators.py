@@ -298,7 +298,8 @@ def _planted_basis(n: int, plan: CoherencePlan, k: int, seed: RngSeed) -> np.nda
         raise ValueError(f"spiked plan m={m} must be < n={n}")
     rng = rng_from(seed)
     spikes = [int(x) for x in rng.permutation(n)[:m]]
-    rest = [i for i in range(n) if i not in set(spikes)]
+    spiked = set(spikes)
+    rest = [i for i in range(n) if i not in spiked]
     u = np.zeros((n, n))
     u[spikes, np.arange(m)] = 1.0
     u[np.ix_(rest, np.arange(m, n))] = _haar(rng, n - m, n - m)

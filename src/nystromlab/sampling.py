@@ -17,7 +17,9 @@ Sampling ``l`` of ``n`` columns without replacement is the first ``l``
 entries of a Fisher-Yates shuffle of ``0..n-1``: at step ``i`` the pool
 entry at a uniform position ``j`` in ``[i, n)`` is swapped into slot ``i``.
 Each ``j`` comes from ``Generator.integers``, which is unbiased, so every
-size-``l`` subset (in every order) is equally likely.
+size-``l`` subset (in every order) is equally likely.  All ``l`` positions
+are drawn in one call with the lower bounds ``0..l-1``; that call reads the
+Philox stream exactly as ``l`` scalar calls in turn would.
 """
 
 from __future__ import annotations
@@ -106,12 +108,10 @@ def sample_uniform(n: int, l: int, seed: RngSeed) -> ColumnSample:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 1 <= l <= n:
         raise ValueError(f"sample size l={l} out of range [1, {n}]")
-    rng = rng_from(seed)
-    pool = np.arange(n)
-    for i in range(l):
-        j = int(rng.integers(i, n))
+    pool = list(range(n))
+    for i, j in enumerate(rng_from(seed).integers(np.arange(l), n).tolist()):
         pool[i], pool[j] = pool[j], pool[i]
-    return ColumnSample(n=n, indices=tuple(int(x) for x in pool[:l]))
+    return ColumnSample(n=n, indices=tuple(pool[:l]))
 
 
 def extract_cw(a: SymMatrix, sample: ColumnSample) -> tuple[np.ndarray, SymMatrix]:

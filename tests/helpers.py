@@ -4,15 +4,23 @@ Everything is seeded through numpy's default_rng so the suite is
 deterministic end to end; the package's own Philox streams are only used
 where a test targets them specifically.  The oracles (``pinv``,
 ``selection_matrix``, ``omega_matrices``, ``dense_extension``,
-``save_matrix_rowwise``) spell out the textbook definitions that the
-package evaluates in shortcut form; ``davis_kahan_distance`` and
-``davis_kahan_bound`` measure the dominant-subspace perturbation that the
-acceptance suite checks.
+``save_matrix_rowwise``, ``sample_uniform_loop``) spell out the textbook
+definitions that the package evaluates in shortcut form;
+``davis_kahan_distance`` and ``davis_kahan_bound`` measure the
+dominant-subspace perturbation that the acceptance suite checks.
 """
 
 import numpy as np
 
-from nystromlab import ColumnSample, NystromResult, SymMatrix, spectral_norm, sym_eigvals
+from nystromlab import (
+    ColumnSample,
+    NystromResult,
+    RngSeed,
+    SymMatrix,
+    rng_from,
+    spectral_norm,
+    sym_eigvals,
+)
 from nystromlab.analysis import _check_orthonormal
 
 
@@ -149,3 +157,13 @@ def davis_kahan_bound(a: SymMatrix, a_tilde: SymMatrix, k: int) -> float:
     if gap <= 0.0:
         raise GapViolatedError(gap)
     return spectral_norm(a.entries - a_tilde.entries) / gap
+
+
+def sample_uniform_loop(n: int, l: int, seed: RngSeed) -> tuple[int, ...]:
+    """The indices of ``sample_uniform``, one scalar ``integers`` call per swap."""
+    rng = rng_from(seed)
+    pool = np.arange(n)
+    for i in range(l):
+        j = int(rng.integers(i, n))
+        pool[i], pool[j] = pool[j], pool[i]
+    return tuple(int(x) for x in pool[:l])

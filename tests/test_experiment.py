@@ -4,7 +4,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
-import warnings
+import types
 
 import numpy as np
 import pytest
@@ -23,7 +23,6 @@ from nystromlab import (
     analysis,
     chernoff_sweep,
     chernoff_tail,
-    config_from_file,
     config_from_mapping,
     emit_results,
     experiment,
@@ -36,6 +35,7 @@ from nystromlab.experiment import (
     INSTANCE_STREAM,
     emit_table,
     prepare,
+    read_config,
     run_trial,
 )
 
@@ -317,33 +317,74 @@ def _chunk_case(n: int, case: str) -> tuple[bytes, bool]:
 @pytest.mark.parametrize("n", [1, 31, 32, 33, 65])
 @pytest.mark.parametrize("case", ["clean", "blank mid-file", "trailing blanks", "\r\n",
                                   "\r", "\x0c in a row", "1_0"])
-def test_chunked_load_agrees_with_token_parse(tmp_path, n, case):
+def test_chunked_load_agrees_with_token_parse(tmp_path, n, case, monkeypatch):
     text, chunked = _chunk_case(n, case)
     p = tmp_path / "m.txt"
     p.write_bytes(text)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no loadtxt "input contained no data"
-        assert (experiment._load_rows_chunked(p) is not None) == chunked
-        try:
-            expected = SymMatrix(experiment._load_rows_checked(p)).entries
-        except MatrixFileError as exc:
-            with pytest.raises(MatrixFileError) as ei:
-                load_matrix(p)
-            assert (ei.value.kind, ei.value.line, str(ei.value)) == (
-                exc.kind, exc.line, str(exc))
-            assert (exc.kind, exc.line) == _reference_load(p.read_text())
-        else:
-            assert load_matrix(p).entries.tobytes() == expected.tobytes()
+    calls = []
+    parse_row = experiment._parse_row
+    monkeypatch.setattr(experiment, "_parse_row",
+                        lambda *args: calls.append(args) or parse_row(*args))
+    expected = _reference_load(p.read_text())
+    # pytest turns warnings into errors, so a loadtxt "input contained no
+    # data" warning fails this test
+    if isinstance(expected, tuple):
+        with pytest.raises(MatrixFileError) as ei:
+            load_matrix(p)
+        assert (ei.value.kind, ei.value.line) == expected
+    else:
+        assert load_matrix(p).entries.tobytes() == SymMatrix(expected).entries.tobytes()
+    # a well-formed file never leaves np.loadtxt for the per-line parse
+    assert (not calls) == chunked
+
+
+@pytest.mark.parametrize("text, kind, line, message", [
+    # too short for 3 x 3 (size guard), first line well formed
+    ("3\n1 2 3\n", "count", 2, "expected 3 data lines after the header, found 1"),
+    # too short, line count right, rows too narrow
+    ("3\n1\n2\n3\n", "count", 2, "line 2: expected 3 values, found 1"),
+    # the count of data lines wins over a bad token on an earlier line
+    ("2\n1 x\n0 1\n0 0\n", "count", 4, "expected 2 data lines after the header, found 3"),
+    ("2\n1 x\n0 1\n", "value", 2, "line 2: unparseable numeric value"),
+    ("2\n1 0\n0 nan\n", "value", 3, "line 3: non-finite value"),
+    (" \n\t\n", "header", 1, "empty file: expected a dimension header"),
+    (" \n2\n", "header", 1, "line 1: expected an integer dimension, got ''"),
+    ("0\n", "header", 1, "line 1: dimension must be >= 1, got 0"),
+], ids=["short", "short-narrow", "count-before-value", "unparseable", "non-finite",
+        "empty", "blank-header", "zero"])
+def test_load_error_order_and_text(tmp_path, text, kind, line, message):
+    p = tmp_path / "m.txt"
+    p.write_text(text)
+    with pytest.raises(MatrixFileError) as ei:
+        load_matrix(p)
+    assert (ei.value.kind, ei.value.line, str(ei.value)) == (kind, line, message)
 
 
 def test_load_huge_header_allocates_nothing(tmp_path):
     # a file too short to hold n lines of n tokens is refused by the count
+    # without an n x n buffer (128 MiB at n = 4096)
     p = tmp_path / "m.txt"
-    p.write_text("1000000000\n1\n")
-    assert experiment._load_rows_chunked(p) is None
+    p.write_text("4096\n1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(MatrixFileError) as ei:
+            load_matrix(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ei.value.kind == "count" and ei.value.line == 2
+    assert peak < 1 << 20
+
+
+def test_load_refuses_lines_that_outgrow_the_file_size(tmp_path, monkeypatch):
+    # below n * n bytes (a pipe reports 0) no array is allocated, so lines
+    # that all check out are still refused
+    p = tmp_path / "m.txt"
+    p.write_text("2\n1 0\n0 1\n")
+    monkeypatch.setattr(experiment.os, "fstat", lambda fd: types.SimpleNamespace(st_size=0))
     with pytest.raises(MatrixFileError) as ei:
         load_matrix(p)
-    assert ei.value.kind == "count"
+    assert (ei.value.kind, ei.value.line) == ("count", None)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +479,7 @@ def test_config_from_file_bad_json_reports_line(tmp_path):
     p = tmp_path / "c.json"
     p.write_text('{\n"k": 2,\n"trials": oops\n}\n')
     with pytest.raises(ConfigError) as ei:
-        config_from_file(p)
+        read_config(p)
     assert "line 3" in str(ei.value)
 
 
@@ -446,7 +487,7 @@ def test_config_from_file_non_object(tmp_path):
     p = tmp_path / "c.json"
     p.write_text("[1, 2]\n")
     with pytest.raises(ConfigError):
-        config_from_file(p)
+        read_config(p)
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +721,7 @@ def test_config_file_end_to_end(tmp_path):
             }
         )
     )
-    cfg = config_from_file(p)
+    cfg = config_from_mapping(read_config(p))
     records, summary = run_experiment(cfg)
     assert summary["tau"] == pytest.approx(1.0, abs=1e-9)
     assert len(records) == 4

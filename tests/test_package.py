@@ -14,6 +14,7 @@ REMOVED = (
     "davis_kahan_distance",
     "davis_kahan_bound",
     "GapViolatedError",
+    "config_from_file",
 )
 
 

@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nystromlab import (
     ColumnSample,
@@ -14,7 +16,7 @@ from nystromlab import (
     sample_uniform,
 )
 
-from helpers import gram_psd, selection_matrix
+from helpers import gram_psd, sample_uniform_loop, selection_matrix
 
 
 def test_full_sample_is_permutation():
@@ -55,6 +57,20 @@ def test_determinism_repeat_and_threaded():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda _: sample_uniform(50, 12, seed).indices, range(32)))
     assert all(r == first.indices for r in results)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 2048),
+    frac=st.floats(0, 1),
+    master=st.integers(0, 2**64 - 1),
+    stream=st.integers(0, 2**64 - 1),
+)
+def test_one_draw_matches_scalar_draws(n, frac, master, stream):
+    # one vectorised integers call reads the stream as l scalar calls do
+    l = max(1, round(frac * n))
+    seed = RngSeed(master, stream)
+    assert sample_uniform(n, l, seed).indices == sample_uniform_loop(n, l, seed)
 
 
 def test_distinct_streams_differ():
