@@ -41,8 +41,8 @@ from .sampling import ColumnSample, RngSeed, lanczos_start, sample_uniform
 def _cmd_approx(args) -> int:
     a = load_matrix(args.matrix)
     check_psd(a)
-    # ||A - 0||_2 by the seeded Lanczos of the error route: lambda_1 of a PSD A
-    lambda1, _ = lowrank_residual_norm(a, np.empty((a.n, 0)), lanczos_start(a.n))
+    # ||A||_2 by the seeded Lanczos of the error route: lambda_1 of a PSD A
+    lambda1, _ = lowrank_residual_norm(a, lanczos_start(a.n))
     if args.indices is not None:
         idx = tuple(int(tok) for tok in args.indices.split(",") if tok.strip())
         sample = ColumnSample(n=a.n, indices=idx)

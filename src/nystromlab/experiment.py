@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 import time
 from dataclasses import dataclass
@@ -132,8 +133,11 @@ def load_matrix(path) -> SymMatrix:
     ``float()``) parses each chunk; a chunk it refuses is read line by line
     with ``float()``, which also reads the tokens numpy refuses (``1_0``,
     non-ASCII digits).  Defects are reported in the order header, count of
-    data lines, first bad line.  A file of fewer than n * n bytes cannot
-    hold n lines of n tokens, so it is only checked, into no array.
+    data lines, first bad line.  A regular file of fewer than n * n bytes
+    cannot hold n lines of n tokens, so it is only checked, into no array.
+    Any other file (a pipe, ``/dev/stdin``) has no size to check: its rows
+    are kept as they arrive and joined at the end, so a header that
+    promises more than the data holds allocates nothing for it.
     """
     with open(path) as fh:
         lines = _lines(fh)
@@ -148,22 +152,28 @@ def load_matrix(path) -> SymMatrix:
             ) from None
         if n < 1:
             raise MatrixFileError(f"line 1: dimension must be >= 1, got {n}", 1, "header")
-        size = os.fstat(fh.fileno()).st_size
-        rows = np.empty((n, n)) if n * n <= size else None
+        st = os.fstat(fh.fileno())
+        streamed = not stat.S_ISREG(st.st_mode)  # a pipe has no size to check
+        rows = np.empty((n, n)) if not streamed and n * n <= st.st_size else None
+        blocks = []  # the rows of a streamed file, as they arrive
+        keep = streamed or rows is not None  # values are stored, not only checked
         last = 1  # the last non-blank line
         defect = None  # the first bad data line's error
         for i in range(0, n, LOAD_CHUNK):
             chunk = list(itertools.islice(lines, min(LOAD_CHUNK, n - i)))
             if not chunk:
                 break
-            if rows is not None and defect is None and all(s.strip() for s in chunk):
-                dest = rows[i:i + len(chunk)]
+            if keep and defect is None and all(s.strip() for s in chunk):
                 try:
                     block = np.loadtxt(chunk, dtype=np.float64, comments=None, ndmin=2)
                 except ValueError:
                     block = None
-                if block is not None and block.shape == dest.shape and np.isfinite(block).all():
-                    dest[...] = block
+                if (block is not None and block.shape == (len(chunk), n)
+                        and np.isfinite(block).all()):
+                    if streamed:
+                        blocks.append(block)
+                    else:
+                        rows[i:i + len(chunk)] = block
                     last = i + 1 + len(chunk)
                     continue
             for lineno, line in enumerate(chunk, i + 2):
@@ -173,6 +183,8 @@ def load_matrix(path) -> SymMatrix:
                     vals = _parse_row(line, n, lineno)
                     if isinstance(vals, MatrixFileError):
                         defect = vals
+                    elif streamed:
+                        blocks.append(np.array([vals]))
                     elif rows is not None:
                         rows[lineno - 2] = vals
         for lineno, line in enumerate(lines, n + 2):
@@ -184,9 +196,11 @@ def load_matrix(path) -> SymMatrix:
         )
     if defect is not None:
         raise defect
-    if rows is None:  # every line checked out, yet st_size said too short
+    if streamed:
+        rows = np.concatenate(blocks)
+    elif rows is None:  # every line checked out, yet st_size said too short
         raise MatrixFileError(
-            f"{n} x {n} values cannot fit in a file of {size} bytes", None, "count"
+            f"{n} x {n} values cannot fit in a file of {st.st_size} bytes", None, "count"
         )
     rows.flags.writeable = False  # handed over: SymMatrix stores it as is
     try:

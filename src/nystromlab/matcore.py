@@ -4,9 +4,9 @@ Everything downstream (column sampling, the Nystrom extension, the error
 bounds) is written against the small kernel of operations in this module:
 a symmetric eigendecomposition with a fixed descending ordering (or its
 eigenvalues alone), a PSD check, a PSD square root, spectral norms, the
-matrix-free Lanczos norm of a low-rank update ``A - Z Z^T``, orthogonal
-projectors onto column spaces, and the split of a spectrum into its
-dominant eigenvector block and its eigenvalue blocks.
+matrix-free Lanczos norm of a low-rank update ``A - C M^T M C^T``,
+orthogonal projectors onto column spaces, and the split of a spectrum
+into its dominant eigenvector block and its eigenvalue blocks.
 
 Conventions
 -----------
@@ -295,13 +295,23 @@ def check_psd(a: SymMatrix) -> None:
     (for example one whose entries are near the subnormal range) is
     accepted.
     """
-    shifted = a.entries.copy()
-    diag = np.arange(a.n)
-    shifted[diag, diag] += PSD_CLAMP_REL * max(float(np.max(shifted[diag, diag])), 0.0)
+    shift = PSD_CLAMP_REL * max(float(np.max(np.diagonal(a.entries))), 0.0)
+    if not shifted_cholesky_ok(a.entries, shift):
+        clamp_psd_eigenvalues(sym_eigvals(a))
+
+
+def shifted_cholesky_ok(m: np.ndarray, shift: float) -> bool:
+    """True when a Cholesky factorization of ``m + shift I`` succeeds, which
+    certifies that every eigenvalue of the symmetric array m exceeds
+    ``-shift``."""
+    shifted = m.copy()
+    diag = np.arange(m.shape[0])
+    shifted[diag, diag] += shift
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        clamp_psd_eigenvalues(sym_eigvals(a))
+        return False
+    return True
 
 
 def psd_sqrt(a: SymMatrix) -> SymMatrix:
@@ -344,12 +354,23 @@ def spectral_norm(m) -> float:
 
 
 def lowrank_residual_norm(
-    a: SymMatrix, z: np.ndarray, start: np.ndarray
+    a: SymMatrix,
+    start: np.ndarray,
+    c: np.ndarray | None = None,
+    index: np.ndarray | None = None,
+    m: np.ndarray | None = None,
 ) -> tuple[float, float]:
-    """``||A - Z Z^T||_2`` by Lanczos, matrix-free, with its residual bound.
+    """``||A - C M^T M C^T||_2`` by Lanczos, matrix-free, with its residual bound.
+
+    ``c`` holds the columns ``A[:, index]`` (n x l) and ``m`` is r x l, so
+    ``C M^T M C^T`` has rank at most r.  The Nystrom extension passes
+    ``M = L^{-1}`` of a pivoted Cholesky ``W_PP = L L^T``, placed at the
+    pivot columns P of the sample and zero elsewhere, which makes the
+    product ``C_P L^{-T} L^{-1} C_P^T``.  Without ``c`` the operator is A
+    and the result is ``||A||_2``.
 
     Returns ``(theta, r)``: ``theta`` is the Ritz value of largest modulus
-    and ``r`` its Ritz residual, so an eigenvalue of ``A - Z Z^T`` lies in
+    and ``r`` its Ritz residual, so an eigenvalue of the operator lies in
     ``[theta - r, theta + r]`` (Parlett, *The Symmetric Eigenvalue
     Problem*, the residual bound).  The extreme Ritz value does not
     overshoot, so ``[theta, theta + r]`` brackets the norm once the
@@ -357,17 +378,19 @@ def lowrank_residual_norm(
     with probability one (Kuczynski and Wozniakowski, SIAM J. Matrix Anal.
     Appl. 1992).
 
-    Lanczos runs on the operator ``x -> s (A x - Z (Z^T x))``, where ``s``
-    is the power of two that puts ``s * max_i a_ii`` in ``[0.5, 1)`` (``s =
-    1`` when the diagonal is 0, so for PSD A, which is then 0, the result
-    is 0).  For PSD A, ``|a_ij| <= max_i a_ii``, so the scaled recurrence
-    stays near 1 at any input scale; ``theta / s`` and ``r / s`` are
-    returned.  No ``n x n`` temporary is formed: each step costs one
-    product with A and two with Z.
+    Lanczos runs on ``x -> s (y - C (M^T (M y[index])))`` with ``y = A x``:
+    ``C^T x`` is read from the product with A, so each step costs one
+    product with A, one with C and two with M, and no n x r array is
+    formed.  ``s`` is the power of two that puts ``s * max_i a_ii`` in
+    ``[0.5, 1)`` (``s = 1`` when the diagonal is 0, so for PSD A, which is
+    then 0, the result is 0).  For PSD A, ``|a_ij| <= max_i a_ii``, so the
+    scaled recurrence stays near 1 at any input scale; ``theta / s`` and
+    ``r / s`` are returned.
 
     ``start`` is the unit start vector.  The basis is fully
-    reorthogonalised (two classical Gram-Schmidt passes) and grows with
-    the step count.  Fixed stopping rule, checked after every step: ``r <=
+    reorthogonalised (two classical Gram-Schmidt passes).  It and the
+    tridiagonal T live in arrays that double in size when full, so a step
+    copies nothing.  Fixed stopping rule, checked after every step: ``r <=
     LANCZOS_REL_TOL * theta``, or ``r <= n * eps`` (scaled units), or a
     zero next residual ``beta``, or a Krylov dimension of ``n``, at which
     the result is exact.  For a fixed input the result does not depend on
@@ -375,28 +398,37 @@ def lowrank_residual_norm(
     """
     n = a.n
     e = _scale_exponent(float(np.max(np.diagonal(a.entries))))
-    basis = start.reshape(1, n)
-    alphas: list[float] = []
-    betas: list[float] = []
+    cap = min(n, 16)
+    basis = np.empty((cap, n))
+    basis[0] = start
+    t = np.zeros((cap, cap))
+    j = 0  # index of the newest basis vector
     while True:
-        q = basis[-1]
-        w = np.ldexp(a.entries @ q - z @ (z.T @ q), -e)
-        h = basis @ w
-        w -= h @ basis
-        h2 = basis @ w
-        w -= h2 @ basis
-        alphas.append(float(h[-1] + h2[-1]))
+        y = a.entries @ basis[j]
+        if c is not None:
+            y -= c @ (m.T @ (m @ y[index]))
+        w = np.ldexp(y, -e)
+        b = basis[:j + 1]
+        h = b @ w
+        w -= h @ b
+        h2 = b @ w
+        w -= h2 @ b
+        t[j, j] = h[-1] + h2[-1]
         beta = float(np.linalg.norm(w))
-        t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        vals, vecs = np.linalg.eigh(t)
+        vals, vecs = np.linalg.eigh(t[:j + 1, :j + 1])
         i = int(np.argmax(np.abs(vals)))
         theta = abs(float(vals[i]))
         r = beta * abs(float(vecs[-1, i]))
         if (r <= LANCZOS_REL_TOL * theta or r <= n * EPS or beta == 0.0
-                or len(alphas) == n):
+                or j + 1 == n):
             return math.ldexp(theta, e), math.ldexp(r, e)
-        betas.append(beta)
-        basis = np.vstack([basis, w / beta])
+        j += 1
+        if j == cap:
+            cap = min(2 * cap, n)
+            basis = np.concatenate([basis, np.empty((cap - j, n))])
+            t = np.pad(t, (0, cap - j))
+        t[j - 1, j] = t[j, j - 1] = beta
+        basis[j] = w / beta
 
 
 def projector(m) -> SymMatrix:

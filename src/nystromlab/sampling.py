@@ -24,6 +24,7 @@ Philox stream exactly as ``l`` scalar calls in turn would.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,14 +61,18 @@ def rng_from(seed: RngSeed) -> np.random.Generator:
 LANCZOS_SEED = RngSeed(0, _U64_MAX)
 
 
+@functools.lru_cache(maxsize=8)
 def lanczos_start(n: int) -> np.ndarray:
     """Unit start vector of length n for the Lanczos error estimate.
 
     Drawn as normalized Gaussians from the reserved ``LANCZOS_SEED``
-    stream, so it is the same for every call with the same n.
+    stream, so it is the same for every call with the same n.  It is drawn
+    once per n and cached; the returned array is read-only.
     """
     v = rng_from(LANCZOS_SEED).standard_normal(n)
-    return v / np.linalg.norm(v)
+    v = v / np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
 
 
 @dataclass(frozen=True)

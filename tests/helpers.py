@@ -4,24 +4,31 @@ Everything is seeded through numpy's default_rng so the suite is
 deterministic end to end; the package's own Philox streams are only used
 where a test targets them specifically.  The oracles (``pinv``,
 ``selection_matrix``, ``omega_matrices``, ``dense_extension``,
-``save_matrix_rowwise``, ``sample_uniform_loop``) spell out the textbook
+``save_matrix_rowwise``, ``sample_uniform_loop``, ``eigh_factor``,
+``lanczos_growing``, ``mp_nystrom_error``) spell out the textbook
 definitions that the package evaluates in shortcut form;
 ``davis_kahan_distance`` and ``davis_kahan_bound`` measure the
 dominant-subspace perturbation that the acceptance suite checks.
 """
 
+import math
+
 import numpy as np
+import pytest
 
 from nystromlab import (
     ColumnSample,
     NystromResult,
     RngSeed,
     SymMatrix,
+    extract_cw,
     rng_from,
     spectral_norm,
+    sym_eig,
     sym_eigvals,
 )
 from nystromlab.analysis import _check_orthonormal
+from nystromlab.matcore import EPS, LANCZOS_REL_TOL, _scale_exponent, clamp_psd_eigenvalues
 
 
 def gram_psd(n: int, rng: np.random.Generator, scale: float = 1.0) -> SymMatrix:
@@ -167,3 +174,68 @@ def sample_uniform_loop(n: int, l: int, seed: RngSeed) -> tuple[int, ...]:
         j = int(rng.integers(i, n))
         pool[i], pool[j] = pool[j], pool[i]
     return tuple(int(x) for x in pool[:l])
+
+
+def eigh_factor(a: SymMatrix, sample: ColumnSample) -> np.ndarray:
+    """Z of the extension through the eigendecomposition of W.
+
+    Round-off negatives inside the PSD clamp window are zeroed, eigenvalues
+    ``<= l * eps * lambda_max`` are dropped and ``Z = C V Lambda^(-1/2)``
+    over the rest, so ``Z Z^T = C W^+ C^T`` at that cutoff.
+    """
+    c, w = extract_cw(a, sample)
+    ed = sym_eig(w)
+    vals = clamp_psd_eigenvalues(ed.eigenvalues)
+    lam_max = float(vals[0]) if vals.size else 0.0
+    keep = vals > sample.l * EPS * lam_max
+    return c @ (ed.eigenvectors[:, keep] / np.sqrt(vals[keep]))
+
+
+def lanczos_growing(a: SymMatrix, start, c=None, index=None, m=None) -> tuple[float, float]:
+    """``matcore.lowrank_residual_norm`` with the basis grown by ``np.vstack``
+    and T rebuilt from its diagonals by ``np.diag`` at every step."""
+    n = a.n
+    e = _scale_exponent(float(np.max(np.diagonal(a.entries))))
+    basis = start.reshape(1, n)
+    alphas: list[float] = []
+    betas: list[float] = []
+    while True:
+        y = a.entries @ basis[-1]
+        if c is not None:
+            y -= c @ (m.T @ (m @ y[index]))
+        w = np.ldexp(y, -e)
+        h = basis @ w
+        w -= h @ basis
+        h2 = basis @ w
+        w -= h2 @ basis
+        alphas.append(float(h[-1] + h2[-1]))
+        beta = float(np.linalg.norm(w))
+        t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        vals, vecs = np.linalg.eigh(t)
+        i = int(np.argmax(np.abs(vals)))
+        theta = abs(float(vals[i]))
+        r = beta * abs(float(vecs[-1, i]))
+        if (r <= LANCZOS_REL_TOL * theta or r <= n * EPS or beta == 0.0
+                or len(alphas) == n):
+            return math.ldexp(theta, e), math.ldexp(r, e)
+        betas.append(beta)
+        basis = np.vstack([basis, w / beta])
+
+
+def mp_nystrom_error(a: SymMatrix, sample: ColumnSample, dps: int = 50) -> float:
+    """``||A - C W^{-1} C^T||_2`` in ``dps``-digit arithmetic, for invertible W.
+
+    The float64 entries convert exactly; W^{-1} comes from an LU
+    factorization and the norm from the eigenvalues of the symmetrized
+    residual.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    idx = list(sample.indices)
+    rows = a.entries.tolist()
+    with mpmath.workdps(dps):
+        am = mpmath.matrix(rows)
+        c = mpmath.matrix([[row[j] for j in idx] for row in rows])
+        w = mpmath.matrix([[rows[i][j] for j in idx] for i in idx])
+        r = am - c * mpmath.inverse(w) * c.T
+        vals = mpmath.eigsy((r + r.T) / 2, eigvals_only=True)
+        return float(max(abs(v) for v in vals))

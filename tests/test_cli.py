@@ -1,6 +1,10 @@
 """End-to-end command-line behavior, including exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,3 +457,20 @@ def test_approx_huge_diagonal_reports_error(tmp_path, capsys):
     assert doc["spectral_error"] == pytest.approx(1e200, rel=4 * EPS)
     assert doc["relative_error"] == pytest.approx(1.0, rel=4 * EPS)
     assert doc["psd_violation"] == 0.0
+
+
+def test_approx_reads_the_matrix_from_a_pipe(tmp_path):
+    # /dev/stdin on a pipe reports a size of 0; the reader must not refuse it
+    text = "2\n1 0\n0 1\n"
+    p = tmp_path / "m.txt"
+    p.write_text(text)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    cmd = [sys.executable, "-m", "nystromlab.cli", "approx", "--l", "1", "--matrix"]
+    piped = subprocess.run(cmd + ["/dev/stdin"], input=text, capture_output=True,
+                           text=True, env=env)
+    regular = subprocess.run(cmd + [str(p)], capture_output=True, text=True, env=env)
+    assert (piped.returncode, piped.stderr) == (0, "")
+    assert regular.returncode == 0 and piped.stdout == regular.stdout
+    assert json.loads(piped.stdout)["rank_w"] == 1

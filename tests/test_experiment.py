@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import os
+import stat
 import tracemalloc
 import types
 
@@ -377,14 +379,46 @@ def test_load_huge_header_allocates_nothing(tmp_path):
 
 
 def test_load_refuses_lines_that_outgrow_the_file_size(tmp_path, monkeypatch):
-    # below n * n bytes (a pipe reports 0) no array is allocated, so lines
-    # that all check out are still refused
+    # below n * n bytes a regular file gets no array, so lines that all
+    # check out are still refused
     p = tmp_path / "m.txt"
     p.write_text("2\n1 0\n0 1\n")
-    monkeypatch.setattr(experiment.os, "fstat", lambda fd: types.SimpleNamespace(st_size=0))
+    monkeypatch.setattr(experiment.os, "fstat",
+                        lambda fd: types.SimpleNamespace(st_size=0, st_mode=stat.S_IFREG))
     with pytest.raises(MatrixFileError) as ei:
         load_matrix(p)
     assert (ei.value.kind, ei.value.line) == ("count", None)
+
+
+def _pipe(data: bytes) -> int:
+    """The read end of a pipe that holds data, its write end closed."""
+    r, w = os.pipe()
+    os.write(w, data)
+    os.close(w)
+    return r
+
+
+def test_load_from_a_pipe_matches_the_regular_file(tmp_path):
+    # a pipe has no size to check: its rows are read as they arrive, over
+    # more than one LOAD_CHUNK, and trailing blank lines still pass
+    p = tmp_path / "m.txt"
+    save_matrix(gram_psd(40, np.random.default_rng(5)), p)
+    data = p.read_bytes() + b"\n\n"
+    assert os.fstat(r := _pipe(data)).st_size == 0
+    assert np.array_equal(load_matrix(r).entries, load_matrix(p).entries)
+
+
+def test_load_huge_header_from_a_pipe_allocates_nothing():
+    r = _pipe(b"1000000\n1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(MatrixFileError) as ei:
+            load_matrix(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ei.value.kind == "count" and ei.value.line == 2
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -277,7 +277,7 @@ def test_check_psd_matches_the_eigenvalue_decision(n, family, seed, c):
     want = _psd_decision(lambda: clamp_psd_eigenvalues(sym_eigvals(a)))
     assert _psd_decision(lambda: check_psd(a)) == want
     if want is None:
-        theta, r = lowrank_residual_norm(a, np.empty((n, 0)), lanczos_start(n))
+        theta, r = lowrank_residual_norm(a, lanczos_start(n))
         lam1 = float(sym_eigvals(a)[0])
         assert abs(theta - lam1) <= r + 8 * n * EPS * lam1
 

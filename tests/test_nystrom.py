@@ -1,6 +1,7 @@
 """The extension itself, its Lanczos error and the two-route error identity."""
 
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,15 +14,31 @@ from nystromlab import (
     NotPSDError,
     RngSeed,
     SymMatrix,
+    deterministic_bound,
+    extract_cw,
+    full_rank_tolerance,
+    min_eig_gram,
     nystrom_extend,
+    partition,
     sample_uniform,
     spectral_norm,
     sqrt_projection_error,
+    sym_eig,
+    sym_eigvals,
 )
-from nystromlab.matcore import EPS, lowrank_residual_norm
+from nystromlab import experiment
+from nystromlab.matcore import EPS, PSD_CLAMP_REL, clamp_psd_eigenvalues, lowrank_residual_norm
 from nystromlab.sampling import lanczos_start
 
-from helpers import dense_extension, gram_psd, mixed_spectrum_cases, planted_psd
+from helpers import (
+    dense_extension,
+    eigh_factor,
+    gram_psd,
+    lanczos_growing,
+    mixed_spectrum_cases,
+    mp_nystrom_error,
+    planted_psd,
+)
 
 
 def test_identity_partial_sample():
@@ -234,13 +251,175 @@ def test_lanczos_error_scales_with_the_matrix(scale, n, family, seed, full, data
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(exponent=st.sampled_from([-250, 250]), **_case)
 def test_lanczos_operator_scaling_is_exact(exponent, n, family, seed, full, data):
-    # scaling A by c = 4^k and Z by 2^k scales the operator exactly, and
-    # the power-of-two scaling inside the routine cancels it bit for bit
+    # scaling A (and so C) by c = 4^k and L^{-1} by 2^-k scales the operator
+    # exactly, and the power-of-two scaling inside the routine cancels it
+    # bit for bit
     a = _psd_case(n, family, seed)
-    z = nystrom_extend(a, _draw_sample(n, seed, full, data)).factor
+    res = nystrom_extend(a, _draw_sample(n, seed, full, data))
+    index = np.sort(res.sample.indices)
     v = lanczos_start(n)
-    theta, r = lowrank_residual_norm(a, z, v)
+    theta, r = lowrank_residual_norm(a, v, res.columns, index, res.linv)
     a_c = SymMatrix(np.ldexp(a.entries, 2 * exponent))
-    theta_c, r_c = lowrank_residual_norm(a_c, np.ldexp(z, exponent), v)
+    theta_c, r_c = lowrank_residual_norm(
+        a_c, v, np.ldexp(res.columns, 2 * exponent), index, np.ldexp(res.linv, -exponent)
+    )
     assert theta_c == math.ldexp(theta, 2 * exponent)
     assert r_c == math.ldexp(r, 2 * exponent)
+
+
+# ---------------------------------------------------------------------------
+# the pivoted Cholesky factor
+
+def _sorted_w(a: SymMatrix, s: ColumnSample) -> SymMatrix:
+    """W over the sample sorted by index, the order the factor works in."""
+    return extract_cw(a, ColumnSample(s.n, tuple(sorted(s.indices))))[1]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 10), family=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_error_matches_the_mpmath_reference(n, family, seed, data):
+    # full-rank W (every sampled column is a pivot) and an error above the
+    # rounding floor of the Lanczos stop
+    a = _psd_case(n, family, seed)
+    s = sample_uniform(n, data.draw(st.integers(1, n - 1), label="l"), RngSeed(seed, 0))
+    res = nystrom_extend(a, s)
+    lam1 = float(sym_eigvals(a)[0])
+    if res.rank_w < s.l:
+        return
+    ref = mp_nystrom_error(a, s)
+    if ref <= 1e-10 * lam1:
+        return
+    assert abs(res.spectral_error - ref) <= 5e-13 * lam1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(perm=st.permutations(range(30)), **_case)
+def test_sample_order_does_not_move_the_result(perm, n, family, seed, full, data):
+    a = _psd_case(n, family, seed)
+    s = _draw_sample(n, seed, full, data)
+    order = [i for i in perm if i < s.l]
+    t = ColumnSample(n, tuple(s.indices[i] for i in order))
+    x, y = nystrom_extend(a, s), nystrom_extend(a, t)
+    assert (x.spectral_error, x.error_residual, x.rank_w) == (
+        y.spectral_error, y.error_residual, y.rank_w)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(1, 6), **_case)
+def test_error_lies_within_the_structural_bound(k, n, family, seed, full, data):
+    a = _psd_case(n, family, seed)
+    s = _draw_sample(n, seed, full, data)
+    part = partition(sym_eig(a), min(k, n))
+    if min_eig_gram(part.u1, s) <= full_rank_tolerance(n):
+        return  # the bound does not apply
+    err = nystrom_extend(a, s).spectral_error
+    assert 0.0 <= err <= deterministic_bound(part, s) + 1e-8
+
+
+def _not_psd(check):
+    """None when ``check()`` passes, else the eigenvalue its NotPSDError names."""
+    try:
+        check()
+    except NotPSDError as exc:
+        return exc.eigenvalue
+    return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(shift=st.sampled_from([0.0, 0.5, 2.0, 100.0, 1e6, 1e9]), **_case)
+def test_not_psd_error_names_the_eigenvalue_of_w(shift, n, family, seed, full, data):
+    # A shifted by a multiple of the clamp window: inside it below 1, far
+    # below it at the top; W is indefinite only for some samples
+    a = _psd_case(n, family, seed)
+    lam1 = float(sym_eigvals(a)[0])
+    a = SymMatrix(a.entries - shift * PSD_CLAMP_REL * lam1 * np.eye(n))
+    s = _draw_sample(n, seed, full, data)
+    want = _not_psd(lambda: clamp_psd_eigenvalues(sym_eigvals(_sorted_w(a, s))))
+    assert _not_psd(lambda: nystrom_extend(a, s)) == want
+
+
+def test_not_psd_zero_diagonal_w_is_named():
+    # no pivot at all: the Schur remainder is W itself
+    a = SymMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(NotPSDError) as ei:
+        nystrom_extend(a, ColumnSample(n=2, indices=(1, 0)))
+    assert ei.value.eigenvalue == -1.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(**_case)
+def test_lanczos_state_matches_the_growing_basis(n, family, seed, full, data):
+    # the preallocated basis and T keep the arithmetic of the growing ones
+    a = _psd_case(n, family, seed)
+    res = nystrom_extend(a, _draw_sample(n, seed, full, data))
+    index = np.sort(res.sample.indices)
+    v = lanczos_start(n)
+    args = (res.columns, index, res.linv)
+    assert lowrank_residual_norm(a, v, *args) == lanczos_growing(a, v, *args)
+    assert lowrank_residual_norm(a, v) == lanczos_growing(a, v)
+
+
+def test_lanczos_state_matches_the_growing_basis_past_its_first_doubling():
+    # a flat spectrum takes many steps, so the arrays are regrown
+    n = 120
+    a = gram_psd(n, np.random.default_rng(3))
+    v = lanczos_start(n)
+    assert lowrank_residual_norm(a, v) == lanczos_growing(a, v)
+    res = nystrom_extend(a, sample_uniform(n, 30, RngSeed(3, 0)))
+    args = (res.columns, np.sort(res.sample.indices), res.linv)
+    assert lowrank_residual_norm(a, v, *args) == lanczos_growing(a, v, *args)
+
+
+def test_lanczos_start_is_cached_and_read_only():
+    v = lanczos_start(17)
+    assert lanczos_start(17) is v and not v.flags.writeable
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_pivoted_route_agrees_with_the_eigh_route():
+    # the eigendecomposition of W, with its own cutoff, gives the same error
+    # within criterion 1's tolerance
+    rng = np.random.default_rng(24)
+    for trial in range(40):
+        n = int(rng.integers(2, 16))
+        for _, a in mixed_spectrum_cases(rng, n):
+            s = sample_uniform(n, int(rng.integers(1, n + 1)), RngSeed(24, trial))
+            e = nystrom_extend(a, s).spectral_error
+            z = eigh_factor(a, s)
+            dense = spectral_norm(a.entries - z @ z.T)
+            lam1 = spectral_norm(a.entries)
+            assert abs(e - dense) <= 1e-8 * max(e, dense) + 1e-12 * lam1
+
+
+def test_run_trial_builds_no_factor(monkeypatch):
+    seen = []
+
+    def record(a, sample):
+        seen.append(nystrom_extend(a, sample))
+        return seen[-1]
+
+    monkeypatch.setattr(experiment, "nystrom_extend", record)
+    cfg = experiment.config_from_mapping({"n": 64, "k": 2, "l": 20, "trials": 1, "seed": 1,
+                                          "gen": "exp:0.5", "coherence": "flat"})
+    experiment.run_trial(experiment.prepare(cfg), 1, 0)
+    assert len(seen) == 1 and "factor" not in vars(seen[0])
+
+
+def test_extend_allocates_no_n_by_rank_w_array():
+    # Peak below the gather of C plus one n x rank_w array: the gather, W,
+    # the l x 2l elimination buffer and the Lanczos basis fit, a factor Z
+    # next to them does not.
+    n, l = 1024, 200
+    cfg = experiment.config_from_mapping({"n": n, "k": 16, "l": l, "trials": 1, "seed": 1,
+                                          "gen": "exp:0.95", "coherence": "flat"})
+    a = experiment.prepare(cfg).a
+    s = sample_uniform(n, l, RngSeed(1, 0))
+    tracemalloc.start()
+    try:
+        res = nystrom_extend(a, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.rank_w >= 0.9 * l
+    assert peak < 8 * n * (l + res.rank_w), f"peak {peak} bytes"
