@@ -8,8 +8,9 @@ bounds     evaluate the sample-size rule and bound values for parameters
 chernoff   empirical validation sweep of the Gram-eigenvalue tail bound
 
 Exit codes: 0 success; 2 configuration error (bad flags or parameters);
-3 input-data error (missing or malformed matrix file); 4 numerical error
-(input not PSD, eigensolver failure, overflow to a non-finite value).
+3 input-data error (a path that cannot be opened, or a malformed matrix
+file); 4 numerical error (input not PSD, eigensolver failure, overflow to
+a non-finite value).
 """
 
 from __future__ import annotations
@@ -229,10 +230,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except MatrixFileError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except FileNotFoundError as exc:
+    except (MatrixFileError, OSError) as exc:  # OSError: a path that cannot be opened
         sys.stderr.write(f"error: {exc}\n")
         return 3
     except (NotPSDError, NonConvergenceError, np.linalg.LinAlgError,

@@ -19,8 +19,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
-import stat
 import sys
 import time
 from dataclasses import dataclass
@@ -120,26 +118,44 @@ def _parse_row(line: str, n: int, lineno: int) -> list[float] | MatrixFileError:
     return vals
 
 
+def _store(rows, at: int, block, n: int) -> np.ndarray:
+    """Write block into the buffer rows from row at; return the buffer.
+
+    A buffer too short for it is first resized in place to the smallest of
+    n, ceil(n/2), ceil(n/4), ... rows that holds it.  ``realloc`` moves a
+    large buffer by remapping its pages, and where it must copy, the last
+    copy holds at most 1.5 n^2 values at once.
+    """
+    need = at + len(block)
+    if rows is None:
+        rows = np.empty((0, n))
+    if len(rows) < need:
+        size = n
+        while need <= size // 2:
+            size -= size // 2
+        rows.resize((size, n), refcheck=False)  # no view of the buffer exists
+    rows[at:need] = block
+    return rows
+
+
 def load_matrix(path) -> SymMatrix:
     """Read the plain-text matrix format.
 
     Line 1 is the integer dimension n; lines 2..n+1 each carry n
     whitespace-separated reals (row-major), any finite token ``float()``
     reads.  Trailing blank lines are tolerated; everything else raises
-    :class:`MatrixFileError` with the offending line number.
+    :class:`MatrixFileError` with the offending line number, a byte that is
+    not UTF-8 as an unparseable ``value``.
 
-    The file is read once, ``LOAD_CHUNK`` data lines at a time, into one
-    preallocated n x n array.  ``np.loadtxt`` (which rounds like
+    A regular file and a pipe (``/dev/stdin``) take one read path, once,
+    ``LOAD_CHUNK`` data lines at a time.  ``np.loadtxt`` (which rounds like
     ``float()``) parses each chunk; a chunk it refuses is read line by line
     with ``float()``, which also reads the tokens numpy refuses (``1_0``,
-    non-ASCII digits).  Defects are reported in the order header, count of
-    data lines, first bad line.  A regular file of fewer than n * n bytes
-    cannot hold n lines of n tokens, so it is only checked, into no array.
-    Any other file (a pipe, ``/dev/stdin``) has no size to check: its rows
-    are kept as they arrive and joined at the end, so a header that
-    promises more than the data holds allocates nothing for it.
+    non-ASCII digits).  The rows parsed fill a buffer that grows with them,
+    so memory follows the rows the file holds, never its header.  Defects
+    are reported in the order header, count of data lines, first bad line.
     """
-    with open(path) as fh:
+    with open(path, errors="surrogateescape") as fh:
         lines = _lines(fh)
         head = next(lines, "").strip()
         if not head and not any(s.strip() for s in lines):
@@ -152,28 +168,21 @@ def load_matrix(path) -> SymMatrix:
             ) from None
         if n < 1:
             raise MatrixFileError(f"line 1: dimension must be >= 1, got {n}", 1, "header")
-        st = os.fstat(fh.fileno())
-        streamed = not stat.S_ISREG(st.st_mode)  # a pipe has no size to check
-        rows = np.empty((n, n)) if not streamed and n * n <= st.st_size else None
-        blocks = []  # the rows of a streamed file, as they arrive
-        keep = streamed or rows is not None  # values are stored, not only checked
+        rows = None  # the parsed rows, allocated on the first store
         last = 1  # the last non-blank line
         defect = None  # the first bad data line's error
         for i in range(0, n, LOAD_CHUNK):
             chunk = list(itertools.islice(lines, min(LOAD_CHUNK, n - i)))
             if not chunk:
                 break
-            if keep and defect is None and all(s.strip() for s in chunk):
+            if defect is None and all(s.strip() for s in chunk):
                 try:
                     block = np.loadtxt(chunk, dtype=np.float64, comments=None, ndmin=2)
                 except ValueError:
                     block = None
                 if (block is not None and block.shape == (len(chunk), n)
                         and np.isfinite(block).all()):
-                    if streamed:
-                        blocks.append(block)
-                    else:
-                        rows[i:i + len(chunk)] = block
+                    rows = _store(rows, i, block, n)
                     last = i + 1 + len(chunk)
                     continue
             for lineno, line in enumerate(chunk, i + 2):
@@ -183,10 +192,8 @@ def load_matrix(path) -> SymMatrix:
                     vals = _parse_row(line, n, lineno)
                     if isinstance(vals, MatrixFileError):
                         defect = vals
-                    elif streamed:
-                        blocks.append(np.array([vals]))
-                    elif rows is not None:
-                        rows[lineno - 2] = vals
+                    else:
+                        rows = _store(rows, lineno - 2, [vals], n)
         for lineno, line in enumerate(lines, n + 2):
             if line.strip():
                 last = lineno
@@ -196,12 +203,6 @@ def load_matrix(path) -> SymMatrix:
         )
     if defect is not None:
         raise defect
-    if streamed:
-        rows = np.concatenate(blocks)
-    elif rows is None:  # every line checked out, yet st_size said too short
-        raise MatrixFileError(
-            f"{n} x {n} values cannot fit in a file of {st.st_size} bytes", None, "count"
-        )
     rows.flags.writeable = False  # handed over: SymMatrix stores it as is
     try:
         return SymMatrix(rows)

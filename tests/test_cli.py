@@ -71,6 +71,22 @@ def test_approx_missing_file(tmp_path, capsys):
     assert main(["approx", "--matrix", str(tmp_path / "nope.txt"), "--l", "1"]) == 3
 
 
+@pytest.mark.parametrize("argv", [["approx", "--l", "1", "--matrix"], ["trials", "--config"]],
+                         ids=["matrix", "config"])
+def test_directory_as_input_path_exits_3(tmp_path, capsys, argv):
+    assert main(argv + [str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_approx_non_utf8_byte_exits_3(tmp_path, capsys):
+    p = tmp_path / "m.txt"
+    p.write_bytes(b"2\n1 0\n0 \xff\n")
+    assert main(["approx", "--matrix", str(p), "--l", "1"]) == 3
+    assert capsys.readouterr().err == "error: line 3: unparseable numeric value\n"
+
+
 def test_approx_malformed_file(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("2\n1 x\nx 1\n")

@@ -4,9 +4,7 @@ import dataclasses
 import json
 import math
 import os
-import stat
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -362,40 +360,77 @@ def test_load_error_order_and_text(tmp_path, text, kind, line, message):
     assert (ei.value.kind, ei.value.line, str(ei.value)) == (kind, line, message)
 
 
-def test_load_huge_header_allocates_nothing(tmp_path):
-    # a file too short to hold n lines of n tokens is refused by the count
-    # without an n x n buffer (128 MiB at n = 4096)
-    p = tmp_path / "m.txt"
-    p.write_text("4096\n1\n")
-    tracemalloc.start()
-    try:
-        with pytest.raises(MatrixFileError) as ei:
-            load_matrix(p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ei.value.kind == "count" and ei.value.line == 2
-    assert peak < 1 << 20
-
-
-def test_load_refuses_lines_that_outgrow_the_file_size(tmp_path, monkeypatch):
-    # below n * n bytes a regular file gets no array, so lines that all
-    # check out are still refused
-    p = tmp_path / "m.txt"
-    p.write_text("2\n1 0\n0 1\n")
-    monkeypatch.setattr(experiment.os, "fstat",
-                        lambda fd: types.SimpleNamespace(st_size=0, st_mode=stat.S_IFREG))
-    with pytest.raises(MatrixFileError) as ei:
-        load_matrix(p)
-    assert (ei.value.kind, ei.value.line) == ("count", None)
-
-
 def _pipe(data: bytes) -> int:
     """The read end of a pipe that holds data, its write end closed."""
     r, w = os.pipe()
     os.write(w, data)
     os.close(w)
     return r
+
+
+def _source(kind: str, data: bytes, tmp_path):
+    """data as load_matrix reads it: a regular file's path, or a pipe."""
+    if kind == "pipe":
+        return _pipe(data)
+    p = tmp_path / "m.txt"
+    p.write_bytes(data)
+    return p
+
+
+def _load_peak(src) -> tuple[SymMatrix | MatrixFileError, int]:
+    """load_matrix(src), or the MatrixFileError it raises, and its
+    tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        try:
+            out = load_matrix(src)
+        except MatrixFileError as exc:
+            out = exc
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+@pytest.mark.parametrize("kind", ["file", "pipe"])
+@pytest.mark.parametrize("n", [10**6, 10**23])
+def test_load_huge_header_allocates_nothing(tmp_path, kind, n):
+    # a header that promises more rows than the data holds is refused by
+    # the count without a buffer for them (8 MB for one row at n = 10^6)
+    err, peak = _load_peak(_source(kind, f"{n}\n1\n".encode(), tmp_path))
+    assert isinstance(err, MatrixFileError)
+    assert err.kind == "count" and err.line == 2
+    assert peak < 1 << 20
+
+
+def test_load_short_file_allocates_for_its_rows(tmp_path):
+    # 300 well-formed rows under a header of 2048, in more than n^2 bytes:
+    # the buffer follows the rows parsed, not the n x n the header promises
+    n = 2048
+    row = " ".join(["0.123456789"] * n)
+    err, peak = _load_peak(_source("file", f"{n}\n".encode() + (row + "\n").encode() * 300,
+                                   tmp_path))
+    assert isinstance(err, MatrixFileError)
+    assert (err.kind, err.line) == ("count", 301)
+    assert peak < 0.6 * n * n * 8, f"peak is {peak / (n * n * 8):.2f} n^2 doubles"
+
+
+def test_load_full_file_peak(tmp_path):
+    # the buffer grows in place: no copy of its rows is held beside it
+    n = 1024
+    p = tmp_path / "m.txt"
+    save_matrix(gram_psd(n, np.random.default_rng(3)), p)
+    a, peak = _load_peak(p)
+    assert a.n == n
+    assert peak <= 1.75 * n * n * 8, f"peak is {peak / (n * n * 8):.2f} n^2 doubles"
+
+
+@pytest.mark.parametrize("kind", ["file", "pipe"])
+def test_load_non_utf8_byte_is_a_value_defect(tmp_path, kind):
+    with pytest.raises(MatrixFileError) as ei:
+        load_matrix(_source(kind, b"2\n1 0\n0 \xff\n", tmp_path))
+    assert (ei.value.kind, ei.value.line, str(ei.value)) == (
+        "value", 3, "line 3: unparseable numeric value")
 
 
 def test_load_from_a_pipe_matches_the_regular_file(tmp_path):
@@ -406,19 +441,6 @@ def test_load_from_a_pipe_matches_the_regular_file(tmp_path):
     data = p.read_bytes() + b"\n\n"
     assert os.fstat(r := _pipe(data)).st_size == 0
     assert np.array_equal(load_matrix(r).entries, load_matrix(p).entries)
-
-
-def test_load_huge_header_from_a_pipe_allocates_nothing():
-    r = _pipe(b"1000000\n1\n")
-    tracemalloc.start()
-    try:
-        with pytest.raises(MatrixFileError) as ei:
-            load_matrix(r)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ei.value.kind == "count" and ei.value.line == 2
-    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
