@@ -39,13 +39,25 @@ from .nystrom import nystrom_extend
 from .sampling import ColumnSample, RngSeed, lanczos_start, sample_uniform
 
 
+def _indices(text: str) -> tuple[int, ...]:
+    """The column indices of ``--indices``, comma-separated integers."""
+    idx = []
+    for tok in text.split(","):
+        if tok.strip():
+            try:
+                idx.append(int(tok))
+            except ValueError:
+                raise ConfigError("indices", f"not an integer: {tok!r}") from None
+    return tuple(idx)
+
+
 def _cmd_approx(args) -> int:
+    idx = None if args.indices is None else _indices(args.indices)
     a = load_matrix(args.matrix)
     check_psd(a)
     # ||A||_2 by the seeded Lanczos of the error route: lambda_1 of a PSD A
     lambda1, _ = lowrank_residual_norm(a, lanczos_start(a.n))
-    if args.indices is not None:
-        idx = tuple(int(tok) for tok in args.indices.split(",") if tok.strip())
+    if idx is not None:
         sample = ColumnSample(n=a.n, indices=idx)
     else:
         if args.l is None:

@@ -352,8 +352,15 @@ def config_from_mapping(d: dict) -> ExperimentConfig:
 
 
 def read_config(path) -> dict:
-    """The JSON object of a config file; parse errors carry the line number."""
-    text = Path(path).read_text()
+    """The JSON object of a config file; parse errors, and a byte that is
+    not UTF-8, carry the line number."""
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    try:
+        text.encode()
+    except UnicodeEncodeError as exc:  # an escaped byte is a lone surrogate
+        line = text.count("\n", 0, exc.start) + 1
+        byte = ord(text[exc.start]) - 0xDC00
+        raise ConfigError("<config file>", f"line {line}: byte {byte:#04x} is not UTF-8") from exc
     try:
         d = json.loads(text)
     except json.JSONDecodeError as exc:

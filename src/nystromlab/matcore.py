@@ -33,6 +33,8 @@ Conventions
   window raises :class:`NotPSDError`.  :func:`check_psd` decides this
   window for a whole matrix without an eigensolve when a shifted
   Cholesky factorization succeeds, and from the eigenvalues otherwise.
+  That Cholesky is blocked by ``CHOLESKY_BLOCK`` columns and runs in
+  place, so it holds one n x n scratch array besides the input.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ DEGENERACY_REL_TOL = 1e-12
 
 # Side of the square tiles in which SymMatrix compares A with A^T.
 SYMMETRY_TILE = 128
+
+# Column block of the blocked Cholesky in shifted_cholesky_ok.
+CHOLESKY_BLOCK = 256
 
 # Lanczos stopping rule of lowrank_residual_norm: Ritz residual relative to
 # the Ritz value.
@@ -284,8 +289,9 @@ def clamp_psd_eigenvalues(vals: np.ndarray) -> np.ndarray:
 def check_psd(a: SymMatrix) -> None:
     """Certify that A is PSD within the clamp window, or raise NotPSDError.
 
-    Runs a Cholesky factorization of ``A + PSD_CLAMP_REL * max(max_i a_ii,
-    0) I``.  It succeeds only if every eigenvalue of A exceeds
+    Runs the blocked Cholesky factorization of :func:`shifted_cholesky_ok`
+    on ``A + PSD_CLAMP_REL * max(max_i a_ii, 0) I``, in place on one n x n
+    scratch copy.  It succeeds only if every eigenvalue of A exceeds
     ``-PSD_CLAMP_REL * max_i a_ii``, and ``max_i a_ii <= lambda_max``, so
     success certifies the window at about a quarter of the flops of an
     eigensolve (Higham, "Analysis of the Cholesky decomposition of a
@@ -303,14 +309,35 @@ def check_psd(a: SymMatrix) -> None:
 def shifted_cholesky_ok(m: np.ndarray, shift: float) -> bool:
     """True when a Cholesky factorization of ``m + shift I`` succeeds, which
     certifies that every eigenvalue of the symmetric array m exceeds
-    ``-shift``."""
-    shifted = m.copy()
-    diag = np.arange(m.shape[0])
-    shifted[diag, diag] += shift
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
+    ``-shift``.
+
+    Right-looking and blocked, in place on one copy of m: for each block
+    of ``CHOLESKY_BLOCK`` columns, ``np.linalg.cholesky`` factors the
+    diagonal block (it reads only its lower triangle), ``np.linalg.solve``
+    turns the panel below it into the factor's panel, and one matmul per
+    block-strip subtracts the panel product from the trailing lower
+    triangle.  Only the copy, one panel and one strip product are live;
+    no n x n factor is formed.  A blocked Cholesky has the backward error
+    of the unblocked one (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 10), so it certifies the same window.  For
+    ``n <= CHOLESKY_BLOCK`` this is one ``np.linalg.cholesky`` of the whole
+    shifted copy.
+    """
+    n, b = m.shape[0], CHOLESKY_BLOCK
+    s = m.copy()
+    diag = np.arange(n)
+    s[diag, diag] += shift
+    for j in range(0, n, b):
+        e = min(j + b, n)
+        try:
+            factor = np.linalg.cholesky(s[j:e, j:e])
+        except np.linalg.LinAlgError:
+            return False
+        if e < n:  # solve costs a factorization even with no panel rows
+            panel = np.linalg.solve(factor, s[e:, j:e].T).T
+        for i in range(e, n, b):
+            t = min(i + b, n)
+            s[i:t, e:t] -= panel[i - e:t - e] @ panel[:t - e].T
     return True
 
 

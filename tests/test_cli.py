@@ -67,6 +67,11 @@ def test_approx_needs_l_or_indices(identity4, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_approx_non_integer_index_names_indices(identity4, capsys):
+    assert main(["approx", "--matrix", identity4, "--indices", "0,x"]) == 2
+    assert capsys.readouterr().err == "error: config error in 'indices': not an integer: 'x'\n"
+
+
 def test_approx_missing_file(tmp_path, capsys):
     assert main(["approx", "--matrix", str(tmp_path / "nope.txt"), "--l", "1"]) == 3
 
@@ -209,6 +214,15 @@ def test_trials_config_file(tmp_path, capsys):
     assert main(["trials", "--config", str(cfgp)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4
+
+
+def test_trials_config_non_utf8_byte_names_its_line(tmp_path, capsys):
+    cfgp = tmp_path / "c.json"
+    cfgp.write_bytes(b'{"n": 16, "k": 2, "trials": 3, "seed": 1, "l": 8,\n'
+                     b'"gen": "exact-rank-k",\n"coherence": "fl\xffat"}\n')
+    assert main(["trials", "--config", str(cfgp)]) == 2
+    assert capsys.readouterr().err == (
+        "error: config error in '<config file>': line 3: byte 0xff is not UTF-8\n")
 
 
 def test_trials_config_conflicts_with_inline(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Core primitives: eigendecomposition, sqrt, pinv, norms, projectors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,17 +271,35 @@ def _psd_decision(check):
     c=st.sampled_from([0.0, 0.5, 2.0, 100.0]),
 )
 def test_check_psd_matches_the_eigenvalue_decision(n, family, seed, c):
-    # A shifted by c times the clamp window: inside it for c < 1, below it
-    # for c > 1 wherever lambda_min(A) is small
-    a = list(mixed_spectrum_cases(np.random.default_rng(seed), n))[family][1]
-    lam1 = float(sym_eigvals(a)[0])
-    a = SymMatrix(a.entries - c * PSD_CLAMP_REL * lam1 * np.eye(n))
-    want = _psd_decision(lambda: clamp_psd_eigenvalues(sym_eigvals(a)))
-    assert _psd_decision(lambda: check_psd(a)) == want
+    a = _shifted(list(mixed_spectrum_cases(np.random.default_rng(seed), n))[family][1], c)
+    want = _assert_eigenvalue_decision(a)
     if want is None:
         theta, r = lowrank_residual_norm(a, lanczos_start(n))
         lam1 = float(sym_eigvals(a)[0])
         assert abs(theta - lam1) <= r + 8 * n * EPS * lam1
+
+
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(matcore.CHOLESKY_BLOCK + 1, 700), seed=st.integers(0, 2**32 - 1))
+def test_check_psd_matches_the_eigenvalue_decision_over_several_blocks(n, seed):
+    # every family and shift, so each example has cases on both sides
+    decisions = [_assert_eigenvalue_decision(_shifted(a, c))
+                 for _, a in mixed_spectrum_cases(np.random.default_rng(seed), n)
+                 for c in (0.0, 0.5, 2.0, 100.0)]
+    assert None in decisions and any(d is not None for d in decisions)
+
+
+def _shifted(a, c):
+    # A shifted by c times the clamp window: inside it for c < 1, below it
+    # for c > 1 wherever lambda_min(A) is small
+    lam1 = float(sym_eigvals(a)[0])
+    return SymMatrix(a.entries - c * PSD_CLAMP_REL * lam1 * np.eye(a.n))
+
+
+def _assert_eigenvalue_decision(a):
+    want = _psd_decision(lambda: clamp_psd_eigenvalues(sym_eigvals(a)))
+    assert _psd_decision(lambda: check_psd(a)) == want
+    return want
 
 
 def test_check_psd_certifies_without_an_eigensolve(monkeypatch):
@@ -290,6 +310,46 @@ def test_check_psd_certifies_without_an_eigensolve(monkeypatch):
     check_psd(gram_psd(6, np.random.default_rng(3)))
     check_psd(planted_psd(6, [2.0, 1.0, 0.0, 0.0, 0.0, 0.0], np.random.default_rng(4))[0])
     check_psd(SymMatrix(1e160 * np.eye(3)))
+
+
+@pytest.mark.parametrize("n", [matcore.CHOLESKY_BLOCK + 1, 600])
+def test_shifted_cholesky_ok_decides_at_the_last_pivot(n):
+    # a_nn minus (1 -+ 1%) of its Schur complement 1 / (A^{-1})_nn leaves the
+    # last pivot at +-1% of it, so only a right trailing update decides
+    a = gram_psd(n, np.random.default_rng(8)).entries
+    schur = 1.0 / np.linalg.inv(a)[-1, -1]
+    for slack, want in ((0.01, True), (-0.01, False)):
+        m = a.copy()
+        m[-1, -1] -= (1.0 - slack) * schur
+        assert matcore.shifted_cholesky_ok(m, 0.0) is want
+
+
+def test_check_psd_peak_memory_is_one_scratch_copy():
+    n = 1024
+    a = gram_psd(n, np.random.default_rng(6))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        check_psd(a)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n * n * 8
+
+
+def test_shifted_cholesky_ok_is_one_cholesky_up_to_one_block(monkeypatch):
+    m = gram_psd(matcore.CHOLESKY_BLOCK, np.random.default_rng(7)).entries
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def spy(x):
+        calls.append(x.copy())
+        return cholesky(x)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    assert matcore.shifted_cholesky_ok(m, 0.5)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], m + 0.5 * np.eye(m.shape[0]))
 
 
 def test_check_psd_falls_back_to_the_eigenvalues():
