@@ -10,8 +10,6 @@ sample-size rule with its Chernoff failure tail.
 from types import ModuleType as _ModuleType
 
 from .matcore import (
-    EigenDecomposition,
-    NonConvergenceError,
     NotPSDError,
     SpectralPartition,
     SymMatrix,

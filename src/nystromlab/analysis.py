@@ -153,8 +153,8 @@ def _structural_bound(part: SpectralPartition, m: float) -> float:
     tol = full_rank_tolerance(part.n)
     if m <= tol:
         raise BoundInapplicableError(m, tol)
-    sigma2_norm = float(np.max(np.abs(part.sigma2))) if part.sigma2.size else 0.0
-    return sigma2_norm / m
+    tail = part.eigenvalues[part.k:]
+    return (float(np.max(np.abs(tail))) if tail.size else 0.0) / m
 
 
 def required_samples(k: int, tau: float, delta: float, epsilon: float) -> int:

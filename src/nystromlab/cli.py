@@ -34,7 +34,7 @@ from .experiment import (
     run_experiment,
 )
 from .generators import parse_plan
-from .matcore import NonConvergenceError, NotPSDError, check_psd, lowrank_residual_norm
+from .matcore import NotPSDError, check_psd, lowrank_residual_norm
 from .nystrom import nystrom_extend
 from .sampling import ColumnSample, RngSeed, lanczos_start, sample_uniform
 
@@ -53,16 +53,14 @@ def _indices(text: str) -> tuple[int, ...]:
 
 def _cmd_approx(args) -> int:
     idx = None if args.indices is None else _indices(args.indices)
+    if idx is None and args.l is None:
+        raise ConfigError("l", "give either --l or --indices")
     a = load_matrix(args.matrix)
     check_psd(a)
     # ||A||_2 by the seeded Lanczos of the error route: lambda_1 of a PSD A
     lambda1, _ = lowrank_residual_norm(a, lanczos_start(a.n))
-    if idx is not None:
-        sample = ColumnSample(n=a.n, indices=idx)
-    else:
-        if args.l is None:
-            raise ConfigError("l", "give either --l or --indices")
-        sample = sample_uniform(a.n, args.l, RngSeed(args.seed, 0))
+    sample = (ColumnSample(n=a.n, indices=idx) if idx is not None
+              else sample_uniform(a.n, args.l, RngSeed(args.seed, 0)))
     res = nystrom_extend(a, sample)
     doc = {
         "n": a.n,
@@ -139,7 +137,10 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_chernoff(args) -> int:
-    plans = [parse_plan(p) for p in args.coherence]
+    try:
+        plans = [parse_plan(p) for p in args.coherence]
+    except ValueError as exc:
+        raise ConfigError("coherence", str(exc)) from exc
     rows = chernoff_sweep(
         n=args.n,
         ks=args.k,
@@ -245,8 +246,7 @@ def main(argv=None) -> int:
     except (MatrixFileError, OSError) as exc:  # OSError: a path that cannot be opened
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except (NotPSDError, NonConvergenceError, np.linalg.LinAlgError,
-            FloatingPointError) as exc:
+    except (NotPSDError, np.linalg.LinAlgError, FloatingPointError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4
     except ValueError as exc:

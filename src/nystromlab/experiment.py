@@ -50,7 +50,6 @@ from .matcore import (
     SymMatrix,
     clamp_psd_eigenvalues,
     partition,
-    sym_eig,
 )
 from .nystrom import nystrom_extend
 from .sampling import RngSeed, sample_uniform
@@ -423,16 +422,14 @@ def prepare(config: ExperimentConfig) -> ExperimentSetup:
             raise ConfigError("n", f"config says n={config.n} but the file has n={n}")
         if config.k > n - 1:
             raise ConfigError("k", f"must be <= n-1 = {n - 1}, got {config.k}")
-        ed = sym_eig(a)
-        clamp_psd_eigenvalues(ed.eigenvalues)  # raises NotPSDError if violated
-        part = partition(ed, config.k)
+        part = partition(a, config.k)
+        clamp_psd_eigenvalues(part.eigenvalues)  # raises NotPSDError if violated
         tau = coherence(part.u1)
-        lam = ed.eigenvalues
     else:
         seed = RngSeed(config.master_seed, INSTANCE_STREAM)
         a, part, tau = planted_instance(config.gen, config.coherence, seed)
         n = a.n
-        lam = np.concatenate([part.sigma1, part.sigma2])
+    lam = part.eigenvalues
     lambda1 = float(lam[0])
     lambda_k1 = float(max(lam[config.k], 0.0))
     l_required = required_samples(config.k, tau, config.delta, config.epsilon)

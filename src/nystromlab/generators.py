@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import _check_orthonormal, coherence
-from .matcore import EPS, SpectralPartition, SymMatrix, split_spectrum
+from .matcore import EPS, SpectralPartition, SymMatrix
 from .sampling import RngSeed, rng_from
 
 _SPECTRUM_KINDS = ("exact-rank-k", "exp-decay", "power-law", "custom")
@@ -311,8 +311,8 @@ def planted_instance(
 ) -> tuple[SymMatrix, SpectralPartition, float]:
     """Build a PSD instance with known spectrum and known dominant subspace.
 
-    Returns ``(A, partition, tau)`` where the partition's blocks are the
-    planted eigenvector/eigenvalue blocks at the spec's k and tau is the
+    Returns ``(A, partition, tau)`` where the partition holds the planted
+    dominant basis at the spec's k and the planted spectrum, and tau is the
     exact coherence of the planted dominant basis.
 
     ``low`` and ``spiked`` instances come from :func:`psd_from_spectrum`,
@@ -337,9 +337,7 @@ def planted_instance(
         u = _planted_basis(spec.n, plan, spec.k, seed)
         a = psd_from_spectrum(u, lam)
         u1 = u[:, :spec.k].copy()
-    part = split_spectrum(u1, lam)
-    tau = coherence(part.u1)
-    return a, part, tau
+    return a, SpectralPartition(u1, lam), coherence(u1)
 
 
 def parse_spectrum(text: str, n: int, k: int, lambda1: float = 1.0) -> SpectrumSpec:
@@ -376,7 +374,10 @@ def parse_plan(text: str) -> CoherencePlan:
     if text.startswith("spiked"):
         m = 1
         if ":" in text:
-            m = int(text.split(":", 1)[1])
+            try:
+                m = int(text.split(":", 1)[1])
+            except ValueError:
+                raise ValueError(f"coherence plan {text!r}: M is not an integer") from None
         return CoherencePlan(target="spiked", m=m)
     raise ValueError(
         f"unrecognized coherence plan {text!r}; expected 'flat', 'low', or 'spiked:M'"

@@ -2,11 +2,11 @@
 
 Everything downstream (column sampling, the Nystrom extension, the error
 bounds) is written against the small kernel of operations in this module:
-a symmetric eigendecomposition with a fixed descending ordering (or its
+a symmetric eigensolve with a fixed descending ordering (or its
 eigenvalues alone), a PSD check, a PSD square root, spectral norms, the
 matrix-free Lanczos norm of a low-rank update ``A - C M^T M C^T``,
-orthogonal projectors onto column spaces, and the split of a spectrum
-into its dominant eigenvector block and its eigenvalue blocks.
+orthogonal projectors onto column spaces, and :func:`partition`, which
+keeps the k dominant eigenvectors ``U_1`` and the whole spectrum.
 
 Conventions
 -----------
@@ -26,6 +26,7 @@ Conventions
   value.
 * Eigenvalues are always reported in non-increasing order.  Ties keep the
   backend's output order, so results are deterministic for a fixed input.
+  A solver that fails to converge raises ``np.linalg.LinAlgError``.
 * Rank decisions use the conventional relative cutoff
   ``max(shape) * machine_eps`` measured against the largest singular value.
 * Eigenvalues of a nominally PSD matrix that land in
@@ -53,9 +54,6 @@ ASYMMETRY_REL_TOL = 1e-8
 # the largest eigenvalue.
 PSD_CLAMP_REL = 1e-10
 
-# Eigenvalue-tie window used to flag degenerate dominant/tail splits.
-DEGENERACY_REL_TOL = 1e-12
-
 # Side of the square tiles in which SymMatrix compares A with A^T.
 SYMMETRY_TILE = 128
 
@@ -77,14 +75,6 @@ class NotPSDError(ValueError):
             f"matrix is not PSD within tolerance: eigenvalue {eigenvalue!r} "
             f"is below the clamp floor {floor!r}"
         )
-
-
-class NonConvergenceError(RuntimeError):
-    """The symmetric eigensolver failed to converge."""
-
-    def __init__(self, detail: str):
-        self.detail = detail
-        super().__init__(f"symmetric eigensolver did not converge: {detail}")
 
 
 def _scale_exponent(big: float) -> int:
@@ -191,42 +181,16 @@ class SymMatrix:
 
 
 @dataclass(frozen=True)
-class EigenDecomposition:
-    """Full symmetric eigendecomposition, eigenvalues non-increasing.
-
-    ``eigenvectors[:, j]`` is the unit eigenvector paired with
-    ``eigenvalues[j]``; the column matrix is orthogonal.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.diff(self.eigenvalues) > 0):
-            raise ValueError("eigenvalues must be sorted in non-increasing order")
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
-
-
-@dataclass(frozen=True)
 class SpectralPartition:
-    """Dominant/tail split of a spectrum at index k.
-
-    ``u1`` holds the k dominant eigenvectors (n x k); ``sigma1`` /
-    ``sigma2`` are the dominant and tail eigenvalue blocks.  The tail
-    eigenvectors are not kept: the bounds read only ``U_1`` and
-    ``||Sigma_2||_2``.  When the eigenvalues at the split are tied within
-    ``DEGENERACY_REL_TOL`` the dominant subspace is not uniquely determined
-    and ``degenerate`` is set; the split itself still follows the
-    deterministic sort order.
+    """A spectrum split at k: ``u1`` holds the k dominant eigenvectors
+    (n x k) and ``eigenvalues`` the whole non-increasing spectrum, so
+    ``eigenvalues[:k]`` is ``Sigma_1`` and ``eigenvalues[k:]`` is
+    ``Sigma_2``.  The tail eigenvectors are not kept: the bounds read only
+    ``U_1`` and ``||Sigma_2||_2``.
     """
 
     u1: np.ndarray
-    sigma1: np.ndarray
-    sigma2: np.ndarray
-    degenerate: bool
+    eigenvalues: np.ndarray
 
     @property
     def k(self) -> int:
@@ -237,39 +201,23 @@ class SpectralPartition:
         return self.u1.shape[0]
 
 
-def sym_eig(a: SymMatrix) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
+def sym_eig(a: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """``(eigenvalues, eigenvectors)`` of a symmetric matrix, eigenvalues
+    descending and ``eigenvectors[:, j]`` the unit vector paired with
+    ``eigenvalues[j]``.
 
     Backed by LAPACK's symmetric solver; the ascending output is reordered
     with a stable descending sort, so ties keep the backend order and the
     result is deterministic for a fixed input.
-
-    Raises
-    ------
-    NonConvergenceError
-        If the backend solver fails to converge.
     """
-    try:
-        vals, vecs = np.linalg.eigh(a.entries)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(str(exc)) from exc
+    vals, vecs = np.linalg.eigh(a.entries)
     order = np.argsort(-vals, kind="stable")
-    return EigenDecomposition(eigenvalues=vals[order], eigenvectors=vecs[:, order])
+    return vals[order], vecs[:, order]
 
 
 def sym_eigvals(a: SymMatrix) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, descending, without eigenvectors.
-
-    Raises
-    ------
-    NonConvergenceError
-        If the backend solver fails to converge.
-    """
-    try:
-        vals = np.linalg.eigvalsh(a.entries)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(str(exc)) from exc
-    return vals[::-1]
+    """Eigenvalues of a symmetric matrix, descending, without eigenvectors."""
+    return np.linalg.eigvalsh(a.entries)[::-1]
 
 
 def clamp_psd_eigenvalues(vals: np.ndarray) -> np.ndarray:
@@ -347,9 +295,8 @@ def psd_sqrt(a: SymMatrix) -> SymMatrix:
     Shares eigenvectors with ``A``; round-off negatives inside the clamp
     window are treated as zero, anything below raises NotPSDError.
     """
-    ed = sym_eig(a)
-    vals = clamp_psd_eigenvalues(ed.eigenvalues)
-    root = (ed.eigenvectors * np.sqrt(vals)) @ ed.eigenvectors.T
+    vals, vecs = sym_eig(a)
+    root = (vecs * np.sqrt(clamp_psd_eigenvalues(vals))) @ vecs.T
     return SymMatrix(root)
 
 
@@ -477,34 +424,13 @@ def projector(m) -> SymMatrix:
     return SymMatrix(q @ q.T)
 
 
-def partition(ed: EigenDecomposition, k: int) -> SpectralPartition:
-    """Split a decomposition into the dominant k block and the tail.
+def partition(a: SymMatrix, k: int) -> SpectralPartition:
+    """The spectrum of A split at k, from one eigensolve.
 
-    ``k == n`` is allowed and produces an empty tail block.  ``u1`` is an
-    n x k copy, so the n x n eigenvector array is not kept alive.
+    ``k == n`` is allowed and leaves an empty tail.  ``u1`` is an n x k
+    copy, so the n x n eigenvector array is not kept alive.
     """
-    n = ed.n
-    if not 1 <= k <= n:
-        raise ValueError(f"partition index k={k} out of range [1, {n}]")
-    return split_spectrum(ed.eigenvectors[:, :k].copy(), ed.eigenvalues)
-
-
-def split_spectrum(u1: np.ndarray, vals: np.ndarray) -> SpectralPartition:
-    """The partition at ``k = u1.shape[1]`` of the non-increasing spectrum
-    ``vals`` whose k dominant eigenvectors are the columns of u1.
-
-    u1 is stored as it is.  A tie between the k-th and (k+1)-th
-    eigenvalues (within ``DEGENERACY_REL_TOL`` relative to
-    ``max(|lambda_1|, 1)``) sets the ``degenerate`` flag.
-    """
-    k = u1.shape[1]
-    degenerate = False
-    if k < vals.size:
-        scale = max(abs(float(vals[0])), 1.0)
-        degenerate = float(vals[k - 1] - vals[k]) <= DEGENERACY_REL_TOL * scale
-    return SpectralPartition(
-        u1=u1,
-        sigma1=vals[:k].copy(),
-        sigma2=vals[k:].copy(),
-        degenerate=degenerate,
-    )
+    if not 1 <= k <= a.n:
+        raise ValueError(f"partition index k={k} out of range [1, {a.n}]")
+    vals, vecs = sym_eig(a)
+    return SpectralPartition(u1=vecs[:, :k].copy(), eigenvalues=vals)

@@ -184,11 +184,11 @@ def eigh_factor(a: SymMatrix, sample: ColumnSample) -> np.ndarray:
     over the rest, so ``Z Z^T = C W^+ C^T`` at that cutoff.
     """
     c, w = extract_cw(a, sample)
-    ed = sym_eig(w)
-    vals = clamp_psd_eigenvalues(ed.eigenvalues)
+    vals, vecs = sym_eig(w)
+    vals = clamp_psd_eigenvalues(vals)
     lam_max = float(vals[0]) if vals.size else 0.0
     keep = vals > sample.l * EPS * lam_max
-    return c @ (ed.eigenvectors[:, keep] / np.sqrt(vals[keep]))
+    return c @ (vecs[:, keep] / np.sqrt(vals[keep]))
 
 
 def lanczos_growing(a: SymMatrix, start, c=None, index=None, m=None) -> tuple[float, float]:

@@ -83,15 +83,11 @@ def test_coherence_range_and_rotation_invariance():
 # omega matrices
 
 
-def _partition_of(a, k):
-    return partition(sym_eig(a), k)
-
-
 def test_omega_full_sample_orthonormal_rows():
     rng = np.random.default_rng(31)
     a = gram_psd(8, rng)
     s = ColumnSample(n=8, indices=tuple(range(8)))
-    o1, o2 = omega_matrices(sym_eig(a).eigenvectors, 3, s)
+    o1, o2 = omega_matrices(sym_eig(a)[1], 3, s)
     assert o1.shape == (3, 8)
     assert o2.shape == (5, 8)
     assert np.allclose(o1 @ o1.T, np.eye(3), atol=1e-10)
@@ -102,13 +98,13 @@ def test_omega_full_sample_orthonormal_rows():
 def test_omega_is_column_gather():
     rng = np.random.default_rng(33)
     a = gram_psd(9, rng)
-    ed = sym_eig(a)
-    part = partition(ed, 2)
+    _, vecs = sym_eig(a)
+    part = partition(a, 2)
     s = sample_uniform(9, 4, RngSeed(5, 0))
-    o1, o2 = omega_matrices(ed.eigenvectors, 2, s)
+    o1, o2 = omega_matrices(vecs, 2, s)
     idx = np.asarray(s.indices)
     assert np.array_equal(o1, part.u1[idx, :].T)
-    assert np.array_equal(o2, ed.eigenvectors[idx, 2:].T)
+    assert np.array_equal(o2, vecs[idx, 2:].T)
 
 
 def test_omega2_norm_at_most_one():
@@ -119,7 +115,7 @@ def test_omega2_norm_at_most_one():
         a = gram_psd(n, rng)
         l = int(rng.integers(1, n + 1))
         s = sample_uniform(n, l, RngSeed(6, trial))
-        _, o2 = omega_matrices(sym_eig(a).eigenvectors, k, s)
+        _, o2 = omega_matrices(sym_eig(a)[1], k, s)
         assert spectral_norm(o2) <= 1.0 + 1e-9
 
 
@@ -131,7 +127,7 @@ def test_det_bound_zero_tail_is_zero():
     rng = np.random.default_rng(41)
     lam = np.array([3.0, 1.0, 0.0, 0.0, 0.0, 0.0])
     a, _, _ = planted_psd(6, lam, rng)
-    part = _partition_of(a, 2)
+    part = partition(a, 2)
     s = ColumnSample(n=6, indices=tuple(range(6)))
     assert deterministic_bound(part, s) <= 1e-12
 
@@ -139,7 +135,7 @@ def test_det_bound_zero_tail_is_zero():
 def test_det_bound_full_sample_dominates():
     rng = np.random.default_rng(43)
     a = gram_psd(10, rng)
-    part = _partition_of(a, 4)
+    part = partition(a, 4)
     s = ColumnSample(n=10, indices=tuple(range(10)))
     b = deterministic_bound(part, s)
     err = nystrom_extend(a, sample_uniform(10, 10, RngSeed(0, 0))).spectral_error
@@ -156,7 +152,7 @@ def test_det_bound_dominates_error_when_applicable():
         n = int(rng.integers(4, 21))
         k = int(rng.integers(1, min(n, 7)))
         a = gram_psd(n, rng)
-        part = _partition_of(a, k)
+        part = partition(a, k)
         l = int(rng.integers(k, n + 1))
         s = sample_uniform(n, l, RngSeed(9, trial))
         if min_eig_gram(part.u1, s) <= full_rank_tolerance(n):
@@ -174,12 +170,7 @@ def test_det_bound_raises_when_omega1_rank_deficient():
     # spiked leading basis missed by the sample: omega1 is all zeros
     u1 = np.zeros((4, 1))
     u1[0, 0] = 1.0
-    part = SpectralPartition(
-        u1=u1,
-        sigma1=np.array([2.0]),
-        sigma2=np.array([1.0, 0.5, 0.25]),
-        degenerate=False,
-    )
+    part = SpectralPartition(u1=u1, eigenvalues=np.array([2.0, 1.0, 0.5, 0.25]))
     s = ColumnSample(n=4, indices=(1, 2))
     with pytest.raises(BoundInapplicableError):
         deterministic_bound(part, s)
@@ -197,16 +188,16 @@ def test_det_bound_closed_form_matches_pinv_route(n, family, seed, data):
     a = list(mixed_spectrum_cases(rng, n))[family][1]
     k = data.draw(st.integers(1, n - 1), label="k")
     l = data.draw(st.integers(k, n), label="l")
-    ed = sym_eig(a)
-    part = partition(ed, k)
+    _, vecs = sym_eig(a)
+    part = partition(a, k)
     s = sample_uniform(n, l, RngSeed(seed, 0))
     m = min_eig_gram(part.u1, s)
     if m <= full_rank_tolerance(n):
         with pytest.raises(BoundInapplicableError):
             deterministic_bound(part, s)
         return
-    omega1, omega2 = omega_matrices(ed.eigenvectors, k, s)
-    sigma2_norm = float(np.max(np.abs(part.sigma2)))
+    omega1, omega2 = omega_matrices(vecs, k, s)
+    sigma2_norm = float(np.max(np.abs(part.eigenvalues[k:])))
     expect = sigma2_norm * (1.0 + spectral_norm(omega2 @ pinv(omega1)) ** 2)
     # eigvalsh leaves an O(n eps) absolute error on the Gram matrix (norm <= 1),
     # which 1 / m amplifies into a relative error of order n eps / m.
@@ -351,12 +342,7 @@ def test_min_eig_gram_matches_explicit_product():
 def _part_with_u1(u1):
     """Minimal partition wrapper: only u1 / n matter to the callee."""
     n, k = u1.shape
-    return SpectralPartition(
-        u1=u1,
-        sigma1=np.linspace(2.0, 1.0, k),
-        sigma2=np.zeros(n - k),
-        degenerate=False,
-    )
+    return SpectralPartition(u1=u1, eigenvalues=np.r_[np.linspace(2.0, 1.0, k), np.zeros(n - k)])
 
 
 def test_pinv_norm_sq_full_sample_is_one():
@@ -450,19 +436,19 @@ def test_davis_kahan_bound_dominates_distance():
         n = int(rng.integers(4, 16))
         k = int(rng.integers(1, min(n - 1, 5) + 1))
         a = gram_psd(n, rng)
-        part = _partition_of(a, k)
+        part = partition(a, k)
         l = int(rng.integers(k + 1, n + 1))
         s = sample_uniform(n, l, RngSeed(14, trial))
         res = nystrom_extend(a, s)
-        ed_t = sym_eig(dense_extension(res))
-        gap = float(part.sigma1[-1] - ed_t.eigenvalues[k])
-        if gap <= 1e-6 * float(part.sigma1[0]):
+        vals_t, vecs_t = sym_eig(dense_extension(res))
+        gap = float(part.eigenvalues[k - 1] - vals_t[k])
+        if gap <= 1e-6 * float(part.eigenvalues[0]):
             continue
         try:
             b = davis_kahan_bound(a, dense_extension(res), k=k)
         except GapViolatedError:
             continue
-        d = davis_kahan_distance(part.u1, ed_t.eigenvectors[:, :k])
+        d = davis_kahan_distance(part.u1, vecs_t[:, :k])
         assert d <= b + 1e-8, (
             f"trial {trial} (n={n}, k={k}, l={l}): distance {d!r} "
             f"exceeds bound {b!r}"

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nystromlab import required_samples, save_matrix, SymMatrix
+from nystromlab import cli, required_samples, save_matrix, SymMatrix
 from nystromlab.cli import main
 from nystromlab.experiment import CSV_HEADER
 from nystromlab.matcore import EPS
@@ -62,9 +62,13 @@ def test_approx_out_file(identity4, tmp_path, capsys):
     assert doc["spectral_error"] <= 1e-9
 
 
-def test_approx_needs_l_or_indices(identity4, capsys):
+def test_approx_needs_l_or_indices(identity4, capsys, monkeypatch):
+    # decided before the matrix is read
+    opened = []
+    monkeypatch.setattr(cli, "load_matrix", opened.append)
     assert main(["approx", "--matrix", identity4]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert opened == []
+    assert capsys.readouterr().err == "error: config error in 'l': give either --l or --indices\n"
 
 
 def test_approx_non_integer_index_names_indices(identity4, capsys):
@@ -348,6 +352,17 @@ def test_trials_matrix_file_route(psd8, capsys):
     assert len(lines) == 5
 
 
+def test_trials_matrix_eigensolver_failure_exits_4(psd8, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert main(["trials", "--matrix", psd8, "--k", "2", "--l", "4",
+                 "--trials", "4", "--seed", "0"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: Eigenvalues did not converge\n"
+
+
 def test_trials_missing_matrix_file(tmp_path):
     assert main(["trials", "--matrix", str(tmp_path / "gone.txt"), "--k", "2",
                  "--l", "4", "--trials", "2", "--seed", "0"]) == 3
@@ -430,6 +445,16 @@ def test_chernoff_rejects_counts_below_one(capsys, flag, value):
     captured = capsys.readouterr()
     assert f"config error in {flag!r}" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["chernoff", "--n", "8", "--k", "1", "--epsilon", "0.5"],
+    ["trials", "--n", "8", "--k", "1", "--trials", "1", "--seed", "0", "--gen", "exp:0.5"],
+], ids=["chernoff", "trials"])
+def test_non_integer_spike_count_names_coherence(capsys, argv):
+    assert main(argv + ["--coherence", "spiked:x"]) == 2
+    assert capsys.readouterr().err == (
+        "error: config error in 'coherence': coherence plan 'spiked:x': M is not an integer\n")
 
 
 def test_chernoff_reproducible(tmp_path):

@@ -558,6 +558,20 @@ def test_prepare_rejects_indefinite_file(tmp_path):
         prepare(cfg)
 
 
+def test_prepare_file_route_matches_planted_route(tmp_path):
+    # the file route's eigensolve recovers the planted spectrum and tau
+    spec = SpectrumSpec(kind="exp-decay", n=64, k=4, rate=0.5)
+    planted = prepare(_gen_config(n=64, k=4, l=8, gen=spec))
+    p = tmp_path / "m.txt"
+    save_matrix(planted.a, p)
+    loaded = prepare(ExperimentConfig(k=4, trials=8, master_seed=7, l=8, matrix_path=str(p)))
+    tol = 1e-12 * planted.lambda1
+    assert np.allclose(loaded.part.eigenvalues, planted.part.eigenvalues, rtol=0, atol=tol)
+    assert loaded.lambda1 == pytest.approx(planted.lambda1, rel=0, abs=tol)
+    assert loaded.lambda_k1 == pytest.approx(planted.lambda_k1, rel=0, abs=tol)
+    assert loaded.tau == pytest.approx(planted.tau, rel=0, abs=1e-8)
+
+
 def test_prepare_file_dimension_cross_check(tmp_path):
     p = tmp_path / "m.txt"
     p.write_text("2\n1 0\n0 1\n")
@@ -638,7 +652,9 @@ def test_run_trial_takes_one_gram_eigenvalue(plan, monkeypatch):
 
 def test_run_trial_det_bound_overflow_raises():
     setup = prepare(_gen_config(l=8))
-    part = dataclasses.replace(setup.part, sigma2=np.full_like(setup.part.sigma2, 1e308))
+    lam = setup.part.eigenvalues.copy()
+    lam[setup.k:] = 1e308
+    part = dataclasses.replace(setup.part, eigenvalues=lam)
     with pytest.raises(FloatingPointError, match="det_bound overflows at lambda1"):
         run_trial(dataclasses.replace(setup, part=part), 7, 0)
 

@@ -204,8 +204,7 @@ def test_psd_from_spectrum_round_trip():
     u = random_orthonormal(8, 8, RngSeed(13, 0))
     lam = np.array([5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.25, 0.0])
     a = psd_from_spectrum(u, lam)
-    ed = sym_eig(a)
-    assert np.allclose(ed.eigenvalues, lam, atol=1e-8 * lam[0])
+    assert np.allclose(sym_eig(a)[0], lam, atol=1e-8 * lam[0])
 
 
 def test_psd_from_spectrum_validation():
@@ -274,11 +273,9 @@ def test_orthonormal_deviation_is_bitwise_the_difference_norm(n, k):
 def test_planted_exact_rank_tail_is_zero():
     spec = SpectrumSpec(kind="exact-rank-k", n=16, k=4, lambda1=2.0)
     a, part, tau = planted_instance(spec, CoherencePlan(target="flat"), RngSeed(1, 0))
-    assert np.array_equal(part.sigma2, np.zeros(12))
-    assert part.sigma1[0] == 2.0
-    assert not part.degenerate
-    ed = sym_eig(a)
-    assert abs(float(ed.eigenvalues[4])) <= 1e-10
+    assert np.array_equal(part.eigenvalues[4:], np.zeros(12))
+    assert part.eigenvalues[0] == 2.0
+    assert abs(float(sym_eig(a)[0][4])) <= 1e-10
     assert tau == pytest.approx(1.0, abs=1e-12)
 
 
@@ -381,10 +378,10 @@ def test_planted_spiked_m_equals_k_pure_axes():
 def test_planted_exp_ratio():
     spec = SpectrumSpec(kind="exp-decay", n=10, k=4, lambda1=1.0, rate=0.5)
     a, part, _ = planted_instance(spec, CoherencePlan(target="low"), RngSeed(5, 0))
-    ed = sym_eig(a)
-    ratios = ed.eigenvalues[1:] / ed.eigenvalues[:-1]
+    vals, _ = sym_eig(a)
+    ratios = vals[1:] / vals[:-1]
     assert np.allclose(ratios, 0.5, atol=1e-9)
-    assert part.sigma2[0] == pytest.approx(0.5**4, rel=1e-12)
+    assert part.eigenvalues[4] == pytest.approx(0.5**4, rel=1e-12)
 
 
 def test_planted_subspace_recovered_by_eigensolver():
@@ -395,18 +392,11 @@ def test_planted_subspace_recovered_by_eigensolver():
         k = 1 + (t % 3)
         spec = SpectrumSpec(kind="exp-decay", n=n, k=k, lambda1=1.0, rate=0.5)
         a, part, _ = planted_instance(spec, CoherencePlan(target="low"), RngSeed(6, t))
-        gap = float(part.sigma1[-1] - part.sigma2[0])
-        if gap <= 1e-6 * float(part.sigma1[0]):
+        gap = float(part.eigenvalues[k - 1] - part.eigenvalues[k])
+        if gap <= 1e-6 * float(part.eigenvalues[0]):
             continue
-        ed = sym_eig(a)
-        d = davis_kahan_distance(part.u1, ed.eigenvectors[:, :k])
+        d = davis_kahan_distance(part.u1, sym_eig(a)[1][:, :k])
         assert d <= 1e-7, f"stream {t}: distance {d:.3e} with gap {gap:.3e}"
-
-
-def test_planted_degenerate_flag_on_tied_split():
-    spec = SpectrumSpec(kind="custom", n=4, k=2, values=(2.0, 1.0, 1.0, 0.5))
-    _, part, _ = planted_instance(spec, CoherencePlan(target="low"), RngSeed(7, 0))
-    assert part.degenerate
 
 
 @pytest.mark.parametrize("target", ["flat", "low", "spiked"])

@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nystromlab import (
-    EigenDecomposition,
-    NonConvergenceError,
     NotPSDError,
     SymMatrix,
     partition,
@@ -203,46 +201,46 @@ def test_symmatrix_checks_finiteness_before_symmetry():
 # ---------------------------------------------------------------------------
 
 def test_sym_eig_diagonal_descending_order():
-    ed = sym_eig(SymMatrix(np.diag([3.0, 1.0, 2.0])))
-    assert np.allclose(ed.eigenvalues, [3.0, 2.0, 1.0], atol=1e-14)
+    vals, vecs = sym_eig(SymMatrix(np.diag([3.0, 1.0, 2.0])))
+    assert np.allclose(vals, [3.0, 2.0, 1.0], atol=1e-14)
     # eigenvectors of a diagonal matrix are signed standard basis vectors
-    assert np.allclose(np.abs(ed.eigenvectors), np.eye(3)[:, [0, 2, 1]], atol=1e-14)
+    assert np.allclose(np.abs(vecs), np.eye(3)[:, [0, 2, 1]], atol=1e-14)
 
 
 def test_sym_eig_two_by_two_exact():
-    ed = sym_eig(SymMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
-    assert np.allclose(ed.eigenvalues, [3.0, 1.0], atol=1e-14)
+    vals, vecs = sym_eig(SymMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
+    assert np.allclose(vals, [3.0, 1.0], atol=1e-14)
     v_plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     v_minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
-    assert abs(abs(ed.eigenvectors[:, 0] @ v_plus) - 1.0) < 1e-12
-    assert abs(abs(ed.eigenvectors[:, 1] @ v_minus) - 1.0) < 1e-12
+    assert abs(abs(vecs[:, 0] @ v_plus) - 1.0) < 1e-12
+    assert abs(abs(vecs[:, 1] @ v_minus) - 1.0) < 1e-12
 
 
 def test_sym_eig_reconstruction_random():
     rng = np.random.default_rng(11)
     for trial in range(20):
         a = gram_psd(8, rng)
-        ed = sym_eig(a)
-        recon = (ed.eigenvectors * ed.eigenvalues) @ ed.eigenvectors.T
+        vals, vecs = sym_eig(a)
+        recon = (vecs * vals) @ vecs.T
         resid = spectral_norm(recon - a.entries)
         assert resid < 1e-10, f"trial {trial}: reconstruction residual {resid:.3e}"
-        orth = spectral_norm(ed.eigenvectors.T @ ed.eigenvectors - np.eye(8))
+        orth = spectral_norm(vecs.T @ vecs - np.eye(8))
         assert orth < 1e-12
-        assert np.all(np.diff(ed.eigenvalues) <= 0)
+        assert np.all(np.diff(vals) <= 0)
 
 
 def test_sym_eig_deterministic_for_fixed_input():
     a = gram_psd(6, np.random.default_rng(3))
-    e1, e2 = sym_eig(a), sym_eig(a)
-    assert np.array_equal(e1.eigenvalues, e2.eigenvalues)
-    assert np.array_equal(e1.eigenvectors, e2.eigenvectors)
+    (v1, u1), (v2, u2) = sym_eig(a), sym_eig(a)
+    assert np.array_equal(v1, v2)
+    assert np.array_equal(u1, u2)
 
 
 def test_sym_eigvals_descending_and_matches_sym_eig():
     a = gram_psd(9, np.random.default_rng(5))
     vals = sym_eigvals(a)
     assert np.all(np.diff(vals) <= 0)
-    assert np.allclose(vals, sym_eig(a).eigenvalues, rtol=0, atol=1e-13 * vals[0])
+    assert np.allclose(vals, sym_eig(a)[0], rtol=0, atol=1e-13 * vals[0])
 
 
 def test_sym_eigvals_reports_non_convergence(monkeypatch):
@@ -250,7 +248,7 @@ def test_sym_eigvals_reports_non_convergence(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    with pytest.raises(NonConvergenceError):
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
         sym_eigvals(SymMatrix(np.eye(2)))
 
 
@@ -358,11 +356,6 @@ def test_check_psd_falls_back_to_the_eigenvalues():
     with pytest.raises(NotPSDError) as info:
         check_psd(SymMatrix(np.diag([1.0, -1.0])))
     assert (info.value.eigenvalue, info.value.floor) == (-1.0, -PSD_CLAMP_REL)
-
-
-def test_eigendecomposition_rejects_unsorted():
-    with pytest.raises(ValueError, match="non-increasing"):
-        EigenDecomposition(eigenvalues=np.array([1.0, 2.0]), eigenvectors=np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -546,51 +539,44 @@ def test_projector_zero_matrix():
 # ---------------------------------------------------------------------------
 
 def test_partition_full_width_tail_is_empty():
-    ed = sym_eig(SymMatrix(np.diag([3.0, 2.0, 1.0])))
-    part = partition(ed, 3)
+    part = partition(SymMatrix(np.diag([3.0, 2.0, 1.0])), 3)
     assert part.u1.shape == (3, 3)
-    assert part.sigma2.size == 0
+    assert part.eigenvalues[part.k:].size == 0
     assert part.k == 3
 
 
-def test_partition_u1_owns_its_data():
+def test_partition_u1_owns_its_data(monkeypatch):
     # the n x n eigenvector array is not kept alive by the partition
-    ed = sym_eig(gram_psd(8, np.random.default_rng(43)))
-    part = partition(ed, 3)
+    solved = []
+    monkeypatch.setattr(matcore, "sym_eig", lambda a: solved.append(sym_eig(a)) or solved[-1])
+    part = partition(gram_psd(8, np.random.default_rng(43)), 3)
+    (_, vecs), = solved
     assert part.u1.shape == (8, 3) and part.u1.flags.owndata
-    assert not np.shares_memory(part.u1, ed.eigenvectors)
-    assert part.u1.tobytes() == ed.eigenvectors[:, :3].tobytes()
+    assert not np.shares_memory(part.u1, vecs)
+    assert part.u1.tobytes() == vecs[:, :3].tobytes()
 
 
 def test_partition_diagonal_blocks():
-    ed = sym_eig(SymMatrix(np.diag([3.0, 2.0, 1.0])))
-    part = partition(ed, 1)
-    assert np.allclose(part.sigma1, [3.0])
-    assert np.allclose(part.sigma2, [2.0, 1.0])
+    part = partition(SymMatrix(np.diag([3.0, 2.0, 1.0])), 1)
+    assert np.allclose(part.eigenvalues[:1], [3.0])
+    assert np.allclose(part.eigenvalues[1:], [2.0, 1.0])
 
 
 def test_partition_random_block_invariants():
     rng = np.random.default_rng(41)
     a = gram_psd(8, rng)
-    ed = sym_eig(a)
-    part = partition(ed, 3)
-    u2 = ed.eigenvectors[:, 3:]
+    vals, vecs = sym_eig(a)
+    part = partition(a, 3)
+    u2 = vecs[:, 3:]
     assert spectral_norm(part.u1.T @ part.u1 - np.eye(3)) < 1e-10
     assert spectral_norm(u2.T @ u2 - np.eye(5)) < 1e-10
     assert spectral_norm(part.u1.T @ u2) < 1e-10
-    assert np.array_equal(np.concatenate([part.sigma1, part.sigma2]), ed.eigenvalues)
-
-
-def test_partition_degeneracy_flag():
-    ed = sym_eig(SymMatrix(np.diag([2.0, 1.0, 1.0, 0.5])))
-    assert partition(ed, 2).degenerate  # ties the split: lambda_2 == lambda_3
-    assert not partition(ed, 1).degenerate
-    assert not partition(ed, 3).degenerate
+    assert np.array_equal(part.eigenvalues, vals)
 
 
 def test_partition_rejects_bad_k():
-    ed = sym_eig(SymMatrix(np.eye(3)))
+    a = SymMatrix(np.eye(3))
     with pytest.raises(ValueError):
-        partition(ed, 0)
+        partition(a, 0)
     with pytest.raises(ValueError):
-        partition(ed, 4)
+        partition(a, 4)

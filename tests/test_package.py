@@ -15,6 +15,8 @@ REMOVED = (
     "davis_kahan_bound",
     "GapViolatedError",
     "config_from_file",
+    "EigenDecomposition",
+    "NonConvergenceError",
 )
 
 
