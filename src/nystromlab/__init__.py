@@ -14,8 +14,6 @@ from .matcore import (
     SpectralPartition,
     SymMatrix,
     partition,
-    projector,
-    psd_sqrt,
     spectral_norm,
     sym_eig,
     sym_eigvals,

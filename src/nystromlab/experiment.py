@@ -144,15 +144,13 @@ def load_matrix(path) -> SymMatrix:
     whitespace-separated reals (row-major), any finite token ``float()``
     reads.  Trailing blank lines are tolerated; everything else raises
     :class:`MatrixFileError` with the offending line number, a byte that is
-    not UTF-8 as an unparseable ``value``.
+    not UTF-8 as an unparseable ``value``.  Defects are reported in the
+    order header, count of data lines, first bad line.
 
-    A regular file and a pipe (``/dev/stdin``) take one read path, once,
-    ``LOAD_CHUNK`` data lines at a time.  ``np.loadtxt`` (which rounds like
-    ``float()``) parses each chunk; a chunk it refuses is read line by line
-    with ``float()``, which also reads the tokens numpy refuses (``1_0``,
-    non-ASCII digits).  The rows parsed fill a buffer that grows with them,
-    so memory follows the rows the file holds, never its header.  Defects
-    are reported in the order header, count of data lines, first bad line.
+    A file or a pipe (``/dev/stdin``) is read once, ``LOAD_CHUNK`` lines
+    at a time: ``np.loadtxt`` parses a chunk, and a chunk it refuses is
+    parsed line by line with ``float()``.  The rows fill a buffer that
+    grows with them, so memory follows the rows read, not the header.
     """
     with open(path, errors="surrogateescape") as fh:
         lines = _lines(fh)
@@ -214,12 +212,8 @@ def save_matrix(a: SymMatrix, path) -> None:
 
     Each entry is written as its shortest round-trip ``repr``, one line per
     row, so a saved matrix reads back bit for bit.  Only the upper triangle
-    is formatted: ``SymMatrix`` stores ``entries[i, j]`` and ``entries[j, i]``
-    equal bit for bit on both of its paths (a copy, or the average
-    ``(A + A^T) / 2``, whose IEEE sum is commutative and turns a mirrored
-    ``-0.0``/``0.0`` pair into ``0.0``), and equal bits give equal text.
-    The text of ``a[i, j]``, ``j > i``, waits in ``pending[j]`` for row j;
-    the pending texts peak at about ``n^2 / 4`` strings.
+    is formatted, since a SymMatrix is symmetric bit for bit; the text of
+    ``a[i, j]``, ``j > i``, waits in ``pending[j]`` for row j.
     """
     n = a.n
     pending = [[] for _ in range(n)]
@@ -608,13 +602,13 @@ def _plan_label(plan: CoherencePlan) -> str:
 def _auto_l(n: int, k: int, tau: float, epsilon: float) -> int:
     """Pick l so the theoretical tail sits inside [0.01, 0.5] if it can.
 
-    For highly coherent bases the tail exceeds 0.5 at every l <= n; there
-    l falls back to ceil(0.6 n), which keeps the sampled fraction high
-    without saturating at full sampling.
+    For highly coherent bases the tail exceeds 0.5 at every l <= n, and at
+    ``epsilon = 1`` it is ``k >= 1`` at every l; there l falls back to
+    ceil(0.6 n), which keeps the sampled fraction high without saturating
+    at full sampling.
     """
     denom = (1.0 - epsilon) ** 2
-    l_reach_half = 2.0 * k * tau * math.log(k / 0.5) / denom
-    if l_reach_half <= n:
+    if denom > 0.0 and 2.0 * k * tau * math.log(k / 0.5) / denom <= n:
         l_target = 2.0 * k * tau * math.log(k / _TAIL_TARGET) / denom
         return max(1, min(math.ceil(l_target), n))
     return max(1, math.ceil(0.6 * n))

@@ -317,13 +317,10 @@ def planted_instance(
 
     ``low`` and ``spiked`` instances come from :func:`psd_from_spectrum`,
     which checks the basis.  The ``flat`` instance is built from the
-    spectrum alone by :func:`_flat_entries` (O(n^2)); it multiplies no
-    basis, so instead of the n x n Gram check of the basis, its entries
-    are certified by ``||A U_1 - U_1 Sigma_1||_F`` against a derived
-    rounding bound (:func:`_certify_dominant_block`), and :func:`coherence`
-    checks the n x k ``U_1``.  The flat plan builds only ``U_1``, the
-    first k columns of ``flat_orthonormal(n, n)``, and its n x n ``A`` is
-    the one n x n array it allocates.  A spectrum or instance that
+    spectrum alone by :func:`_flat_entries` in O(n^2), with only ``U_1``
+    of the basis; its entries are certified by ``||A U_1 - U_1
+    Sigma_1||_F`` against a derived rounding bound
+    (:func:`_certify_dominant_block`).  A spectrum or instance that
     overflows raises FloatingPointError naming lambda1.
     """
     lam = spec.eigenvalues()

@@ -1,41 +1,25 @@
 """Dense symmetric-matrix primitives.
 
-Everything downstream (column sampling, the Nystrom extension, the error
-bounds) is written against the small kernel of operations in this module:
-a symmetric eigensolve with a fixed descending ordering (or its
-eigenvalues alone), a PSD check, a PSD square root, spectral norms, the
-matrix-free Lanczos norm of a low-rank update ``A - C M^T M C^T``,
-orthogonal projectors onto column spaces, and :func:`partition`, which
-keeps the k dominant eigenvectors ``U_1`` and the whole spectrum.
+Everything downstream is written against this small kernel: a symmetric
+eigensolve with a fixed descending order (or its eigenvalues alone), the
+PSD check, the spectral norm, the matrix-free Lanczos norm of a low-rank
+update ``A - C M^T M C^T``, and :func:`partition`, which keeps the k
+dominant eigenvectors ``U_1`` and the whole spectrum.
 
 Conventions
 -----------
 * Matrices are dense float64 arrays.  Symmetric ones travel as
-  :class:`SymMatrix`, which enforces exact entrywise symmetry at
-  construction time and rejects inputs whose asymmetry exceeds
-  ``1e-8 * ||A||_F``.  An input that already equals its transpose bit
-  for bit (a SYRK product ``H @ H.T``, a principal block gathered from a
-  SymMatrix, a saved SymMatrix read back) is stored as a read-only copy,
-  or as it is when the caller hands it over read-only; any other input
-  is stored as its average with its transpose.
-* Scale safety: :func:`spectral_norm` always scales its input by the
-  power of two that puts ``max |m_ij|`` in ``[0.5, 1)`` before forming a
-  Gram matrix, and :class:`SymMatrix` does so when ``||A||_F`` overflows
-  or underflows.  Scaling by a power of two is exact and the result is
-  scaled back, so extreme input scales such as 1e+-160 give the right
-  value.
-* Eigenvalues are always reported in non-increasing order.  Ties keep the
-  backend's output order, so results are deterministic for a fixed input.
-  A solver that fails to converge raises ``np.linalg.LinAlgError``.
-* Rank decisions use the conventional relative cutoff
-  ``max(shape) * machine_eps`` measured against the largest singular value.
-* Eigenvalues of a nominally PSD matrix that land in
-  ``[-1e-10 * lambda_max, 0)`` are treated as zero; anything below that
-  window raises :class:`NotPSDError`.  :func:`check_psd` decides this
-  window for a whole matrix without an eigensolve when a shifted
-  Cholesky factorization succeeds, and from the eigenvalues otherwise.
-  That Cholesky is blocked by ``CHOLESKY_BLOCK`` columns and runs in
-  place, so it holds one n x n scratch array besides the input.
+  :class:`SymMatrix`, which stores an exactly symmetric, read-only array
+  and rejects inputs whose asymmetry exceeds ``1e-8 * ||A||_F``.
+* Scale safety: :func:`spectral_norm`, :func:`lowrank_residual_norm` and
+  :class:`SymMatrix` (when ``||A||_F`` overflows or underflows) work on
+  copies scaled by a power of two.  That scaling is exact, so extreme
+  input scales such as 1e+-160 give the right value.
+* Eigenvalues are reported in non-increasing order; ties keep the
+  backend's order.  A solver that fails to converge raises
+  ``np.linalg.LinAlgError``.
+* Eigenvalues of a nominally PSD matrix in ``[-1e-10 * lambda_max, 0)``
+  count as zero; anything below raises :class:`NotPSDError`.
 """
 
 from __future__ import annotations
@@ -103,30 +87,19 @@ class SymMatrix:
     """Dense real symmetric matrix.
 
     The constructor validates shape and finiteness, rejects inputs whose
-    asymmetry exceeds ``ASYMMETRY_REL_TOL * ||A||_F``, and stores the
-    symmetrized average ``(A + A^T) / 2`` (exact symmetry: IEEE addition is
-    commutative, so ``entries[i, j] == entries[j, i]`` bit for bit).  The
-    stored array is frozen; treat instances as immutable values.
+    asymmetry ``2 ||A - (A + A^T) / 2||_F`` exceeds ``ASYMMETRY_REL_TOL *
+    ||A||_F``, and stores the average ``(A + A^T) / 2``, which is symmetric
+    bit for bit (IEEE addition is commutative).  The stored array is
+    read-only; treat instances as immutable values.
 
-    An input equal to its transpose bit for bit is stored with no average
-    and no norms: its average is the input itself (``x + x`` and the
-    halving are exact, and a pair whose sum overflows is averaged back to
-    itself below) and its asymmetry is 0, so the entries and the decision
-    are those of the averaging path.  The bitwise comparison (``-0.0``
-    differs from ``0.0``) runs over ``SYMMETRY_TILE``-sided tiles, so each
-    pair of tiles is read while it is in cache.  Such an input is stored
-    as a copy, unless it is a float64 array that is read-only and owns its
-    data: a caller that builds a fresh array and freezes it hands it over,
-    and it is stored as it is.  A writeable input is never frozen or
-    aliased.
-
-    The asymmetry is measured as ``2 ||A - (A + A^T) / 2||_F``, which
-    reads the transpose once, in building the stored average.  When
-    ``||A||_F`` overflows to inf or underflows to 0 for a nonzero matrix,
-    both norms of the check are computed on copies scaled by a power of
-    two, and mirrored pairs whose sum overflows are averaged on the scaled
-    copy, so the check and the average hold at any scale; inputs with a
-    finite, nonzero norm take no extra pass.
+    An input equal to its transpose bit for bit (compared in
+    ``SYMMETRY_TILE``-sided tiles; ``-0.0`` differs from ``0.0``) is its
+    own average, so it is stored unaveraged: as a copy, or as it is when
+    it is a read-only float64 array that owns its data (the caller hands
+    it over).  A writeable input is never frozen or aliased.  When
+    ``||A||_F`` overflows or underflows for a nonzero matrix, the check
+    runs on a copy scaled by a power of two, and mirrored pairs whose sum
+    overflows are averaged on it, so both hold at any scale.
     """
 
     __slots__ = ("entries",)
@@ -289,17 +262,6 @@ def shifted_cholesky_ok(m: np.ndarray, shift: float) -> bool:
     return True
 
 
-def psd_sqrt(a: SymMatrix) -> SymMatrix:
-    """Symmetric PSD square root ``A^(1/2)``.
-
-    Shares eigenvectors with ``A``; round-off negatives inside the clamp
-    window are treated as zero, anything below raises NotPSDError.
-    """
-    vals, vecs = sym_eig(a)
-    root = (vecs * np.sqrt(clamp_psd_eigenvalues(vals))) @ vecs.T
-    return SymMatrix(root)
-
-
 def spectral_norm(m) -> float:
     """Largest singular value of a real matrix.
 
@@ -336,39 +298,29 @@ def lowrank_residual_norm(
 ) -> tuple[float, float]:
     """``||A - C M^T M C^T||_2`` by Lanczos, matrix-free, with its residual bound.
 
-    ``c`` holds the columns ``A[:, index]`` (n x l) and ``m`` is r x l, so
-    ``C M^T M C^T`` has rank at most r.  The Nystrom extension passes
-    ``M = L^{-1}`` of a pivoted Cholesky ``W_PP = L L^T``, placed at the
-    pivot columns P of the sample and zero elsewhere, which makes the
-    product ``C_P L^{-T} L^{-1} C_P^T``.  Without ``c`` the operator is A
-    and the result is ``||A||_2``.
+    ``c`` holds the columns ``A[:, index]`` (n x l) and ``m`` is r x l; the
+    Nystrom extension passes ``M = L^{-1}`` of its pivoted Cholesky, placed
+    at the pivot columns.  Without ``c`` the operator is A and the result
+    is ``||A||_2``.
 
-    Returns ``(theta, r)``: ``theta`` is the Ritz value of largest modulus
-    and ``r`` its Ritz residual, so an eigenvalue of the operator lies in
-    ``[theta - r, theta + r]`` (Parlett, *The Symmetric Eigenvalue
-    Problem*, the residual bound).  The extreme Ritz value does not
-    overshoot, so ``[theta, theta + r]`` brackets the norm once the
-    Krylov space has found the top eigenvector; a random start does so
-    with probability one (Kuczynski and Wozniakowski, SIAM J. Matrix Anal.
-    Appl. 1992).
+    Returns ``(theta, r)``, the Ritz value of largest modulus and its Ritz
+    residual, so an eigenvalue of the operator lies in ``[theta - r, theta
+    + r]`` (Parlett, *The Symmetric Eigenvalue Problem*).  The extreme Ritz
+    value does not overshoot, so ``[theta, theta + r]`` brackets the norm
+    once the Krylov space has found the top eigenvector, which a random
+    start does with probability one (Kuczynski and Wozniakowski, SIAM J.
+    Matrix Anal. Appl. 1992).
 
-    Lanczos runs on ``x -> s (y - C (M^T (M y[index])))`` with ``y = A x``:
-    ``C^T x`` is read from the product with A, so each step costs one
-    product with A, one with C and two with M, and no n x r array is
-    formed.  ``s`` is the power of two that puts ``s * max_i a_ii`` in
-    ``[0.5, 1)`` (``s = 1`` when the diagonal is 0, so for PSD A, which is
-    then 0, the result is 0).  For PSD A, ``|a_ij| <= max_i a_ii``, so the
-    scaled recurrence stays near 1 at any input scale; ``theta / s`` and
-    ``r / s`` are returned.
-
-    ``start`` is the unit start vector.  The basis is fully
-    reorthogonalised (two classical Gram-Schmidt passes).  It and the
-    tridiagonal T live in arrays that double in size when full, so a step
-    copies nothing.  Fixed stopping rule, checked after every step: ``r <=
-    LANCZOS_REL_TOL * theta``, or ``r <= n * eps`` (scaled units), or a
-    zero next residual ``beta``, or a Krylov dimension of ``n``, at which
-    the result is exact.  For a fixed input the result does not depend on
-    the caller's thread.
+    Each step applies ``x -> s (y - C (M^T (M y[index])))`` with ``y = A x``
+    and forms no n x r array.  ``s`` is the power of two that puts ``s *
+    max_i a_ii`` in ``[0.5, 1)`` (1 when that diagonal is 0); for PSD A,
+    ``|a_ij| <= max_i a_ii``, so the recurrence stays near 1 at any input
+    scale, and ``theta / s`` and ``r / s`` are returned.  ``start`` is the
+    unit start vector, and the basis is fully reorthogonalised (two
+    classical Gram-Schmidt passes).  Fixed stopping rule, checked after
+    every step: ``r <= LANCZOS_REL_TOL * theta``, ``r <= n * eps`` (scaled
+    units), a zero next residual ``beta``, or a Krylov dimension of ``n``.
+    For a fixed input the result does not depend on the caller's thread.
     """
     n = a.n
     e = _scale_exponent(float(np.max(np.diagonal(a.entries))))
@@ -403,25 +355,6 @@ def lowrank_residual_norm(
             t = np.pad(t, (0, cap - j))
         t[j - 1, j] = t[j, j - 1] = beta
         basis[j] = w / beta
-
-
-def projector(m) -> SymMatrix:
-    """Orthogonal projector onto the column space of ``m``.
-
-    The range is determined by the SVD with the standard relative rank
-    cutoff ``max(shape) * eps``, so ``projector(M) @ M == M`` up to
-    round-off and the projector is exactly symmetric and idempotent to
-    working precision.
-    """
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return SymMatrix(np.zeros((a.shape[0], a.shape[0])))
-    keep = s > max(a.shape) * EPS * s[0]
-    q = u[:, keep]
-    return SymMatrix(q @ q.T)
 
 
 def partition(a: SymMatrix, k: int) -> SpectralPartition:

@@ -1,26 +1,15 @@
 """The column-sampled Nystrom extension of a PSD matrix.
 
 Given a PSD matrix A and a sample S of its columns, the extension is
-``A_tilde = C W^+ C^T`` with ``C = A S`` and ``W = S^T A S``.  Because
-``W^+`` is PSD whenever W is, the extension is PSD by construction, and it
-reproduces A exactly whenever ``rank(W) == rank(A)`` (in particular when
-the sample spans the range of A).
+``A_tilde = C W^+ C^T`` with ``C = A S`` and ``W = S^T A S``.  It is PSD
+whenever W is, and it reproduces A exactly when ``rank(W) == rank(A)``.
+:func:`nystrom_extend` factors W by a pivoted partial Cholesky and bounds
+the spectral error by matrix-free Lanczos, forming no n x n array.
 
-W is factored by a pivoted partial Cholesky, ``W_PP = L L^T`` on its
-pivot columns P, so the extension is ``C_P L^{-T} L^{-1} C_P^T``; this is
-column Nystrom read as a partial Cholesky of A with pivots restricted to
-the sample.  Its spectral error is computed matrix-free by Lanczos on
-``x -> A x - C_P L^{-T} L^{-1} (A x)_P``
-(:func:`matcore.lowrank_residual_norm`), so neither an ``n x n`` matrix
-nor the ``n x rank_w`` factor ``Z = C_P L^{-T}`` is formed.  Z is built
-only when a caller reads it, as is the PSD diagnostic, which reads the
-small ``rank_w x rank_w`` Gram matrix ``Z^T Z``.
-
-The spectral error of the extension admits a second, independent route:
-``||A - A_tilde||_2`` equals the squared spectral norm of
-``(I - Pi) A^(1/2)`` where Pi is the orthogonal projector onto the column
-space of ``A^(1/2) S``.  :func:`sqrt_projection_error` computes that route
-so the two can be checked against each other.
+:func:`sqrt_projection_error` is the independent check: the paper's
+identity ``||A - A_tilde||_2 = ||(I - P) A^(1/2)||_2^2``, with P the
+orthogonal projector onto the range of ``A^(1/2) S``, computed densely
+from its own eigensolve of A and SVD of ``A^(1/2) S``.
 """
 
 from __future__ import annotations
@@ -37,10 +26,9 @@ from .matcore import (
     SymMatrix,
     clamp_psd_eigenvalues,
     lowrank_residual_norm,
-    projector,
-    psd_sqrt,
     shifted_cholesky_ok,
     spectral_norm,
+    sym_eig,
     sym_eigvals,
 )
 from .sampling import ColumnSample, extract_cw, lanczos_start
@@ -52,21 +40,15 @@ class NystromResult:
 
     ``columns`` is C, the sampled columns in index order (n x l), and
     ``linv`` is ``L^{-1}`` of the pivoted Cholesky ``W_PP = L L^T``, placed
-    at the pivot columns P of the index-ordered sample and zero elsewhere
-    (``rank_w x l``).  The extension is ``C_P W_PP^{-1} C_P^T = Z Z^T``
-    with ``Z = C_P L^{-T}``; ``factor`` builds Z (n x ``rank_w``) on first
-    read and caches it.  ``rank_w`` is the pivot count.
-    ``spectral_error`` is the Lanczos estimate of the norm of ``A - Z Z^T``
-    and ``error_residual`` its Ritz residual, so the norm lies in
-    ``[spectral_error, spectral_error + error_residual]`` (see
-    :func:`matcore.lowrank_residual_norm`).
+    at the pivot columns P and zero elsewhere (``rank_w x l``, ``rank_w``
+    the pivot count).  The extension is ``Z Z^T`` with ``Z = C_P L^{-T}``,
+    which ``factor`` builds (n x ``rank_w``) on first read.  The norm of
+    ``A - Z Z^T`` lies in ``[spectral_error, spectral_error +
+    error_residual]`` (see :func:`matcore.lowrank_residual_norm`).
 
     ``psd_violation`` is the most negative eigenvalue of ``Z Z^T``, 0.0
-    when there is none, a diagnostic for the PSD-preservation guarantee.
-    The nonzero spectrum of ``Z Z^T`` is that of ``Z^T Z`` and the other
-    ``n - rank_w`` eigenvalues are exactly 0, so it is read from the
-    ``rank_w x rank_w`` matrix ``Z^T Z``; it is computed on first access
-    and cached.
+    when there is none.  It is read on first access from the ``rank_w x
+    rank_w`` matrix ``Z^T Z``, which has the same nonzero spectrum.
     """
 
     sample: ColumnSample
@@ -185,10 +167,15 @@ def sqrt_projection_error(a: SymMatrix, sample: ColumnSample) -> float:
     Returns ``||(I - P) A^(1/2)||_2 ** 2`` where P projects onto the column
     space of ``A^(1/2) S``.  Agrees with ``nystrom_extend(...).spectral_error``
     for every PSD A and every sample, which makes it an independent check
-    of the extension path.
+    of the extension path.  ``A^(1/2)`` comes from the eigenpairs of A, with
+    round-off negatives inside the clamp window set to zero (NotPSDError
+    below it); P keeps the left singular vectors of ``A^(1/2) S`` above the
+    rank cutoff ``max(shape) * eps * sigma_1``.
     """
-    root = psd_sqrt(a)
-    m = root.entries[:, list(sample.indices)]
-    p = projector(m)
-    residual = root.entries - p.entries @ root.entries
-    return spectral_norm(residual) ** 2
+    vals, vecs = sym_eig(a)
+    root = SymMatrix((vecs * np.sqrt(clamp_psd_eigenvalues(vals))) @ vecs.T).entries
+    m = root[:, list(sample.indices)]
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    q = u[:, s > max(m.shape) * EPS * s[0]]  # no columns when m is 0
+    p = SymMatrix(q @ q.T).entries
+    return spectral_norm(root - p @ root) ** 2

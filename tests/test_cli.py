@@ -438,6 +438,17 @@ def test_chernoff_grid_and_out(tmp_path, capsys):
     assert len(lines) == 9  # header + 2*2*2 grid points
 
 
+@pytest.mark.parametrize("epsilon,l", [("0.0", 14), ("1.0", 10)])
+def test_chernoff_epsilon_endpoints_choose_l(capsys, epsilon, l):
+    # at epsilon = 1 the tail is k at every l, so l falls back to ceil(0.6 n)
+    assert main(["chernoff", "--n", "16", "--k", "2", "--coherence", "flat",
+                 "--epsilon", epsilon, "--trials", "3"]) == 0
+    captured = capsys.readouterr()
+    header, row = captured.out.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["l"] == str(l)
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("flag,value", [("trials", "0"), ("trials", "-3"), ("jobs", "0")])
 def test_chernoff_rejects_counts_below_one(capsys, flag, value):
     assert main(["chernoff", "--n", "16", "--k", "2", "--coherence", "flat",

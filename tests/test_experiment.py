@@ -33,6 +33,7 @@ from nystromlab import (
 from nystromlab.experiment import (
     CSV_HEADER,
     INSTANCE_STREAM,
+    _auto_l,
     emit_table,
     prepare,
     read_config,
@@ -837,6 +838,21 @@ def test_chernoff_sweep_spiked_fallback_l():
     assert rows[0]["tau"] == pytest.approx(8.0, abs=1e-8)
     assert rows[0]["l"] == math.ceil(0.6 * 32)
     assert rows[0]["chernoff_tail"] > 0.5
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 10_000),
+    k_frac=st.floats(0.0, 1.0),
+    tau_frac=st.floats(0.0, 1.0),
+    epsilon=st.one_of(st.sampled_from([0.0, 1.0, math.nextafter(1.0, 0.0)]), st.floats(0.0, 1.0)),
+)
+def test_auto_l_is_a_valid_sample_size(n, k_frac, tau_frac, epsilon):
+    # any k in [1, n] and any coherence tau in [1, n / k], as for a real basis
+    k = max(1, math.ceil(k_frac * n))
+    tau = 1.0 + tau_frac * (n / k - 1.0)
+    l = _auto_l(n, k, tau, epsilon)
+    assert isinstance(l, int) and 1 <= l <= n
 
 
 def test_chernoff_sweep_deterministic_and_grid_order():

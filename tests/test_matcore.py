@@ -1,4 +1,4 @@
-"""Core primitives: eigendecomposition, sqrt, pinv, norms, projectors."""
+"""Core primitives: SymMatrix, eigensolves, the PSD check, norms, Lanczos."""
 
 import tracemalloc
 
@@ -11,8 +11,6 @@ from nystromlab import (
     NotPSDError,
     SymMatrix,
     partition,
-    projector,
-    psd_sqrt,
     spectral_norm,
     sym_eig,
     sym_eigvals,
@@ -359,45 +357,6 @@ def test_check_psd_falls_back_to_the_eigenvalues():
 
 
 # ---------------------------------------------------------------------------
-# psd_sqrt
-# ---------------------------------------------------------------------------
-
-def test_psd_sqrt_diagonal():
-    s = psd_sqrt(SymMatrix(np.diag([4.0, 9.0])))
-    assert np.allclose(s.entries, np.diag([2.0, 3.0]), atol=1e-14)
-
-
-def test_psd_sqrt_identity():
-    s = psd_sqrt(SymMatrix(np.eye(5)))
-    assert np.allclose(s.entries, np.eye(5), atol=1e-14)
-
-
-def test_psd_sqrt_squares_back():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        a = gram_psd(6, rng)
-        s = psd_sqrt(a)
-        err = spectral_norm(s.entries @ s.entries - a.entries)
-        assert err <= 1e-9 * spectral_norm(a.entries)
-
-
-def test_psd_sqrt_clamps_roundoff_negative():
-    rng = np.random.default_rng(5)
-    a, _, _ = planted_psd(4, [1.0, 0.5, 0.1, 0.0], rng)
-    # perturb into a tiny negative eigenvalue, still inside the clamp window
-    u = np.linalg.eigh(a.entries)[1][:, :1]
-    bumped = SymMatrix(a.entries - 1e-12 * (u @ u.T))
-    s = psd_sqrt(bumped)
-    assert float(np.linalg.eigvalsh(s.entries)[0]) >= 0.0
-
-
-def test_psd_sqrt_rejects_indefinite():
-    with pytest.raises(NotPSDError) as info:
-        psd_sqrt(SymMatrix(np.diag([1.0, -1.0])))
-    assert info.value.eigenvalue == pytest.approx(-1.0)
-
-
-# ---------------------------------------------------------------------------
 # pinv
 # ---------------------------------------------------------------------------
 
@@ -500,38 +459,6 @@ def test_spectral_norm_at_extreme_scales(scale):
 
 def test_spectral_norm_empty_axis():
     assert spectral_norm(np.zeros((3, 0))) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# projector
-# ---------------------------------------------------------------------------
-
-def test_projector_single_basis_vector():
-    p = projector(np.array([[1.0], [0.0], [0.0]]))
-    assert np.allclose(p.entries, np.diag([1.0, 0.0, 0.0]), atol=1e-14)
-
-
-def test_projector_full_rank_square_is_identity():
-    rng = np.random.default_rng(31)
-    m = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
-    p = projector(m)
-    assert spectral_norm(p.entries - np.eye(4)) < 1e-9
-
-
-def test_projector_idempotent_and_fixes_columns():
-    rng = np.random.default_rng(37)
-    for _ in range(15):
-        m = rng.standard_normal((7, 3))
-        p = projector(m).entries
-        assert spectral_norm(p @ p - p) < 1e-9
-        assert spectral_norm(p @ m - m) < 1e-9 * max(spectral_norm(m), 1.0)
-        assert spectral_norm(p) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_projector_zero_matrix():
-    p = projector(np.zeros((4, 2)))
-    assert np.array_equal(p.entries, np.zeros((4, 4)))
-    assert spectral_norm(p.entries) == 0.0
 
 
 # ---------------------------------------------------------------------------

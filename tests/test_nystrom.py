@@ -36,6 +36,7 @@ from helpers import (
     lanczos_growing,
     mixed_spectrum_cases,
     mp_nystrom_error,
+    pinv,
     planted_psd,
 )
 
@@ -123,6 +124,83 @@ def test_sqrt_projection_error_identity_single():
 def test_sqrt_projection_error_rank_one_hit():
     a = SymMatrix(np.outer([0.0, 0.0, 2.0], [0.0, 0.0, 2.0]))
     assert sqrt_projection_error(a, ColumnSample(n=3, indices=(2,))) <= 1e-12
+
+
+def test_sqrt_projection_error_rejects_indefinite():
+    with pytest.raises(NotPSDError) as info:
+        sqrt_projection_error(SymMatrix(np.diag([1.0, -1.0])), ColumnSample(n=2, indices=(0,)))
+    assert (info.value.eigenvalue, info.value.floor) == (-1.0, -PSD_CLAMP_REL)
+
+
+def test_sqrt_projection_error_clamps_roundoff_negative():
+    rng = np.random.default_rng(5)
+    a, _, _ = planted_psd(4, [1.0, 0.5, 0.1, 0.0], rng)
+    # a tiny negative eigenvalue, still inside the clamp window
+    u = np.linalg.eigh(a.entries)[1][:, :1]
+    bumped = SymMatrix(a.entries - 1e-12 * (u @ u.T))
+    assert float(np.linalg.eigvalsh(bumped.entries)[0]) < 0.0
+    s = ColumnSample(n=4, indices=(0, 3))
+    assert sqrt_projection_error(bumped, s) == pytest.approx(
+        sqrt_projection_error(a, s), abs=1e-10)
+
+
+def test_sqrt_projection_error_zero_matrix():
+    assert sqrt_projection_error(SymMatrix(np.zeros((4, 4))), ColumnSample(n=4, indices=(0, 2))) == 0.0
+
+
+def test_sqrt_projection_error_zero_column_of_nonzero_matrix():
+    # the sampled column of A^(1/2) is 0, so the projector is 0
+    a = SymMatrix(np.diag([3.0, 0.0, 0.0]))
+    assert sqrt_projection_error(a, ColumnSample(n=3, indices=(1,))) == pytest.approx(3.0, rel=1e-15)
+
+
+def test_sqrt_projection_error_diagonal_on_axes():
+    a = SymMatrix(np.diag([4.0, 9.0, 1.0, 16.0, 2.0]))
+    for indices, largest_unsampled in [((3,), 9.0), ((1, 3), 4.0), ((0, 1, 3), 2.0)]:
+        e = sqrt_projection_error(a, ColumnSample(n=5, indices=indices))
+        assert e == pytest.approx(largest_unsampled, rel=1e-14), indices
+    # the rank cutoff is relative to eps, so a 1e-12 direction is kept
+    a = SymMatrix(np.diag([1.0, 1e-12, 0.0]))
+    assert sqrt_projection_error(a, ColumnSample(n=3, indices=(0,))) == pytest.approx(1e-12, rel=1e-14)
+    assert sqrt_projection_error(a, ColumnSample(n=3, indices=(0, 1))) == 0.0
+
+
+def test_sqrt_projection_error_identity_every_size():
+    for l in range(1, 6):
+        e = sqrt_projection_error(SymMatrix(np.eye(5)), ColumnSample(n=5, indices=tuple(range(l))))
+        assert e == pytest.approx(1.0 if l < 5 else 0.0, abs=1e-14), l
+
+
+def test_sqrt_projection_error_full_sample():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 6, 11):
+        for label, a in mixed_spectrum_cases(rng, n):
+            lam1 = spectral_norm(a.entries)
+            e = sqrt_projection_error(a, ColumnSample(n=n, indices=tuple(range(n))[::-1]))
+            assert 0.0 <= e <= 1e-12 * lam1, (n, label, e)
+
+
+def test_sqrt_projection_error_matches_pseudoinverse_extension():
+    # ||A - C W^+ C^T||_2 with a dense pseudoinverse, the identity's left side
+    rng = np.random.default_rng(7)
+    for trial in range(10):
+        a = gram_psd(6, rng)
+        s = sample_uniform(6, 1 + trial % 5, RngSeed(7, trial))
+        c, w = extract_cw(a, s)
+        dense = spectral_norm(a.entries - c @ pinv(w.entries) @ c.T)
+        assert sqrt_projection_error(a, s) == pytest.approx(dense, rel=1e-9, abs=1e-12)
+
+
+def test_sqrt_projection_error_falls_as_the_sample_grows():
+    # a larger sample projects onto a larger space, so the error cannot rise
+    rng = np.random.default_rng(37)
+    for _ in range(15):
+        a = gram_psd(7, rng)
+        lam1 = spectral_norm(a.entries)
+        order = tuple(int(i) for i in rng.permutation(7))
+        errors = [sqrt_projection_error(a, ColumnSample(n=7, indices=order[:l])) for l in range(1, 8)]
+        assert errors[0] <= lam1 * (1.0 + 1e-12)
+        assert all(y <= x + 1e-12 * lam1 for x, y in zip(errors, errors[1:])), errors
 
 
 def test_error_identity_two_routes_small():

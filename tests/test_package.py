@@ -1,8 +1,11 @@
 """The package's public interface: what ``__all__`` exports."""
 
+import importlib
 import types
 
 import nystromlab
+
+SUBMODULES = ("analysis", "cli", "experiment", "generators", "matcore", "nystrom", "sampling")
 
 REMOVED = (
     "pinv",
@@ -17,6 +20,8 @@ REMOVED = (
     "config_from_file",
     "EigenDecomposition",
     "NonConvergenceError",
+    "psd_sqrt",
+    "projector",
 )
 
 
@@ -37,3 +42,5 @@ def test_all_covers_the_public_api():
     for name in REMOVED:
         assert name not in nystromlab.__all__
         assert not hasattr(nystromlab, name)
+        for module in SUBMODULES:
+            assert not hasattr(importlib.import_module(f"nystromlab.{module}"), name), module
