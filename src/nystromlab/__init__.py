@@ -21,7 +21,6 @@ from .matcore import (
 from .sampling import (
     ColumnSample,
     RngSeed,
-    extract_cw,
     rng_from,
     sample_uniform,
 )

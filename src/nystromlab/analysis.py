@@ -172,7 +172,9 @@ def required_samples(k: int, tau: float, delta: float, epsilon: float) -> int:
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    value = 2.0 * tau * k * math.log(k / delta) / (1.0 - epsilon) ** 2
+    ratio = float(k) / float(delta)  # inf for a tiny delta, whose log is finite
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(k) - math.log(delta)
+    value = 2.0 * tau * k * log_ratio / (1.0 - epsilon) ** 2
     return max(1, math.ceil(value))
 
 
@@ -182,7 +184,7 @@ def probabilistic_bound(lambda_k1: float, n: int, l: int, epsilon: float) -> flo
     With ``l`` at least :func:`required_samples`, the spectral error of the
     extension stays below this value with probability above ``1 - delta``.
     At ``epsilon = 1/2`` the factor is ``1 + 2n/l``.  ``lambda_k1`` must be
-    finite and >= 0.
+    finite and >= 0; at 0 the level is 0 even where the factor overflows.
     """
     if not 0.0 <= lambda_k1 < math.inf:
         raise ValueError(f"lambda_k1 must be finite and >= 0, got {lambda_k1!r}")
@@ -192,6 +194,8 @@ def probabilistic_bound(lambda_k1: float, n: int, l: int, epsilon: float) -> flo
         raise ValueError(f"l must be an integer in [1, n={n}], got {l!r}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    if lambda_k1 == 0.0:
+        return float(lambda_k1)  # not 0 * inf = nan; keeps the sign of a -0.0
     return float(lambda_k1) * (1.0 + n / (epsilon * l))
 
 
@@ -228,7 +232,8 @@ def bound_report(
     ``l`` defaults to ``min(required_samples(...), n)`` - the formula has
     no n in it and can exceed the matrix size, in which case sampling
     without replacement saturates at full sampling.  A ``prob_bound`` that
-    overflows raises FloatingPointError naming lambda_k1.
+    overflows raises FloatingPointError naming lambda_k1, and epsilon too
+    when ``n / (epsilon l)`` overflows on its own.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -240,7 +245,10 @@ def bound_report(
     l = int(l) if l is not None else min(l_required, n)
     prob_bound = probabilistic_bound(lambda_k1, n, l, epsilon)
     if not math.isfinite(prob_bound):
-        raise FloatingPointError(f"prob_bound overflows at lambda_k1={lambda_k1!r}")
+        at = f"lambda_k1={lambda_k1!r}"
+        if math.isinf(n / (epsilon * l)):
+            at += f", epsilon={epsilon!r}"
+        raise FloatingPointError(f"prob_bound overflows at {at}")
     return BoundReport(
         k=int(k),
         tau=float(tau),

@@ -5,13 +5,7 @@ generators), then repeatedly samples columns, builds the extension, and
 records the measured error next to the deterministic and probabilistic
 bounds.  Each trial is keyed by ``(master_seed, trial_index)``, so any
 record can be reproduced in isolation and the emitted artifact is byte
-identical across runs.  Trials run serially; the ``jobs`` setting is
-validated and otherwise ignored.
-
-Determinism note: per-trial wall time is measured and kept on the record,
-but the emitted ``wall_ms`` column defaults to the ``NA`` token because a
-measured duration would break byte-identical reruns; pass
-``timings=True`` (CLI ``--timings``) to opt into volatile output.
+identical across runs.
 """
 
 from __future__ import annotations
@@ -27,13 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    BoundReport,
     _structural_bound,
+    bound_report,
     chernoff_tail,
     coherence,
     full_rank_tolerance,
     min_eig_gram,
-    probabilistic_bound,
-    required_samples,
 )
 from .generators import (
     CoherencePlan,
@@ -388,25 +382,20 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class ExperimentSetup:
-    """Resolved per-run quantities shared by every trial."""
+    """The matrix, its spectrum and the bounds that every trial shares."""
 
     a: SymMatrix
     part: SpectralPartition
-    n: int
-    k: int
-    l: int
-    l_required: int
-    tau: float
     lambda1: float
     lambda_k1: float
-    prob_bound: float
-    tail: float
+    report: BoundReport
 
 
 def prepare(config: ExperimentConfig) -> ExperimentSetup:
-    """Load or plant the matrix and resolve tau, l, and the bounds.
+    """Load or plant the matrix, measure tau, and take l and the bounds
+    from :func:`analysis.bound_report` at ``lambda_{k+1}``.
 
-    A planted instance or a ``prob_bound`` that overflows raises
+    A planted spectrum or a ``prob_bound`` that overflows raises
     FloatingPointError naming lambda1.
     """
     if config.matrix_path is not None:
@@ -426,28 +415,15 @@ def prepare(config: ExperimentConfig) -> ExperimentSetup:
     lam = part.eigenvalues
     lambda1 = float(lam[0])
     lambda_k1 = float(max(lam[config.k], 0.0))
-    l_required = required_samples(config.k, tau, config.delta, config.epsilon)
-    l = config.l if config.l is not None else min(l_required, n)
-    if not 1 <= l <= n:
-        raise ConfigError("l", f"must lie in [1, n={n}], got {l}")
-    prob_bound = probabilistic_bound(lambda_k1, n, l, config.epsilon)
-    if not math.isfinite(prob_bound):
-        raise FloatingPointError(
-            f"prob_bound overflows at lambda1={lambda1!r} (lambda_k+1={lambda_k1!r})"
+    if config.l is not None and config.l > n:
+        raise ConfigError("l", f"must lie in [1, n={n}], got {config.l}")
+    try:
+        report = bound_report(
+            n, config.k, tau, config.epsilon, config.delta, config.l, lambda_k1
         )
-    return ExperimentSetup(
-        a=a,
-        part=part,
-        n=n,
-        k=config.k,
-        l=l,
-        l_required=l_required,
-        tau=tau,
-        lambda1=lambda1,
-        lambda_k1=lambda_k1,
-        prob_bound=prob_bound,
-        tail=chernoff_tail(config.k, tau, l, config.epsilon),
-    )
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{exc}, lambda1={lambda1!r}") from None
+    return ExperimentSetup(a, part, lambda1, lambda_k1, report)
 
 
 def run_trial(setup: ExperimentSetup, master_seed: int, t: int) -> TrialRecord:
@@ -457,10 +433,11 @@ def run_trial(setup: ExperimentSetup, master_seed: int, t: int) -> TrialRecord:
     ``det_bound``; a ``det_bound`` that overflows raises FloatingPointError.
     """
     t0 = time.perf_counter()
-    s = sample_uniform(setup.n, setup.l, RngSeed(master_seed, t))
+    n, bound = setup.a.n, setup.report.prob_bound
+    s = sample_uniform(n, setup.report.l, RngSeed(master_seed, t))
     res = nystrom_extend(setup.a, s)
     gram_min = min_eig_gram(setup.part.u1, s)
-    full_rank = gram_min > full_rank_tolerance(setup.n)
+    full_rank = gram_min > full_rank_tolerance(n)
     if full_rank:
         det = _structural_bound(setup.part, gram_min)
         if not math.isfinite(det):
@@ -477,12 +454,12 @@ def run_trial(setup: ExperimentSetup, master_seed: int, t: int) -> TrialRecord:
         spectral_error=res.spectral_error,
         error_residual=res.error_residual,
         det_bound=det,
-        prob_bound=setup.prob_bound,
+        prob_bound=bound,
         min_eig_gram=gram_min,
         pinv_norm_sq=pnsq,
         rank_w=res.rank_w,
         omega1_full_rank=full_rank,
-        error_le_bound=res.spectral_error + res.error_residual <= setup.prob_bound,
+        error_le_bound=res.spectral_error + res.error_residual <= bound,
         wall_ms=wall_ms,
     )
 
@@ -501,20 +478,21 @@ def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
     failures = sum(1 for r in records if not r.error_le_bound)
     deficient = sum(1 for r in records if not r.omega1_full_rank)
     q = np.quantile(errors, [0.0, 0.25, 0.5, 0.75, 1.0])
+    report = setup.report
     summary = {
-        "n": setup.n,
-        "k": setup.k,
-        "l": setup.l,
-        "l_required": setup.l_required,
+        "n": setup.a.n,
+        "k": report.k,
+        "l": report.l,
+        "l_required": report.l_required,
         "epsilon": config.epsilon,
         "delta": config.delta,
         "trials": config.trials,
         "master_seed": config.master_seed,
-        "tau": setup.tau,
+        "tau": report.tau,
         "lambda1": setup.lambda1,
         "lambda_k1": setup.lambda_k1,
-        "prob_bound": setup.prob_bound,
-        "chernoff_tail": setup.tail,
+        "prob_bound": report.prob_bound,
+        "chernoff_tail": report.chernoff_tail,
         "failures": failures,
         "failure_rate": failures / config.trials,
         "rank_deficient": deficient,
@@ -576,7 +554,8 @@ def emit_results(
 
     Numbers use shortest round-trip decimal formatting; inapplicable
     values (det_bound / pinv_norm_sq on rank-deficient trials, wall_ms
-    unless ``timings``) are the ``NA`` token in CSV and null in JSON.
+    unless ``timings``, as a measured time breaks byte-identical reruns)
+    are the ``NA`` token in CSV and null in JSON.
     Returns the serialized text; also writes it when ``path`` is given.
     """
     rows = [_record_row(r, summary, timings) for r in records]

@@ -3,8 +3,9 @@
 Given a PSD matrix A and a sample S of its columns, the extension is
 ``A_tilde = C W^+ C^T`` with ``C = A S`` and ``W = S^T A S``.  It is PSD
 whenever W is, and it reproduces A exactly when ``rank(W) == rank(A)``.
-:func:`nystrom_extend` factors W by a pivoted partial Cholesky and bounds
-the spectral error by matrix-free Lanczos, forming no n x n array.
+:func:`nystrom_extend` gathers C and W from A, factors W by a pivoted
+partial Cholesky and bounds the spectral error by matrix-free Lanczos,
+forming no n x n array.
 
 :func:`sqrt_projection_error` is the independent check: the paper's
 identity ``||A - A_tilde||_2 = ||(I - P) A^(1/2)||_2^2``, with P the
@@ -31,7 +32,7 @@ from .matcore import (
     sym_eig,
     sym_eigvals,
 )
-from .sampling import ColumnSample, extract_cw, lanczos_start
+from .sampling import ColumnSample, lanczos_start
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,12 +110,12 @@ def nystrom_extend(a: SymMatrix, sample: ColumnSample) -> NystromResult:
 
     Column Nystrom on a sample S is a partial Cholesky of A with its pivots
     restricted to S (Chen, Epperly, Tropp and Webber, "Randomly pivoted
-    Cholesky", arXiv:2207.06503).  W is factored by a pivoted partial
-    Cholesky that stops once every remaining Schur diagonal is ``<= l *
-    eps * max_i w_ii``; its pivots P (``rank_w`` of them) give the
-    extension ``C_P W_PP^{-1} C_P^T``.  The factor is computed on the
-    sample sorted by index, and pivot ties go to the lowest index, so the
-    result does not depend on the order of the sample.
+    Cholesky", arXiv:2207.06503).  C and W are gathered here, bit for bit,
+    from the rows of A at the sample sorted by index.  W is factored by a
+    pivoted partial Cholesky that stops once every remaining Schur diagonal
+    is ``<= l * eps * max_i w_ii``; its pivots P (``rank_w`` of them) give
+    the extension ``C_P W_PP^{-1} C_P^T``.  Pivot ties go to the lowest
+    index, so the result does not depend on the order of the sample.
 
     The non-pivot Schur remainder R bounds W from below, ``lambda_min(W) >=
     min(lambda_min(R), 0)``, so a Cholesky of R shifted by the PSD clamp
@@ -125,19 +126,16 @@ def nystrom_extend(a: SymMatrix, sample: ColumnSample) -> NystromResult:
 
     The error is the scaled Lanczos estimate started from
     :func:`sampling.lanczos_start`, so it depends only on A and the sample
-    set; one that is not finite raises :class:`FloatingPointError` rather
-    than being reported.  No n x ``rank_w`` array is formed.
-
-    Parameters
-    ----------
-    a : SymMatrix
-        The matrix to approximate; PSD within the clamp tolerance.
-    sample : ColumnSample
-        Which columns were observed.
+    set; one that is not finite raises :class:`FloatingPointError`.  No n x
+    ``rank_w`` array is formed.  A sample over another n raises ValueError.
     """
+    if sample.n != a.n:
+        raise ValueError(f"sample is over n={sample.n} but the matrix has n={a.n}")
     index = np.sort(sample.indices)
-    c, w_sym = extract_cw(a, ColumnSample(sample.n, tuple(index.tolist())))
-    w = w_sym.entries
+    # Rows are contiguous in the row-major store, and A is exactly
+    # symmetric, so their transpose is the sampled columns C.
+    rows = a.entries.take(index, axis=0)
+    c, w = rows.T, rows.take(index, axis=1)
     l = sample.l
     w_max = max(float(np.max(w.diagonal())), 0.0)
     g, pivots = _pivoted_cholesky(w, l * EPS * w_max)
@@ -147,7 +145,7 @@ def nystrom_extend(a: SymMatrix, sample: ColumnSample) -> NystromResult:
         f = g[:, :l][:, rest]
         remainder = w[np.ix_(rest, rest)] - f.T @ f
         if not shifted_cholesky_ok(remainder, PSD_CLAMP_REL * w_max):
-            clamp_psd_eigenvalues(sym_eigvals(w_sym))  # NotPSDError below the window
+            clamp_psd_eigenvalues(sym_eigvals(SymMatrix(w)))  # NotPSDError below the window
     linv = g[:, l:]
     err, resid = lowrank_residual_norm(a, lanczos_start(a.n), c, index, linv)
     if not (math.isfinite(err) and math.isfinite(resid)):

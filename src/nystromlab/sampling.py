@@ -29,8 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import SymMatrix
-
 _U64_MAX = 2**64 - 1
 
 
@@ -117,22 +115,3 @@ def sample_uniform(n: int, l: int, seed: RngSeed) -> ColumnSample:
     for i, j in enumerate(rng_from(seed).integers(np.arange(l), n).tolist()):
         pool[i], pool[j] = pool[j], pool[i]
     return ColumnSample(n=n, indices=tuple(pool[:l]))
-
-
-def extract_cw(a: SymMatrix, sample: ColumnSample) -> tuple[np.ndarray, SymMatrix]:
-    """Gather C = A S (sampled columns) and W = S^T A S (principal block).
-
-    Implemented as index gathers, so the entries of C and W are bit-equal
-    to the corresponding entries of A - no arithmetic is applied.  The
-    sampled rows are gathered (contiguous in the row-major store) and C is
-    their transpose, equal to the sampled columns because ``SymMatrix``
-    entries are exactly symmetric.  W is handed to ``SymMatrix`` read-only,
-    so it is stored without a copy.
-    """
-    if sample.n != a.n:
-        raise ValueError(f"sample is over n={sample.n} but the matrix has n={a.n}")
-    idx = np.array(sample.indices)
-    rows = a.entries.take(idx, axis=0)
-    w = rows.take(idx, axis=1)
-    w.flags.writeable = False
-    return rows.T, SymMatrix(w)

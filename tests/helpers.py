@@ -3,7 +3,7 @@
 Everything is seeded through numpy's default_rng so the suite is
 deterministic end to end; the package's own Philox streams are only used
 where a test targets them specifically.  The oracles (``pinv``,
-``selection_matrix``, ``omega_matrices``, ``dense_extension``,
+``selection_matrix``, ``extract_cw``, ``omega_matrices``, ``dense_extension``,
 ``save_matrix_rowwise``, ``sample_uniform_loop``, ``eigh_factor``,
 ``lanczos_growing``, ``mp_nystrom_error``) spell out the textbook
 definitions that the package evaluates in shortcut form;
@@ -21,7 +21,6 @@ from nystromlab import (
     NystromResult,
     RngSeed,
     SymMatrix,
-    extract_cw,
     rng_from,
     spectral_norm,
     sym_eig,
@@ -174,6 +173,13 @@ def sample_uniform_loop(n: int, l: int, seed: RngSeed) -> tuple[int, ...]:
         j = int(rng.integers(i, n))
         pool[i], pool[j] = pool[j], pool[i]
     return tuple(int(x) for x in pool[:l])
+
+
+def extract_cw(a: SymMatrix, sample: ColumnSample) -> tuple[np.ndarray, SymMatrix]:
+    """C = A S and W = S^T A S as index gathers, in the order of the sample;
+    C is the transpose of the sampled rows, as ``nystrom_extend`` takes it."""
+    rows = a.entries.take(sample.indices, axis=0)
+    return rows.T, SymMatrix(rows.take(sample.indices, axis=1))
 
 
 def eigh_factor(a: SymMatrix, sample: ColumnSample) -> np.ndarray:

@@ -231,6 +231,12 @@ def test_required_samples_floor_one():
     assert required_samples(k=1, tau=1.0, epsilon=0.999, delta=0.99) >= 1
 
 
+def test_required_samples_tiny_delta_is_finite():
+    # k / delta overflows to inf at delta = 1e-320, but ln k - ln delta does not
+    expect = math.ceil(2.0 * 2 * (math.log(2) - math.log(1e-320)) / 0.25)
+    assert required_samples(k=2, tau=1.0, epsilon=0.5, delta=1e-320) == expect
+
+
 def test_required_samples_validation():
     with pytest.raises(ValueError):
         required_samples(k=0, tau=1.0, epsilon=0.5, delta=0.05)
@@ -260,6 +266,11 @@ def test_probabilistic_bound_full_sample_epsilon_half():
     assert probabilistic_bound(lambda_k1=1.5, n=64, l=64, epsilon=0.5) == pytest.approx(
         4.5
     )
+
+
+def test_probabilistic_bound_zero_tail_is_zero_where_the_factor_overflows():
+    # 1 + n / (epsilon l) is inf at epsilon = 1e-320, and 0 * inf would be nan
+    assert probabilistic_bound(lambda_k1=0.0, n=64, l=15, epsilon=1e-320) == 0.0
 
 
 def test_probabilistic_bound_validation():
@@ -497,6 +508,13 @@ def test_bound_report_respects_explicit_l():
     # without l, a required count above n saturates at full sampling
     assert bound_report(n=100, k=4, tau=25.0, epsilon=0.5, delta=0.1).l == 100
     assert r.prob_bound == probabilistic_bound(lambda_k1=1.0, n=100, l=20, epsilon=0.5)
+
+
+def test_bound_report_overflow_names_epsilon_when_the_factor_overflows():
+    with pytest.raises(FloatingPointError, match=r"at lambda_k1=1\.0, epsilon=1e-310$"):
+        bound_report(n=64, k=2, tau=1.0, epsilon=1e-310, delta=0.05)
+    with pytest.raises(FloatingPointError, match=r"at lambda_k1=1e\+308$"):
+        bound_report(n=64, k=2, tau=1.0, epsilon=0.5, delta=0.05, l=8, lambda_k1=1e308)
 
 
 def test_bound_report_validation():

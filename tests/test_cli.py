@@ -415,6 +415,30 @@ def test_bounds_overflowing_lambda_k1_exits_4(capsys):
     assert captured.out == "" and "prob_bound overflows at lambda_k1=1e+308" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--n", "4", "--k", "2", "--tau", "1", "--delta", "1e-320"],
+    ["bounds", "--n", "64", "--k", "2", "--tau", "1", "--epsilon", "1e-320",
+     "--lambda-k1", "0"],
+    ["trials", "--gen", "exp:0.5", "--coherence", "flat", "--n", "16", "--k", "2",
+     "--trials", "1", "--seed", "0", "--delta", "1e-320"],
+    ["trials", "--gen", "exact-rank-k", "--coherence", "flat", "--n", "16", "--k", "2",
+     "--trials", "1", "--seed", "0", "--epsilon", "1e-320"],
+])
+def test_subnormal_delta_or_epsilon_exits_0(argv, capsys):
+    # k / delta and n / (epsilon l) overflow here, but l_required and a
+    # prob_bound of lambda_k1 = 0 are finite
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    report = out.out if argv[0] == "bounds" else out.err
+    assert "l_required" in report and "prob_bound" in report
+
+
+def test_bounds_overflowing_factor_names_epsilon(capsys):
+    assert main(["bounds", "--n", "64", "--k", "2", "--tau", "1", "--epsilon", "1e-310"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "epsilon=1e-310" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # chernoff
 

@@ -570,7 +570,7 @@ def test_prepare_file_route_matches_planted_route(tmp_path):
     assert np.allclose(loaded.part.eigenvalues, planted.part.eigenvalues, rtol=0, atol=tol)
     assert loaded.lambda1 == pytest.approx(planted.lambda1, rel=0, abs=tol)
     assert loaded.lambda_k1 == pytest.approx(planted.lambda_k1, rel=0, abs=tol)
-    assert loaded.tau == pytest.approx(planted.tau, rel=0, abs=1e-8)
+    assert loaded.report.tau == pytest.approx(planted.report.tau, rel=0, abs=1e-8)
 
 
 def test_prepare_file_dimension_cross_check(tmp_path):
@@ -586,8 +586,8 @@ def test_prepare_auto_l_caps_at_n():
     cfg = _gen_config(coherence=CoherencePlan(target="spiked", m=1))
     setup = prepare(cfg)
     # spiked coherence is n/k = 8, so required samples far exceed n
-    assert setup.l_required > setup.n
-    assert setup.l == setup.n
+    assert setup.report.l_required > setup.a.n
+    assert setup.report.l == setup.a.n
 
 
 def test_prepare_explicit_l_out_of_range():
@@ -600,7 +600,7 @@ def test_prepare_instance_independent_of_trial_count():
     s1 = prepare(_gen_config(trials=2))
     s2 = prepare(_gen_config(trials=50))
     assert np.array_equal(s1.a.entries, s2.a.entries)
-    assert s1.tau == s2.tau
+    assert s1.report.tau == s2.report.tau
 
 
 def test_prepare_flat_allocates_one_n_by_n_array():
@@ -654,7 +654,7 @@ def test_run_trial_takes_one_gram_eigenvalue(plan, monkeypatch):
 def test_run_trial_det_bound_overflow_raises():
     setup = prepare(_gen_config(l=8))
     lam = setup.part.eigenvalues.copy()
-    lam[setup.k:] = 1e308
+    lam[setup.part.k:] = 1e308
     part = dataclasses.replace(setup.part, eigenvalues=lam)
     with pytest.raises(FloatingPointError, match="det_bound overflows at lambda1"):
         run_trial(dataclasses.replace(setup, part=part), 7, 0)

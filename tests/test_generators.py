@@ -417,8 +417,8 @@ def test_planted_instance_does_no_eigensolve(target, monkeypatch):
 @pytest.mark.parametrize("plan", [CoherencePlan("flat"), CoherencePlan("low"),
                                   CoherencePlan("spiked", m=2)])
 def test_exactly_symmetric_sites_are_stored_without_averaging(plan, tmp_path, monkeypatch):
-    # planted A (a SYRK product), the W that extract_cw gathers, Z Z^T and a
-    # saved matrix read back all equal their transpose bit for bit
+    # planted A (a SYRK product), Z Z^T and a saved matrix read back all
+    # equal their transpose bit for bit; W is gathered without a SymMatrix
     original, seen = matcore._bitwise_symmetric, []
 
     def spy(a):
@@ -433,7 +433,7 @@ def test_exactly_symmetric_sites_are_stored_without_averaging(plan, tmp_path, mo
     dense_extension(res)
     save_matrix(a, tmp_path / "a.txt")
     assert load_matrix(tmp_path / "a.txt").entries.tobytes() == a.entries.tobytes()
-    assert seen == [True] * 4
+    assert seen == [True] * 3
 
 
 def test_planted_deterministic():

