@@ -14,9 +14,6 @@ from .matcore import (
     SpectralPartition,
     SymMatrix,
     partition,
-    spectral_norm,
-    sym_eig,
-    sym_eigvals,
 )
 from .sampling import (
     ColumnSample,

@@ -40,6 +40,7 @@ from .generators import (
     _planted_basis,
 )
 from .matcore import (
+    EPS,
     SpectralPartition,
     SymMatrix,
     clamp_psd_eigenvalues,
@@ -288,9 +289,9 @@ _CONFIG_KEYS = {
 def config_from_mapping(d: dict) -> ExperimentConfig:
     """Build a config from a plain mapping (the JSON config-file schema).
 
-    Checks the keys and the values parsed here (gen, coherence, lambda1:
-    a finite number > 0); :class:`ExperimentConfig` checks every field it
-    is given.
+    Checks the keys and the values parsed here (gen; coherence, flat only
+    at a power-of-two n; lambda1, a finite number > 0);
+    :class:`ExperimentConfig` checks every field it is given.
     """
     unknown = set(d) - _CONFIG_KEYS
     if unknown:
@@ -319,6 +320,9 @@ def config_from_mapping(d: dict) -> ExperimentConfig:
             plan = parse_plan(d["coherence"])
         except ValueError as exc:
             raise ConfigError("coherence", str(exc)) from exc
+        n = d.get("n")
+        if plan.target == "flat" and gen is not None and n & (n - 1):
+            raise ConfigError("coherence", f"flat basis needs n to be a power of two, got {n}")
     l = d.get("l")
     return ExperimentConfig(
         k=d["k"],
@@ -363,8 +367,9 @@ class TrialRecord:
 
     ``error_residual`` is the Lanczos residual of ``spectral_error``: the
     true error lies in ``[spectral_error, spectral_error + error_residual]``,
-    and ``error_le_bound`` compares the upper end with ``prob_bound``.  It
-    is not an artifact column.
+    and ``error_le_bound`` compares the upper end with ``prob_bound`` plus
+    ``n * eps * lambda1``, the rounding floor of the error route (an
+    exact-rank-k ``prob_bound`` is 0).  It is not an artifact column.
     """
 
     trial: int
@@ -395,8 +400,8 @@ def prepare(config: ExperimentConfig) -> ExperimentSetup:
     """Load or plant the matrix, measure tau, and take l and the bounds
     from :func:`analysis.bound_report` at ``lambda_{k+1}``.
 
-    A planted spectrum or a ``prob_bound`` that overflows raises
-    FloatingPointError naming lambda1.
+    A spectrum (planted or of the matrix file) or a ``prob_bound`` that
+    overflows raises FloatingPointError naming lambda1.
     """
     if config.matrix_path is not None:
         a = load_matrix(config.matrix_path)
@@ -406,6 +411,9 @@ def prepare(config: ExperimentConfig) -> ExperimentSetup:
         if config.k > n - 1:
             raise ConfigError("k", f"must be <= n-1 = {n - 1}, got {config.k}")
         part = partition(a, config.k)
+        if not np.isfinite(part.eigenvalues).all():
+            lambda1 = float(part.eigenvalues[0])
+            raise FloatingPointError(f"the matrix file's spectrum overflows: lambda1={lambda1!r}")
         clamp_psd_eigenvalues(part.eigenvalues)  # raises NotPSDError if violated
         tau = coherence(part.u1)
     else:
@@ -459,7 +467,8 @@ def run_trial(setup: ExperimentSetup, master_seed: int, t: int) -> TrialRecord:
         pinv_norm_sq=pnsq,
         rank_w=res.rank_w,
         omega1_full_rank=full_rank,
-        error_le_bound=res.spectral_error + res.error_residual <= bound,
+        error_le_bound=(res.spectral_error + res.error_residual
+                        <= bound + n * EPS * setup.lambda1),
         wall_ms=wall_ms,
     )
 

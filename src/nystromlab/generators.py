@@ -49,7 +49,8 @@ class SpectrumSpec:
         the top k, exactly zero after - rank k with no ties.
       * ``exp-decay``: ``lambda1 * rate ** (j - 1)``, full rank.
       * ``power-law``: ``lambda1 * j ** (-exponent)``, full rank.
-      * ``custom``: explicit values (length n), each finite.
+      * ``custom``: explicit values (length n), finite, non-negative and
+        non-increasing, all checked on construction.
 
     ``lambda1`` must be finite and > 0.  Only ``exact-rank-k`` can overflow
     (``lambda1 * k`` is formed first); :meth:`eigenvalues` then raises
@@ -89,6 +90,7 @@ class SpectrumSpec:
                 raise ValueError(f"custom spectrum needs exactly n={self.n} values, got {got}")
             if not all(math.isfinite(v) for v in self.values):
                 raise ValueError("custom spectrum values must be finite")
+            self.eigenvalues()  # a negative or increasing profile raises here
 
     def eigenvalues(self) -> np.ndarray:
         """Materialize the profile as a length-n non-increasing array."""

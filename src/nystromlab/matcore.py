@@ -1,9 +1,8 @@
 """Dense symmetric-matrix primitives.
 
-Everything downstream is written against this small kernel: a symmetric
-eigensolve with a fixed descending order (or its eigenvalues alone), the
-PSD check, the spectral norm, the matrix-free Lanczos norm of a low-rank
-update ``A - C M^T M C^T``, and :func:`partition`, which keeps the k
+Everything downstream is written against this small kernel: the PSD
+check, the matrix-free Lanczos norm of a low-rank update ``A - C M^T M
+C^T``, and :func:`partition`, one eigensolve of A that keeps the k
 dominant eigenvectors ``U_1`` and the whole spectrum.
 
 Conventions
@@ -11,10 +10,11 @@ Conventions
 * Matrices are dense float64 arrays.  Symmetric ones travel as
   :class:`SymMatrix`, which stores an exactly symmetric, read-only array
   and rejects inputs whose asymmetry exceeds ``1e-8 * ||A||_F``.
-* Scale safety: :func:`spectral_norm`, :func:`lowrank_residual_norm` and
-  :class:`SymMatrix` (when ``||A||_F`` overflows or underflows) work on
-  copies scaled by a power of two.  That scaling is exact, so extreme
-  input scales such as 1e+-160 give the right value.
+* Scale safety: :func:`lowrank_residual_norm` and :class:`SymMatrix`
+  (when ``||A||_F`` overflows or underflows) work on copies scaled by a
+  power of two.  That scaling is exact, so extreme input scales such as
+  1e+-160 give the right value; a norm beyond the float64 range raises
+  FloatingPointError.
 * Eigenvalues are reported in non-increasing order; ties keep the
   backend's order.  A solver that fails to converge raises
   ``np.linalg.LinAlgError``.
@@ -174,25 +174,6 @@ class SpectralPartition:
         return self.u1.shape[0]
 
 
-def sym_eig(a: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """``(eigenvalues, eigenvectors)`` of a symmetric matrix, eigenvalues
-    descending and ``eigenvectors[:, j]`` the unit vector paired with
-    ``eigenvalues[j]``.
-
-    Backed by LAPACK's symmetric solver; the ascending output is reordered
-    with a stable descending sort, so ties keep the backend order and the
-    result is deterministic for a fixed input.
-    """
-    vals, vecs = np.linalg.eigh(a.entries)
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], vecs[:, order]
-
-
-def sym_eigvals(a: SymMatrix) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, descending, without eigenvectors."""
-    return np.linalg.eigvalsh(a.entries)[::-1]
-
-
 def clamp_psd_eigenvalues(vals: np.ndarray) -> np.ndarray:
     """Zero out round-off negatives of a nominally PSD spectrum.
 
@@ -224,7 +205,7 @@ def check_psd(a: SymMatrix) -> None:
     """
     shift = PSD_CLAMP_REL * max(float(np.max(np.diagonal(a.entries))), 0.0)
     if not shifted_cholesky_ok(a.entries, shift):
-        clamp_psd_eigenvalues(sym_eigvals(a))
+        clamp_psd_eigenvalues(np.linalg.eigvalsh(a.entries))
 
 
 def shifted_cholesky_ok(m: np.ndarray, shift: float) -> bool:
@@ -262,33 +243,6 @@ def shifted_cholesky_ok(m: np.ndarray, shift: float) -> bool:
     return True
 
 
-def spectral_norm(m) -> float:
-    """Largest singular value of a real matrix.
-
-    Computed as the square root of the largest eigenvalue of the smaller
-    Gram matrix (M M^T or M^T M), which keeps the work at
-    ``min(shape)``-sized symmetric problems.  M is always first scaled by
-    the power of two that puts ``max |m_ij|`` in ``[0.5, 1)``, so the Gram
-    matrix neither overflows nor underflows at any input scale, and the
-    norm is scaled back.  The scaling is exact and costs one copy of M.
-    """
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        return 0.0
-    e = _scale_exponent(max(float(a.max()), -float(a.min())))
-    a = np.ldexp(a, -e)
-    if a.shape[0] <= a.shape[1]:
-        g = a @ a.T
-    else:
-        g = a.T @ a
-    lam = float(np.linalg.eigvalsh(g)[-1])
-    return math.ldexp(math.sqrt(max(lam, 0.0)), e)
-
-
 def lowrank_residual_norm(
     a: SymMatrix,
     start: np.ndarray,
@@ -315,11 +269,12 @@ def lowrank_residual_norm(
     and forms no n x r array.  ``s`` is the power of two that puts ``s *
     max_i a_ii`` in ``[0.5, 1)`` (1 when that diagonal is 0); for PSD A,
     ``|a_ij| <= max_i a_ii``, so the recurrence stays near 1 at any input
-    scale, and ``theta / s`` and ``r / s`` are returned.  ``start`` is the
-    unit start vector, and the basis is fully reorthogonalised (two
-    classical Gram-Schmidt passes).  Fixed stopping rule, checked after
-    every step: ``r <= LANCZOS_REL_TOL * theta``, ``r <= n * eps`` (scaled
-    units), a zero next residual ``beta``, or a Krylov dimension of ``n``.
+    scale, and ``theta / s`` and ``r / s`` are returned (FloatingPointError
+    when either is beyond the float64 range).  ``start`` is the unit start
+    vector, and the basis is fully reorthogonalised (two classical
+    Gram-Schmidt passes).  Fixed stopping rule, checked after every step:
+    ``r <= LANCZOS_REL_TOL * theta``, ``r <= n * eps`` (scaled units), a
+    zero next residual ``beta``, or a Krylov dimension of ``n``.
     For a fixed input the result does not depend on the caller's thread.
     """
     n = a.n
@@ -347,7 +302,12 @@ def lowrank_residual_norm(
         r = beta * abs(float(vecs[-1, i]))
         if (r <= LANCZOS_REL_TOL * theta or r <= n * EPS or beta == 0.0
                 or j + 1 == n):
-            return math.ldexp(theta, e), math.ldexp(r, e)
+            try:
+                return math.ldexp(theta, e), math.ldexp(r, e)
+            except OverflowError:
+                raise FloatingPointError(
+                    f"the Lanczos norm overflows: {theta!r} * 2**{e} exceeds the float64 range"
+                ) from None
         j += 1
         if j == cap:
             cap = min(2 * cap, n)
@@ -365,5 +325,6 @@ def partition(a: SymMatrix, k: int) -> SpectralPartition:
     """
     if not 1 <= k <= a.n:
         raise ValueError(f"partition index k={k} out of range [1, {a.n}]")
-    vals, vecs = sym_eig(a)
-    return SpectralPartition(u1=vecs[:, :k].copy(), eigenvalues=vals)
+    vals, vecs = np.linalg.eigh(a.entries)
+    order = np.argsort(-vals, kind="stable")
+    return SpectralPartition(u1=vecs[:, order[:k]].copy(), eigenvalues=vals[order])

@@ -25,12 +25,10 @@ from .matcore import (
     EPS,
     PSD_CLAMP_REL,
     SymMatrix,
+    _scale_exponent,
     clamp_psd_eigenvalues,
     lowrank_residual_norm,
     shifted_cholesky_ok,
-    spectral_norm,
-    sym_eig,
-    sym_eigvals,
 )
 from .sampling import ColumnSample, lanczos_start
 
@@ -145,7 +143,7 @@ def nystrom_extend(a: SymMatrix, sample: ColumnSample) -> NystromResult:
         f = g[:, :l][:, rest]
         remainder = w[np.ix_(rest, rest)] - f.T @ f
         if not shifted_cholesky_ok(remainder, PSD_CLAMP_REL * w_max):
-            clamp_psd_eigenvalues(sym_eigvals(SymMatrix(w)))  # NotPSDError below the window
+            clamp_psd_eigenvalues(np.linalg.eigvalsh(w))  # NotPSDError below the window
     linv = g[:, l:]
     err, resid = lowrank_residual_norm(a, lanczos_start(a.n), c, index, linv)
     if not (math.isfinite(err) and math.isfinite(resid)):
@@ -165,15 +163,23 @@ def sqrt_projection_error(a: SymMatrix, sample: ColumnSample) -> float:
     Returns ``||(I - P) A^(1/2)||_2 ** 2`` where P projects onto the column
     space of ``A^(1/2) S``.  Agrees with ``nystrom_extend(...).spectral_error``
     for every PSD A and every sample, which makes it an independent check
-    of the extension path.  ``A^(1/2)`` comes from the eigenpairs of A, with
-    round-off negatives inside the clamp window set to zero (NotPSDError
-    below it); P keeps the left singular vectors of ``A^(1/2) S`` above the
-    rank cutoff ``max(shape) * eps * sigma_1``.
+    of the extension path.  ``A^(1/2)`` comes from the eigenpairs of A in
+    descending order (a stable sort of ``np.linalg.eigh``), with round-off
+    negatives inside the clamp window set to zero (NotPSDError below it);
+    P keeps the left singular vectors of ``A^(1/2) S`` above the rank
+    cutoff ``max(shape) * eps * sigma_1``.  The norm comes from ``R R^T``,
+    R scaled by the power of two that puts ``max |r_ij|`` in ``[0.5, 1)``.
     """
-    vals, vecs = sym_eig(a)
+    vals, vecs = np.linalg.eigh(a.entries)
+    order = np.argsort(-vals, kind="stable")
+    vals, vecs = vals[order], vecs[:, order]
     root = SymMatrix((vecs * np.sqrt(clamp_psd_eigenvalues(vals))) @ vecs.T).entries
     m = root[:, list(sample.indices)]
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     q = u[:, s > max(m.shape) * EPS * s[0]]  # no columns when m is 0
     p = SymMatrix(q @ q.T).entries
-    return spectral_norm(root - p @ root) ** 2
+    r = root - p @ root
+    e = _scale_exponent(max(float(r.max()), -float(r.min())))
+    r = np.ldexp(r, -e)
+    lam = float(np.linalg.eigvalsh(r @ r.T)[-1])
+    return math.ldexp(math.sqrt(max(lam, 0.0)), e) ** 2

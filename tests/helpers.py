@@ -2,8 +2,9 @@
 
 Everything is seeded through numpy's default_rng so the suite is
 deterministic end to end; the package's own Philox streams are only used
-where a test targets them specifically.  The oracles (``pinv``,
-``selection_matrix``, ``extract_cw``, ``omega_matrices``, ``dense_extension``,
+where a test targets them specifically.  The oracles (``sym_eig``,
+``sym_eigvals``, ``spectral_norm``, ``pinv``, ``selection_matrix``,
+``extract_cw``, ``omega_matrices``, ``dense_extension``,
 ``save_matrix_rowwise``, ``sample_uniform_loop``, ``eigh_factor``,
 ``lanczos_growing``, ``mp_nystrom_error``) spell out the textbook
 definitions that the package evaluates in shortcut form;
@@ -22,9 +23,6 @@ from nystromlab import (
     RngSeed,
     SymMatrix,
     rng_from,
-    spectral_norm,
-    sym_eig,
-    sym_eigvals,
 )
 from nystromlab.analysis import _check_orthonormal
 from nystromlab.matcore import EPS, LANCZOS_REL_TOL, _scale_exponent, clamp_psd_eigenvalues
@@ -76,6 +74,52 @@ def mixed_spectrum_cases(rng: np.random.Generator, n: int):
     yield "near-singular", planted_psd(n, lam, rng)[0]
     yield "tiny-scale", gram_psd(n, rng, scale=1e-6)
     yield "large-scale", gram_psd(n, rng, scale=1e3)
+
+
+def sym_eig(a: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """``(eigenvalues, eigenvectors)`` of a symmetric matrix, eigenvalues
+    descending and ``eigenvectors[:, j]`` the unit vector paired with
+    ``eigenvalues[j]``.
+
+    Backed by LAPACK's symmetric solver; the ascending output is reordered
+    with a stable descending sort, so ties keep the backend order and the
+    result is deterministic for a fixed input.
+    """
+    vals, vecs = np.linalg.eigh(a.entries)
+    order = np.argsort(-vals, kind="stable")
+    return vals[order], vecs[:, order]
+
+
+def sym_eigvals(a: SymMatrix) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, descending, without eigenvectors."""
+    return np.linalg.eigvalsh(a.entries)[::-1]
+
+
+def spectral_norm(m) -> float:
+    """Largest singular value of a real matrix.
+
+    Computed as the square root of the largest eigenvalue of the smaller
+    Gram matrix (M M^T or M^T M), which keeps the work at
+    ``min(shape)``-sized symmetric problems.  M is always first scaled by
+    the power of two that puts ``max |m_ij|`` in ``[0.5, 1)``, so the Gram
+    matrix neither overflows nor underflows at any input scale, and the
+    norm is scaled back.  The scaling is exact and costs one copy of M.
+    """
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim == 1:
+        a = a.reshape(1, -1)
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
+    if a.shape[0] == 0 or a.shape[1] == 0:
+        return 0.0
+    e = _scale_exponent(max(float(a.max()), -float(a.min())))
+    a = np.ldexp(a, -e)
+    if a.shape[0] <= a.shape[1]:
+        g = a @ a.T
+    else:
+        g = a.T @ a
+    lam = float(np.linalg.eigvalsh(g)[-1])
+    return math.ldexp(math.sqrt(max(lam, 0.0)), e)
 
 
 def pinv(a: np.ndarray) -> np.ndarray:

@@ -26,9 +26,7 @@ from nystromlab import (
     random_orthonormal,
     run_experiment,
     sample_uniform,
-    spectral_norm,
     sqrt_projection_error,
-    sym_eig,
 )
 from nystromlab.experiment import chernoff_sweep, emit_table
 from nystromlab.generators import _planted_basis
@@ -42,6 +40,8 @@ from helpers import (
     haar,
     mixed_spectrum_cases,
     pinv,
+    spectral_norm,
+    sym_eig,
 )
 
 

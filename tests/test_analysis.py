@@ -25,13 +25,11 @@ from nystromlab import (
     probabilistic_bound,
     required_samples,
     sample_uniform,
-    spectral_norm,
-    sym_eig,
 )
 
 from helpers import (
     GapViolatedError, davis_kahan_bound, davis_kahan_distance, dense_extension, gram_psd, haar,
-    mixed_spectrum_cases, omega_matrices, pinv, planted_psd,
+    mixed_spectrum_cases, omega_matrices, pinv, planted_psd, spectral_norm, sym_eig,
 )
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,45 @@ def test_trials_overflowing_lambda1_exits_4(capsys, gen, coherence):
     assert captured.out == ""
 
 
+@pytest.fixture
+def overflowing(tmp_path):
+    # finite entries whose norm, 2e308, is beyond the float64 range
+    p = tmp_path / "big.txt"
+    p.write_text("2\n1e308 1e308\n1e308 1e308\n")
+    return str(p)
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["approx", "--l", "1"], "Lanczos norm"),
+    (["trials", "--k", "1", "--l", "1", "--trials", "2", "--seed", "1"], "lambda1=inf"),
+], ids=["approx", "trials"])
+def test_overflowing_norm_or_spectrum_exits_4(overflowing, capsys, argv, name):
+    assert main(argv + ["--matrix", overflowing]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert name in captured.err and "overflows" in captured.err
+
+
+def test_trials_exact_rank_k_has_no_failures(capsys):
+    # prob_bound is 0 and the error is round-off above it
+    assert main(["trials", "--gen", "exact-rank-k", "--coherence", "flat", "--n", "64",
+                 "--k", "4", "--trials", "5", "--seed", "3", "--format", "json"]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["prob_bound"] == 0.0 and summary["failures"] == 0
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["--gen", "custom:1,2", "--n", "2", "--coherence", "low"],
+     "config error in 'gen': spectrum is not non-increasing"),
+    (["--gen", "exp:0.9", "--n", "12", "--coherence", "flat"],
+     "config error in 'coherence': flat basis needs n to be a power of two, got 12"),
+], ids=["custom", "flat"])
+def test_trials_generated_spectrum_errors_name_their_key(capsys, argv, err):
+    assert main(["trials", "--k", "1", "--trials", "1", "--seed", "0"] + argv) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
 def test_trials_inline_and_config_routes_agree(tmp_path):
     # the same experiment as inline flags, as a config file, and as a config
     # file refined by the output flags gives the same bytes

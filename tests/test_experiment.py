@@ -669,6 +669,44 @@ def test_prepare_overflow_names_lambda1(gen):
         prepare(cfg)
 
 
+def test_prepare_overflowing_file_spectrum_names_lambda1(tmp_path):
+    # ||A||_2 = 2e308: the eigensolve of the file's matrix reports inf
+    p = tmp_path / "m.txt"
+    p.write_text("2\n1e308 1e308\n1e308 1e308\n")
+    cfg = config_from_mapping({"matrix": str(p), "k": 1, "l": 1, "trials": 1, "seed": 1})
+    with pytest.raises(FloatingPointError, match="lambda1=inf"):
+        prepare(cfg)
+
+
+@pytest.mark.parametrize("plan,l,failures", [("flat", 16, 0), ("low", None, 0),
+                                              ("spiked:2", 16, 5)])
+def test_exact_rank_k_trials_fail_only_when_rank_deficient(plan, l, failures):
+    # prob_bound is exactly 0 here; a full-rank sample reproduces A up to
+    # round-off, which the rounding floor of the error route allows, and a
+    # rank-deficient one (spiked:2 at l = 16) leaves an error near lambda_1
+    mapping = {"n": 64, "k": 4, "trials": 5, "seed": 3, "gen": "exact-rank-k",
+               "coherence": plan, "l": l}
+    records, summary = run_experiment(config_from_mapping(mapping))
+    assert summary["prob_bound"] == 0.0
+    assert summary["failures"] == summary["rank_deficient"] == failures
+    assert all(r.error_le_bound == r.omega1_full_rank for r in records)
+
+
+@pytest.mark.parametrize("mapping,key,message", [
+    ({"gen": "custom:1,2", "n": 2, "coherence": "low"}, "gen",
+     "spectrum is not non-increasing"),
+    ({"gen": "custom:1,-1", "n": 2, "coherence": "low"}, "gen",
+     "spectrum contains a negative eigenvalue"),
+    ({"gen": "exp:0.9", "n": 12, "coherence": "flat"}, "coherence",
+     "flat basis needs n to be a power of two, got 12"),
+])
+def test_generated_spectrum_errors_name_their_key(mapping, key, message):
+    with pytest.raises(ConfigError) as exc:
+        config_from_mapping({"k": 1, "trials": 1, "seed": 0, **mapping})
+    assert exc.value.field == key
+    assert str(exc.value) == f"config error in {key!r}: {message}"
+
+
 def test_full_sample_run_has_no_failures():
     cfg = _gen_config(trials=6, l=16)
     records, summary = run_experiment(cfg)

@@ -23,13 +23,12 @@ from nystromlab import (
     random_orthonormal,
     sample_uniform,
     save_matrix,
-    sym_eig,
 )
 from nystromlab.analysis import ORTHONORMAL_TOL, _orthonormal_deviation
 from nystromlab.generators import parse_plan, parse_spectrum
 from nystromlab.matcore import EPS
 
-from helpers import davis_kahan_distance, dense_extension
+from helpers import davis_kahan_distance, dense_extension, sym_eig
 
 # ---------------------------------------------------------------------------
 # bases

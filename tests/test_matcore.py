@@ -1,4 +1,5 @@
-"""Core primitives: SymMatrix, eigensolves, the PSD check, norms, Lanczos."""
+"""Core primitives (SymMatrix, the PSD check, Lanczos, partition) and the
+eigensolve, pinv and norm oracles of helpers."""
 
 import tracemalloc
 
@@ -11,9 +12,6 @@ from nystromlab import (
     NotPSDError,
     SymMatrix,
     partition,
-    spectral_norm,
-    sym_eig,
-    sym_eigvals,
 )
 
 from nystromlab import matcore
@@ -26,7 +24,15 @@ from nystromlab.matcore import (
 )
 from nystromlab.sampling import lanczos_start
 
-from helpers import gram_psd, mixed_spectrum_cases, pinv, planted_psd
+from helpers import (
+    gram_psd,
+    mixed_spectrum_cases,
+    pinv,
+    planted_psd,
+    spectral_norm,
+    sym_eig,
+    sym_eigvals,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +201,7 @@ def test_symmatrix_checks_finiteness_before_symmetry():
 
 
 # ---------------------------------------------------------------------------
-# sym_eig
+# sym_eig and sym_eigvals (the reference oracles in helpers)
 # ---------------------------------------------------------------------------
 
 def test_sym_eig_diagonal_descending_order():
@@ -273,6 +279,12 @@ def test_check_psd_matches_the_eigenvalue_decision(n, family, seed, c):
         theta, r = lowrank_residual_norm(a, lanczos_start(n))
         lam1 = float(sym_eigvals(a)[0])
         assert abs(theta - lam1) <= r + 8 * n * EPS * lam1
+
+
+def test_lanczos_norm_past_the_float64_range_raises():
+    # ||A||_2 = 2e308 is finite in the scaled recurrence but not unscaled
+    with pytest.raises(FloatingPointError, match="overflows"):
+        lowrank_residual_norm(SymMatrix(np.full((2, 2), 1e308)), lanczos_start(2))
 
 
 @settings(max_examples=3, deadline=None, derandomize=True, database=None)
@@ -403,7 +415,7 @@ def test_pinv_penrose_many_random():
 
 
 # ---------------------------------------------------------------------------
-# spectral_norm
+# spectral_norm (the reference oracle in helpers)
 # ---------------------------------------------------------------------------
 
 def test_spectral_norm_identity():
@@ -474,13 +486,13 @@ def test_partition_full_width_tail_is_empty():
 
 def test_partition_u1_owns_its_data(monkeypatch):
     # the n x n eigenvector array is not kept alive by the partition
-    solved = []
-    monkeypatch.setattr(matcore, "sym_eig", lambda a: solved.append(sym_eig(a)) or solved[-1])
+    solved, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(eigh(a)) or solved[-1])
     part = partition(gram_psd(8, np.random.default_rng(43)), 3)
-    (_, vecs), = solved
+    (vals, vecs), = solved
     assert part.u1.shape == (8, 3) and part.u1.flags.owndata
     assert not np.shares_memory(part.u1, vecs)
-    assert part.u1.tobytes() == vecs[:, :3].tobytes()
+    assert part.u1.tobytes() == vecs[:, np.argsort(-vals, kind="stable")[:3]].tobytes()
 
 
 def test_partition_diagonal_blocks():

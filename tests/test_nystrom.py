@@ -20,9 +20,7 @@ from nystromlab import (
     nystrom_extend,
     partition,
     sample_uniform,
-    spectral_norm,
     sqrt_projection_error,
-    sym_eigvals,
 )
 from nystromlab import experiment
 from nystromlab.matcore import EPS, PSD_CLAMP_REL, clamp_psd_eigenvalues, lowrank_residual_norm
@@ -38,6 +36,8 @@ from helpers import (
     mp_nystrom_error,
     pinv,
     planted_psd,
+    spectral_norm,
+    sym_eigvals,
 )
 
 
@@ -175,6 +175,29 @@ def test_sqrt_projection_error_diagonal_on_axes():
     a = SymMatrix(np.diag([1.0, 1e-12, 0.0]))
     assert sqrt_projection_error(a, ColumnSample(n=3, indices=(0,))) == pytest.approx(1e-12, rel=1e-14)
     assert sqrt_projection_error(a, ColumnSample(n=3, indices=(0, 1))) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-170, 2.0**-1000])
+def test_sqrt_projection_error_at_extreme_scales(scale):
+    # entries near 1e+-160 and 2^-1000: the two routes agree within
+    # criterion 1's tolerance
+    rng = np.random.default_rng(31)
+    for label, a in mixed_spectrum_cases(rng, 9):
+        a = SymMatrix(scale * a.entries)
+        lam1 = spectral_norm(a.entries)
+        for l in (1, 4, 9):
+            s = sample_uniform(9, l, RngSeed(31, l))
+            e_ext = nystrom_extend(a, s).spectral_error
+            e_proj = sqrt_projection_error(a, s)
+            tol = 1e-8 * max(e_ext, e_proj) + 1e-12 * lam1
+            assert abs(e_ext - e_proj) <= tol, (label, l, e_ext, e_proj)
+
+
+def test_nystrom_extend_overflowing_error_raises():
+    # the unsampled block has norm 2e308, past the float64 range
+    a = SymMatrix(np.array([[1.0, 0.0, 0.0], [0.0, 1e308, 1e308], [0.0, 1e308, 1e308]]))
+    with pytest.raises(FloatingPointError, match="overflows"):
+        nystrom_extend(a, ColumnSample(n=3, indices=(0,)))
 
 
 def test_sqrt_projection_error_identity_every_size():

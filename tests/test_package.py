@@ -23,6 +23,9 @@ REMOVED = (
     "psd_sqrt",
     "projector",
     "extract_cw",
+    "sym_eig",
+    "sym_eigvals",
+    "spectral_norm",
 )
 
 
