@@ -10,13 +10,18 @@ identical across runs.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
+import os
+import stat
+import subprocess
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +67,11 @@ NA = "NA"
 
 # Data lines per np.loadtxt call in load_matrix.
 LOAD_CHUNK = 32
+# load_matrix parses a regular file at least this large in two processes.
+# A worker takes about 0.2 s to start, as long as parsing SPLIT_BYTES / 2
+# takes; so the parent takes that much more of the file than the worker,
+# and a smaller file would leave the worker almost nothing.
+SPLIT_BYTES = 20 << 20
 
 
 class MatrixFileError(ValueError):
@@ -85,42 +95,47 @@ class ConfigError(ValueError):
         super().__init__(f"config error in {field!r}: {message}")
 
 
-def _lines(fh):
-    """The lines of a text file as str.splitlines() finds them in its text.
+def _lines(fb, size: int = -1):
+    """The lines str.splitlines() finds in the next size bytes of the binary
+    file fb (all of them for a negative size), decoded as UTF-8 with each
+    byte that is not UTF-8 kept as a lone surrogate.
 
-    Text mode turns CRLF and CR line ends into LF, so splitting each line
-    read gives exactly those lines, without holding the whole text at once.
+    fb is read by LF-ended lines, and each is decoded and split on its own:
+    an LF byte ends a line in UTF-8 text and belongs to no other line end,
+    so these are the lines of the whole text.  size must end at a line.
     """
-    return (part for line in fh for part in line.splitlines())
+    while size:
+        raw = fb.readline(size)
+        if not raw:
+            return
+        size -= len(raw)
+        yield from raw.decode("utf-8", "surrogateescape").splitlines()
 
 
-def _parse_row(line: str, n: int, lineno: int) -> list[float] | MatrixFileError:
-    """The n values ``float()`` reads from one data line, or the
-    :class:`MatrixFileError` of its first defect: the token count, an
-    unparseable token, then a non-finite value."""
+def _parse_row(line: str, n: int) -> list[float] | tuple[str, str]:
+    """The n values ``float()`` reads from one data line, or the kind and
+    text of its first defect: the token count, an unparseable token, then
+    a non-finite value."""
     toks = line.split()
     if len(toks) != n:
-        return MatrixFileError(
-            f"line {lineno}: expected {n} values, found {len(toks)}", lineno, "count"
-        )
+        return "count", f"expected {n} values, found {len(toks)}"
     try:
         vals = [float(t) for t in toks]
     except ValueError:
-        return MatrixFileError(f"line {lineno}: unparseable numeric value", lineno, "value")
+        return "value", "unparseable numeric value"
     if not all(map(math.isfinite, vals)):
-        return MatrixFileError(f"line {lineno}: non-finite value", lineno, "value")
+        return "value", "non-finite value"
     return vals
 
 
-def _store(rows, at: int, block, n: int) -> np.ndarray:
-    """Write block into the buffer rows from row at; return the buffer.
+def _reserve(rows, need: int, n: int) -> np.ndarray:
+    """The buffer rows with room for need rows of n values.
 
-    A buffer too short for it is first resized in place to the smallest of
-    n, ceil(n/2), ceil(n/4), ... rows that holds it.  ``realloc`` moves a
-    large buffer by remapping its pages, and where it must copy, the last
-    copy holds at most 1.5 n^2 values at once.
+    A buffer too short is resized in place to the smallest of n, ceil(n/2),
+    ceil(n/4), ... rows that holds them.  ``realloc`` moves a large buffer
+    by remapping its pages, and where it must copy, the last copy holds at
+    most 1.5 n^2 values at once.
     """
-    need = at + len(block)
     if rows is None:
         rows = np.empty((0, n))
     if len(rows) < need:
@@ -128,8 +143,150 @@ def _store(rows, at: int, block, n: int) -> np.ndarray:
         while need <= size // 2:
             size -= size // 2
         rows.resize((size, n), refcheck=False)  # no view of the buffer exists
-    rows[at:need] = block
     return rows
+
+
+class _Span(NamedTuple):
+    """What :func:`_read_span` found in a run of lines.  Indices count
+    lines from 1 at the span's first line; ``last`` is that of the last
+    non-blank line (0 if none), and ``defect`` is ``(index, kind, detail)``
+    for the first bad data line."""
+
+    rows: np.ndarray | None
+    lines: int
+    last: int
+    defect: tuple | None
+
+
+def _read_span(lines, n: int, rows=None, at: int = 0) -> _Span:
+    """Parse lines as rows at, at + 1, ... of the buffer rows.
+
+    The first ``n - at`` lines are data, passed ``LOAD_CHUNK`` at a time to
+    ``np.loadtxt``; a chunk it refuses is parsed line by line with
+    ``float()``, and storing stops at the first bad line.  Later lines are
+    only checked for blankness.
+    """
+    count = last = 0
+    defect = None
+    for i in range(at, n, LOAD_CHUNK):
+        chunk = list(itertools.islice(lines, min(LOAD_CHUNK, n - i)))
+        if not chunk:
+            break
+        if defect is None and all(s.strip() for s in chunk):
+            try:
+                block = np.loadtxt(chunk, dtype=np.float64, comments=None, ndmin=2)
+            except ValueError:
+                block = None
+            if (block is not None and block.shape == (len(chunk), n)
+                    and np.isfinite(block).all()):
+                rows = _reserve(rows, i + len(chunk), n)
+                rows[i:i + len(chunk)] = block
+                count = last = count + len(chunk)
+                continue
+        for line in chunk:
+            count += 1
+            if line.strip():
+                last = count
+            if defect is None:
+                vals = _parse_row(line, n)
+                if isinstance(vals, tuple):
+                    defect = (count, *vals)
+                else:
+                    rows = _reserve(rows, at + count, n)
+                    rows[at + count - 1] = vals
+    for line in lines:
+        count += 1
+        if line.strip():
+            last = count
+    return _Span(rows, count, last, defect)
+
+
+def _split_point(fb) -> int:
+    """Where a worker process takes over the parse of fb: the byte after
+    the first LF at or past ``(size + SPLIT_BYTES / 2) / 2``, so that both
+    processes end together.  -1 for one span: a pipe, a file below
+    ``SPLIT_BYTES``, a file opened by its descriptor (the worker opens it
+    by name) and a process with one usable CPU."""
+    st = os.fstat(fb.fileno())
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if (not stat.S_ISREG(st.st_mode) or st.st_size < SPLIT_BYTES
+            or isinstance(fb.name, int) or cpus < 2):
+        return -1
+    fb.seek((st.st_size + SPLIT_BYTES // 2) // 2)
+    fb.readline()
+    split = fb.tell()
+    fb.seek(0)
+    return split if split < st.st_size else -1
+
+
+# The worker imports the package from the directory this copy came from.
+_WORKER = ("import sys; sys.path.insert(0, sys.argv[1]); "
+           "from nystromlab.experiment import _span_worker; _span_worker(*sys.argv[2:])")
+
+
+@contextlib.contextmanager
+def _worker(fb, start: int, n: int):
+    """A worker process that parses fb from byte start, or None where there
+    is no second span or no process can start.  On exit it is killed and
+    reaped, however the block ended."""
+    proc = None
+    if start > 0:
+        st = os.fstat(fb.fileno())
+        argv = [sys.executable, "-c", _WORKER, str(Path(__file__).resolve().parents[1]),
+                fb.name, str(start), str(n), str(st.st_dev), str(st.st_ino)]
+        try:
+            # stdin is inherited, so that /dev/stdin names the same file
+            proc = subprocess.Popen(
+                argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},  # it runs no BLAS
+            )
+        except OSError:
+            pass
+    if proc is None:
+        yield None
+        return
+    with proc:  # closes the pipe and waits
+        try:
+            yield proc
+        finally:
+            proc.kill()
+
+
+def _span_worker(path, start: str, n: str, dev: str, ino: str) -> None:
+    """The worker's side: parse path from byte start, then write the span
+    to standard output as one JSON line and its stored rows as raw float64
+    bytes.  It exits 1 if path is no longer the parent's file."""
+    n = int(n)
+    with open(path, "rb") as fb:
+        st = os.fstat(fb.fileno())
+        if (st.st_dev, st.st_ino) != (int(dev), int(ino)):
+            sys.exit(1)
+        fb.seek(int(start))
+        span = _read_span(_lines(fb), n)
+    stored = span.defect[0] - 1 if span.defect else min(span.lines, n)
+    out = sys.stdout.buffer
+    out.write(json.dumps({"lines": span.lines, "last": span.last, "defect": span.defect,
+                          "stored": stored}).encode() + b"\n")
+    if stored:
+        out.write(span.rows[:stored])
+    out.flush()
+
+
+def _from_worker(proc, rows, at: int, n: int) -> _Span | None:
+    """The worker's span, with its rows read into rows from row at, or None
+    if the worker failed."""
+    try:
+        head = json.loads(proc.stdout.readline())
+        span = _Span(rows, head["lines"], head["last"], head["defect"])
+        take = min(head["stored"], n - at)  # rows past n fail the count check
+    except (ValueError, KeyError, TypeError):
+        return None
+    if take > 0:
+        rows = _reserve(rows, at + take, n)
+        if proc.stdout.readinto(rows[at:at + take]) != take * n * 8:
+            return None
+    return span._replace(rows=rows)
 
 
 def load_matrix(path) -> SymMatrix:
@@ -142,15 +299,18 @@ def load_matrix(path) -> SymMatrix:
     not UTF-8 as an unparseable ``value``.  Defects are reported in the
     order header, count of data lines, first bad line.
 
-    A file or a pipe (``/dev/stdin``) is read once, ``LOAD_CHUNK`` lines
-    at a time: ``np.loadtxt`` parses a chunk, and a chunk it refuses is
-    parsed line by line with ``float()``.  The rows fill a buffer that
-    grows with them, so memory follows the rows read, not the header.
+    The data lines are parsed once, ``LOAD_CHUNK`` at a time, into a row
+    buffer that grows with them, so memory follows the rows read, not the
+    header.  A regular file of ``SPLIT_BYTES`` or more is cut at a line
+    end (:func:`_split_point`): a worker process parses the second span
+    while this one parses the first, and its rows are read straight into
+    the buffer.  Entries, errors and line numbers do not depend on the cut.
     """
-    with open(path, errors="surrogateescape") as fh:
-        lines = _lines(fh)
+    with open(path, "rb") as fb:
+        split = _split_point(fb)
+        lines = _lines(fb, split)
         head = next(lines, "").strip()
-        if not head and not any(s.strip() for s in lines):
+        if not head and not any(s.strip() for s in itertools.chain(lines, _lines(fb))):
             raise MatrixFileError("empty file: expected a dimension header", 1, "header")
         try:
             n = int(head)
@@ -160,41 +320,24 @@ def load_matrix(path) -> SymMatrix:
             ) from None
         if n < 1:
             raise MatrixFileError(f"line 1: dimension must be >= 1, got {n}", 1, "header")
-        rows = None  # the parsed rows, allocated on the first store
-        last = 1  # the last non-blank line
-        defect = None  # the first bad data line's error
-        for i in range(0, n, LOAD_CHUNK):
-            chunk = list(itertools.islice(lines, min(LOAD_CHUNK, n - i)))
-            if not chunk:
-                break
-            if defect is None and all(s.strip() for s in chunk):
-                try:
-                    block = np.loadtxt(chunk, dtype=np.float64, comments=None, ndmin=2)
-                except ValueError:
-                    block = None
-                if (block is not None and block.shape == (len(chunk), n)
-                        and np.isfinite(block).all()):
-                    rows = _store(rows, i, block, n)
-                    last = i + 1 + len(chunk)
-                    continue
-            for lineno, line in enumerate(chunk, i + 2):
-                if line.strip():
-                    last = lineno
-                if defect is None:
-                    vals = _parse_row(line, n, lineno)
-                    if isinstance(vals, MatrixFileError):
-                        defect = vals
-                    else:
-                        rows = _store(rows, lineno - 2, [vals], n)
-        for lineno, line in enumerate(lines, n + 2):
-            if line.strip():
-                last = lineno
+        with _worker(fb, split, n) as proc:
+            first = _read_span(lines, n)
+            spans = [(0, first)]  # (data lines before the span, span)
+            if split > 0:
+                second = _from_worker(proc, first.rows, first.lines, n) if proc else None
+                if second is None:  # parse the worker's span here
+                    second = _read_span(_lines(fb), n, first.rows, first.lines)
+                spans.append((first.lines, second))
+    last = 1 + max((off + s.last for off, s in spans if s.last), default=0)
     if last - 1 != n:
         raise MatrixFileError(
             f"expected {n} data lines after the header, found {last - 1}", last, "count"
         )
-    if defect is not None:
-        raise defect
+    for off, s in spans:
+        if s.defect and off + s.defect[0] <= n:
+            lineno, kind, detail = 1 + off + s.defect[0], *s.defect[1:]
+            raise MatrixFileError(f"line {lineno}: {detail}", lineno, kind)
+    rows = spans[-1][1].rows
     rows.flags.writeable = False  # handed over: SymMatrix stores it as is
     try:
         return SymMatrix(rows)
@@ -286,11 +429,22 @@ _CONFIG_KEYS = {
 }
 
 
+def _check_plan(plan: CoherencePlan, n: int, k: int) -> None:
+    """Raise ConfigError("coherence") where plan cannot be planted at (n, k)."""
+    if plan.target == "flat" and n & (n - 1):
+        raise ConfigError("coherence", f"flat basis needs n to be a power of two, got {n}")
+    if plan.target == "spiked" and plan.m > k:
+        raise ConfigError("coherence", f"spiked plan m={plan.m} exceeds k={k}")
+    if plan.target == "spiked" and plan.m >= n:
+        raise ConfigError("coherence", f"spiked plan m={plan.m} must be < n={n}")
+
+
 def config_from_mapping(d: dict) -> ExperimentConfig:
     """Build a config from a plain mapping (the JSON config-file schema).
 
     Checks the keys and the values parsed here (gen; coherence, flat only
-    at a power-of-two n; lambda1, a finite number > 0);
+    at a power-of-two n and spiked:M only at M <= k; lambda1, a finite
+    number > 0);
     :class:`ExperimentConfig` checks every field it is given.
     """
     unknown = set(d) - _CONFIG_KEYS
@@ -320,9 +474,8 @@ def config_from_mapping(d: dict) -> ExperimentConfig:
             plan = parse_plan(d["coherence"])
         except ValueError as exc:
             raise ConfigError("coherence", str(exc)) from exc
-        n = d.get("n")
-        if plan.target == "flat" and gen is not None and n & (n - 1):
-            raise ConfigError("coherence", f"flat basis needs n to be a power of two, got {n}")
+        if gen is not None:
+            _check_plan(plan, d["n"], d["k"])
     l = d.get("l")
     return ExperimentConfig(
         k=d["k"],
@@ -623,6 +776,8 @@ def chernoff_sweep(
     _check_int("trials", trials, 1)
     _check_int("jobs", jobs, 1)
     grid = [(k, plan, eps) for k in ks for plan in plans for eps in epsilons]
+    for k, plan, _ in grid:
+        _check_plan(plan, n, k)
     if ls is not None and len(ls) not in (1, len(grid)):
         raise ConfigError("l", f"need 1 or {len(grid)} values, got {len(ls)}")
     rows = []

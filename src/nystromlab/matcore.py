@@ -265,12 +265,13 @@ def lowrank_residual_norm(
     start does with probability one (Kuczynski and Wozniakowski, SIAM J.
     Matrix Anal. Appl. 1992).
 
-    Each step applies ``x -> s (y - C (M^T (M y[index])))`` with ``y = A x``
+    Each step applies ``x -> y - C (M^T (M y[index]))`` with ``y = A (s x)``
     and forms no n x r array.  ``s`` is the power of two that puts ``s *
     max_i a_ii`` in ``[0.5, 1)`` (1 when that diagonal is 0); for PSD A,
     ``|a_ij| <= max_i a_ii``, so the recurrence stays near 1 at any input
-    scale, and ``theta / s`` and ``r / s`` are returned (FloatingPointError
-    when either is beyond the float64 range).  ``start`` is the unit start
+    scale, and ``A (s x)`` does not overflow where ``A x`` would.
+    ``theta / s`` and ``r / s`` are returned (FloatingPointError when
+    either is beyond the float64 range).  ``start`` is the unit start
     vector, and the basis is fully reorthogonalised (two classical
     Gram-Schmidt passes).  Fixed stopping rule, checked after every step:
     ``r <= LANCZOS_REL_TOL * theta``, ``r <= n * eps`` (scaled units), a
@@ -285,10 +286,9 @@ def lowrank_residual_norm(
     t = np.zeros((cap, cap))
     j = 0  # index of the newest basis vector
     while True:
-        y = a.entries @ basis[j]
+        w = a.entries @ np.ldexp(basis[j], -e)
         if c is not None:
-            y -= c @ (m.T @ (m @ y[index]))
-        w = np.ldexp(y, -e)
+            w -= c @ (m.T @ (m @ w[index]))
         b = basis[:j + 1]
         h = b @ w
         w -= h @ b

@@ -316,12 +316,28 @@ def overflowing(tmp_path):
     return str(p)
 
 
-@pytest.mark.parametrize("argv,name", [
+_OVERFLOW_ROUTES = pytest.mark.parametrize("argv,name", [
     (["approx", "--l", "1"], "Lanczos norm"),
     (["trials", "--k", "1", "--l", "1", "--trials", "2", "--seed", "1"], "lambda1=inf"),
 ], ids=["approx", "trials"])
+
+
+@_OVERFLOW_ROUTES
 def test_overflowing_norm_or_spectrum_exits_4(overflowing, capsys, argv, name):
     assert main(argv + ["--matrix", overflowing]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert name in captured.err and "overflows" in captured.err
+
+
+@_OVERFLOW_ROUTES
+def test_overflowing_product_exits_4(tmp_path, capsys, argv, name):
+    # 8 x 8 entries of 1.5e308: an unscaled A x overflows, and numpy's
+    # overflow warning would be an error here
+    p = tmp_path / "big8.txt"
+    p.write_text("8\n" + (" ".join(["1.5e308"] * 8) + "\n") * 8)
+    assert main(argv + ["--matrix", str(p)]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -529,6 +545,22 @@ def test_non_integer_spike_count_names_coherence(capsys, argv):
     assert main(argv + ["--coherence", "spiked:x"]) == 2
     assert capsys.readouterr().err == (
         "error: config error in 'coherence': coherence plan 'spiked:x': M is not an integer\n")
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["chernoff", "--n", "12", "--k", "2", "--coherence", "flat", "--epsilon", "0.5"],
+     "flat basis needs n to be a power of two, got 12"),
+    (["chernoff", "--n", "16", "--k", "2", "--coherence", "spiked:5", "--epsilon", "0.5"],
+     "spiked plan m=5 exceeds k=2"),
+    (["trials", "--gen", "exp:0.5", "--n", "16", "--k", "2", "--coherence", "spiked:5",
+      "--trials", "1", "--seed", "0"],
+     "spiked plan m=5 exceeds k=2"),
+    (["chernoff", "--n", "4", "--k", "4", "--coherence", "spiked:4", "--epsilon", "0.5"],
+     "spiked plan m=4 must be < n=4"),
+], ids=["chernoff-flat", "chernoff-spiked", "trials-spiked", "chernoff-spiked-n"])
+def test_unplantable_coherence_names_coherence(capsys, argv, err):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: config error in 'coherence': {err}\n"
 
 
 def test_chernoff_reproducible(tmp_path):

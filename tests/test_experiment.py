@@ -1,14 +1,17 @@
 """Harness round trips: matrix files, configs, trials, emission, sweeps."""
 
+import contextlib
 import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nystromlab import (
@@ -445,6 +448,198 @@ def test_load_from_a_pipe_matches_the_regular_file(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# two-process reads
+
+
+@contextlib.contextmanager
+def _split_reads(cut=None, split_bytes=0, cpus=(0, 1)):
+    """Split regular files of split_bytes or more (at byte cut, if given),
+    with the usable CPUs cpus.  Yields the worker processes load_matrix
+    starts, None for each that could not start, and the spans that
+    _from_worker returns, None where the worker failed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment, "SPLIT_BYTES", split_bytes)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+        if cut is not None:
+            mp.setattr(experiment, "_split_point", lambda fb: cut)
+        started, spans = [], []
+        popen, from_worker = subprocess.Popen, experiment._from_worker
+
+        def spy(*args, **kwargs):
+            started.append(None)
+            started[-1] = popen(*args, **kwargs)
+            return started[-1]
+
+        mp.setattr(subprocess, "Popen", spy)
+        mp.setattr(experiment, "_from_worker",
+                   lambda *args: spans.append(from_worker(*args)) or spans[-1])
+        yield started, spans
+
+
+def _load(src):
+    """The entries load_matrix reads from src as bytes, or the kind, line
+    and message of its MatrixFileError."""
+    try:
+        return load_matrix(src).entries.tobytes()
+    except MatrixFileError as exc:
+        return exc.kind, exc.line, str(exc)
+
+
+# Token edits: an unparseable token, a dropped token (wrong width), non-finite
+# values and a byte that is not UTF-8.
+_SPAN_DEFECTS = (b"x", b"", b"inf", b"nan", b"1e400", b"\xff")
+
+
+def _matrix_bytes(m, end=b"\n", blanks=0, extra=0, defects=()) -> bytes:
+    """The file of the symmetric array m with extra data lines (the last
+    repeated, or dropped for -1), token edits (data line i from 1, token
+    j, new token) and blanks trailing blank lines."""
+    lines = [str(len(m)).encode()] + [" ".join(map(repr, row)).encode() for row in m.tolist()]
+    if extra < 0:
+        del lines[-1]
+    elif extra > 0:
+        lines.append(lines[-1])
+    for i, j, tok in defects:
+        toks = lines[i].split(b" ")
+        toks[j % len(toks)] = tok
+        lines[i] = b" ".join(toks)
+    return end.join(lines + [b" "] * blanks) + end
+
+
+def _assert_split_matches_one_span(p, cut: int) -> None:
+    """load_matrix(p) cut after the first cut LFs gives what one span gives,
+    from a worker that ran and was reaped."""
+    text = p.read_bytes()
+    at = 0
+    for _ in range(cut):
+        at = text.index(b"\n", at) + 1
+    one = _load(p)
+    with _split_reads(at) as (started, spans):
+        assert _load(p) == one
+    assert len(started) == 1 and started[0].returncode is not None
+    assert len(spans) == 1 and spans[0] is not None
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 5),
+    upper=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=15,
+                   max_size=15),
+    end=st.sampled_from([b"\n", b"\r\n"]),
+    blanks=st.integers(0, 2),
+    extra=st.sampled_from([0, 0, 0, -1, 1]),
+    where=st.sampled_from(["second", "both", "first", "none"]),
+    data=st.data(),
+)
+def test_split_read_matches_one_span(tmp_path_factory, n, upper, end, blanks, extra,
+                                     where, data):
+    # cut lines before the cut, the header included: the first span holds
+    # data lines 1 .. cut - 1, the second the rest and the trailing blanks
+    rows, cols = np.triu_indices(n)
+    m = np.empty((n, n))
+    m[rows, cols] = m[cols, rows] = upper[: rows.size]
+    count = n + extra
+    assume(count + blanks > 1)
+    cut = data.draw(st.integers(2, count + blanks), label="cut")
+    sides = {"first": [range(1, min(cut, count + 1))], "second": [range(cut, count + 1)]}
+    sides["both"] = sides["first"] + sides["second"]
+    defects = [(data.draw(st.sampled_from(side), label="line"),
+                data.draw(st.integers(0, 4), label="token"),
+                data.draw(st.sampled_from(_SPAN_DEFECTS), label="edit"))
+               for side in sides.get(where, []) if side]
+    p = tmp_path_factory.getbasetemp() / "split.txt"
+    p.write_bytes(_matrix_bytes(m, end, blanks, extra, defects))
+    _assert_split_matches_one_span(p, cut)
+
+
+@pytest.mark.parametrize("cut,defects,extra,end", [
+    (3, [(4, 1, b"x")], 0, b"\n"),
+    (3, [(1, 0, b"x"), (4, 2, b"inf")], 0, b"\n"),
+    (2, [(3, 3, b"")], 0, b"\r\n"),
+    (4, [(4, 0, b"nan")], 0, b"\n"),
+    (2, [(3, 1, b"\xff")], 0, b"\n"),
+    (3, [], -1, b"\n"),
+    (4, [], 1, b"\n"),
+    (5, [], 0, b"\r\n"),
+    (1, [(2, 0, b"x")], 0, b"\n"),
+], ids=["bad token after the cut", "defects on both sides", "wrong width after the cut",
+        "cut before the last data line", "not UTF-8 after the cut", "too few lines",
+        "too many lines", "cut in the trailing blanks", "cut after the header"])
+def test_split_read_cases(tmp_path, cut, defects, extra, end):
+    # cut counts the lines before the cut, the header included
+    p = tmp_path / "m.txt"
+    p.write_bytes(_matrix_bytes(gram_psd(4, np.random.default_rng(2)).entries, end, 2, extra,
+                                defects))
+    _assert_split_matches_one_span(p, cut)
+
+
+@pytest.mark.parametrize("text", [b"3\n1 0 0\n0 1 0\n0 0 1\n", b"2\n1 0\n0 1",
+                                  b"3\r\n1 0 0\r\n0 1 0\r\n0 0 1\r\n\r\n", b"1\n" + b"5" * 10])
+def test_split_point_is_a_line_end_past_the_middle(tmp_path, text):
+    # the first span takes SPLIT_BYTES / 2 more bytes than the second
+    p = tmp_path / "m.txt"
+    p.write_bytes(text)
+    for split_bytes in (0, len(text)):
+        at = text.find(b"\n", (len(text) + split_bytes // 2) // 2) + 1
+        with _split_reads(split_bytes=split_bytes), open(p, "rb") as fb:
+            assert experiment._split_point(fb) == (at if 0 < at < len(text) else -1)
+            assert fb.tell() == 0
+
+
+@pytest.mark.parametrize("case", ["pipe", "small file", "one CPU", "descriptor"])
+def test_one_process_reads(tmp_path, case):
+    p = tmp_path / "m.txt"
+    save_matrix(gram_psd(40, np.random.default_rng(5)), p)
+    one = _load(p)
+    src = {"pipe": lambda: _pipe(p.read_bytes()),
+           "descriptor": lambda: os.open(p, os.O_RDONLY)}.get(case, lambda: p)()
+    with _split_reads(split_bytes=p.stat().st_size + (case == "small file"),
+                      cpus=(0,) if case == "one CPU" else (0, 1)) as (started, _):
+        assert _load(src) == one
+    assert started == []
+
+
+@pytest.mark.parametrize("case", ["rows", "defect", "parent raises", "worker fails",
+                                  "worker's file differs"])
+def test_no_worker_outlives_load_matrix(tmp_path, case):
+    p = tmp_path / "m.txt"
+    save_matrix(gram_psd(40, np.random.default_rng(5)), p)
+    if case == "defect":
+        p.write_bytes(p.read_bytes()[:-20] + b" x\n")
+    one = _load(p)
+    with _split_reads() as (started, spans), pytest.MonkeyPatch.context() as mp:
+        if case == "parent raises":
+            def boom(*args):
+                raise RuntimeError("parent span")
+            mp.setattr(experiment, "_read_span", boom)
+            with pytest.raises(RuntimeError, match="parent span"):
+                load_matrix(p)
+        else:
+            if case == "worker fails":
+                mp.setattr(experiment, "_WORKER", "import sys; sys.exit(3)")
+            elif case == "worker's file differs":  # the worker sees inode 0
+                mp.setattr(experiment, "_WORKER",
+                           experiment._WORKER.replace("*sys.argv[2:]", "*sys.argv[2:6], '0'"))
+            assert _load(p) == one
+    assert len(started) == 1
+    assert started[0].returncode is not None and started[0].stdout.closed
+    # _from_worker runs after the parent's span; None: the parent parsed the rest
+    assert [span is None for span in spans] == {
+        "parent raises": [], "worker fails": [True], "worker's file differs": [True],
+    }.get(case, [False])
+
+
+def test_worker_that_cannot_start_leaves_its_span_to_this_process(tmp_path, monkeypatch):
+    p = tmp_path / "m.txt"
+    save_matrix(gram_psd(40, np.random.default_rng(5)), p)
+    one = _load(p)
+    monkeypatch.setattr(sys, "executable", str(tmp_path / "no-such-python"))
+    with _split_reads() as (started, spans):
+        assert _load(p) == one
+    assert started == [None] and spans == []
+
+
+# ---------------------------------------------------------------------------
 # configs
 
 
@@ -699,6 +894,8 @@ def test_exact_rank_k_trials_fail_only_when_rank_deficient(plan, l, failures):
      "spectrum contains a negative eigenvalue"),
     ({"gen": "exp:0.9", "n": 12, "coherence": "flat"}, "coherence",
      "flat basis needs n to be a power of two, got 12"),
+    ({"gen": "exp:0.5", "n": 16, "coherence": "spiked:5"}, "coherence",
+     "spiked plan m=5 exceeds k=1"),
 ])
 def test_generated_spectrum_errors_name_their_key(mapping, key, message):
     with pytest.raises(ConfigError) as exc:

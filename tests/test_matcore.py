@@ -1,17 +1,21 @@
 """Core primitives (SymMatrix, the PSD check, Lanczos, partition) and the
 eigensolve, pinv and norm oracles of helpers."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nystromlab import (
     NotPSDError,
+    RngSeed,
     SymMatrix,
+    nystrom_extend,
     partition,
+    sample_uniform,
 )
 
 from nystromlab import matcore
@@ -285,6 +289,47 @@ def test_lanczos_norm_past_the_float64_range_raises():
     # ||A||_2 = 2e308 is finite in the scaled recurrence but not unscaled
     with pytest.raises(FloatingPointError, match="overflows"):
         lowrank_residual_norm(SymMatrix(np.full((2, 2), 1e308)), lanczos_start(2))
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_lanczos_product_does_not_overflow(n):
+    # at n = 8 the unscaled A x overflows; the norm itself still does not fit
+    a = SymMatrix(np.full((n, n), 1.5e308))
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(FloatingPointError, match="Lanczos norm overflows"):
+            lowrank_residual_norm(a, lanczos_start(n))
+
+
+def _exact_at(x, s: int) -> bool:
+    """True when x scaled by 2**s scales back to x: nothing over- or underflows."""
+    return np.array_equal(np.ldexp(np.ldexp(x, s), -s), x)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 24),
+    family=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.integers(-450, 450),
+    l=st.integers(1, 24),
+)
+def test_lanczos_results_scale_exactly_by_a_power_of_two(n, family, seed, t, l):
+    # A -> 2^s A, C -> 2^s C and M -> 2^(-s/2) M scale the operator by 2^s;
+    # theta and r then scale by exactly 2^s, with and without the C term
+    s = 2 * t
+    a = list(mixed_spectrum_cases(np.random.default_rng(seed), n))[family][1]
+    sample = sample_uniform(n, min(l, n), RngSeed(seed, 0))
+    res = nystrom_extend(a, sample)
+    index = np.sort(sample.indices)
+    args = (res.columns, index, res.linv)
+    scaled_args = (np.ldexp(res.columns, s), index, np.ldexp(res.linv, -t))
+    assume(_exact_at(a.entries, s) and _exact_at(res.linv, -t))
+    scaled = SymMatrix(np.ldexp(a.entries, s))
+    for plain, times in (((), ()), (args, scaled_args)):
+        want = lowrank_residual_norm(a, lanczos_start(n), *plain)
+        assume(_exact_at(np.array(want), s))
+        got = lowrank_residual_norm(scaled, lanczos_start(n), *times)
+        assert got == (math.ldexp(want[0], s), math.ldexp(want[1], s))
 
 
 @settings(max_examples=3, deadline=None, derandomize=True, database=None)
