@@ -10,6 +10,7 @@ identical across runs.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import itertools
 import json
@@ -37,6 +38,7 @@ from .analysis import (
 from .generators import (
     CoherencePlan,
     SpectrumSpec,
+    check_plan,
     flat_orthonormal,
     parse_plan,
     parse_spectrum,
@@ -67,6 +69,8 @@ NA = "NA"
 
 # Data lines per np.loadtxt call in load_matrix.
 LOAD_CHUNK = 32
+# The most bytes load_matrix reads at once: a longer line is read in pieces.
+READ_BYTES = 1 << 20
 # load_matrix parses a regular file at least this large in two processes.
 # A worker takes about 0.2 s to start, as long as parsing SPLIT_BYTES / 2
 # takes; so the parent takes that much more of the file than the worker,
@@ -95,21 +99,41 @@ class ConfigError(ValueError):
         super().__init__(f"config error in {field!r}: {message}")
 
 
+# str.splitlines() ends a line at each of these.
+_BREAKS = tuple("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
 def _lines(fb, size: int = -1):
     """The lines str.splitlines() finds in the next size bytes of the binary
     file fb (all of them for a negative size), decoded as UTF-8 with each
     byte that is not UTF-8 kept as a lone surrogate.
 
-    fb is read by LF-ended lines, and each is decoded and split on its own:
-    an LF byte ends a line in UTF-8 text and belongs to no other line end,
-    so these are the lines of the whole text.  size must end at a line.
+    fb is read by LF-ended lines of at most ``READ_BYTES`` bytes, each
+    decoded and split on its own: an LF byte ends a line in UTF-8 text and
+    belongs to no other line end, so these are the lines of the whole text.
+    A read cut short keeps a CR LF together, and the line it leaves open
+    is carried into the next read, so a file with other line ends is not
+    held at once either.  size must end at a line.
     """
+    decode = codecs.getincrementaldecoder("utf-8")("surrogateescape").decode
+    part = []  # the pieces of a line not yet ended
     while size:
-        raw = fb.readline(size)
+        raw = fb.readline(READ_BYTES if size < 0 else min(size, READ_BYTES))
+        if raw.endswith(b"\r") and fb.peek(1)[:1] == b"\n":  # keep a CR LF whole
+            raw += fb.read(1)
+        size -= len(raw)
+        text = decode(raw, final=not raw)
+        lines = text.splitlines()
+        ended = not raw or text.endswith(_BREAKS)
+        tail = None if ended else (lines.pop() if lines else "")
+        if part and (lines or ended):
+            lines[:1] = ["".join(part) + (lines[0] if lines else "")]
+            part = []
+        if tail is not None:
+            part.append(tail)
+        yield from lines
         if not raw:
             return
-        size -= len(raw)
-        yield from raw.decode("utf-8", "surrogateescape").splitlines()
 
 
 def _parse_row(line: str, n: int) -> list[float] | tuple[str, str]:
@@ -214,14 +238,17 @@ def _split_point(fb) -> int:
             or isinstance(fb.name, int) or cpus < 2):
         return -1
     fb.seek((st.st_size + SPLIT_BYTES // 2) // 2)
-    fb.readline()
+    while (raw := fb.readline(READ_BYTES)) and not raw.endswith(b"\n"):
+        pass
     split = fb.tell()
     fb.seek(0)
     return split if split < st.st_size else -1
 
 
-# The worker imports the package from the directory this copy came from.
-_WORKER = ("import sys; sys.path.insert(0, sys.argv[1]); "
+# The worker runs isolated (-I), so neither its working directory nor a
+# PYTHON* variable adds to its import path, which is set to this process's
+# sys.path followed by the directory this copy of the package came from.
+_WORKER = ("import sys, json; sys.path[:] = json.loads(sys.argv[1]); "
            "from nystromlab.experiment import _span_worker; _span_worker(*sys.argv[2:])")
 
 
@@ -231,9 +258,11 @@ def _worker(fb, start: int, n: int):
     is no second span or no process can start.  On exit it is killed and
     reaped, however the block ended."""
     proc = None
-    if start > 0:
+    if start > 0 and sys.executable:  # it can be empty or None
         st = os.fstat(fb.fileno())
-        argv = [sys.executable, "-c", _WORKER, str(Path(__file__).resolve().parents[1]),
+        path = json.dumps([d for d in sys.path if isinstance(d, str)]
+                          + [str(Path(__file__).resolve().parents[1])])
+        argv = [sys.executable, "-I", "-c", _WORKER, path,
                 fb.name, str(start), str(n), str(st.st_dev), str(st.st_ino)]
         try:
             # stdin is inherited, so that /dev/stdin names the same file
@@ -431,12 +460,10 @@ _CONFIG_KEYS = {
 
 def _check_plan(plan: CoherencePlan, n: int, k: int) -> None:
     """Raise ConfigError("coherence") where plan cannot be planted at (n, k)."""
-    if plan.target == "flat" and n & (n - 1):
-        raise ConfigError("coherence", f"flat basis needs n to be a power of two, got {n}")
-    if plan.target == "spiked" and plan.m > k:
-        raise ConfigError("coherence", f"spiked plan m={plan.m} exceeds k={k}")
-    if plan.target == "spiked" and plan.m >= n:
-        raise ConfigError("coherence", f"spiked plan m={plan.m} must be < n={n}")
+    try:
+        check_plan(plan, n, k)
+    except ValueError as exc:
+        raise ConfigError("coherence", str(exc)) from exc
 
 
 def config_from_mapping(d: dict) -> ExperimentConfig:

@@ -131,6 +131,17 @@ class CoherencePlan:
             raise ValueError(f"spiked plan needs m >= 1, got {self.m}")
 
 
+def check_plan(plan: CoherencePlan, n: int, k: int) -> None:
+    """Raise ValueError where plan cannot be planted at dimension n and
+    rank k: flat needs a power-of-two n, spiked:M needs M <= k and M < n."""
+    if plan.target == "flat" and (n < 1 or n & (n - 1)):
+        raise ValueError(f"flat basis needs n to be a power of two, got {n}")
+    if plan.target == "spiked" and plan.m > k:
+        raise ValueError(f"spiked plan m={plan.m} exceeds k={k}")
+    if plan.target == "spiked" and plan.m >= n:
+        raise ValueError(f"spiked plan m={plan.m} must be < n={n}")
+
+
 def _haar(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     """Haar n x k orthonormal basis drawn from the next n*k normals of rng.
 
@@ -158,8 +169,7 @@ def flat_orthonormal(n: int, k: int) -> np.ndarray:
     the span is exactly 1 for any k.  Deterministic; n must be a power of
     two.
     """
-    if n < 1 or (n & (n - 1)) != 0:
-        raise ValueError(f"flat basis needs n to be a power of two, got {n}")
+    check_plan(CoherencePlan("flat"), n, k)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
     # H_2m = [[H_m, H_m], [H_m, -H_m]], doubled in place from the top-left
@@ -293,11 +303,8 @@ def _planted_basis(n: int, plan: CoherencePlan, k: int, seed: RngSeed) -> np.nda
     if plan.target == "low":
         return random_orthonormal(n, n, seed)
     # spiked(m): m distinct coordinate axes first, Haar in the complement.
+    check_plan(plan, n, k)
     m = plan.m
-    if m > k:
-        raise ValueError(f"spiked plan m={m} exceeds k={k}")
-    if m >= n:
-        raise ValueError(f"spiked plan m={m} must be < n={n}")
     rng = rng_from(seed)
     spikes = [int(x) for x in rng.permutation(n)[:m]]
     spiked = set(spikes)

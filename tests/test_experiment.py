@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -290,6 +291,38 @@ def test_load_matrix_splits_lines_like_str_splitlines(tmp_path, sep):
         assert (ei.value.kind, ei.value.line) == expected
     else:
         assert load_matrix(p).entries.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    pieces=st.lists(st.sampled_from(["1", "-2.5", " ", "\xe9", "\u2028", "\n", "\r", "\r\n",
+                                     "\x0c", "\x85"]), max_size=20),
+    junk=st.sampled_from([b"", b"\xff", b"\xe2\x80"]),
+    read_bytes=st.integers(1, 6),
+)
+def test_lines_in_short_reads_are_those_of_the_whole_text(pieces, junk, read_bytes):
+    # reads of a few bytes cut CR LF pairs, multi-byte characters and lines
+    # without an LF anywhere; the lines are still those of the whole text
+    data = "".join(pieces).encode() + junk
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment, "READ_BYTES", read_bytes)
+        got = list(experiment._lines(io.BufferedReader(io.BytesIO(data))))
+    assert got == data.decode("utf-8", "surrogateescape").splitlines()
+
+
+@pytest.mark.parametrize("sep", ["\r", "\x1c"])
+def test_load_file_without_lf_reads_in_pieces(tmp_path, monkeypatch, sep):
+    # a file without an LF loads like its LF form, and is not held whole:
+    # its peak stays within a quarter of the file of that of the LF form
+    monkeypatch.setattr(experiment, "READ_BYTES", 1 << 16)
+    p = tmp_path / "m.txt"
+    save_matrix(gram_psd(512, np.random.default_rng(4)), p)
+    q = tmp_path / "cr.txt"
+    q.write_bytes(p.read_bytes().replace(b"\n", sep.encode()))
+    a, peak_lf = _load_peak(p)
+    b, peak = _load_peak(q)
+    assert b.entries.tobytes() == a.entries.tobytes()
+    assert peak <= peak_lf + q.stat().st_size / 4, (peak, peak_lf, q.stat().st_size)
 
 
 def _chunk_case(n: int, case: str) -> tuple[bytes, bool]:
@@ -629,14 +662,38 @@ def test_no_worker_outlives_load_matrix(tmp_path, case):
     }.get(case, [False])
 
 
-def test_worker_that_cannot_start_leaves_its_span_to_this_process(tmp_path, monkeypatch):
+@pytest.mark.parametrize("executable", ["no-such-python", "", None])
+def test_worker_that_cannot_start_leaves_its_span_to_this_process(tmp_path, monkeypatch,
+                                                                  executable):
+    # sys.executable is empty or None where Python cannot tell its own path;
+    # then no start is tried
     p = tmp_path / "m.txt"
     save_matrix(gram_psd(40, np.random.default_rng(5)), p)
     one = _load(p)
-    monkeypatch.setattr(sys, "executable", str(tmp_path / "no-such-python"))
+    monkeypatch.setattr(sys, "executable",
+                        executable and str(tmp_path / executable))
     with _split_reads() as (started, spans):
         assert _load(p) == one
-    assert started == [None] and spans == []
+    assert started == ([None] if executable else []) and spans == []
+
+
+def test_worker_imports_nothing_from_the_working_directory(tmp_path, monkeypatch):
+    # modules the worker imports, shadowed in the directory it starts in
+    p = tmp_path / "m.txt"
+    save_matrix(gram_psd(40, np.random.default_rng(5)), p)
+    one = _load(p)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    marker = tmp_path / "marker"
+    for name in ("json", "subprocess", "dataclasses", "typing", "numpy", "nystromlab"):
+        (cwd / f"{name}.py").write_text(f"open({str(marker)!r}, 'a').write({name!r})\n")
+    monkeypatch.chdir(cwd)
+    # this process's own path holds no working directory either
+    monkeypatch.setattr(sys, "path", [d for d in sys.path if d not in ("", ".", str(cwd))])
+    with _split_reads() as (started, spans):
+        assert _load(p) == one
+    assert len(started) == 1 and len(spans) == 1 and spans[0] is not None
+    assert not marker.exists()
 
 
 # ---------------------------------------------------------------------------
