@@ -42,17 +42,15 @@ from .generators import (
     psd_from_spectrum,
     random_orthonormal,
 )
+from .matfile import MatrixFileError, load_matrix, save_matrix
 from .experiment import (
     ConfigError,
     ExperimentConfig,
-    MatrixFileError,
     TrialRecord,
     chernoff_sweep,
     config_from_mapping,
     emit_results,
-    load_matrix,
     run_experiment,
-    save_matrix,
 )
 
 __version__ = "0.1.0"

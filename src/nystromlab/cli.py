@@ -24,17 +24,16 @@ import numpy as np
 from .analysis import bound_report
 from .experiment import (
     ConfigError,
-    MatrixFileError,
     chernoff_sweep,
     config_from_mapping,
     emit_results,
     emit_table,
-    load_matrix,
     read_config,
     run_experiment,
 )
 from .generators import parse_plan
 from .matcore import NotPSDError, check_psd, lowrank_residual_norm
+from .matfile import MatrixFileError, load_matrix
 from .nystrom import nystrom_extend
 from .sampling import ColumnSample, RngSeed, lanczos_start, sample_uniform
 

@@ -1,0 +1,322 @@
+"""The plain-text matrix format: :func:`load_matrix` and :func:`save_matrix`.
+
+README "File formats" describes the format and how a large file is read.
+This module imports only the standard library and numpy at module level:
+the worker process that parses the second span of a large file runs this
+file alone, without importing the package.
+"""
+
+from __future__ import annotations
+
+import codecs
+import contextlib
+import itertools
+import json
+import math
+import os
+import stat
+import subprocess
+import sys
+from typing import TYPE_CHECKING, NamedTuple
+
+import numpy as np
+
+if TYPE_CHECKING:
+    from .matcore import SymMatrix
+
+# Data lines per np.loadtxt call in load_matrix.
+LOAD_CHUNK = 32
+# The most bytes load_matrix reads at once: a longer line is read in pieces.
+READ_BYTES = 1 << 20
+# load_matrix parses a regular file at least this large in two processes.
+# A worker takes about 0.2 s to start, as long as parsing SPLIT_BYTES / 2
+# takes; so the parent takes that much more of the file than the worker,
+# and a smaller file would leave the worker almost nothing.
+SPLIT_BYTES = 20 << 20
+
+
+class MatrixFileError(ValueError):
+    """A matrix file failed to parse or validate.
+
+    ``kind`` is one of ``header``, ``count``, ``value``, ``asymmetry``;
+    ``line`` is the 1-based offending line where applicable.
+    """
+
+    def __init__(self, message: str, line: int | None, kind: str):
+        self.line = line
+        self.kind = kind
+        super().__init__(message)
+
+
+# str.splitlines() ends a line at each of these.
+_BREAKS = tuple("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def _lines(fb, size: int = -1):
+    """The lines str.splitlines() finds in the next size bytes of the binary
+    file fb (all of them for a negative size); size must end at a line.
+
+    An LF byte belongs to no other line end in UTF-8 text, so each read of
+    at most ``READ_BYTES`` up to an LF is split on its own; a line left
+    open is carried into the next read.
+    """
+    decode = codecs.getincrementaldecoder("utf-8")("surrogateescape").decode
+    part = []  # the pieces of a line not yet ended
+    while size:
+        raw = fb.readline(READ_BYTES if size < 0 else min(size, READ_BYTES))
+        if raw.endswith(b"\r") and fb.peek(1)[:1] == b"\n":  # keep a CR LF whole
+            raw += fb.read(1)
+        size -= len(raw)
+        text = decode(raw, final=not raw)
+        lines = text.splitlines()
+        ended = not raw or text.endswith(_BREAKS)
+        tail = None if ended else (lines.pop() if lines else "")
+        if part and (lines or ended):
+            lines[:1] = ["".join(part) + (lines[0] if lines else "")]
+            part = []
+        if tail is not None:
+            part.append(tail)
+        yield from lines
+        if not raw:
+            return
+
+
+def _parse_row(line: str, n: int) -> list[float] | tuple[str, str]:
+    """The n values ``float()`` reads from one data line, or the kind and
+    text of its first defect: the token count, an unparseable token, then
+    a non-finite value."""
+    toks = line.split()
+    if len(toks) != n:
+        return "count", f"expected {n} values, found {len(toks)}"
+    try:
+        vals = [float(t) for t in toks]
+    except ValueError:
+        return "value", "unparseable numeric value"
+    if not all(map(math.isfinite, vals)):
+        return "value", "non-finite value"
+    return vals
+
+
+def _reserve(rows, need: int, n: int) -> np.ndarray:
+    """The buffer rows with room for need rows of n values, resized in place
+    to the smallest of n, ceil(n/2), ceil(n/4), ... rows that holds them,
+    so that a copy realloc must make holds at most 1.5 n^2 values at once."""
+    if rows is None:
+        rows = np.empty((0, n))
+    if len(rows) < need:
+        size = n
+        while need <= size // 2:
+            size -= size // 2
+        rows.resize((size, n), refcheck=False)  # no view of the buffer exists
+    return rows
+
+
+class _Span(NamedTuple):
+    """What :func:`_read_span` found in a run of lines.  Indices count
+    lines from 1 at the span's first line; ``last`` is that of the last
+    non-blank line (0 if none), and ``defect`` is ``(index, kind, detail)``
+    for the first bad data line."""
+
+    rows: np.ndarray | None
+    lines: int
+    last: int
+    defect: tuple | None
+
+
+def _read_span(lines, n: int, rows=None, at: int = 0) -> _Span:
+    """Parse lines as rows at, at + 1, ... of the buffer rows.
+
+    The first ``n - at`` lines are data, passed ``LOAD_CHUNK`` at a time to
+    ``np.loadtxt``; a chunk it refuses is parsed line by line with
+    ``float()``, and storing stops at the first bad line.  Later lines are
+    only checked for blankness.
+    """
+    count = last = 0
+    defect = None
+    for i in range(at, n, LOAD_CHUNK):
+        chunk = list(itertools.islice(lines, min(LOAD_CHUNK, n - i)))
+        if not chunk:
+            break
+        if defect is None and all(s.strip() for s in chunk):
+            try:
+                block = np.loadtxt(chunk, dtype=np.float64, comments=None, ndmin=2)
+            except ValueError:
+                block = None
+            if (block is not None and block.shape == (len(chunk), n)
+                    and np.isfinite(block).all()):
+                rows = _reserve(rows, i + len(chunk), n)
+                rows[i:i + len(chunk)] = block
+                count = last = count + len(chunk)
+                continue
+        for line in chunk:
+            count += 1
+            if line.strip():
+                last = count
+            if defect is None:
+                vals = _parse_row(line, n)
+                if isinstance(vals, tuple):
+                    defect = (count, *vals)
+                else:
+                    rows = _reserve(rows, at + count, n)
+                    rows[at + count - 1] = vals
+    for line in lines:
+        count += 1
+        if line.strip():
+            last = count
+    return _Span(rows, count, last, defect)
+
+
+def _split_point(fb) -> int:
+    """The byte where a worker process takes over the parse of fb, or -1
+    where one process reads it all."""
+    st = os.fstat(fb.fileno())
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if (not stat.S_ISREG(st.st_mode) or st.st_size < SPLIT_BYTES
+            or isinstance(fb.name, int) or cpus < 2):  # the worker opens fb by name
+        return -1
+    fb.seek((st.st_size + SPLIT_BYTES // 2) // 2)
+    while (raw := fb.readline(READ_BYTES)) and not raw.endswith(b"\n"):
+        pass
+    split = fb.tell()
+    fb.seek(0)
+    return split if split < st.st_size else -1
+
+
+# The worker runs isolated (-I), so neither its working directory nor a
+# PYTHON* variable adds to its import path, which is set to this process's
+# sys.path.  It runs this file by its path, so it imports no package module.
+_WORKER = ("import sys, json, runpy; sys.path[:] = json.loads(sys.argv[1]); "
+           f"runpy.run_path({os.path.abspath(__file__)!r})['_span_worker'](*sys.argv[2:])")
+
+
+@contextlib.contextmanager
+def _worker(fb, start: int, n: int):
+    """A worker process that parses fb from byte start, or None where there
+    is no second span or no process can start.  On exit it is killed and
+    reaped, however the block ended."""
+    proc = None
+    if start > 0 and sys.executable:  # it can be empty or None
+        st = os.fstat(fb.fileno())
+        path = json.dumps([d for d in sys.path if isinstance(d, str)])
+        argv = [sys.executable, "-I", "-c", _WORKER, path,
+                fb.name, str(start), str(n), str(st.st_dev), str(st.st_ino)]
+        try:
+            # stdin is inherited, so that /dev/stdin names the same file
+            proc = subprocess.Popen(
+                argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},  # it runs no BLAS
+            )
+        except OSError:
+            pass
+    if proc is None:
+        yield None
+        return
+    with proc:  # closes the pipe and waits
+        try:
+            yield proc
+        finally:
+            proc.kill()
+
+
+def _span_worker(path, start: str, n: str, dev: str, ino: str) -> None:
+    """The worker's side: parse path from byte start, then write the span
+    to standard output as one JSON line and its stored rows as raw float64
+    bytes.  It exits 1 if path is no longer the parent's file."""
+    n = int(n)
+    with open(path, "rb") as fb:
+        st = os.fstat(fb.fileno())
+        if (st.st_dev, st.st_ino) != (int(dev), int(ino)):
+            sys.exit(1)
+        fb.seek(int(start))
+        span = _read_span(_lines(fb), n)
+    stored = span.defect[0] - 1 if span.defect else min(span.lines, n)
+    out = sys.stdout.buffer
+    out.write(json.dumps({"lines": span.lines, "last": span.last, "defect": span.defect,
+                          "stored": stored}).encode() + b"\n")
+    if stored:
+        out.write(span.rows[:stored])
+    out.flush()
+
+
+def _from_worker(proc, rows, at: int, n: int) -> _Span | None:
+    """The worker's span, with its rows read into rows from row at, or None
+    if the worker failed."""
+    try:
+        head = json.loads(proc.stdout.readline())
+        span = _Span(rows, head["lines"], head["last"], head["defect"])
+        take = min(head["stored"], n - at)  # rows past n fail the count check
+    except (ValueError, KeyError, TypeError):
+        return None
+    if take > 0:
+        rows = _reserve(rows, at + take, n)
+        if proc.stdout.readinto(rows[at:at + take]) != take * n * 8:
+            return None
+    return span._replace(rows=rows)
+
+
+def load_matrix(path) -> SymMatrix:
+    """Read the plain-text matrix format (README "File formats").
+
+    Raises :class:`MatrixFileError` with the kind and line of the first
+    defect; entries, errors and line numbers do not depend on the cut of
+    a two-process read.
+    """
+    from .matcore import SymMatrix  # here, so that the worker imports no package module
+
+    with open(path, "rb") as fb:
+        split = _split_point(fb)
+        lines = _lines(fb, split)
+        head = next(lines, "").strip()
+        if not head and not any(s.strip() for s in itertools.chain(lines, _lines(fb))):
+            raise MatrixFileError("empty file: expected a dimension header", 1, "header")
+        try:
+            n = int(head)
+        except ValueError:
+            raise MatrixFileError(
+                f"line 1: expected an integer dimension, got {head!r}", 1, "header"
+            ) from None
+        if n < 1:
+            raise MatrixFileError(f"line 1: dimension must be >= 1, got {n}", 1, "header")
+        with _worker(fb, split, n) as proc:
+            first = _read_span(lines, n)
+            spans = [(0, first)]  # (data lines before the span, span)
+            if split > 0:
+                second = _from_worker(proc, first.rows, first.lines, n) if proc else None
+                if second is None:  # parse the worker's span here
+                    second = _read_span(_lines(fb), n, first.rows, first.lines)
+                spans.append((first.lines, second))
+    last = 1 + max((off + s.last for off, s in spans if s.last), default=0)
+    if last - 1 != n:
+        raise MatrixFileError(
+            f"expected {n} data lines after the header, found {last - 1}", last, "count"
+        )
+    for off, s in spans:
+        if s.defect and off + s.defect[0] <= n:
+            lineno, kind, detail = 1 + off + s.defect[0], *s.defect[1:]
+            raise MatrixFileError(f"line {lineno}: {detail}", lineno, kind)
+    rows = spans[-1][1].rows
+    rows.flags.writeable = False  # handed over: SymMatrix stores it as is
+    try:
+        return SymMatrix(rows)
+    except ValueError as exc:
+        raise MatrixFileError(str(exc), None, "asymmetry") from exc
+
+
+def save_matrix(a: SymMatrix, path) -> None:
+    """Write a matrix in the same format, each entry as its shortest
+    round-trip ``repr``, so that it reads back bit for bit.
+
+    Only the upper triangle is formatted; the text of ``a[i, j]``, ``j > i``,
+    waits in ``pending[j]`` for row j.
+    """
+    n = a.n
+    pending = [[] for _ in range(n)]
+    with open(path, "w") as fh:
+        fh.write(f"{n}\n")
+        for i, row in enumerate(a.entries):
+            upper = list(map(repr, row[i:].tolist()))
+            for later, text in zip(pending[i + 1:], upper[1:]):
+                later.append(text)
+            fh.write(" ".join(pending[i] + upper) + "\n")
+            pending[i] = None

@@ -418,6 +418,16 @@ def test_trials_matrix_eigensolver_failure_exits_4(psd8, capsys, monkeypatch):
     assert captured.out == "" and captured.err == "error: Eigenvalues did not converge\n"
 
 
+def test_trials_matrix_k_must_leave_a_tail(tmp_path, capsys):
+    # the file's n is known only once it is read: k = n has no lambda_{k+1}
+    p = tmp_path / "eye3.txt"
+    p.write_text("3\n1 0 0\n0 1 0\n0 0 1\n")
+    assert main(["trials", "--matrix", str(p), "--k", "3", "--trials", "2", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: config error in 'k': must be <= n-1 = 2, got 3\n"
+
+
 def test_trials_missing_matrix_file(tmp_path):
     assert main(["trials", "--matrix", str(tmp_path / "gone.txt"), "--k", "2",
                  "--l", "4", "--trials", "2", "--seed", "0"]) == 3
@@ -561,6 +571,33 @@ def test_non_integer_spike_count_names_coherence(capsys, argv):
 def test_unplantable_coherence_names_coherence(capsys, argv, err):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: config error in 'coherence': {err}\n"
+
+
+@pytest.mark.parametrize("args,key,err", [
+    (["--k", "5", "--epsilon", "0.5"], "k", "must lie in [1, n=4], got 5"),
+    (["--k", "1", "--epsilon", "0.5", "--n", "0"], "n", "must be an integer in [1, 2^64), got 0"),
+    (["--k", "0", "--epsilon", "0.5"], "k", "must lie in [1, n=4], got 0"),
+    (["--k", "2", "--epsilon", "1.5"], "epsilon", "must lie in [0, 1], got 1.5"),
+    (["--k", "2", "--epsilon", "-0.5"], "epsilon", "must lie in [0, 1], got -0.5"),
+    (["--k", "2", "--epsilon", "0.5", "--l", "0"], "l", "must lie in [1, n=4], got 0"),
+    (["--k", "2", "--epsilon", "0.5", "--l", "5"], "l", "must lie in [1, n=4], got 5"),
+], ids=["k-above-n", "n-zero", "k-zero", "epsilon-above-1", "epsilon-below-0", "l-zero",
+        "l-above-n"])
+def test_chernoff_config_errors_name_their_key(capsys, args, key, err):
+    assert main(["chernoff", "--n", "4", "--coherence", "low", "--trials", "2"] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config error in {key!r}: {err}\n"
+
+
+@pytest.mark.parametrize("ls", [["5"], ["3", "4", "5", "6"]], ids=["one-for-all", "one-each"])
+def test_chernoff_explicit_l(capsys, ls):
+    argv = ["chernoff", "--n", "16", "--k", "1", "--k", "2", "--coherence", "flat",
+            "--epsilon", "0.25", "--epsilon", "0.5", "--trials", "3"]
+    assert main(argv + [arg for l in ls for arg in ("--l", l)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    at = header.split(",").index("l")
+    assert [row.split(",")[at] for row in rows] == ls * (4 // len(ls))
 
 
 def test_chernoff_reproducible(tmp_path):

@@ -31,6 +31,7 @@ from nystromlab import (
     emit_results,
     experiment,
     load_matrix,
+    matfile,
     run_experiment,
     save_matrix,
 )
@@ -305,8 +306,8 @@ def test_lines_in_short_reads_are_those_of_the_whole_text(pieces, junk, read_byt
     # without an LF anywhere; the lines are still those of the whole text
     data = "".join(pieces).encode() + junk
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiment, "READ_BYTES", read_bytes)
-        got = list(experiment._lines(io.BufferedReader(io.BytesIO(data))))
+        mp.setattr(matfile, "READ_BYTES", read_bytes)
+        got = list(matfile._lines(io.BufferedReader(io.BytesIO(data))))
     assert got == data.decode("utf-8", "surrogateescape").splitlines()
 
 
@@ -314,7 +315,7 @@ def test_lines_in_short_reads_are_those_of_the_whole_text(pieces, junk, read_byt
 def test_load_file_without_lf_reads_in_pieces(tmp_path, monkeypatch, sep):
     # a file without an LF loads like its LF form, and is not held whole:
     # its peak stays within a quarter of the file of that of the LF form
-    monkeypatch.setattr(experiment, "READ_BYTES", 1 << 16)
+    monkeypatch.setattr(matfile, "READ_BYTES", 1 << 16)
     p = tmp_path / "m.txt"
     save_matrix(gram_psd(512, np.random.default_rng(4)), p)
     q = tmp_path / "cr.txt"
@@ -359,8 +360,8 @@ def test_chunked_load_agrees_with_token_parse(tmp_path, n, case, monkeypatch):
     p = tmp_path / "m.txt"
     p.write_bytes(text)
     calls = []
-    parse_row = experiment._parse_row
-    monkeypatch.setattr(experiment, "_parse_row",
+    parse_row = matfile._parse_row
+    monkeypatch.setattr(matfile, "_parse_row",
                         lambda *args: calls.append(args) or parse_row(*args))
     expected = _reference_load(p.read_text())
     # pytest turns warnings into errors, so a loadtxt "input contained no
@@ -491,12 +492,12 @@ def _split_reads(cut=None, split_bytes=0, cpus=(0, 1)):
     starts, None for each that could not start, and the spans that
     _from_worker returns, None where the worker failed."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiment, "SPLIT_BYTES", split_bytes)
+        mp.setattr(matfile, "SPLIT_BYTES", split_bytes)
         mp.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
         if cut is not None:
-            mp.setattr(experiment, "_split_point", lambda fb: cut)
+            mp.setattr(matfile, "_split_point", lambda fb: cut)
         started, spans = [], []
-        popen, from_worker = subprocess.Popen, experiment._from_worker
+        popen, from_worker = subprocess.Popen, matfile._from_worker
 
         def spy(*args, **kwargs):
             started.append(None)
@@ -504,7 +505,7 @@ def _split_reads(cut=None, split_bytes=0, cpus=(0, 1)):
             return started[-1]
 
         mp.setattr(subprocess, "Popen", spy)
-        mp.setattr(experiment, "_from_worker",
+        mp.setattr(matfile, "_from_worker",
                    lambda *args: spans.append(from_worker(*args)) or spans[-1])
         yield started, spans
 
@@ -615,7 +616,7 @@ def test_split_point_is_a_line_end_past_the_middle(tmp_path, text):
     for split_bytes in (0, len(text)):
         at = text.find(b"\n", (len(text) + split_bytes // 2) // 2) + 1
         with _split_reads(split_bytes=split_bytes), open(p, "rb") as fb:
-            assert experiment._split_point(fb) == (at if 0 < at < len(text) else -1)
+            assert matfile._split_point(fb) == (at if 0 < at < len(text) else -1)
             assert fb.tell() == 0
 
 
@@ -644,15 +645,15 @@ def test_no_worker_outlives_load_matrix(tmp_path, case):
         if case == "parent raises":
             def boom(*args):
                 raise RuntimeError("parent span")
-            mp.setattr(experiment, "_read_span", boom)
+            mp.setattr(matfile, "_read_span", boom)
             with pytest.raises(RuntimeError, match="parent span"):
                 load_matrix(p)
         else:
             if case == "worker fails":
-                mp.setattr(experiment, "_WORKER", "import sys; sys.exit(3)")
+                mp.setattr(matfile, "_WORKER", "import sys; sys.exit(3)")
             elif case == "worker's file differs":  # the worker sees inode 0
-                mp.setattr(experiment, "_WORKER",
-                           experiment._WORKER.replace("*sys.argv[2:]", "*sys.argv[2:6], '0'"))
+                mp.setattr(matfile, "_WORKER",
+                           matfile._WORKER.replace("*sys.argv[2:]", "*sys.argv[2:6], '0'"))
             assert _load(p) == one
     assert len(started) == 1
     assert started[0].returncode is not None and started[0].stdout.closed
@@ -677,6 +678,21 @@ def test_worker_that_cannot_start_leaves_its_span_to_this_process(tmp_path, monk
     assert started == ([None] if executable else []) and spans == []
 
 
+def test_worker_that_sends_too_few_row_bytes_leaves_its_span_to_this_process(tmp_path,
+                                                                           monkeypatch):
+    # a valid head that promises 20 rows, then 3 rows' bytes and the end
+    p = tmp_path / "m.txt"
+    save_matrix(gram_psd(40, np.random.default_rng(5)), p)
+    one = _load(p)
+    head = json.dumps({"lines": 20, "last": 20, "defect": None, "stored": 20}) + "\n"
+    sent = head.encode() + bytes(3 * 40 * 8)
+    monkeypatch.setattr(matfile, "_WORKER", f"import sys; sys.stdout.buffer.write({sent!r})")
+    with _split_reads() as (started, spans):
+        assert _load(p) == one
+    assert len(started) == 1 and started[0].returncode is not None
+    assert spans == [None]
+
+
 def test_worker_imports_nothing_from_the_working_directory(tmp_path, monkeypatch):
     # modules the worker imports, shadowed in the directory it starts in
     p = tmp_path / "m.txt"
@@ -694,6 +710,23 @@ def test_worker_imports_nothing_from_the_working_directory(tmp_path, monkeypatch
         assert _load(p) == one
     assert len(started) == 1 and len(spans) == 1 and spans[0] is not None
     assert not marker.exists()
+
+
+def test_worker_imports_no_package_module(tmp_path):
+    # the worker's own command line, re-run with -X importtime: it parses
+    # with numpy and the format module's file, not with the package
+    p = tmp_path / "m.txt"
+    save_matrix(gram_psd(40, np.random.default_rng(5)), p)
+    with _split_reads() as (started, _):
+        _load(p)
+    exe, *args = started[0].args
+    run = subprocess.run([exe, "-X", "importtime", *args], capture_output=True, text=True,
+                         errors="replace")
+    assert run.returncode == 0 and run.stdout
+    imported = [line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line]
+    assert "numpy" in imported
+    assert [name for name in imported if name.split(".")[0] == "nystromlab"] == []
 
 
 # ---------------------------------------------------------------------------

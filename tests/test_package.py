@@ -5,7 +5,8 @@ import types
 
 import nystromlab
 
-SUBMODULES = ("analysis", "cli", "experiment", "generators", "matcore", "nystrom", "sampling")
+SUBMODULES = ("analysis", "cli", "experiment", "generators", "matcore", "matfile", "nystrom",
+              "sampling")
 
 REMOVED = (
     "pinv",
