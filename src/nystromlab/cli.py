@@ -24,6 +24,7 @@ import numpy as np
 from .analysis import bound_report
 from .experiment import (
     ConfigError,
+    _check_int,
     chernoff_sweep,
     config_from_mapping,
     emit_results,
@@ -52,14 +53,24 @@ def _indices(text: str) -> tuple[int, ...]:
 
 def _cmd_approx(args) -> int:
     idx = None if args.indices is None else _indices(args.indices)
-    if idx is None and args.l is None:
-        raise ConfigError("l", "give either --l or --indices")
+    if idx is None:  # checked before the matrix is read
+        if args.l is None:
+            raise ConfigError("l", "give either --l or --indices")
+        _check_int("l", args.l, 1)
+        _check_int("seed", args.seed, 0)
     a = load_matrix(args.matrix)
+    if idx is not None:
+        try:
+            sample = ColumnSample(n=a.n, indices=idx)
+        except ValueError as exc:
+            raise ConfigError("indices", str(exc)) from None
+    elif args.l > a.n:
+        raise ConfigError("l", f"must lie in [1, n={a.n}], got {args.l}")
+    else:
+        sample = sample_uniform(a.n, args.l, RngSeed(args.seed, 0))
     check_psd(a)
     # ||A||_2 by the seeded Lanczos of the error route: lambda_1 of a PSD A
     lambda1, _ = lowrank_residual_norm(a, lanczos_start(a.n))
-    sample = (ColumnSample(n=a.n, indices=idx) if idx is not None
-              else sample_uniform(a.n, args.l, RngSeed(args.seed, 0)))
     res = nystrom_extend(a, sample)
     doc = {
         "n": a.n,

@@ -1,9 +1,10 @@
 """The plain-text matrix format: :func:`load_matrix` and :func:`save_matrix`.
 
-README "File formats" describes the format and how a large file is read.
+README "File formats" describes the format and how a large file is read
+and written.
 This module imports only the standard library and numpy at module level:
-the worker process that parses the second span of a large file runs this
-file alone, without importing the package.
+the worker processes that parse or format the second part of a large file
+run this file alone, without importing the package.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import itertools
 import json
 import math
 import os
+import queue
 import stat
 import subprocess
 import sys
+import threading
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -28,10 +31,10 @@ if TYPE_CHECKING:
 LOAD_CHUNK = 32
 # The most bytes load_matrix reads at once: a longer line is read in pieces.
 READ_BYTES = 1 << 20
-# load_matrix parses a regular file at least this large in two processes.
-# A worker takes about 0.2 s to start, as long as parsing SPLIT_BYTES / 2
-# takes; so the parent takes that much more of the file than the worker,
-# and a smaller file would leave the worker almost nothing.
+# load_matrix parses, and save_matrix formats, at least this much text in
+# two processes.  A worker takes about 0.2 s to start, as long as parsing
+# SPLIT_BYTES / 2 takes, so the reading parent takes that much more of the
+# file; a split write breaks even at about this size.
 SPLIT_BYTES = 20 << 20
 
 
@@ -53,13 +56,9 @@ _BREAKS = tuple("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 def _lines(fb, size: int = -1):
-    """The lines str.splitlines() finds in the next size bytes of the binary
-    file fb (all of them for a negative size); size must end at a line.
-
-    An LF byte belongs to no other line end in UTF-8 text, so each read of
-    at most ``READ_BYTES`` up to an LF is split on its own; a line left
-    open is carried into the next read.
-    """
+    """The lines str.splitlines() finds in the next size bytes of fb (all
+    for a negative size), which must end at a line.  No other line end in
+    UTF-8 holds an LF byte, so each read up to an LF is split on its own."""
     decode = codecs.getincrementaldecoder("utf-8")("surrogateescape").decode
     part = []  # the pieces of a line not yet ended
     while size:
@@ -98,9 +97,8 @@ def _parse_row(line: str, n: int) -> list[float] | tuple[str, str]:
 
 
 def _reserve(rows, need: int, n: int) -> np.ndarray:
-    """The buffer rows with room for need rows of n values, resized in place
-    to the smallest of n, ceil(n/2), ceil(n/4), ... rows that holds them,
-    so that a copy realloc must make holds at most 1.5 n^2 values at once."""
+    """rows, resized in place to the fewest of n, ceil(n/2), ceil(n/4), ...
+    rows that hold need rows of n values."""
     if rows is None:
         rows = np.empty((0, n))
     if len(rows) < need:
@@ -124,13 +122,9 @@ class _Span(NamedTuple):
 
 
 def _read_span(lines, n: int, rows=None, at: int = 0) -> _Span:
-    """Parse lines as rows at, at + 1, ... of the buffer rows.
-
-    The first ``n - at`` lines are data, passed ``LOAD_CHUNK`` at a time to
-    ``np.loadtxt``; a chunk it refuses is parsed line by line with
-    ``float()``, and storing stops at the first bad line.  Later lines are
-    only checked for blankness.
-    """
+    """Parse lines as rows at, at + 1, ... of the buffer rows, storing up to
+    the first bad data line; lines past the n - at data lines are only
+    checked for blankness."""
     count = last = 0
     defect = None
     for i in range(at, n, LOAD_CHUNK):
@@ -167,13 +161,10 @@ def _read_span(lines, n: int, rows=None, at: int = 0) -> _Span:
 
 
 def _split_point(fb) -> int:
-    """The byte where a worker process takes over the parse of fb, or -1
-    where one process reads it all."""
+    """The byte where a worker process takes over the parse of fb, or -1."""
     st = os.fstat(fb.fileno())
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
     if (not stat.S_ISREG(st.st_mode) or st.st_size < SPLIT_BYTES
-            or isinstance(fb.name, int) or cpus < 2):  # the worker opens fb by name
+            or isinstance(fb.name, int)):  # the worker opens fb by name
         return -1
     fb.seek((st.st_size + SPLIT_BYTES // 2) // 2)
     while (raw := fb.readline(READ_BYTES)) and not raw.endswith(b"\n"):
@@ -185,26 +176,35 @@ def _split_point(fb) -> int:
 
 # The worker runs isolated (-I), so neither its working directory nor a
 # PYTHON* variable adds to its import path, which is set to this process's
-# sys.path.  It runs this file by its path, so it imports no package module.
+# sys.path.  It runs this file by its path, so it imports no package module,
+# and calls the function argv[2] names (popped first) on the rest of argv.
 _WORKER = ("import sys, json, runpy; sys.path[:] = json.loads(sys.argv[1]); "
-           f"runpy.run_path({os.path.abspath(__file__)!r})['_span_worker'](*sys.argv[2:])")
+           f"runpy.run_path({os.path.abspath(__file__)!r})[sys.argv.pop(2)](*sys.argv[2:])")
+
+
+def _feed(pipe, rows: np.ndarray) -> None:
+    """Write rows to pipe as C-ordered bytes and close it; the reader may be gone."""
+    with contextlib.suppress(OSError), pipe:
+        pipe.write(np.ascontiguousarray(rows))
 
 
 @contextlib.contextmanager
-def _worker(fb, start: int, n: int):
-    """A worker process that parses fb from byte start, or None where there
-    is no second span or no process can start.  On exit it is killed and
-    reaped, however the block ended."""
+def _worker(*args: str, feed: np.ndarray | None = None):
+    """A worker process that runs this file's function args[0] on args[1:],
+    with the rows feed (fed by a thread) or else this process's stdin as
+    its stdin; None where Python cannot name its executable, only one CPU
+    is usable or no process starts.  On exit it is killed and reaped."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     proc = None
-    if start > 0 and sys.executable:  # it can be empty or None
-        st = os.fstat(fb.fileno())
+    if sys.executable and cpus > 1:  # it can be empty or None
         path = json.dumps([d for d in sys.path if isinstance(d, str)])
-        argv = [sys.executable, "-I", "-c", _WORKER, path,
-                fb.name, str(start), str(n), str(st.st_dev), str(st.st_ino)]
         try:
-            # stdin is inherited, so that /dev/stdin names the same file
+            # an inherited stdin keeps /dev/stdin the same file
             proc = subprocess.Popen(
-                argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                [sys.executable, "-I", "-c", _WORKER, path, *args],
+                stdin=None if feed is None else subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
                 env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},  # it runs no BLAS
             )
         except OSError:
@@ -212,11 +212,16 @@ def _worker(fb, start: int, n: int):
     if proc is None:
         yield None
         return
-    with proc:  # closes the pipe and waits
+    with proc:  # closes the pipes and waits
+        feeder = threading.Thread(target=_feed, args=(proc.stdin, feed))
         try:
+            if feed is not None:
+                feeder.start()
             yield proc
         finally:
-            proc.kill()
+            proc.kill()  # a feeder still writing gets a broken pipe
+            if feeder.is_alive():
+                feeder.join()
 
 
 def _span_worker(path, start: str, n: str, dev: str, ino: str) -> None:
@@ -256,12 +261,8 @@ def _from_worker(proc, rows, at: int, n: int) -> _Span | None:
 
 
 def load_matrix(path) -> SymMatrix:
-    """Read the plain-text matrix format (README "File formats").
-
-    Raises :class:`MatrixFileError` with the kind and line of the first
-    defect; entries, errors and line numbers do not depend on the cut of
-    a two-process read.
-    """
+    """Read the plain-text matrix format (README "File formats"); raises
+    :class:`MatrixFileError` with the kind and line of the first defect."""
     from .matcore import SymMatrix  # here, so that the worker imports no package module
 
     with open(path, "rb") as fb:
@@ -278,7 +279,9 @@ def load_matrix(path) -> SymMatrix:
             ) from None
         if n < 1:
             raise MatrixFileError(f"line 1: dimension must be >= 1, got {n}", 1, "header")
-        with _worker(fb, split, n) as proc:
+        st = os.fstat(fb.fileno())
+        where = (fb.name, *map(str, (split, n, st.st_dev, st.st_ino)))
+        with _worker("_span_worker", *where) if split > 0 else contextlib.nullcontext() as proc:
             first = _read_span(lines, n)
             spans = [(0, first)]  # (data lines before the span, span)
             if split > 0:
@@ -303,20 +306,86 @@ def load_matrix(path) -> SymMatrix:
         raise MatrixFileError(str(exc), None, "asymmetry") from exc
 
 
-def save_matrix(a: SymMatrix, path) -> None:
-    """Write a matrix in the same format, each entry as its shortest
-    round-trip ``repr``, so that it reads back bit for bit.
+def _joined(row: np.ndarray) -> str:
+    return " ".join(map(repr, row.tolist()))
 
-    Only the upper triangle is formatted; the text of ``a[i, j]``, ``j > i``,
-    waits in ``pending[j]`` for row j.
-    """
-    n = a.n
-    pending = [[] for _ in range(n)]
+
+def _upper_lines(block: np.ndarray, pending: list[list[str]]):
+    """The lines of the symmetric block's rows, each entry formatted once:
+    the text of block[i, j], j > i, waits in pending[j] for row j."""
+    for i, row in enumerate(block):
+        upper = list(map(repr, row[i:].tolist()))
+        for later, text in zip(pending[i + 1:], upper[1:]):
+            later.append(text)
+        yield " ".join(pending[i] + upper)
+        pending[i] = None
+
+
+def _write_cut(entries: np.ndarray) -> int:
+    """The first row a worker writes: n where the text, estimated as n times
+    that of row 0, is below SPLIT_BYTES; else n / sqrt(2), where the two
+    processes format as many entries each."""
+    n = len(entries)
+    return n if n * (len(_joined(entries[0])) + 1) < SPLIT_BYTES else round(n / math.sqrt(2))
+
+
+def _drain(texts, out) -> None:
+    """Write the bytes put on the queue texts, all that wait at once, until b""."""
+    while True:
+        batch = [texts.get()]
+        while batch[-1] and not texts.empty():
+            batch.append(texts.get())
+        out.write(b"".join(batch))
+        if not batch[-1]:
+            return
+
+
+def _write_worker(n: str, cut: str) -> None:
+    """The worker's side of a save (README "File formats"); a thread writes,
+    so that formatting never waits on the pipe."""
+    n, cut = int(n), int(cut)
+    rows = np.empty((n - cut, n))
+    if sys.stdin.buffer.readinto(rows) != rows.nbytes:
+        sys.exit(1)
+    texts = queue.SimpleQueue()
+    writer = threading.Thread(target=_drain, args=(texts, sys.stdout.buffer))
+    writer.start()
+    pending = [[] for _ in rows]
+    for col in rows[:, :cut].T:  # the tail of row i < cut, mirrored
+        tail = list(map(repr, col.tolist()))
+        for later, text in zip(pending, tail):
+            later.append(text)
+        texts.put((" ".join(tail) + "\n").encode())
+    for line in _upper_lines(rows[:, cut:], pending):
+        texts.put((line + "\n").encode())
+    texts.put(b"")
+    writer.join()
+
+
+def _from_writer(proc, n: int, cut: int):
+    """The worker's lines, while each is whole ASCII text: the tails of rows
+    0..cut-1 hold n - cut values, the rows after them n."""
+    for i in range(n):
+        line = proc.stdout.readline()
+        values = n - cut if i < cut else n
+        if not line.endswith(b"\n") or line.count(b" ") != values - 1 or not line.isascii():
+            return
+        yield line[:-1].decode()
+
+
+def save_matrix(a: SymMatrix, path) -> None:
+    """Write a in the plain-text matrix format (README "File formats")."""
+    n, entries = a.n, a.entries
     with open(path, "w") as fh:
         fh.write(f"{n}\n")
-        for i, row in enumerate(a.entries):
-            upper = list(map(repr, row[i:].tolist()))
-            for later, text in zip(pending[i + 1:], upper[1:]):
-                later.append(text)
-            fh.write(" ".join(pending[i] + upper) + "\n")
-            pending[i] = None
+        cut = _write_cut(entries)
+        with (_worker("_write_worker", str(n), str(cut), feed=entries[cut:]) if cut < n
+              else contextlib.nullcontext()) as proc:
+            cut = cut if proc else n
+            lines = _from_writer(proc, n, cut)
+            for i, text in enumerate(_upper_lines(entries[:cut, :cut], [[] for _ in range(cut)])):
+                if cut < n:
+                    text += " " + (next(lines, None) or _joined(entries[i, cut:]))
+                fh.write(text + "\n")
+            for row in entries[cut:]:
+                fh.write((next(lines, None) or _joined(row)) + "\n")

@@ -76,6 +76,29 @@ def test_approx_non_integer_index_names_indices(identity4, capsys):
     assert capsys.readouterr().err == "error: config error in 'indices': not an integer: 'x'\n"
 
 
+@pytest.mark.parametrize("flags,read,message", [
+    (["--l", "0"], False, "'l': must be an integer in [1, 2^64), got 0"),
+    (["--l", "1", "--seed", "-1"], False, "'seed': must be an integer in [0, 2^64), got -1"),
+    (["--l", "1", "--seed", str(2**64)], False,
+     f"'seed': must be an integer in [0, 2^64), got {2**64}"),
+    (["--l", "5"], True, "'l': must lie in [1, n=4], got 5"),
+    (["--indices", "0,0"], True, "'indices': duplicate index 0 in sample"),
+    (["--indices", "4"], True, "'indices': index 4 out of range [0, 4)"),
+    (["--indices", ","], True, "'indices': sample size 0 out of range [1, 4]"),
+], ids=["l below 1", "negative seed", "seed past 2^64", "l above n", "duplicate index",
+        "index out of range", "no index"])
+def test_approx_bad_sample_names_its_key(identity4, capsys, monkeypatch, flags, read, message):
+    # l and the seed are checked before the matrix is read, l <= n and
+    # the indices after; none of these reaches the PSD check
+    opened, checked = [], []
+    load = cli.load_matrix
+    monkeypatch.setattr(cli, "load_matrix", lambda p: opened.append(p) or load(p))
+    monkeypatch.setattr(cli, "check_psd", checked.append)
+    assert main(["approx", "--matrix", identity4, *flags]) == 2
+    assert (opened == [identity4], checked) == (read, [])
+    assert capsys.readouterr().err == f"error: config error in {message}\n"
+
+
 def test_approx_missing_file(tmp_path, capsys):
     assert main(["approx", "--matrix", str(tmp_path / "nope.txt"), "--l", "1"]) == 3
 

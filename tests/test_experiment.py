@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -100,14 +101,11 @@ _WRITER_PALETTE = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e16, 9999999999999998.0,
                    1e-05, 0.0001, 0.1, 1.5e308, -1.5e308, 1.0, -3.0)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(1, 70), seed=st.integers(0, 2**32 - 1),
-       average=st.booleans(),
-       extra=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4))
-def test_save_matrix_matches_rowwise_writer(tmp_path_factory, n, seed, average, extra):
-    # Both SymMatrix paths: an exactly symmetric input is copied (so
-    # -0.0 stays mirrored with -0.0); one with a -0.0/0.0 pair and a
-    # one-ulp pair is averaged.
+def _palette_matrix(n, seed, average, extra) -> SymMatrix:
+    """An n x n SymMatrix, 40% of its entries drawn from _WRITER_PALETTE
+    and extra.  Both SymMatrix paths: an exactly symmetric input is copied
+    (so -0.0 stays mirrored with -0.0); with average, one with a -0.0/0.0
+    pair and a one-ulp pair is averaged."""
     rng = np.random.default_rng(seed)
     palette = np.array(_WRITER_PALETTE + tuple(extra))
     a = np.where(rng.random((n, n)) < 0.4, rng.choice(palette, (n, n)),
@@ -117,9 +115,21 @@ def test_save_matrix_matches_rowwise_writer(tmp_path_factory, n, seed, average, 
     if average:
         a[0, n - 1], a[n - 1, 0] = -0.0, 0.0
         i, j = rng.choice(n, 2, replace=False)
-        a[i, j] = np.nextafter(a[i, j], 0.0)
+        if (i, j) != (0, n - 1):  # nudged to 0.0, -0.0 would mirror 0.0
+            a[i, j] = np.nextafter(a[i, j], 0.0)
     m = SymMatrix(a)
     assert (m.entries.tobytes() == a.tobytes()) != average
+    return m
+
+
+_EXTRA_FLOATS = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 70), seed=st.integers(0, 2**32 - 1),
+       average=st.booleans(), extra=_EXTRA_FLOATS)
+def test_save_matrix_matches_rowwise_writer(tmp_path_factory, n, seed, average, extra):
+    m = _palette_matrix(n, seed, average, extra)
     base = tmp_path_factory.getbasetemp()
     save_matrix(m, base / "mirrored.txt")
     save_matrix_rowwise(m, base / "rowwise.txt")
@@ -486,11 +496,12 @@ def test_load_from_a_pipe_matches_the_regular_file(tmp_path):
 
 
 @contextlib.contextmanager
-def _split_reads(cut=None, split_bytes=0, cpus=(0, 1)):
-    """Split regular files of split_bytes or more (at byte cut, if given),
-    with the usable CPUs cpus.  Yields the worker processes load_matrix
-    starts, None for each that could not start, and the spans that
-    _from_worker returns, None where the worker failed."""
+def _split_io(cut=None, split_bytes=0, cpus=(0, 1)):
+    """Split regular files and matrix texts of split_bytes or more (read
+    files at byte cut, if given), with the usable CPUs cpus.  Yields the
+    worker processes load_matrix and save_matrix start, None for each that
+    could not start, and the spans that _from_worker returns, None where
+    the worker failed."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matfile, "SPLIT_BYTES", split_bytes)
         mp.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
@@ -548,7 +559,7 @@ def _assert_split_matches_one_span(p, cut: int) -> None:
     for _ in range(cut):
         at = text.index(b"\n", at) + 1
     one = _load(p)
-    with _split_reads(at) as (started, spans):
+    with _split_io(at) as (started, spans):
         assert _load(p) == one
     assert len(started) == 1 and started[0].returncode is not None
     assert len(spans) == 1 and spans[0] is not None
@@ -615,7 +626,7 @@ def test_split_point_is_a_line_end_past_the_middle(tmp_path, text):
     p.write_bytes(text)
     for split_bytes in (0, len(text)):
         at = text.find(b"\n", (len(text) + split_bytes // 2) // 2) + 1
-        with _split_reads(split_bytes=split_bytes), open(p, "rb") as fb:
+        with _split_io(split_bytes=split_bytes), open(p, "rb") as fb:
             assert matfile._split_point(fb) == (at if 0 < at < len(text) else -1)
             assert fb.tell() == 0
 
@@ -627,7 +638,7 @@ def test_one_process_reads(tmp_path, case):
     one = _load(p)
     src = {"pipe": lambda: _pipe(p.read_bytes()),
            "descriptor": lambda: os.open(p, os.O_RDONLY)}.get(case, lambda: p)()
-    with _split_reads(split_bytes=p.stat().st_size + (case == "small file"),
+    with _split_io(split_bytes=p.stat().st_size + (case == "small file"),
                       cpus=(0,) if case == "one CPU" else (0, 1)) as (started, _):
         assert _load(src) == one
     assert started == []
@@ -641,7 +652,7 @@ def test_no_worker_outlives_load_matrix(tmp_path, case):
     if case == "defect":
         p.write_bytes(p.read_bytes()[:-20] + b" x\n")
     one = _load(p)
-    with _split_reads() as (started, spans), pytest.MonkeyPatch.context() as mp:
+    with _split_io() as (started, spans), pytest.MonkeyPatch.context() as mp:
         if case == "parent raises":
             def boom(*args):
                 raise RuntimeError("parent span")
@@ -673,7 +684,7 @@ def test_worker_that_cannot_start_leaves_its_span_to_this_process(tmp_path, monk
     one = _load(p)
     monkeypatch.setattr(sys, "executable",
                         executable and str(tmp_path / executable))
-    with _split_reads() as (started, spans):
+    with _split_io() as (started, spans):
         assert _load(p) == one
     assert started == ([None] if executable else []) and spans == []
 
@@ -687,7 +698,7 @@ def test_worker_that_sends_too_few_row_bytes_leaves_its_span_to_this_process(tmp
     head = json.dumps({"lines": 20, "last": 20, "defect": None, "stored": 20}) + "\n"
     sent = head.encode() + bytes(3 * 40 * 8)
     monkeypatch.setattr(matfile, "_WORKER", f"import sys; sys.stdout.buffer.write({sent!r})")
-    with _split_reads() as (started, spans):
+    with _split_io() as (started, spans):
         assert _load(p) == one
     assert len(started) == 1 and started[0].returncode is not None
     assert spans == [None]
@@ -706,7 +717,7 @@ def test_worker_imports_nothing_from_the_working_directory(tmp_path, monkeypatch
     monkeypatch.chdir(cwd)
     # this process's own path holds no working directory either
     monkeypatch.setattr(sys, "path", [d for d in sys.path if d not in ("", ".", str(cwd))])
-    with _split_reads() as (started, spans):
+    with _split_io() as (started, spans):
         assert _load(p) == one
     assert len(started) == 1 and len(spans) == 1 and spans[0] is not None
     assert not marker.exists()
@@ -717,7 +728,7 @@ def test_worker_imports_no_package_module(tmp_path):
     # with numpy and the format module's file, not with the package
     p = tmp_path / "m.txt"
     save_matrix(gram_psd(40, np.random.default_rng(5)), p)
-    with _split_reads() as (started, _):
+    with _split_io() as (started, _):
         _load(p)
     exe, *args = started[0].args
     run = subprocess.run([exe, "-X", "importtime", *args], capture_output=True, text=True,
@@ -727,6 +738,180 @@ def test_worker_imports_no_package_module(tmp_path):
                 if line.startswith("import time:") and "|" in line]
     assert "numpy" in imported
     assert [name for name in imported if name.split(".")[0] == "nystromlab"] == []
+
+
+# ---------------------------------------------------------------------------
+# two-process writes
+
+
+@contextlib.contextmanager
+def _split_writes(cut=None, cpus=(0, 1)):
+    """save_matrix with a worker from row cut (the size rule's row if None)
+    and the usable CPUs cpus.  Yields the worker processes started and the
+    number of whole lines save_matrix took from each worker."""
+    with _split_io(cpus=cpus) as (started, _), pytest.MonkeyPatch.context() as mp:
+        if cut is not None:
+            mp.setattr(matfile, "_write_cut", lambda entries: cut)
+        taken, from_writer = [], matfile._from_writer
+
+        def spy(*args):
+            taken.append(0)
+            for line in from_writer(*args):
+                taken[-1] += 1
+                yield line
+
+        mp.setattr(matfile, "_from_writer", spy)
+        yield started, taken
+
+
+def _saved(m, p) -> bytes:
+    save_matrix(m, p)
+    return p.read_bytes()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), average=st.booleans(),
+       extra=_EXTRA_FLOATS, where=st.sampled_from(["rule", "first", "last", "any"]),
+       data=st.data())
+def test_split_write_matches_rowwise_writer(tmp_path_factory, n, seed, average, extra, where,
+                                            data):
+    # the worker writes from row cut: the size rule's row, 1, n - 1 or any
+    cut = {"rule": None, "first": 1, "last": n - 1}.get(where) or data.draw(
+        st.integers(1, n - 1), label="cut")
+    m = _palette_matrix(n, seed, average, extra)
+    base = tmp_path_factory.getbasetemp()
+    save_matrix_rowwise(m, base / "rowwise.txt")
+    with _split_writes(cut) as (started, taken):
+        assert _saved(m, base / "split.txt") == (base / "rowwise.txt").read_bytes()
+    assert len(started) == 1 and started[0].returncode is not None
+    assert taken == [n]  # every line after the cut came from the worker
+
+
+def test_write_cut_follows_the_text_size():
+    # one process below SPLIT_BYTES of expected text, else a cut at n / sqrt(2)
+    n = 1024
+    m = gram_psd(n, np.random.default_rng(1)).entries
+    size = n * (len(" ".join(map(repr, m[0].tolist()))) + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matfile, "SPLIT_BYTES", size + 1)
+        assert matfile._write_cut(m) == n
+        mp.setattr(matfile, "SPLIT_BYTES", size)
+        assert matfile._write_cut(m) == 724
+        mp.setattr(matfile, "SPLIT_BYTES", 0)
+        assert [matfile._write_cut(m[:k, :k]) for k in (1, 2, 3)] == [1, 1, 2]
+
+
+def test_split_write_of_a_fortran_ordered_matrix(tmp_path):
+    # SymMatrix keeps a read-only F-ordered array as is; the worker still
+    # gets its rows, not its columns
+    g = np.random.default_rng(7).standard_normal((30, 30))
+    f = np.asfortranarray(np.triu(g) + np.triu(g, 1).T)
+    f.flags.writeable = False
+    m = SymMatrix(f)
+    assert m.entries.flags.f_contiguous and not m.entries.flags.c_contiguous
+    save_matrix_rowwise(m, tmp_path / "rowwise.txt")
+    with _split_writes(cut=11) as (started, taken):
+        assert _saved(m, tmp_path / "split.txt") == (tmp_path / "rowwise.txt").read_bytes()
+    assert len(started) == 1 and taken == [30]
+
+
+@pytest.mark.parametrize("case", ["no-such-python", "empty executable", "no executable",
+                                  "one CPU", "killed mid-stream", "short tail line"])
+def test_split_write_falls_back_to_this_process(tmp_path, monkeypatch, case):
+    # 300 rows: the worker's text is many times what a pipe holds, so a
+    # worker killed after its first line has not sent the rest
+    n = 300
+    m = gram_psd(n, np.random.default_rng(5))
+    save_matrix_rowwise(m, tmp_path / "rowwise.txt")
+    executable = {"no-such-python": str(tmp_path / "no-such-python"), "empty executable": "",
+                  "no executable": None}.get(case, sys.executable)
+    monkeypatch.setattr(sys, "executable", executable)
+    if case == "short tail line":  # a whole line with too few values for a tail
+        monkeypatch.setattr(matfile, "_WORKER", "import sys; sys.stdout.buffer.write(b'0.5\\n')")
+    if case == "killed mid-stream":
+        from_writer = matfile._from_writer
+
+        def kill_after_one(proc, n, cut):
+            for i, line in enumerate(from_writer(proc, n, cut)):
+                if i == 0:
+                    proc.kill()
+                yield line
+
+        monkeypatch.setattr(matfile, "_from_writer", kill_after_one)
+    with _split_writes(cut=200, cpus=(0,) if case == "one CPU" else (0, 1)) as (started, taken):
+        assert _saved(m, tmp_path / "split.txt") == (tmp_path / "rowwise.txt").read_bytes()
+    assert [p is not None and p.returncode is not None for p in started] == {
+        "no-such-python": [False], "killed mid-stream": [True], "short tail line": [True],
+    }.get(case, [])
+    if case == "killed mid-stream":
+        assert len(taken) == 1 and 1 <= taken[0] < n
+    else:
+        assert taken == ([0] if case == "short tail line" else [])
+
+
+@pytest.mark.parametrize("case", ["whole", "directory", "parent raises"])
+def test_no_worker_outlives_save_matrix(tmp_path, case):
+    # the 280 rows fed to the worker fill more than a pipe holds, so the
+    # feeding thread may still be writing when the parent raises
+    m = gram_psd(300, np.random.default_rng(5))
+    p = tmp_path / "m.txt"
+    if case == "directory":
+        p.mkdir()
+    threads = threading.active_count()
+    with _split_writes(cut=20) as (started, _), pytest.MonkeyPatch.context() as mp:
+        if case == "whole":
+            save_matrix(m, p)
+        else:
+            def boom(*args):
+                raise RuntimeError("parent rows")
+
+            mp.setattr(matfile, "_upper_lines", boom)
+            with pytest.raises(IsADirectoryError if case == "directory" else RuntimeError):
+                save_matrix(m, p)
+    # the path is opened before the worker starts
+    assert len(started) == (case != "directory")
+    assert all(w.returncode is not None and w.stdin.closed and w.stdout.closed
+               for w in started)
+    assert threading.active_count() == threads  # the thread that fed the worker is done
+
+
+def test_write_worker_imports_no_package_module(tmp_path):
+    # the worker's own command line and input, re-run with -X importtime
+    m = gram_psd(40, np.random.default_rng(5))
+    with _split_writes(cut=25) as (started, _):
+        save_matrix(m, tmp_path / "m.txt")
+    exe, *args = started[0].args
+    run = subprocess.run([exe, "-X", "importtime", *args], capture_output=True,
+                         input=m.entries[25:].tobytes())
+    lines = run.stdout.decode().splitlines()
+    assert run.returncode == 0 and len(lines) == 40
+    assert lines[25:] == (tmp_path / "m.txt").read_text().splitlines()[26:]
+    imported = [line.rsplit("|", 1)[1].strip() for line in run.stderr.decode().splitlines()
+                if line.startswith("import time:") and "|" in line]
+    assert "numpy" in imported
+    assert [name for name in imported if name.split(".")[0] == "nystromlab"] == []
+
+
+def _save_peak(m, p, split: bool) -> int:
+    """The tracemalloc peak of this process in save_matrix(m, p)."""
+    with _split_io(split_bytes=0 if split else 1 << 62) as (started, _):
+        tracemalloc.start()
+        try:
+            save_matrix(m, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(started) == split
+    return peak
+
+
+def test_split_write_peak_is_at_most_the_serial_peak(tmp_path):
+    # the parent holds the pending texts of its own rows only
+    m = gram_psd(512, np.random.default_rng(3))
+    serial = _save_peak(m, tmp_path / "serial.txt", split=False)
+    split = _save_peak(m, tmp_path / "split.txt", split=True)
+    assert (tmp_path / "serial.txt").read_bytes() == (tmp_path / "split.txt").read_bytes()
+    assert split <= serial, f"split peak {split} > serial peak {serial}"
 
 
 # ---------------------------------------------------------------------------
