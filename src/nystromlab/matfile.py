@@ -98,7 +98,8 @@ def _parse_row(line: str, n: int) -> list[float] | tuple[str, str]:
 
 def _reserve(rows, need: int, n: int) -> np.ndarray:
     """rows, resized in place to the fewest of n, ceil(n/2), ceil(n/4), ...
-    rows that hold need rows of n values."""
+    rows that hold need rows of n values, so that a copy realloc must make
+    holds at most 1.5 n^2 values at once."""
     if rows is None:
         rows = np.empty((0, n))
     if len(rows) < need:
