@@ -115,7 +115,7 @@ def _palette_matrix(n, seed, average, extra) -> SymMatrix:
     if average:
         a[0, n - 1], a[n - 1, 0] = -0.0, 0.0
         i, j = rng.choice(n, 2, replace=False)
-        if (i, j) != (0, n - 1):  # nudged to 0.0, -0.0 would mirror 0.0
+        if (i, j) != (0, n - 1):  # nudging that -0.0 gives 0.0, its mirror
             a[i, j] = np.nextafter(a[i, j], 0.0)
     m = SymMatrix(a)
     assert (m.entries.tobytes() == a.tobytes()) != average
