@@ -117,18 +117,17 @@ class _Span(NamedTuple):
     for the first bad data line."""
 
     rows: np.ndarray | None
-    lines: int
     last: int
     defect: tuple | None
 
 
-def _read_span(lines, n: int, rows=None, at: int = 0) -> _Span:
-    """Parse lines as rows at, at + 1, ... of the buffer rows, storing up to
-    the first bad data line; lines past the n - at data lines are only
-    checked for blankness."""
+def _read_span(lines, n: int) -> _Span:
+    """Parse lines into a new buffer of rows, up to the first bad data
+    line; lines past the first n are only checked for blankness."""
+    rows = None
     count = last = 0
     defect = None
-    for i in range(at, n, LOAD_CHUNK):
+    for i in range(0, n, LOAD_CHUNK):
         chunk = list(itertools.islice(lines, min(LOAD_CHUNK, n - i)))
         if not chunk:
             break
@@ -152,13 +151,13 @@ def _read_span(lines, n: int, rows=None, at: int = 0) -> _Span:
                 if isinstance(vals, tuple):
                     defect = (count, *vals)
                 else:
-                    rows = _reserve(rows, at + count, n)
-                    rows[at + count - 1] = vals
+                    rows = _reserve(rows, count, n)
+                    rows[count - 1] = vals
     for line in lines:
         count += 1
         if line.strip():
             last = count
-    return _Span(rows, count, last, defect)
+    return _Span(rows, last, defect)
 
 
 def _split_point(fb) -> int:
@@ -226,9 +225,10 @@ def _worker(*args: str, feed: np.ndarray | None = None):
 
 
 def _span_worker(path, start: str, n: str, dev: str, ino: str) -> None:
-    """The worker's side: parse path from byte start, then write the span
-    to standard output as one JSON line and its stored rows as raw float64
-    bytes.  It exits 1 if path is no longer the parent's file."""
+    """The worker's side: parse path from byte start, then write its row
+    count as one line and the rows as raw float64 bytes.  It exits 1 if
+    path is no longer the parent's file, if a line up to its last non-blank
+    one is not a row, or if it holds more than n rows."""
     n = int(n)
     with open(path, "rb") as fb:
         st = os.fstat(fb.fileno())
@@ -236,29 +236,28 @@ def _span_worker(path, start: str, n: str, dev: str, ino: str) -> None:
             sys.exit(1)
         fb.seek(int(start))
         span = _read_span(_lines(fb), n)
-    stored = span.defect[0] - 1 if span.defect else min(span.lines, n)
+    if span.last > n or span.defect and span.defect[0] <= span.last:
+        sys.exit(1)
     out = sys.stdout.buffer
-    out.write(json.dumps({"lines": span.lines, "last": span.last, "defect": span.defect,
-                          "stored": stored}).encode() + b"\n")
-    if stored:
-        out.write(span.rows[:stored])
+    out.write(b"%d\n" % span.last)
+    if span.last:
+        out.write(span.rows[:span.last])
     out.flush()
 
 
-def _from_worker(proc, rows, at: int, n: int) -> _Span | None:
-    """The worker's span, with its rows read into rows from row at, or None
-    if the worker failed."""
+def _from_worker(proc, first: _Span, n: int) -> np.ndarray | None:
+    """The n rows of first's buffer, completed by the worker's, or None
+    unless the worker's count completes n and all its row bytes arrive."""
     try:
-        head = json.loads(proc.stdout.readline())
-        span = _Span(rows, head["lines"], head["last"], head["defect"])
-        take = min(head["stored"], n - at)  # rows past n fail the count check
-    except (ValueError, KeyError, TypeError):
+        count = int(proc.stdout.readline())
+    except ValueError:
         return None
-    if take > 0:
-        rows = _reserve(rows, at + take, n)
-        if proc.stdout.readinto(rows[at:at + take]) != take * n * 8:
-            return None
-    return span._replace(rows=rows)
+    if first.last + count != n:
+        return None
+    rows = _reserve(first.rows, n, n)
+    if proc.stdout.readinto(rows[first.last:]) != count * n * 8:
+        return None
+    return rows
 
 
 def load_matrix(path) -> SymMatrix:
@@ -280,26 +279,26 @@ def load_matrix(path) -> SymMatrix:
             ) from None
         if n < 1:
             raise MatrixFileError(f"line 1: dimension must be >= 1, got {n}", 1, "header")
-        st = os.fstat(fb.fileno())
-        where = (fb.name, *map(str, (split, n, st.st_dev, st.st_ino)))
-        with _worker("_span_worker", *where) if split > 0 else contextlib.nullcontext() as proc:
-            first = _read_span(lines, n)
-            spans = [(0, first)]  # (data lines before the span, span)
-            if split > 0:
-                second = _from_worker(proc, first.rows, first.lines, n) if proc else None
-                if second is None:  # parse the worker's span here
-                    second = _read_span(_lines(fb), n, first.rows, first.lines)
-                spans.append((first.lines, second))
-    last = 1 + max((off + s.last for off, s in spans if s.last), default=0)
-    if last - 1 != n:
-        raise MatrixFileError(
-            f"expected {n} data lines after the header, found {last - 1}", last, "count"
-        )
-    for off, s in spans:
-        if s.defect and off + s.defect[0] <= n:
-            lineno, kind, detail = 1 + off + s.defect[0], *s.defect[1:]
-            raise MatrixFileError(f"line {lineno}: {detail}", lineno, kind)
-    rows = spans[-1][1].rows
+        rows = None
+        if split > 0:
+            st = os.fstat(fb.fileno())
+            where = (fb.name, *map(str, (split, n, st.st_dev, st.st_ino)))
+            with _worker("_span_worker", *where) as proc:
+                first = _read_span(lines, n)
+                if proc and not first.defect:  # else the worker is killed unread
+                    rows = _from_worker(proc, first, n)
+            if rows is None:  # any defect is reported by one read of the whole file
+                fb.seek(0)
+                lines = itertools.islice(_lines(fb), 1, None)
+        if rows is None:
+            span = _read_span(lines, n)
+            if span.last != n:
+                raise MatrixFileError(f"expected {n} data lines after the header, "
+                                      f"found {span.last}", span.last + 1, "count")
+            if span.defect:
+                lineno, kind, detail = 1 + span.defect[0], *span.defect[1:]
+                raise MatrixFileError(f"line {lineno}: {detail}", lineno, kind)
+            rows = span.rows
     rows.flags.writeable = False  # handed over: SymMatrix stores it as is
     try:
         return SymMatrix(rows)

@@ -331,7 +331,8 @@ def test_criterion_8_psd_preservation_and_pinv():
 
 
 def test_criterion_9_byte_identical_artifacts():
-    """Emitted artifacts are byte-identical across reruns and thread counts."""
+    """The trials CSV is byte-identical across two runs at jobs=1 and one at
+    jobs=4, and the Chernoff-sweep CSV across jobs=1 and jobs=3."""
     t0 = time.perf_counter()
     cfg = ExperimentConfig(
         k=2,

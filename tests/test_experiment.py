@@ -500,14 +500,14 @@ def _split_io(cut=None, split_bytes=0, cpus=(0, 1)):
     """Split regular files and matrix texts of split_bytes or more (read
     files at byte cut, if given), with the usable CPUs cpus.  Yields the
     worker processes load_matrix and save_matrix start, None for each that
-    could not start, and the spans that _from_worker returns, None where
-    the worker failed."""
+    could not start, and for each call of _from_worker whether load_matrix
+    kept the worker's rows: True only for a clean file."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matfile, "SPLIT_BYTES", split_bytes)
         mp.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
         if cut is not None:
             mp.setattr(matfile, "_split_point", lambda fb: cut)
-        started, spans = [], []
+        started, kept = [], []
         popen, from_worker = subprocess.Popen, matfile._from_worker
 
         def spy(*args, **kwargs):
@@ -515,10 +515,14 @@ def _split_io(cut=None, split_bytes=0, cpus=(0, 1)):
             started[-1] = popen(*args, **kwargs)
             return started[-1]
 
+        def spy_rows(*args):
+            rows = from_worker(*args)
+            kept.append(rows is not None)
+            return rows
+
         mp.setattr(subprocess, "Popen", spy)
-        mp.setattr(matfile, "_from_worker",
-                   lambda *args: spans.append(from_worker(*args)) or spans[-1])
-        yield started, spans
+        mp.setattr(matfile, "_from_worker", spy_rows)
+        yield started, kept
 
 
 def _load(src):
@@ -551,18 +555,23 @@ def _matrix_bytes(m, end=b"\n", blanks=0, extra=0, defects=()) -> bytes:
     return end.join(lines + [b" "] * blanks) + end
 
 
-def _assert_split_matches_one_span(p, cut: int) -> None:
-    """load_matrix(p) cut after the first cut LFs gives what one span gives,
-    from a worker that ran and was reaped."""
-    text = p.read_bytes()
+def _after_lines(text: bytes, cut: int) -> int:
+    """The byte after the first cut LFs of text."""
     at = 0
     for _ in range(cut):
         at = text.index(b"\n", at) + 1
+    return at
+
+
+def _assert_split_matches_one_span(p, cut: int) -> None:
+    """load_matrix(p) cut after the first cut LFs gives what one span gives,
+    from a worker that ran and was reaped; its rows are kept exactly when
+    the file is clean."""
     one = _load(p)
-    with _split_io(at) as (started, spans):
+    with _split_io(_after_lines(p.read_bytes(), cut)) as (started, kept):
         assert _load(p) == one
     assert len(started) == 1 and started[0].returncode is not None
-    assert len(spans) == 1 and spans[0] is not None
+    assert (kept == [True]) == isinstance(one, bytes) and len(kept) <= 1
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -644,15 +653,18 @@ def test_one_process_reads(tmp_path, case):
     assert started == []
 
 
-@pytest.mark.parametrize("case", ["rows", "defect", "parent raises", "worker fails",
-                                  "worker's file differs"])
+@pytest.mark.parametrize("case", ["rows", "defect", "defect before the cut", "parent raises",
+                                  "worker fails", "worker's file differs"])
 def test_no_worker_outlives_load_matrix(tmp_path, case):
     p = tmp_path / "m.txt"
     save_matrix(gram_psd(40, np.random.default_rng(5)), p)
-    if case == "defect":
+    if case == "defect":  # in the last row, after the cut
         p.write_bytes(p.read_bytes()[:-20] + b" x\n")
+    if case == "defect before the cut":  # the first token of data line 1
+        head, row, rest = p.read_bytes().split(b"\n", 2)
+        p.write_bytes(b"\n".join([head, b"x" + row[row.index(b" "):], rest]))
     one = _load(p)
-    with _split_io() as (started, spans), pytest.MonkeyPatch.context() as mp:
+    with _split_io() as (started, kept), pytest.MonkeyPatch.context() as mp:
         if case == "parent raises":
             def boom(*args):
                 raise RuntimeError("parent span")
@@ -668,10 +680,12 @@ def test_no_worker_outlives_load_matrix(tmp_path, case):
             assert _load(p) == one
     assert len(started) == 1
     assert started[0].returncode is not None and started[0].stdout.closed
-    # _from_worker runs after the parent's span; None: the parent parsed the rest
-    assert [span is None for span in spans] == {
-        "parent raises": [], "worker fails": [True], "worker's file differs": [True],
-    }.get(case, [False])
+    # _from_worker runs after a clean parent's span, and its rows are kept
+    # exactly when the file is clean; else this process reads the file again
+    assert kept == {
+        "parent raises": [], "defect before the cut": [], "defect": [False],
+        "worker fails": [False], "worker's file differs": [False],
+    }.get(case, [True])
 
 
 @pytest.mark.parametrize("executable", ["no-such-python", "", None])
@@ -684,24 +698,26 @@ def test_worker_that_cannot_start_leaves_its_span_to_this_process(tmp_path, monk
     one = _load(p)
     monkeypatch.setattr(sys, "executable",
                         executable and str(tmp_path / executable))
-    with _split_io() as (started, spans):
+    with _split_io() as (started, kept):
         assert _load(p) == one
-    assert started == ([None] if executable else []) and spans == []
+    assert started == ([None] if executable else []) and kept == []
 
 
 def test_worker_that_sends_too_few_row_bytes_leaves_its_span_to_this_process(tmp_path,
                                                                            monkeypatch):
-    # a valid head that promises 20 rows, then 3 rows' bytes and the end
+    # the count that completes the 40 rows after the parent's 20, then the
+    # bytes of only 3 of those rows and the end; with all 20, they are kept
     p = tmp_path / "m.txt"
     save_matrix(gram_psd(40, np.random.default_rng(5)), p)
     one = _load(p)
-    head = json.dumps({"lines": 20, "last": 20, "defect": None, "stored": 20}) + "\n"
-    sent = head.encode() + bytes(3 * 40 * 8)
-    monkeypatch.setattr(matfile, "_WORKER", f"import sys; sys.stdout.buffer.write({sent!r})")
-    with _split_io() as (started, spans):
-        assert _load(p) == one
-    assert len(started) == 1 and started[0].returncode is not None
-    assert spans == [None]
+    tail = np.frombuffer(one).reshape(40, 40)[20:]
+    for sent in (3, 20):
+        out = b"20\n" + tail[:sent].tobytes()
+        monkeypatch.setattr(matfile, "_WORKER", f"import sys; sys.stdout.buffer.write({out!r})")
+        with _split_io(_after_lines(p.read_bytes(), 21)) as (started, kept):
+            assert _load(p) == one
+        assert len(started) == 1 and started[0].returncode is not None
+        assert kept == [sent == 20]
 
 
 def test_worker_imports_nothing_from_the_working_directory(tmp_path, monkeypatch):
@@ -717,9 +733,9 @@ def test_worker_imports_nothing_from_the_working_directory(tmp_path, monkeypatch
     monkeypatch.chdir(cwd)
     # this process's own path holds no working directory either
     monkeypatch.setattr(sys, "path", [d for d in sys.path if d not in ("", ".", str(cwd))])
-    with _split_io() as (started, spans):
+    with _split_io() as (started, kept):
         assert _load(p) == one
-    assert len(started) == 1 and len(spans) == 1 and spans[0] is not None
+    assert len(started) == 1 and kept == [True]
     assert not marker.exists()
 
 
