@@ -36,6 +36,7 @@ from .analysis import (
 )
 from .generators import (
     CoherencePlan,
+    FlatMatrix,
     SpectrumSpec,
     flat_orthonormal,
     planted_instance,

@@ -32,6 +32,7 @@ from .analysis import (
 )
 from .generators import (
     CoherencePlan,
+    FlatMatrix,
     SpectrumSpec,
     check_plan,
     flat_orthonormal,
@@ -238,7 +239,7 @@ class TrialRecord:
 class ExperimentSetup:
     """The matrix, its spectrum and the bounds that every trial shares."""
 
-    a: SymMatrix
+    a: SymMatrix | FlatMatrix
     part: SpectralPartition
     lambda1: float
     lambda_k1: float

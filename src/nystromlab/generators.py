@@ -9,8 +9,10 @@ The ``low`` and ``spiked`` instances are assembled from their basis by
 :func:`psd_from_spectrum` (one SYRK, n^3 work).  The ``flat`` instance
 needs no basis product: with the Sylvester-Hadamard basis,
 ``A[i, j] = f[i XOR j]`` for ``f = H (lambdas / n)``, one fast
-Walsh-Hadamard transform, so it is built in O(n^2) and certified by its
-dominant block (:func:`planted_instance`).
+Walsh-Hadamard transform.  Below ``FLAT_IMPLICIT_N`` it is built in
+O(n^2); from there on it is a :class:`FlatMatrix`, which applies A by
+transforms and never forms its entries for a trial
+(:func:`planted_instance`).
 
 Coherence plans
 ---------------
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +41,10 @@ from .sampling import RngSeed, rng_from
 
 _SPECTRUM_KINDS = ("exact-rank-k", "exp-decay", "power-law", "custom")
 _PLAN_TARGETS = ("flat", "low", "spiked")
+
+# Flat instances of at least this dimension are planted as a FlatMatrix;
+# smaller ones as dense entries, whose products are faster there.
+FLAT_IMPLICIT_N = 512
 
 
 @dataclass(frozen=True)
@@ -223,31 +230,36 @@ def psd_from_spectrum(u: np.ndarray, lambdas: np.ndarray) -> SymMatrix:
     return SymMatrix(a)
 
 
+def _walsh(v: np.ndarray) -> np.ndarray:
+    """Overwrite the length-n v with ``H v``, H the n x n Sylvester-Hadamard
+    matrix, and return it: one in-place fast Walsh-Hadamard transform,
+    ``log2 n`` butterfly passes of sums and differences."""
+    n, h = v.size, 1
+    while h < n:
+        pairs = v.reshape(-1, 2, h)
+        top = pairs[:, 0] + pairs[:, 1]
+        np.subtract(pairs[:, 0], pairs[:, 1], out=pairs[:, 1])
+        pairs[:, 0] = top
+        h *= 2
+    return v
+
+
 def _flat_entries(lam: np.ndarray) -> np.ndarray:
     """Entries of ``U diag(lam) U^T`` for ``U = flat_orthonormal(n, n)``.
 
     With ``H[i, j] = (-1)^popcount(i & j)`` (Sylvester order) and
     ``U = H / sqrt(n)``, ``A[i, j] = sum_m H[i, m] H[j, m] lam[m] / n``,
     and ``H[i, m] H[j, m] = H[i XOR j, m]``, so ``A[i, j] = f[i XOR j]``
-    with ``f = H (lam / n)``.  ``f`` is one in-place fast Walsh-Hadamard
-    transform (``log2 n`` butterfly passes); ``lam / n`` is scaled first,
-    so every partial sum is bounded by ``sum(lam) / n <= lam[0]`` and
-    cannot overflow.  Row 0 of A is f, and ``A[i + m, j] = A[i, j XOR m]``
-    for ``i < m`` (m a power of two), so rows ``m .. 2m-1`` are rows
+    with ``f = H (lam / n)``, one :func:`_walsh`; ``lam / n`` is scaled
+    first, so every partial sum is bounded by ``sum(lam) / n <= lam[0]``
+    and cannot overflow.  Row 0 of A is f, and ``A[i + m, j] = A[i, j XOR
+    m]`` for ``i < m`` (m a power of two), so rows ``m .. 2m-1`` are rows
     ``0 .. m-1`` with their column blocks of width m swapped pairwise.
     ``A[i, j] = A[j, i]`` bit for bit, by construction.  O(n^2) work.
     """
     n = lam.size
-    f = lam / n
-    h = 1
-    while h < n:
-        pairs = f.reshape(-1, 2, h)
-        top = pairs[:, 0] + pairs[:, 1]
-        np.subtract(pairs[:, 0], pairs[:, 1], out=pairs[:, 1])
-        pairs[:, 0] = top
-        h *= 2
     a = np.empty((n, n))
-    a[0] = f
+    a[0] = _walsh(lam / n)
     m = 1
     while m < n:
         src = a[:m].reshape(m, -1, 2, m)
@@ -256,6 +268,76 @@ def _flat_entries(lam: np.ndarray) -> np.ndarray:
         dst[:, :, 1] = src[:, :, 0]
         m *= 2
     return a
+
+
+class FlatMatrix:
+    """The flat instance ``A = H diag(lam) H / n``, kept without its n x n
+    entries.
+
+    ``f = H (lam / n)`` is row 0 of A and ``A[i, j] = f[i XOR j]``
+    (:func:`_flat_entries`).  Trials read A through four members, as they
+    read a :class:`~nystromlab.matcore.SymMatrix`:
+
+    * ``n``;
+    * ``rows(index)``: ``A[index, :]``, gathered from f, so bit for bit
+      the rows of ``entries``;
+    * ``A @ x`` (x of length n): ``H ((lam / n) * (H x))``, two
+      Walsh-Hadamard transforms;
+    * ``max_diagonal()``: ``f[0]``.
+
+    A transform splits each index as ``i = i_a b + i_b``, ``n = a b`` with
+    ``a <= b`` powers of two, so ``H_n = H_a (x) H_b`` and ``H x`` is
+    ``H_a X H_b`` for X the a x b reshape of x: two matrix products with
+    +-1 entries, O(n (a + b)) work.  Each output sums a terms, then b, so
+    (u = EPS / 2, first order) ``|fl(H x) - H x| <= (a + b) u ||x||_1``.
+    Hence ``A @ x`` lies within ``(2 (a + b) + 1) u s ||x||_1`` of the
+    exact ``H diag(lam / n) H x``, with ``s = sum(lam) / n = A[0, 0]``;
+    every partial sum is at most ``n s max|x|``, as in ``entries @ x``.
+
+    ``rows`` gathers from the first b rows of A, held as a ``(b, a, b)``
+    array: row i is row ``i_b`` with its a column blocks permuted by
+    ``XOR i_a``, so the gather copies runs of b entries.  Memory is ``O(n
+    b)``, ``b <= sqrt(2 n)``.  ``entries`` is :func:`_flat_entries` of
+    lam, built on first read (for ``save_matrix``, ``check_psd`` and the
+    sqrt-route oracle) and read-only.
+    """
+
+    def __init__(self, lam: np.ndarray):
+        n = lam.size
+        check_plan(CoherencePlan("flat"), n, 1)
+        b = 1 << n.bit_length() // 2  # 2^ceil(log2(n) / 2)
+        self.n = n
+        self.f = _walsh(lam / n)
+        self.f.flags.writeable = False
+        self._lam, self._g = lam, lam / n
+        self._hb = np.sign(flat_orthonormal(b, b))  # H_b, exactly +-1
+        self._ha = self._hb[:n // b, :n // b].copy()  # H_a leads H_b (Sylvester)
+        self._head = self.f[np.arange(b)[:, None] ^ np.arange(n)].reshape(b, n // b, b)
+
+    def hadamard(self, x: np.ndarray) -> np.ndarray:
+        """``H x`` for a length-n x, as ``H_a X H_b``."""
+        x = x.reshape(len(self._ha), len(self._hb))
+        return (self._ha @ x @ self._hb).reshape(self.n)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.hadamard(self._g * self.hadamard(x))
+
+    def rows(self, index: np.ndarray) -> np.ndarray:
+        blocks, low = np.divmod(index, len(self._hb))
+        rows = self._head[low[:, None], blocks[:, None] ^ np.arange(len(self._ha))]
+        return rows.reshape(len(index), self.n)
+
+    def max_diagonal(self) -> float:
+        return float(self.f[0])
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        a = _flat_entries(self._lam)
+        a.flags.writeable = False
+        return a
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"FlatMatrix(n={self.n})"
 
 
 def _certify_dominant_block(a: np.ndarray, u1: np.ndarray, lam: np.ndarray) -> None:
@@ -298,6 +380,45 @@ def _certify_dominant_block(a: np.ndarray, u1: np.ndarray, lam: np.ndarray) -> N
         )
 
 
+def _certify_spectrum(a: FlatMatrix, lam: np.ndarray) -> None:
+    """Raise FloatingPointError unless ``H f = lam`` within rounding.
+
+    f is ``a.f`` and ``H f`` is ``a.hadamard(f)``, the transform that
+    ``A @ x`` applies, so the rows of A are checked against the spectrum
+    that its products apply, in every eigenvalue.  Cost: ``O(n (a + b))``.
+
+    Tolerance (u = EPS / 2 the unit roundoff, ``L = log2 n``, ``s =
+    sum(lam) / n``, ``n = a b`` as in :class:`FlatMatrix`).  ``H H = n
+    I``, so the exact ``f* = H (lam / n)`` has ``H f* = lam``.  The
+    butterfly sums each ``f_i`` in a tree of depth L, so ``d = f - f*``
+    has ``|d_i| <= L u s`` and ``|H d|_inf <= ||d||_1 <= L u n s``.  The
+    transform adds at most ``(a + b) u ||f||_1 <= (a + b) u n s`` per
+    entry.  The sum, ``(a + b + L) u n s``, is allowed more than twice
+    over, ``(a + b + L + 1) EPS n s``, which covers the second-order
+    terms.  A subnormal ``lam / n`` or butterfly result adds at most
+    ``2^-1075`` per rounding, ``(L + 1) n 2^-1075`` after the transform.
+    Both sides are scaled by the power of two that puts s in ``[0.5,
+    1)``, so ``H f`` cannot overflow and the check holds at any scale;
+    scaling a subnormal down adds ``2^-1075`` per entry of f, ``n
+    2^-1075`` in all.  A non-finite f fails the check.
+    """
+    n = a.n
+    s = float(np.sum(lam / n))
+    e = math.frexp(s)[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite f fails below
+        hf = a.hadamard(np.ldexp(a.f, -e))
+        resid = float(np.max(np.abs(hf - np.ldexp(lam, -e))))
+    steps = n.bit_length() - 1
+    tol = ((len(a._ha) + len(a._hb) + steps + 1) * EPS * n * math.ldexp(s, -e)
+           + n * ((steps + 1) * math.ldexp(math.ulp(0.0), -e) + math.ulp(0.0)))
+    if not (math.isfinite(resid) and resid <= tol):
+        raise FloatingPointError(
+            f"planted flat instance fails its certificate at lambda1={float(lam[0])!r}: "
+            f"max |H f - lambda| = {math.ldexp(resid, e):.3e} exceeds "
+            f"{math.ldexp(tol, e):.3e}"
+        )
+
+
 def _planted_basis(n: int, plan: CoherencePlan, k: int, seed: RngSeed) -> np.ndarray:
     """Full n x n orthogonal matrix realizing the low or spiked plan for U_1."""
     if plan.target == "low":
@@ -317,7 +438,7 @@ def _planted_basis(n: int, plan: CoherencePlan, k: int, seed: RngSeed) -> np.nda
 
 def planted_instance(
     spec: SpectrumSpec, plan: CoherencePlan, seed: RngSeed
-) -> tuple[SymMatrix, SpectralPartition, float]:
+) -> tuple[SymMatrix | FlatMatrix, SpectralPartition, float]:
     """Build a PSD instance with known spectrum and known dominant subspace.
 
     Returns ``(A, partition, tau)`` where the partition holds the planted
@@ -326,19 +447,26 @@ def planted_instance(
 
     ``low`` and ``spiked`` instances come from :func:`psd_from_spectrum`,
     which checks the basis.  The ``flat`` instance is built from the
-    spectrum alone by :func:`_flat_entries` in O(n^2), with only ``U_1``
-    of the basis; its entries are certified by ``||A U_1 - U_1
-    Sigma_1||_F`` against a derived rounding bound
-    (:func:`_certify_dominant_block`).  A spectrum or instance that
-    overflows raises FloatingPointError naming lambda1.
+    spectrum alone, with only ``U_1`` of the basis.  Below
+    ``FLAT_IMPLICIT_N`` its entries come from :func:`_flat_entries` in
+    O(n^2) and are certified by ``||A U_1 - U_1 Sigma_1||_F``
+    (:func:`_certify_dominant_block`); from ``FLAT_IMPLICIT_N`` on it is a
+    :class:`FlatMatrix`, certified by ``H f = lambda``
+    (:func:`_certify_spectrum`), both against derived rounding bounds.  A
+    spectrum or instance that overflows raises FloatingPointError naming
+    lambda1.
     """
     lam = spec.eigenvalues()
     if plan.target == "flat":
         u1 = flat_orthonormal(spec.n, spec.k)
-        entries = _flat_entries(lam)
-        _certify_dominant_block(entries, u1, lam)
-        entries.flags.writeable = False  # handed over: SymMatrix stores it as is
-        a = SymMatrix(entries)
+        if spec.n >= FLAT_IMPLICIT_N:
+            a = FlatMatrix(lam)
+            _certify_spectrum(a, lam)
+        else:
+            entries = _flat_entries(lam)
+            _certify_dominant_block(entries, u1, lam)
+            entries.flags.writeable = False  # handed over: SymMatrix stores it as is
+            a = SymMatrix(entries)
     else:
         u = _planted_basis(spec.n, plan, spec.k, seed)
         a = psd_from_spectrum(u, lam)

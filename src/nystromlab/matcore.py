@@ -10,6 +10,9 @@ Conventions
 * Matrices are dense float64 arrays.  Symmetric ones travel as
   :class:`SymMatrix`, which stores an exactly symmetric, read-only array
   and rejects inputs whose asymmetry exceeds ``1e-8 * ||A||_F``.
+  :func:`lowrank_residual_norm` and :func:`nystrom.nystrom_extend` read A
+  only through ``n``, ``rows``, ``A @ x`` and ``max_diagonal``, so the
+  implicit :class:`generators.FlatMatrix` serves them as well.
 * Scale safety: :func:`lowrank_residual_norm` and :class:`SymMatrix`
   (when ``||A||_F`` overflows or underflows) work on copies scaled by a
   power of two.  That scaling is exact, so extreme input scales such as
@@ -26,8 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .generators import FlatMatrix
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -149,6 +156,15 @@ class SymMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
+    def rows(self, index: np.ndarray) -> np.ndarray:
+        return self.entries.take(index, axis=0)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.entries @ x
+
+    def max_diagonal(self) -> float:
+        return float(np.max(np.diagonal(self.entries)))
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SymMatrix(n={self.n})"
 
@@ -244,7 +260,7 @@ def shifted_cholesky_ok(m: np.ndarray, shift: float) -> bool:
 
 
 def lowrank_residual_norm(
-    a: SymMatrix,
+    a: SymMatrix | FlatMatrix,
     start: np.ndarray,
     c: np.ndarray | None = None,
     index: np.ndarray | None = None,
@@ -265,9 +281,9 @@ def lowrank_residual_norm(
     start does with probability one (Kuczynski and Wozniakowski, SIAM J.
     Matrix Anal. Appl. 1992).
 
-    Each step applies ``x -> y - C (M^T (M y[index]))`` with ``y = A (s x)``
-    and forms no n x r array.  ``s`` is the power of two that puts ``s *
-    max_i a_ii`` in ``[0.5, 1)`` (1 when that diagonal is 0); for PSD A,
+    Each step applies ``x -> y - C (M^T (M y[index]))`` with ``y = A @ (s
+    x)`` and forms no n x r array.  ``s`` is the power of two that puts
+    ``s * A.max_diagonal()`` in ``[0.5, 1)`` (1 when that is 0); for PSD A,
     ``|a_ij| <= max_i a_ii``, so the recurrence stays near 1 at any input
     scale, and ``A (s x)`` does not overflow where ``A x`` would.
     ``theta / s`` and ``r / s`` are returned (FloatingPointError when
@@ -279,14 +295,14 @@ def lowrank_residual_norm(
     For a fixed input the result does not depend on the caller's thread.
     """
     n = a.n
-    e = _scale_exponent(float(np.max(np.diagonal(a.entries))))
+    e = _scale_exponent(a.max_diagonal())
     cap = min(n, 16)
     basis = np.empty((cap, n))
     basis[0] = start
     t = np.zeros((cap, cap))
     j = 0  # index of the newest basis vector
     while True:
-        w = a.entries @ np.ldexp(basis[j], -e)
+        w = a @ np.ldexp(basis[j], -e)
         if c is not None:
             w -= c @ (m.T @ (m @ w[index]))
         b = basis[:j + 1]

@@ -21,6 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .generators import FlatMatrix
 from .matcore import (
     EPS,
     PSD_CLAMP_REL,
@@ -103,7 +104,7 @@ def _pivoted_cholesky(w: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]
     return g[:len(pivots)], pivots
 
 
-def nystrom_extend(a: SymMatrix, sample: ColumnSample) -> NystromResult:
+def nystrom_extend(a: SymMatrix | FlatMatrix, sample: ColumnSample) -> NystromResult:
     """Extend the sampled columns of a PSD matrix to a full PSD matrix.
 
     Column Nystrom on a sample S is a partial Cholesky of A with its pivots
@@ -125,14 +126,17 @@ def nystrom_extend(a: SymMatrix, sample: ColumnSample) -> NystromResult:
     The error is the scaled Lanczos estimate started from
     :func:`sampling.lanczos_start`, so it depends only on A and the sample
     set; one that is not finite raises :class:`FloatingPointError`.  No n x
-    ``rank_w`` array is formed.  A sample over another n raises ValueError.
+    ``rank_w`` array is formed, and A is read only through ``n``,
+    ``rows``, ``A @ x`` and ``max_diagonal``, so a
+    :class:`generators.FlatMatrix` gives no n x n array either.  A sample
+    over another n raises ValueError.
     """
     if sample.n != a.n:
         raise ValueError(f"sample is over n={sample.n} but the matrix has n={a.n}")
     index = np.sort(sample.indices)
-    # Rows are contiguous in the row-major store, and A is exactly
-    # symmetric, so their transpose is the sampled columns C.
-    rows = a.entries.take(index, axis=0)
+    # A is exactly symmetric, so the transpose of its rows is the sampled
+    # columns C.
+    rows = a.rows(index)
     c, w = rows.T, rows.take(index, axis=1)
     l = sample.l
     w_max = max(float(np.max(w.diagonal())), 0.0)

@@ -331,6 +331,31 @@ def test_trials_overflowing_lambda1_exits_4(capsys, gen, coherence):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("gen,lambda1,code,err", [
+    ("exp:0.9", "1e-300", 0, ""),
+    ("exp:0.9", "1e300", 0, ""),
+    ("exp:0.9", "1.7e308", 4, "error: prob_bound overflows at "
+                               "lambda_k1=7.317942570000001e+307, lambda1=1.7e+308\n"),
+    ("pow:1", "1.7e308", 4, "error: prob_bound overflows at "
+                             "lambda_k1=1.8888888888888888e+307, lambda1=1.7e+308\n"),
+    ("exact-rank-k", "1.7e308", 4, "error: the exact-rank-k spectrum overflows at "
+                                   "lambda1=1.7e+308\n"),
+])
+def test_trials_at_extreme_scales_above_the_flat_threshold(tmp_path, capsys, gen, lambda1,
+                                                           code, err):
+    # n = 2048 plants a FlatMatrix, whose certificate and products are
+    # scaled by powers of two: the exit codes and messages are those of the
+    # dense route, and a run that succeeds reports finite errors
+    out = tmp_path / "t.csv"
+    assert main(["trials", "--gen", gen, "--coherence", "flat", "--n", "2048", "--k", "8",
+                 "--l", "64", "--trials", "2", "--seed", "1", "--lambda1", lambda1,
+                 "--out", str(out)]) == code
+    assert capsys.readouterr().err == err
+    if code == 0:
+        errors = [float(line.split(",")[6]) for line in out.read_text().splitlines()[1:]]
+        assert len(errors) == 2 and all(0.0 < e < float(lambda1) for e in errors)
+
+
 @pytest.fixture
 def overflowing(tmp_path):
     # finite entries whose norm, 2e308, is beyond the float64 range

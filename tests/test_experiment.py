@@ -31,6 +31,7 @@ from nystromlab import (
     config_from_mapping,
     emit_results,
     experiment,
+    generators,
     load_matrix,
     matfile,
     run_experiment,
@@ -45,6 +46,7 @@ from nystromlab.experiment import (
     read_config,
     run_trial,
 )
+from nystromlab.generators import FLAT_IMPLICIT_N
 
 from helpers import gram_psd, save_matrix_rowwise
 
@@ -1090,11 +1092,11 @@ def test_prepare_instance_independent_of_trial_count():
 
 
 def test_prepare_flat_allocates_one_n_by_n_array():
-    # The planted A is the one n x n array: no n x n basis is built and A
-    # is not copied.  The n^2-byte finiteness mask of SymMatrix and the
-    # n x k blocks fit in the other half of an array.
-    n = 1024
-    cfg = config_from_mapping({"n": n, "k": 16, "l": 400, "trials": 1, "seed": 1,
+    # Below FLAT_IMPLICIT_N the planted A is the one n x n array: no n x n
+    # basis is built and A is not copied.  The n^2-byte finiteness mask of
+    # SymMatrix and the n x k blocks fit in the other half of an array.
+    n = FLAT_IMPLICIT_N // 2
+    cfg = config_from_mapping({"n": n, "k": 16, "l": 100, "trials": 1, "seed": 1,
                                "gen": "exp:0.9", "coherence": "flat"})
     tracemalloc.start()
     try:
@@ -1104,6 +1106,27 @@ def test_prepare_flat_allocates_one_n_by_n_array():
         tracemalloc.stop()
     assert setup.a.n == n
     assert peak <= 1.5 * n * n * 8, f"peak {peak} bytes is {peak / (n * n * 8):.2f} n^2 doubles"
+
+
+def test_flat_run_above_the_threshold_builds_no_n_by_n_array(monkeypatch):
+    # From FLAT_IMPLICIT_N on, a flat run holds f, the first b rows and the
+    # sampled rows of A, never A itself (128 MiB at n = 4096): its peak is
+    # under a quarter of one n x n array, and the dense entries are not built.
+    def refuse(lam):
+        raise AssertionError("the dense flat entries were built")
+
+    monkeypatch.setattr(generators, "_flat_entries", refuse)
+    n = 4096
+    cfg = config_from_mapping({"n": n, "k": 16, "l": 64, "trials": 2, "seed": 1,
+                               "gen": "exp:0.9", "coherence": "flat"})
+    tracemalloc.start()
+    try:
+        records, summary = run_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary["n"] == n and len(records) == 2
+    assert peak < n * n * 8 / 4, f"peak {peak} bytes is {peak / (n * n * 8):.3f} n^2 doubles"
 
 
 def test_run_trial_matches_batch_record():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from nystromlab import (
     CoherencePlan,
+    FlatMatrix,
     RngSeed,
     SpectrumSpec,
     coherence,
@@ -23,10 +24,12 @@ from nystromlab import (
     random_orthonormal,
     sample_uniform,
     save_matrix,
+    sqrt_projection_error,
 )
 from nystromlab.analysis import ORTHONORMAL_TOL, _orthonormal_deviation
-from nystromlab.generators import parse_plan, parse_spectrum
-from nystromlab.matcore import EPS
+from nystromlab.generators import FLAT_IMPLICIT_N, parse_plan, parse_spectrum
+from nystromlab.matcore import EPS, SymMatrix
+from nystromlab.sampling import lanczos_start
 
 from helpers import davis_kahan_distance, dense_extension, sym_eig
 
@@ -346,6 +349,75 @@ def test_certificate_rejects_a_misordered_block_swap(monkeypatch):
     lam = spec.eigenvalues()
     assert not np.array_equal(namespace["_flat_entries"](lam), generators._flat_entries(lam))
     monkeypatch.setattr(generators, "_flat_entries", namespace["_flat_entries"])
+    with pytest.raises(FloatingPointError, match="certificate"):
+        planted_instance(spec, CoherencePlan("flat"), RngSeed(0, 0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64, 256, FLAT_IMPLICIT_N, 2 * FLAT_IMPLICIT_N])
+@pytest.mark.parametrize("kind,lambda1", [("exp-decay", 1e-200), ("exp-decay", 1.0),
+                                          ("exact-rank-k", 1e200)])
+def test_flat_matrix_equals_its_dense_entries(n, kind, lambda1):
+    # Built directly below FLAT_IMPLICIT_N and by planted_instance from
+    # there on.  entries and rows are bit for bit the dense route's.  A @ x
+    # lies within (2 (a + b) + 1) u s ||x||_1 of the exact product
+    # (FlatMatrix), the entries within log2(n) u s of the exact ones
+    # (_certify_dominant_block) and entries @ x within n u s ||x||_1 of
+    # their own exact product, so A @ x and entries @ x differ by at most
+    # the sum, allowed twice with EPS = 2 u.
+    spec = SpectrumSpec(kind=kind, n=n, k=max(n // 4, 1), lambda1=lambda1, rate=0.9)
+    lam = spec.eigenvalues()
+    if n >= FLAT_IMPLICIT_N:
+        a, _, _ = planted_instance(spec, CoherencePlan("flat"), RngSeed(0, 0))
+    else:
+        a = FlatMatrix(lam)
+    assert isinstance(a, FlatMatrix) and a.n == n
+    dense = generators._flat_entries(lam)
+    index = np.sort(sample_uniform(n, max(n // 5, 1), RngSeed(n, 1)).indices)
+    assert a.rows(index).tobytes() == dense.take(index, axis=0).tobytes()
+    assert a.max_diagonal() == float(np.max(np.diagonal(dense)))
+    assert a.entries.tobytes() == dense.tobytes() and not a.entries.flags.writeable
+    b = 2 ** math.ceil(math.log2(n) / 2)
+    s = float(np.sum(lam / n))
+    for x in (lanczos_start(n), np.random.default_rng(n).standard_normal(n)):
+        bound = (2 * (n // b + b) + 1 + math.log2(n) + n) * EPS * s * float(np.sum(np.abs(x)))
+        assert float(np.max(np.abs(a @ x - dense @ x))) <= bound
+
+
+def test_flat_matrix_needs_a_power_of_two():
+    with pytest.raises(ValueError, match="power of two"):
+        FlatMatrix(np.ones(6))
+
+
+def test_flat_trial_error_matches_the_dense_route_and_the_sqrt_route():
+    # criterion 1's tolerance, between the implicit route, the dense route
+    # and the sqrt-projection route on the same entries
+    n = FLAT_IMPLICIT_N
+    spec = SpectrumSpec(kind="exp-decay", n=n, k=8, rate=0.9)
+    a, part, _ = planted_instance(spec, CoherencePlan("flat"), RngSeed(3, 0))
+    dense = SymMatrix(a.entries)
+    lam1 = float(part.eigenvalues[0])
+    for t in range(3):
+        sample = sample_uniform(n, n // 5, RngSeed(3, t + 1))
+        e = nystrom_extend(a, sample).spectral_error
+        for ref in (nystrom_extend(dense, sample).spectral_error,
+                    sqrt_projection_error(dense, sample)):
+            assert abs(e - ref) <= 1e-8 * max(e, ref) + 1e-12 * lam1
+
+
+def test_certificate_rejects_a_broken_butterfly_above_the_threshold(monkeypatch):
+    # a scratch copy of _walsh that takes the difference of each pair the
+    # wrong way round builds a wrong f, which the certificate of the
+    # implicit route refuses
+    source = inspect.getsource(generators._walsh)
+    diff = "np.subtract(pairs[:, 0], pairs[:, 1], out=pairs[:, 1])"
+    assert source.count(diff) == 1
+    namespace = dict(vars(generators))
+    exec(source.replace(diff, "np.subtract(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])"),
+         namespace)
+    spec = SpectrumSpec(kind="exp-decay", n=FLAT_IMPLICIT_N, k=4, rate=0.9)
+    lam = spec.eigenvalues()
+    assert not np.array_equal(namespace["_walsh"](lam / spec.n), generators._walsh(lam / spec.n))
+    monkeypatch.setattr(generators, "_walsh", namespace["_walsh"])
     with pytest.raises(FloatingPointError, match="certificate"):
         planted_instance(spec, CoherencePlan("flat"), RngSeed(0, 0))
 
