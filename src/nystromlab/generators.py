@@ -275,15 +275,10 @@ class FlatMatrix:
     entries.
 
     ``f = H (lam / n)`` is row 0 of A and ``A[i, j] = f[i XOR j]``
-    (:func:`_flat_entries`).  Trials read A through four members, as they
-    read a :class:`~nystromlab.matcore.SymMatrix`:
-
-    * ``n``;
-    * ``rows(index)``: ``A[index, :]``, gathered from f, so bit for bit
-      the rows of ``entries``;
-    * ``A @ x`` (x of length n): ``H ((lam / n) * (H x))``, two
-      Walsh-Hadamard transforms;
-    * ``max_diagonal()``: ``f[0]``.
+    (:func:`_flat_entries`), so gathers from f (``rows(index)``, and W in
+    :func:`nystrom.nystrom_extend`) are bit for bit those of ``entries``.
+    ``A @ x`` (x of length n) is ``H ((lam / n) * (H x))``, two
+    Walsh-Hadamard transforms, and ``max_diagonal()`` is ``f[0]``.
 
     A transform splits each index as ``i = i_a b + i_b``, ``n = a b`` with
     ``a <= b`` powers of two, so ``H_n = H_a (x) H_b`` and ``H x`` is
@@ -293,12 +288,14 @@ class FlatMatrix:
     Hence ``A @ x`` lies within ``(2 (a + b) + 1) u s ||x||_1`` of the
     exact ``H diag(lam / n) H x``, with ``s = sum(lam) / n = A[0, 0]``;
     every partial sum is at most ``n s max|x|``, as in ``entries @ x``.
+    So ``C z = A (S z)``, z scattered to the l sampled columns (``||S
+    z||_1 = ||z||_1``), lies within ``(2 (a + b) + 1) u s ||z||_1`` of the
+    exact value and ``entries[:, idx] @ z`` within ``l u s ||z||_1`` (l
+    terms of size at most ``s |z_j|``, as ``|a_ij| <= s``): the two differ
+    by at most ``(2 (a + b) + 1 + l) u s ||z||_1``.
 
-    ``rows`` gathers from the first b rows of A, held as a ``(b, a, b)``
-    array: row i is row ``i_b`` with its a column blocks permuted by
-    ``XOR i_a``, so the gather copies runs of b entries.  Memory is ``O(n
-    b)``, ``b <= sqrt(2 n)``.  ``entries`` is :func:`_flat_entries` of
-    lam, built on first read (for ``save_matrix``, ``check_psd`` and the
+    Memory is ``O(n)``.  ``entries`` is :func:`_flat_entries` of lam,
+    built on first read (for ``save_matrix``, ``check_psd`` and the
     sqrt-route oracle) and read-only.
     """
 
@@ -312,7 +309,6 @@ class FlatMatrix:
         self._lam, self._g = lam, lam / n
         self._hb = np.sign(flat_orthonormal(b, b))  # H_b, exactly +-1
         self._ha = self._hb[:n // b, :n // b].copy()  # H_a leads H_b (Sylvester)
-        self._head = self.f[np.arange(b)[:, None] ^ np.arange(n)].reshape(b, n // b, b)
 
     def hadamard(self, x: np.ndarray) -> np.ndarray:
         """``H x`` for a length-n x, as ``H_a X H_b``."""
@@ -323,9 +319,7 @@ class FlatMatrix:
         return self.hadamard(self._g * self.hadamard(x))
 
     def rows(self, index: np.ndarray) -> np.ndarray:
-        blocks, low = np.divmod(index, len(self._hb))
-        rows = self._head[low[:, None], blocks[:, None] ^ np.arange(len(self._ha))]
-        return rows.reshape(len(index), self.n)
+        return self.f[index[:, None] ^ np.arange(self.n)]
 
     def max_diagonal(self) -> float:
         return float(self.f[0])

@@ -10,9 +10,9 @@ Conventions
 * Matrices are dense float64 arrays.  Symmetric ones travel as
   :class:`SymMatrix`, which stores an exactly symmetric, read-only array
   and rejects inputs whose asymmetry exceeds ``1e-8 * ||A||_F``.
-  :func:`lowrank_residual_norm` and :func:`nystrom.nystrom_extend` read A
-  only through ``n``, ``rows``, ``A @ x`` and ``max_diagonal``, so the
-  implicit :class:`generators.FlatMatrix` serves them as well.
+  :func:`lowrank_residual_norm` reads A only through ``n``, ``A @ x``
+  and ``max_diagonal``, so the implicit :class:`generators.FlatMatrix`
+  serves it as well.
 * Scale safety: :func:`lowrank_residual_norm` and :class:`SymMatrix`
   (when ``||A||_F`` overflows or underflows) work on copies scaled by a
   power of two.  That scaling is exact, so extreme input scales such as
@@ -270,8 +270,9 @@ def lowrank_residual_norm(
 
     ``c`` holds the columns ``A[:, index]`` (n x l) and ``m`` is r x l; the
     Nystrom extension passes ``M = L^{-1}`` of its pivoted Cholesky, placed
-    at the pivot columns.  Without ``c`` the operator is A and the result
-    is ``||A||_2``.
+    at the pivot columns.  Given ``m`` without ``c``, ``C z`` is ``A @ (S
+    z)``, two transforms on a flat A.  Without ``m`` the operator is A and
+    the result is ``||A||_2``.
 
     Returns ``(theta, r)``, the Ritz value of largest modulus and its Ritz
     residual, so an eigenvalue of the operator lies in ``[theta - r, theta
@@ -300,11 +301,15 @@ def lowrank_residual_norm(
     basis = np.empty((cap, n))
     basis[0] = start
     t = np.zeros((cap, cap))
+    scattered = np.zeros(n)  # S z, for C z = A (S z)
     j = 0  # index of the newest basis vector
     while True:
         w = a @ np.ldexp(basis[j], -e)
         if c is not None:
             w -= c @ (m.T @ (m @ w[index]))
+        elif m is not None:
+            scattered[index] = m.T @ (m @ w[index])
+            w -= a @ scattered
         b = basis[:j + 1]
         h = b @ w
         w -= h @ b

@@ -3,9 +3,9 @@
 Given a PSD matrix A and a sample S of its columns, the extension is
 ``A_tilde = C W^+ C^T`` with ``C = A S`` and ``W = S^T A S``.  It is PSD
 whenever W is, and it reproduces A exactly when ``rank(W) == rank(A)``.
-:func:`nystrom_extend` gathers C and W from A, factors W by a pivoted
-partial Cholesky and bounds the spectral error by matrix-free Lanczos,
-forming no n x n array.
+:func:`nystrom_extend` gathers W from A, factors it by a pivoted partial
+Cholesky and bounds the spectral error by matrix-free Lanczos, forming
+no n x n array.
 
 :func:`sqrt_projection_error` is the independent check: the paper's
 identity ``||A - A_tilde||_2 = ||(I - P) A^(1/2)||_2^2``, with P the
@@ -33,18 +33,21 @@ from .matcore import (
 )
 from .sampling import ColumnSample, lanczos_start
 
+GATHER_ROWS = 32  # rows of W per block of _gather_w
+
 
 @dataclass(frozen=True, eq=False)
 class NystromResult:
     """One extension in factored form, with its error and diagnostics.
 
-    ``columns`` is C, the sampled columns in index order (n x l), and
-    ``linv`` is ``L^{-1}`` of the pivoted Cholesky ``W_PP = L L^T``, placed
-    at the pivot columns P and zero elsewhere (``rank_w x l``, ``rank_w``
-    the pivot count).  The extension is ``Z Z^T`` with ``Z = C_P L^{-T}``,
-    which ``factor`` builds (n x ``rank_w``) on first read.  The norm of
-    ``A - Z Z^T`` lies in ``[spectral_error, spectral_error +
-    error_residual]`` (see :func:`matcore.lowrank_residual_norm`).
+    ``columns`` is C, the sampled columns in index order (n x l), gathered
+    from ``matrix`` on first read, and ``linv`` is ``L^{-1}`` of the
+    pivoted Cholesky ``W_PP = L L^T``, placed at the pivot columns P and
+    zero elsewhere (``rank_w x l``, ``rank_w`` the pivot count).  The
+    extension is ``Z Z^T`` with ``Z = C_P L^{-T}``, which ``factor`` builds
+    (n x ``rank_w``) on first read.  The norm of ``A - Z Z^T`` lies in
+    ``[spectral_error, spectral_error + error_residual]`` (see
+    :func:`matcore.lowrank_residual_norm`).
 
     ``psd_violation`` is the most negative eigenvalue of ``Z Z^T``, 0.0
     when there is none.  It is read on first access from the ``rank_w x
@@ -52,7 +55,7 @@ class NystromResult:
     """
 
     sample: ColumnSample
-    columns: np.ndarray
+    matrix: SymMatrix | FlatMatrix
     linv: np.ndarray
     spectral_error: float
     error_residual: float
@@ -60,6 +63,10 @@ class NystromResult:
     @property
     def rank_w(self) -> int:
         return self.linv.shape[0]
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        return self.matrix.rows(np.sort(self.sample.indices)).T
 
     @cached_property
     def factor(self) -> np.ndarray:
@@ -72,36 +79,67 @@ class NystromResult:
         return min(float(np.linalg.eigvalsh(self.factor.T @ self.factor)[0]), 0.0)
 
 
-def _pivoted_cholesky(w: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
-    """Pivoted partial Cholesky of the symmetric l x l array w.
+def _pivoted_cholesky(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pivoted partial Cholesky of the symmetric W, in place.
 
-    Each step pivots on the largest remaining Schur diagonal, the lowest
-    position on a tie, and the loop stops once that diagonal is ``<= tol``.
-    Returns ``(g, pivots)``: row j of the r x 2l array g is ``[f_j, m_j]``,
-    where ``f_j`` is column j of the factor L (its entries at earlier
-    pivots are not zeroed and are never read) and ``m_j`` is row j of
-    ``L_P^{-1}``, both over the l positions of w.  The two halves come out
-    of one elimination of ``[w[p], e_p]`` against the rows so far, so
-    ``L_P^{-1}`` is the forward substitution of ``L_P X = I``.
+    w is l x l', W in its first l columns and zeros after them
+    (:func:`_gather_w`).  Each step pivots on the largest remaining Schur
+    diagonal, the lowest position on a tie, until it is ``<= tol``.
+    Returns ``(h, pivots, rest)``: r x l, the r pivots in order, and W at
+    the other positions in index order.  Row j of h is ``f_j``, column j of
+    L, at the non-pivots and ``m_j``, row j of ``L_P^{-1}``, at the pivots,
+    both from one ``j x l'`` product that eliminates ``[w[p], e_p]``
+    against the rows so far.  A column holds ``f`` entries until it
+    becomes a pivot, when its earlier entries (that step's coefficients,
+    and ``m_i[p] = 0``) are zeroed.  Row j of h overwrites row j of w,
+    whose input row moves to the row that pivot p's leaves.  The Schur
+    diagonal is updated at the non-pivots only, where ``f_j^2 <= w_cc``
+    cannot overflow.
     """
     l = w.shape[0]
-    g = np.zeros((l, 2 * l))
     d = w.diagonal().copy()  # Schur diagonal; -inf marks a pivot
-    pivots: list[int] = []
-    for j in range(l):
+    free = np.ones(l, dtype=bool)
+    order = np.arange(l)  # row k of w holds input row order[k] for k >= j
+    where = np.arange(l)  # and input row i is row where[i] of w
+    wp, sq = np.empty(l), np.empty(l)
+    j = 0
+    while j < l:
         p = int(d.argmax())
         dp = float(d[p])
         if not dp > tol:
             break
-        row = g[j]
-        np.matmul(g[:j, p], g[:j], out=row)
-        row[:l] -= w[p]
-        row[l + p] -= 1.0
-        row /= -math.sqrt(dp)  # row = ([w[p], e_p] - g[:j, p] @ g[:j]) / sqrt(dp)
-        d -= row[:l] * row[:l]
+        k = where[p]
+        wp[:] = w[k, :l]
+        w[k], order[k] = w[j], order[j]  # the input row at j moves to row k
+        where[order[k]] = k
+        np.matmul(w[:j, p], w[:j], out=w[j])
+        w[:j, p] = 0.0
+        free[p] = False
+        row = w[j, :l]
+        np.subtract(row, wp, out=row, where=free)
+        row[p] = -1.0
+        row /= -math.sqrt(dp)  # row = ([w[p], e_p] - h[:j, p] @ h[:j]) / sqrt(dp)
+        np.multiply(row, row, out=sq, where=free)
+        np.subtract(d, sq, out=d, where=free)
         d[p] = -math.inf
-        pivots.append(p)
-    return g[:len(pivots)], pivots
+        order[j] = p
+        j += 1
+    return w[:j, :l], order[:j], w[np.ix_(where[free], free)]
+
+
+def _gather_w(a: SymMatrix | FlatMatrix, index: np.ndarray) -> np.ndarray:
+    """W, bit for bit (``f[i XOR j]`` for a flat A), in the first l columns of
+    an l x l' array of zeros, gathered ``GATHER_ROWS`` rows at a time.
+    ``l'`` is l rounded up to a multiple of 4, the row block of OpenBLAS's
+    gemv kernels, so each position of the ``j x l'`` products runs in the
+    kernel's main loop, as in the first half of a ``j x 2l`` one."""
+    l = len(index)
+    w = np.zeros((l, -(-l // 4) * 4))
+    for i in range(0, l, GATHER_ROWS):
+        rows = index[i:i + GATHER_ROWS, None]
+        w[i:i + GATHER_ROWS, :l] = (a.f[rows ^ index] if isinstance(a, FlatMatrix)
+                                    else a.entries[rows, index])
+    return w
 
 
 def nystrom_extend(a: SymMatrix | FlatMatrix, sample: ColumnSample) -> NystromResult:
@@ -109,12 +147,12 @@ def nystrom_extend(a: SymMatrix | FlatMatrix, sample: ColumnSample) -> NystromRe
 
     Column Nystrom on a sample S is a partial Cholesky of A with its pivots
     restricted to S (Chen, Epperly, Tropp and Webber, "Randomly pivoted
-    Cholesky", arXiv:2207.06503).  C and W are gathered here, bit for bit,
-    from the rows of A at the sample sorted by index.  W is factored by a
-    pivoted partial Cholesky that stops once every remaining Schur diagonal
-    is ``<= l * eps * max_i w_ii``; its pivots P (``rank_w`` of them) give
-    the extension ``C_P W_PP^{-1} C_P^T``.  Pivot ties go to the lowest
-    index, so the result does not depend on the order of the sample.
+    Cholesky", arXiv:2207.06503).  W is gathered from A at the sample
+    sorted by index, bit for bit.  W is factored by a pivoted partial
+    Cholesky that stops once every remaining Schur diagonal is ``<= l * eps
+    * max_i w_ii``; its pivots P (``rank_w`` of them) give the extension
+    ``C_P W_PP^{-1} C_P^T``.  Pivot ties go to the lowest index, so the
+    result does not depend on the order of the sample.
 
     The non-pivot Schur remainder R bounds W from below, ``lambda_min(W) >=
     min(lambda_min(R), 0)``, so a Cholesky of R shifted by the PSD clamp
@@ -125,36 +163,36 @@ def nystrom_extend(a: SymMatrix | FlatMatrix, sample: ColumnSample) -> NystromRe
 
     The error is the scaled Lanczos estimate started from
     :func:`sampling.lanczos_start`, so it depends only on A and the sample
-    set; one that is not finite raises :class:`FloatingPointError`.  No n x
-    ``rank_w`` array is formed, and A is read only through ``n``,
-    ``rows``, ``A @ x`` and ``max_diagonal``, so a
-    :class:`generators.FlatMatrix` gives no n x n array either.  A sample
+    set; one that is not finite raises :class:`FloatingPointError`.  A
+    dense A gives C as its sampled rows; a :class:`generators.FlatMatrix`
+    gives W as ``f[i XOR j]`` and C by transforms, so a flat trial holds
+    ``O(l^2 + n)`` floats.  No n x ``rank_w`` array is formed.  A sample
     over another n raises ValueError.
     """
     if sample.n != a.n:
         raise ValueError(f"sample is over n={sample.n} but the matrix has n={a.n}")
     index = np.sort(sample.indices)
     # A is exactly symmetric, so the transpose of its rows is the sampled
-    # columns C.
-    rows = a.rows(index)
-    c, w = rows.T, rows.take(index, axis=1)
+    # columns C; a flat A applies C by transforms instead.
+    c = None if isinstance(a, FlatMatrix) else a.rows(index).T
     l = sample.l
+    w = _gather_w(a, index)
     w_max = max(float(np.max(w.diagonal())), 0.0)
-    g, pivots = _pivoted_cholesky(w, l * EPS * w_max)
+    linv, pivots, w_rest = _pivoted_cholesky(w, l * EPS * w_max)
     rest = np.ones(l, dtype=bool)
     rest[pivots] = False
     if rest.any():
-        f = g[:, :l][:, rest]
-        remainder = w[np.ix_(rest, rest)] - f.T @ f
-        if not shifted_cholesky_ok(remainder, PSD_CLAMP_REL * w_max):
-            clamp_psd_eigenvalues(np.linalg.eigvalsh(w))  # NotPSDError below the window
-    linv = g[:, l:]
+        f = linv[:, rest]
+        if not shifted_cholesky_ok(w_rest - f.T @ f, PSD_CLAMP_REL * w_max):
+            # NotPSDError below the window; the factor has consumed w
+            clamp_psd_eigenvalues(np.linalg.eigvalsh(_gather_w(a, index)[:, :l]))
+        linv[:, rest] = 0.0
     err, resid = lowrank_residual_norm(a, lanczos_start(a.n), c, index, linv)
     if not (math.isfinite(err) and math.isfinite(resid)):
         raise FloatingPointError(f"spectral error overflowed to {err!r}")
     return NystromResult(
         sample=sample,
-        columns=c,
+        matrix=a,
         linv=linv,
         spectral_error=err,
         error_residual=resid,

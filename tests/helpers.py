@@ -6,7 +6,8 @@ where a test targets them specifically.  The oracles (``sym_eig``,
 ``sym_eigvals``, ``spectral_norm``, ``pinv``, ``selection_matrix``,
 ``extract_cw``, ``omega_matrices``, ``dense_extension``,
 ``save_matrix_rowwise``, ``sample_uniform_loop``, ``eigh_factor``,
-``lanczos_growing``, ``mp_nystrom_error``) spell out the textbook
+``lanczos_growing``, ``pivoted_cholesky_2l``, ``mp_nystrom_error``) spell
+out the textbook
 definitions that the package evaluates in shortcut form;
 ``davis_kahan_distance`` and ``davis_kahan_bound`` measure the
 dominant-subspace perturbation that the acceptance suite checks.
@@ -269,6 +270,35 @@ def lanczos_growing(a: SymMatrix, start, c=None, index=None, m=None) -> tuple[fl
             return math.ldexp(theta, e), math.ldexp(r, e)
         betas.append(beta)
         basis = np.vstack([basis, w / beta])
+
+
+def pivoted_cholesky_2l(w: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
+    """``nystrom._pivoted_cholesky`` with its factor and inverse side by side.
+
+    Row j of the r x 2l array g is ``[f_j, m_j]``: ``f_j`` is column j of
+    L over all l positions (its entries at earlier pivots are not zeroed
+    and never read) and ``m_j`` is row j of ``L_P^{-1}``.  Each step
+    eliminates ``[w[p], e_p]`` against the rows so far with one ``j x 2l``
+    product.  w is left as it is.
+    """
+    l = w.shape[0]
+    g = np.zeros((l, 2 * l))
+    d = w.diagonal().copy()  # Schur diagonal; -inf marks a pivot
+    pivots: list[int] = []
+    for j in range(l):
+        p = int(d.argmax())
+        dp = float(d[p])
+        if not dp > tol:
+            break
+        row = g[j]
+        np.matmul(g[:j, p], g[:j], out=row)
+        row[:l] -= w[p]
+        row[l + p] -= 1.0
+        row /= -math.sqrt(dp)  # row = ([w[p], e_p] - g[:j, p] @ g[:j]) / sqrt(dp)
+        d -= row[:l] * row[:l]
+        d[p] = -math.inf
+        pivots.append(p)
+    return g[:len(pivots)], pivots
 
 
 def mp_nystrom_error(a: SymMatrix, sample: ColumnSample, dps: int = 50) -> float:

@@ -1109,9 +1109,9 @@ def test_prepare_flat_allocates_one_n_by_n_array():
 
 
 def test_flat_run_above_the_threshold_builds_no_n_by_n_array(monkeypatch):
-    # From FLAT_IMPLICIT_N on, a flat run holds f, the first b rows and the
-    # sampled rows of A, never A itself (128 MiB at n = 4096): its peak is
-    # under a quarter of one n x n array, and the dense entries are not built.
+    # From FLAT_IMPLICIT_N on, a flat run holds f, W and the Lanczos basis,
+    # never A itself (128 MiB at n = 4096): its peak is under a quarter of
+    # one n x n array, and the dense entries are not built.
     def refuse(lam):
         raise AssertionError("the dense flat entries were built")
 

@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nystromlab import (
+    CoherencePlan,
     ColumnSample,
+    FlatMatrix,
     NotPSDError,
     RngSeed,
     SymMatrix,
@@ -19,10 +21,13 @@ from nystromlab import (
     min_eig_gram,
     nystrom_extend,
     partition,
+    planted_instance,
     sample_uniform,
     sqrt_projection_error,
+    SpectrumSpec,
 )
 from nystromlab import experiment
+from nystromlab.nystrom import GATHER_ROWS, _gather_w, _pivoted_cholesky
 from nystromlab.matcore import EPS, PSD_CLAMP_REL, clamp_psd_eigenvalues, lowrank_residual_norm
 from nystromlab.sampling import lanczos_start
 
@@ -35,6 +40,7 @@ from helpers import (
     mixed_spectrum_cases,
     mp_nystrom_error,
     pinv,
+    pivoted_cholesky_2l,
     planted_psd,
     spectral_norm,
     sym_eigvals,
@@ -519,9 +525,9 @@ def test_run_trial_builds_no_factor(monkeypatch):
 
 
 def test_extend_allocates_no_n_by_rank_w_array():
-    # Peak below the gather of C plus one n x rank_w array: the gather, W,
-    # the l x 2l elimination buffer and the Lanczos basis fit, a factor Z
-    # next to them does not.
+    # Peak below the gather of C plus one n x rank_w array: W, the
+    # elimination in it and the Lanczos basis fit, a factor Z next to them
+    # does not.
     n, l = 1024, 200
     cfg = experiment.config_from_mapping({"n": n, "k": 16, "l": l, "trials": 1, "seed": 1,
                                           "gen": "exp:0.95", "coherence": "flat"})
@@ -535,3 +541,119 @@ def test_extend_allocates_no_n_by_rank_w_array():
         tracemalloc.stop()
     assert res.rank_w >= 0.9 * l
     assert peak < 8 * n * (l + res.rank_w), f"peak {peak} bytes"
+
+
+# ---------------------------------------------------------------------------
+# the pivot loop in one l x l array, against the j x 2l oracle
+
+_W_SCALES = (1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300)
+
+
+def _planted_w(source: str, kind: str, n: int, k: int, seed: int) -> np.ndarray:
+    """The full W of a planted instance at lambda1 = 1, as trials build it."""
+    extra = {"exp-decay": {"rate": 0.7}, "power-law": {"exponent": 1.5}}.get(kind, {})
+    spec = SpectrumSpec(kind=kind, n=n, k=k, lambda1=1.0, **extra)
+    plan = CoherencePlan(source, m=1)
+    a = planted_instance(spec, plan, RngSeed(seed, 0))[0]
+    return _gather_w(a, np.arange(n))[:, :n]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(source=st.sampled_from(["flat", "low", "spiked", "psd"]),
+       kind=st.sampled_from(["exact-rank-k", "exp-decay", "power-law"]),
+       log_n=st.integers(1, 6), family=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from(_W_SCALES), full=st.booleans(), data=st.data())
+def test_pivot_loop_matches_the_two_l_wide_oracle(source, kind, log_n, family, seed, scale,
+                                                   full, data):
+    # flat W has a constant diagonal (every first pivot is a tie),
+    # exact-rank-k and duplicated columns (family 6) give rank-deficient W,
+    # and near-singular W at 1e-300 has L^{-1} entries whose squares
+    # overflow
+    n = 2**log_n
+    if source == "psd":
+        a = _psd_case(n, family, seed).entries
+    else:
+        k = data.draw(st.integers(1, n), label="k")
+        a = _planted_w(source, kind, n, k, seed)
+    s = _draw_sample(n, seed, full, data)
+    index = np.sort(s.indices)
+    w = scale * a[np.ix_(index, index)]
+    tol = s.l * EPS * max(float(np.max(w.diagonal())), 0.0)
+    g, pivots = pivoted_cholesky_2l(w, tol)
+    padded = np.zeros((s.l, -(-s.l // 4) * 4))
+    padded[:, :s.l] = w
+    h, got, w_rest = _pivoted_cholesky(padded, tol)  # warnings are errors here
+    assert list(got) == pivots
+    l, piv = s.l, np.zeros(s.l, dtype=bool)
+    piv[pivots] = True
+    assert h[:, ~piv].tobytes() == g[:, :l][:, ~piv].tobytes()  # F
+    assert w_rest.tobytes() == w[np.ix_(~piv, ~piv)].tobytes()
+    assert not g[:, l:][:, ~piv].any()
+    # L^{-1}; m_i[p] before p's step is +0.0 here and a signed zero in the
+    # oracle, so zeros are compared as zeros (x + 0.0 is x for x != 0).
+    # For odd l the oracle's gemv rounds its last two positions, the last
+    # two of L^{-1}, in the kernel's tail loop (2l is not a multiple of 4).
+    m_new, m_old = h + 0.0, g[:, l:] + 0.0
+    m_new[:, ~piv] = 0.0
+    cols = slice(0, l - 2 if l % 2 else l)
+    assert m_new[:, cols].tobytes() == m_old[:, cols].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the flat route: W from f, C by transforms, C gathered only on demand
+
+def _flat(n: int, seed: int = 1) -> FlatMatrix:
+    spec = SpectrumSpec(kind="exp-decay", n=n, k=8, lambda1=1.0, rate=0.9)
+    a = planted_instance(spec, CoherencePlan("flat"), RngSeed(seed, 0))[0]
+    assert isinstance(a, FlatMatrix)
+    return a
+
+
+@pytest.mark.parametrize("l", [1, GATHER_ROWS - 1, GATHER_ROWS, 3 * GATHER_ROWS + 5])
+def test_flat_w_is_the_dense_principal_block(l):
+    a = _flat(512)
+    index = np.sort(sample_uniform(512, l, RngSeed(3, l)).indices)
+    w = _gather_w(a, index)
+    assert w[:, :l].tobytes() == a.entries[np.ix_(index, index)].tobytes()
+    assert w.shape[1] % 4 == 0 and not w[:, l:].any()
+
+
+@pytest.mark.parametrize("n,l", [(512, 40), (2048, 400)])
+def test_flat_columns_by_transforms_lie_within_their_bound(n, l):
+    # FlatMatrix's bound: A (S z) within (2 (a + b) + 1) u s ||z||_1 of the
+    # exact C z, the gathered product within l u s ||z||_1; first order, so
+    # allowed twice over (EPS = 2 u)
+    a = _flat(n)
+    b = 1 << n.bit_length() // 2
+    index = np.sort(sample_uniform(n, l, RngSeed(5, 0)).indices)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        z = rng.standard_normal(l) * 10.0 ** rng.integers(-3, 4, size=l)
+        x = np.zeros(n)
+        x[index] = z
+        gap = float(np.max(np.abs(a @ x - a.entries[:, index] @ z)))
+        bound = (2 * (n // b + b) + 1 + l) * EPS * a.max_diagonal() * float(np.sum(np.abs(z)))
+        assert gap <= bound
+
+
+def test_flat_columns_are_gathered_on_first_read_only():
+    a = _flat(512)
+    res = nystrom_extend(a, sample_uniform(512, 60, RngSeed(2, 0)))
+    assert "columns" not in vars(res)
+    index = np.sort(res.sample.indices)
+    assert res.columns.tobytes() == a.entries[:, index].tobytes()
+
+
+def test_flat_extend_peaks_below_half_of_an_l_by_n_block():
+    n, l = 4096, 400
+    a = _flat(n)
+    s = sample_uniform(n, l, RngSeed(1, 0))
+    lanczos_start(n)  # cached across trials
+    tracemalloc.start()
+    try:
+        res = nystrom_extend(a, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.rank_w >= 0.5 * l
+    assert peak < l * n * 8 / 2, f"peak {peak} bytes"
