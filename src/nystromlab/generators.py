@@ -9,9 +9,8 @@ The ``low`` and ``spiked`` instances are assembled from their basis by
 :func:`psd_from_spectrum` (one SYRK, n^3 work).  The ``flat`` instance
 needs no basis product: with the Sylvester-Hadamard basis,
 ``A[i, j] = f[i XOR j]`` for ``f = H (lambdas / n)``, one fast
-Walsh-Hadamard transform.  Below ``FLAT_IMPLICIT_N`` it is built in
-O(n^2); from there on it is a :class:`FlatMatrix`, which applies A by
-transforms and never forms its entries for a trial
+Walsh-Hadamard transform.  It is a :class:`FlatMatrix`, which applies A
+by transforms and never forms its entries for a trial
 (:func:`planted_instance`).
 
 Coherence plans
@@ -41,10 +40,6 @@ from .sampling import RngSeed, rng_from
 
 _SPECTRUM_KINDS = ("exact-rank-k", "exp-decay", "power-law", "custom")
 _PLAN_TARGETS = ("flat", "low", "spiked")
-
-# Flat instances of at least this dimension are planted as a FlatMatrix;
-# smaller ones as dense entries, whose products are faster there.
-FLAT_IMPLICIT_N = 512
 
 
 @dataclass(frozen=True)
@@ -210,7 +205,7 @@ def psd_from_spectrum(u: np.ndarray, lambdas: np.ndarray) -> SymMatrix:
     so A is exactly symmetric, and it is handed over read-only, so
     :class:`SymMatrix` stores it without a copy.
     :func:`planted_instance` uses this for the ``low`` and ``spiked``
-    plans; the ``flat`` plan needs no basis product (:func:`_flat_entries`).
+    plans; the ``flat`` plan needs no basis product (:class:`FlatMatrix`).
     """
     u = np.asarray(u, dtype=np.float64)
     lam = np.asarray(lambdas, dtype=np.float64)
@@ -275,8 +270,8 @@ class FlatMatrix:
     entries.
 
     ``f = H (lam / n)`` is row 0 of A and ``A[i, j] = f[i XOR j]``
-    (:func:`_flat_entries`), so gathers from f (``rows(index)``, and W in
-    :func:`nystrom.nystrom_extend`) are bit for bit those of ``entries``.
+    (:func:`_flat_entries`), so a sub-block gathered from f, ``block(rows,
+    cols)``, is bit for bit that of ``entries``.
     ``A @ x`` (x of length n) is ``H ((lam / n) * (H x))``, two
     Walsh-Hadamard transforms, and ``max_diagonal()`` is ``f[0]``.
 
@@ -288,11 +283,6 @@ class FlatMatrix:
     Hence ``A @ x`` lies within ``(2 (a + b) + 1) u s ||x||_1`` of the
     exact ``H diag(lam / n) H x``, with ``s = sum(lam) / n = A[0, 0]``;
     every partial sum is at most ``n s max|x|``, as in ``entries @ x``.
-    So ``C z = A (S z)``, z scattered to the l sampled columns (``||S
-    z||_1 = ||z||_1``), lies within ``(2 (a + b) + 1) u s ||z||_1`` of the
-    exact value and ``entries[:, idx] @ z`` within ``l u s ||z||_1`` (l
-    terms of size at most ``s |z_j|``, as ``|a_ij| <= s``): the two differ
-    by at most ``(2 (a + b) + 1 + l) u s ||z||_1``.
 
     Memory is ``O(n)``.  ``entries`` is :func:`_flat_entries` of lam,
     built on first read (for ``save_matrix``, ``check_psd`` and the
@@ -318,8 +308,8 @@ class FlatMatrix:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.hadamard(self._g * self.hadamard(x))
 
-    def rows(self, index: np.ndarray) -> np.ndarray:
-        return self.f[index[:, None] ^ np.arange(self.n)]
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return self.f[rows[:, None] ^ cols]
 
     def max_diagonal(self) -> float:
         return float(self.f[0])
@@ -332,46 +322,6 @@ class FlatMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FlatMatrix(n={self.n})"
-
-
-def _certify_dominant_block(a: np.ndarray, u1: np.ndarray, lam: np.ndarray) -> None:
-    """Raise FloatingPointError unless ``A U_1 = U_1 Sigma_1`` within rounding.
-
-    ``U_1`` is ``flat_orthonormal(n, k)`` and ``Sigma_1 = diag(lam[:k])``,
-    as :func:`planted_instance` returns them;
-    A is :func:`_flat_entries` of ``lam``.  Cost: ``n^2 k``.
-
-    Tolerance (u = EPS / 2 the unit roundoff, ``L = log2 n``,
-    ``s = sum(lam) / n``).  ``U_1 = r H_1`` with ``r = fl(1/sqrt(n))``, and
-    the columns of ``H_1`` are exact eigenvectors of the exact A, so the
-    exact residual of the computed A is ``dA U_1``.  ``dA[i, j] =
-    d[i XOR j]`` for the rounding error d of f, and such a matrix has the
-    eigenvalues ``H d``, so ``||dA||_2 <= ||d||_1``.  The transform sums
-    each ``f_i`` in a tree of depth L, so ``|d_i| <= L u s`` and
-    ``||dA U_1||_F <= ||d||_1 ||U_1||_F <= L u n s sqrt(k)``.  The product
-    ``A U_1`` adds at most ``n u sum_j |a_ij| r <= n u n s r`` per entry,
-    ``sqrt(k) n u n s`` in norm over its ``n k`` entries, and
-    ``U_1 Sigma_1`` adds ``u r lam_m`` per entry, less than ``u n s`` in
-    norm.  The sum, ``sqrt(k) (n + L + 1) u n s``, is allowed more than
-    twice over, ``sqrt(k) (n + L + 2) EPS n s``, which covers the
-    second-order terms.  Subnormal results add at most ``2^-1075`` per
-    rounding, ``2 sqrt(k) n^2 2^-1074`` in all.  Both sides are scaled by
-    the power of two that puts s in ``[0.5, 1)``, so the check holds at any
-    scale; a non-finite A fails it.
-    """
-    n, k = u1.shape
-    s = float(np.sum(lam / n))
-    e = math.frexp(s)[1]
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite A fails below
-        resid = float(np.linalg.norm(np.ldexp(a @ u1 - u1 * lam[:k], -e)))
-    tol = math.sqrt(k) * ((n + n.bit_length() + 1) * EPS * n * math.ldexp(s, -e)
-                          + 2 * n * n * math.ldexp(math.ulp(0.0), -e))
-    if not (math.isfinite(resid) and resid <= tol):
-        raise FloatingPointError(
-            f"planted flat instance fails its certificate at lambda1={float(lam[0])!r}: "
-            f"||A U_1 - U_1 Sigma_1||_F = {math.ldexp(resid, e):.3e} exceeds "
-            f"{math.ldexp(tol, e):.3e}"
-        )
 
 
 def _certify_spectrum(a: FlatMatrix, lam: np.ndarray) -> None:
@@ -440,27 +390,17 @@ def planted_instance(
     exact coherence of the planted dominant basis.
 
     ``low`` and ``spiked`` instances come from :func:`psd_from_spectrum`,
-    which checks the basis.  The ``flat`` instance is built from the
-    spectrum alone, with only ``U_1`` of the basis.  Below
-    ``FLAT_IMPLICIT_N`` its entries come from :func:`_flat_entries` in
-    O(n^2) and are certified by ``||A U_1 - U_1 Sigma_1||_F``
-    (:func:`_certify_dominant_block`); from ``FLAT_IMPLICIT_N`` on it is a
-    :class:`FlatMatrix`, certified by ``H f = lambda``
-    (:func:`_certify_spectrum`), both against derived rounding bounds.  A
-    spectrum or instance that overflows raises FloatingPointError naming
-    lambda1.
+    which checks the basis.  The ``flat`` instance is a :class:`FlatMatrix`
+    built from the spectrum alone, with only ``U_1`` of the basis, and
+    certified by ``H f = lambda`` against a derived rounding bound
+    (:func:`_certify_spectrum`).  A spectrum or instance that overflows
+    raises FloatingPointError naming lambda1.
     """
     lam = spec.eigenvalues()
     if plan.target == "flat":
         u1 = flat_orthonormal(spec.n, spec.k)
-        if spec.n >= FLAT_IMPLICIT_N:
-            a = FlatMatrix(lam)
-            _certify_spectrum(a, lam)
-        else:
-            entries = _flat_entries(lam)
-            _certify_dominant_block(entries, u1, lam)
-            entries.flags.writeable = False  # handed over: SymMatrix stores it as is
-            a = SymMatrix(entries)
+        a = FlatMatrix(lam)
+        _certify_spectrum(a, lam)
     else:
         u = _planted_basis(spec.n, plan, spec.k, seed)
         a = psd_from_spectrum(u, lam)

@@ -2,17 +2,17 @@
 
 Everything downstream is written against this small kernel: the PSD
 check, the matrix-free Lanczos norm of a low-rank update ``A - C M^T M
-C^T``, and :func:`partition`, one eigensolve of A that keeps the k
-dominant eigenvectors ``U_1`` and the whole spectrum.
+C^T`` with ``C = A S``, and :func:`partition`, one eigensolve of A that
+keeps the k dominant eigenvectors ``U_1`` and the whole spectrum.
 
 Conventions
 -----------
 * Matrices are dense float64 arrays.  Symmetric ones travel as
   :class:`SymMatrix`, which stores an exactly symmetric, read-only array
-  and rejects inputs whose asymmetry exceeds ``1e-8 * ||A||_F``.
-  :func:`lowrank_residual_norm` reads A only through ``n``, ``A @ x``
-  and ``max_diagonal``, so the implicit :class:`generators.FlatMatrix`
-  serves it as well.
+  and rejects inputs whose asymmetry exceeds ``1e-8 * ||A||_F``.  The
+  extension and :func:`lowrank_residual_norm` read A only through ``n``,
+  ``A @ x``, ``max_diagonal`` and ``block(rows, cols)``, so the implicit
+  :class:`generators.FlatMatrix` serves them as well.
 * Scale safety: :func:`lowrank_residual_norm` and :class:`SymMatrix`
   (when ``||A||_F`` overflows or underflows) work on copies scaled by a
   power of two.  That scaling is exact, so extreme input scales such as
@@ -55,6 +55,10 @@ CHOLESKY_BLOCK = 256
 # the Ritz value.
 LANCZOS_REL_TOL = 1e-12
 
+# Longest BLAS dot product in _stable_dot.  OpenBLAS splits a longer one
+# between threads, which moves its bits with the thread count.
+DOT_CHUNK = 8192
+
 
 class NotPSDError(ValueError):
     """A matrix required to be PSD has an eigenvalue below the clamp window."""
@@ -77,6 +81,16 @@ def _scale_exponent(big: float) -> int:
     if big > 0.0 and math.isfinite(big):
         return math.frexp(big)[1]
     return 0
+
+
+def _stable_dot(x: np.ndarray, y: np.ndarray) -> float:
+    """``x . y`` as a sum, in order, of BLAS dots of at most ``DOT_CHUNK``
+    elements, so its bits do not depend on the BLAS thread count; up to
+    ``DOT_CHUNK`` elements it is the one dot ``x @ y``."""
+    s = x[:DOT_CHUNK] @ y[:DOT_CHUNK]
+    for i in range(DOT_CHUNK, x.size, DOT_CHUNK):
+        s += x[i:i + DOT_CHUNK] @ y[i:i + DOT_CHUNK]
+    return float(s)
 
 
 def _bitwise_symmetric(a: np.ndarray) -> bool:
@@ -156,8 +170,8 @@ class SymMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def rows(self, index: np.ndarray) -> np.ndarray:
-        return self.entries.take(index, axis=0)
+    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return self.entries[rows[:, None], cols]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.entries @ x
@@ -262,17 +276,16 @@ def shifted_cholesky_ok(m: np.ndarray, shift: float) -> bool:
 def lowrank_residual_norm(
     a: SymMatrix | FlatMatrix,
     start: np.ndarray,
-    c: np.ndarray | None = None,
     index: np.ndarray | None = None,
     m: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """``||A - C M^T M C^T||_2`` by Lanczos, matrix-free, with its residual bound.
 
-    ``c`` holds the columns ``A[:, index]`` (n x l) and ``m`` is r x l; the
+    ``C = A S`` holds the columns ``A[:, index]`` and ``m`` is r x l; the
     Nystrom extension passes ``M = L^{-1}`` of its pivoted Cholesky, placed
-    at the pivot columns.  Given ``m`` without ``c``, ``C z`` is ``A @ (S
-    z)``, two transforms on a flat A.  Without ``m`` the operator is A and
-    the result is ``||A||_2``.
+    at the pivot columns.  C is not formed: ``C z`` is ``A @ (S z)``, z
+    scattered to the sampled positions.  Without ``m`` the operator is A
+    and the result is ``||A||_2``.
 
     Returns ``(theta, r)``, the Ritz value of largest modulus and its Ritz
     residual, so an eigenvalue of the operator lies in ``[theta - r, theta
@@ -282,8 +295,8 @@ def lowrank_residual_norm(
     start does with probability one (Kuczynski and Wozniakowski, SIAM J.
     Matrix Anal. Appl. 1992).
 
-    Each step applies ``x -> y - C (M^T (M y[index]))`` with ``y = A @ (s
-    x)`` and forms no n x r array.  ``s`` is the power of two that puts
+    Each step applies ``x -> y - A (S (M^T (M y[index])))`` with ``y = A
+    @ (s x)`` and forms no n x r array.  ``s`` is the power of two that puts
     ``s * A.max_diagonal()`` in ``[0.5, 1)`` (1 when that is 0); for PSD A,
     ``|a_ij| <= max_i a_ii``, so the recurrence stays near 1 at any input
     scale, and ``A (s x)`` does not overflow where ``A x`` would.
@@ -293,7 +306,9 @@ def lowrank_residual_norm(
     Gram-Schmidt passes).  Fixed stopping rule, checked after every step:
     ``r <= LANCZOS_REL_TOL * theta``, ``r <= n * eps`` (scaled units), a
     zero next residual ``beta``, or a Krylov dimension of ``n``.
-    For a fixed input the result does not depend on the caller's thread.
+    For a fixed input the result does not depend on the caller's thread,
+    nor, as ``beta`` and the first step's projection are :func:`_stable_dot`
+    sums, on the BLAS thread count at any n.
     """
     n = a.n
     e = _scale_exponent(a.max_diagonal())
@@ -305,18 +320,16 @@ def lowrank_residual_norm(
     j = 0  # index of the newest basis vector
     while True:
         w = a @ np.ldexp(basis[j], -e)
-        if c is not None:
-            w -= c @ (m.T @ (m @ w[index]))
-        elif m is not None:
+        if m is not None:
             scattered[index] = m.T @ (m @ w[index])
             w -= a @ scattered
-        b = basis[:j + 1]
-        h = b @ w
+        b = basis[:j + 1]  # numpy runs a one-row b @ w as one BLAS dot
+        h = b @ w if j else np.array([_stable_dot(b[0], w)])
         w -= h @ b
-        h2 = b @ w
+        h2 = b @ w if j else np.array([_stable_dot(b[0], w)])
         w -= h2 @ b
         t[j, j] = h[-1] + h2[-1]
-        beta = float(np.linalg.norm(w))
+        beta = math.sqrt(_stable_dot(w, w))
         vals, vecs = np.linalg.eigh(t[:j + 1, :j + 1])
         i = int(np.argmax(np.abs(vals)))
         theta = abs(float(vals[i]))

@@ -4,8 +4,8 @@ Given a PSD matrix A and a sample S of its columns, the extension is
 ``A_tilde = C W^+ C^T`` with ``C = A S`` and ``W = S^T A S``.  It is PSD
 whenever W is, and it reproduces A exactly when ``rank(W) == rank(A)``.
 :func:`nystrom_extend` gathers W from A, factors it by a pivoted partial
-Cholesky and bounds the spectral error by matrix-free Lanczos, forming
-no n x n array.
+Cholesky and bounds the spectral error by matrix-free Lanczos, applying
+``C z`` as ``A (S z)``, so it forms no n x n array and no C.
 
 :func:`sqrt_projection_error` is the independent check: the paper's
 identity ``||A - A_tilde||_2 = ||(I - P) A^(1/2)||_2^2``, with P the
@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .generators import FlatMatrix
 from .matcore import (
     EPS,
     PSD_CLAMP_REL,
@@ -32,6 +32,9 @@ from .matcore import (
     shifted_cholesky_ok,
 )
 from .sampling import ColumnSample, lanczos_start
+
+if TYPE_CHECKING:
+    from .generators import FlatMatrix
 
 GATHER_ROWS = 32  # rows of W per block of _gather_w
 
@@ -66,7 +69,8 @@ class NystromResult:
 
     @cached_property
     def columns(self) -> np.ndarray:
-        return self.matrix.rows(np.sort(self.sample.indices)).T
+        # A is exactly symmetric: C is the transpose of the sampled rows
+        return self.matrix.block(np.sort(self.sample.indices), np.arange(self.matrix.n)).T
 
     @cached_property
     def factor(self) -> np.ndarray:
@@ -128,17 +132,15 @@ def _pivoted_cholesky(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
 
 
 def _gather_w(a: SymMatrix | FlatMatrix, index: np.ndarray) -> np.ndarray:
-    """W, bit for bit (``f[i XOR j]`` for a flat A), in the first l columns of
-    an l x l' array of zeros, gathered ``GATHER_ROWS`` rows at a time.
+    """W, bit for bit, in the first l columns of an l x l' array of zeros,
+    gathered by ``a.block`` ``GATHER_ROWS`` rows at a time.
     ``l'`` is l rounded up to a multiple of 4, the row block of OpenBLAS's
     gemv kernels, so each position of the ``j x l'`` products runs in the
     kernel's main loop, as in the first half of a ``j x 2l`` one."""
     l = len(index)
     w = np.zeros((l, -(-l // 4) * 4))
     for i in range(0, l, GATHER_ROWS):
-        rows = index[i:i + GATHER_ROWS, None]
-        w[i:i + GATHER_ROWS, :l] = (a.f[rows ^ index] if isinstance(a, FlatMatrix)
-                                    else a.entries[rows, index])
+        w[i:i + GATHER_ROWS, :l] = a.block(index[i:i + GATHER_ROWS], index)
     return w
 
 
@@ -163,18 +165,14 @@ def nystrom_extend(a: SymMatrix | FlatMatrix, sample: ColumnSample) -> NystromRe
 
     The error is the scaled Lanczos estimate started from
     :func:`sampling.lanczos_start`, so it depends only on A and the sample
-    set; one that is not finite raises :class:`FloatingPointError`.  A
-    dense A gives C as its sampled rows; a :class:`generators.FlatMatrix`
-    gives W as ``f[i XOR j]`` and C by transforms, so a flat trial holds
-    ``O(l^2 + n)`` floats.  No n x ``rank_w`` array is formed.  A sample
-    over another n raises ValueError.
+    set; one that is not finite raises :class:`FloatingPointError`.  It
+    applies ``C z`` as ``A (S z)``, so a trial holds W and the Lanczos
+    basis, ``O(l^2 + n)`` floats besides A, and no n x l or n x ``rank_w``
+    array.  A sample over another n raises ValueError.
     """
     if sample.n != a.n:
         raise ValueError(f"sample is over n={sample.n} but the matrix has n={a.n}")
     index = np.sort(sample.indices)
-    # A is exactly symmetric, so the transpose of its rows is the sampled
-    # columns C; a flat A applies C by transforms instead.
-    c = None if isinstance(a, FlatMatrix) else a.rows(index).T
     l = sample.l
     w = _gather_w(a, index)
     w_max = max(float(np.max(w.diagonal())), 0.0)
@@ -187,7 +185,7 @@ def nystrom_extend(a: SymMatrix | FlatMatrix, sample: ColumnSample) -> NystromRe
             # NotPSDError below the window; the factor has consumed w
             clamp_psd_eigenvalues(np.linalg.eigvalsh(_gather_w(a, index)[:, :l]))
         linv[:, rest] = 0.0
-    err, resid = lowrank_residual_norm(a, lanczos_start(a.n), c, index, linv)
+    err, resid = lowrank_residual_norm(a, lanczos_start(a.n), index, linv)
     if not (math.isfinite(err) and math.isfinite(resid)):
         raise FloatingPointError(f"spectral error overflowed to {err!r}")
     return NystromResult(

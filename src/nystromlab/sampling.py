@@ -25,9 +25,12 @@ Philox stream exactly as ``l`` scalar calls in turn would.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .matcore import _stable_dot
 
 _U64_MAX = 2**64 - 1
 
@@ -64,11 +67,12 @@ def lanczos_start(n: int) -> np.ndarray:
     """Unit start vector of length n for the Lanczos error estimate.
 
     Drawn as normalized Gaussians from the reserved ``LANCZOS_SEED``
-    stream, so it is the same for every call with the same n.  It is drawn
-    once per n and cached; the returned array is read-only.
+    stream and normalised by :func:`matcore._stable_dot`, so it is the
+    same for every call with the same n at any BLAS thread count.  It is
+    drawn once per n and cached; the returned array is read-only.
     """
     v = rng_from(LANCZOS_SEED).standard_normal(n)
-    v = v / np.linalg.norm(v)
+    v = v / math.sqrt(_stable_dot(v, v))
     v.flags.writeable = False
     return v
 

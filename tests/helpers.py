@@ -241,9 +241,10 @@ def eigh_factor(a: SymMatrix, sample: ColumnSample) -> np.ndarray:
     return c @ (vecs[:, keep] / np.sqrt(vals[keep]))
 
 
-def lanczos_growing(a: SymMatrix, start, c=None, index=None, m=None) -> tuple[float, float]:
+def lanczos_growing(a: SymMatrix, start, index=None, m=None) -> tuple[float, float]:
     """``matcore.lowrank_residual_norm`` with the basis grown by ``np.vstack``
-    and T rebuilt from its diagonals by ``np.diag`` at every step."""
+    and T rebuilt from its diagonals by ``np.diag`` at every step; ``C z``
+    is ``A (S z)``, as there."""
     n = a.n
     e = _scale_exponent(float(np.max(np.diagonal(a.entries))))
     basis = start.reshape(1, n)
@@ -251,8 +252,10 @@ def lanczos_growing(a: SymMatrix, start, c=None, index=None, m=None) -> tuple[fl
     betas: list[float] = []
     while True:
         y = a.entries @ basis[-1]
-        if c is not None:
-            y -= c @ (m.T @ (m @ y[index]))
+        if m is not None:
+            x = np.zeros(n)
+            x[index] = m.T @ (m @ y[index])
+            y -= a.entries @ x
         w = np.ldexp(y, -e)
         h = basis @ w
         w -= h @ basis

@@ -343,9 +343,9 @@ def test_trials_overflowing_lambda1_exits_4(capsys, gen, coherence):
 ])
 def test_trials_at_extreme_scales_above_the_flat_threshold(tmp_path, capsys, gen, lambda1,
                                                            code, err):
-    # n = 2048 plants a FlatMatrix, whose certificate and products are
-    # scaled by powers of two: the exit codes and messages are those of the
-    # dense route, and a run that succeeds reports finite errors
+    # the FlatMatrix's certificate and products are scaled by powers of
+    # two, so an extreme lambda1 exits only where a bound overflows, and a
+    # run that succeeds reports finite errors
     out = tmp_path / "t.csv"
     assert main(["trials", "--gen", gen, "--coherence", "flat", "--n", "2048", "--k", "8",
                  "--l", "64", "--trials", "2", "--seed", "1", "--lambda1", lambda1,

@@ -46,7 +46,6 @@ from nystromlab.experiment import (
     read_config,
     run_trial,
 )
-from nystromlab.generators import FLAT_IMPLICIT_N
 
 from helpers import gram_psd, save_matrix_rowwise
 
@@ -1091,11 +1090,15 @@ def test_prepare_instance_independent_of_trial_count():
     assert s1.report.tau == s2.report.tau
 
 
-def test_prepare_flat_allocates_one_n_by_n_array():
-    # Below FLAT_IMPLICIT_N the planted A is the one n x n array: no n x n
-    # basis is built and A is not copied.  The n^2-byte finiteness mask of
-    # SymMatrix and the n x k blocks fit in the other half of an array.
-    n = FLAT_IMPLICIT_N // 2
+def test_prepare_flat_builds_no_n_by_n_array(monkeypatch):
+    # At any n the planted flat A is f, its transforms and U_1: no n x n
+    # basis or entries are built, and the peak is the n x k blocks, under
+    # a quarter of one n x n array.
+    def refuse(lam):
+        raise AssertionError("the dense flat entries were built")
+
+    monkeypatch.setattr(generators, "_flat_entries", refuse)
+    n = 256
     cfg = config_from_mapping({"n": n, "k": 16, "l": 100, "trials": 1, "seed": 1,
                                "gen": "exp:0.9", "coherence": "flat"})
     tracemalloc.start()
@@ -1105,13 +1108,13 @@ def test_prepare_flat_allocates_one_n_by_n_array():
     finally:
         tracemalloc.stop()
     assert setup.a.n == n
-    assert peak <= 1.5 * n * n * 8, f"peak {peak} bytes is {peak / (n * n * 8):.2f} n^2 doubles"
+    assert peak < n * n * 8 / 4, f"peak {peak} bytes is {peak / (n * n * 8):.2f} n^2 doubles"
 
 
 def test_flat_run_above_the_threshold_builds_no_n_by_n_array(monkeypatch):
-    # From FLAT_IMPLICIT_N on, a flat run holds f, W and the Lanczos basis,
-    # never A itself (128 MiB at n = 4096): its peak is under a quarter of
-    # one n x n array, and the dense entries are not built.
+    # A flat run holds f, W and the Lanczos basis, never A itself
+    # (128 MiB at n = 4096): its peak is under a quarter of one n x n
+    # array, and the dense entries are not built.
     def refuse(lam):
         raise AssertionError("the dense flat entries were built")
 

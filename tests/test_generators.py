@@ -27,7 +27,7 @@ from nystromlab import (
     sqrt_projection_error,
 )
 from nystromlab.analysis import ORTHONORMAL_TOL, _orthonormal_deviation
-from nystromlab.generators import FLAT_IMPLICIT_N, parse_plan, parse_spectrum
+from nystromlab.generators import parse_plan, parse_spectrum
 from nystromlab.matcore import EPS, SymMatrix
 from nystromlab.sampling import lanczos_start
 
@@ -335,45 +335,47 @@ def test_planted_flat_u1_is_the_leading_block_of_the_full_basis(e, data):
     assert part.u1.tobytes() == flat_orthonormal(n, n)[:, :k].tobytes()
 
 
-def test_certificate_rejects_a_misordered_block_swap(monkeypatch):
-    # a scratch copy of _flat_entries that copies each column block to its
-    # own place instead of swapping the pair builds a wrong A, which the
-    # certificate of planted_instance refuses
+def test_flat_entries_are_f_at_i_xor_j(monkeypatch):
+    # FlatMatrix.entries is A[i, j] = f[i XOR j] bit for bit, the entries
+    # that block() gathers; a copy of _flat_entries that copies each
+    # column block to its own place instead of swapping the pair fails that
     source = inspect.getsource(generators._flat_entries)
     swap = "dst[:, :, 0] = src[:, :, 1]\n        dst[:, :, 1] = src[:, :, 0]"
     in_place = "dst[:, :, 0] = src[:, :, 0]\n        dst[:, :, 1] = src[:, :, 1]"
     assert source.count(swap) == 1
     namespace = dict(vars(generators))
     exec(source.replace(swap, in_place), namespace)
+
+    def xor_entries(a):
+        i = np.arange(a.n)
+        return a.f[i[:, None] ^ i].tobytes()
+
     spec = SpectrumSpec(kind="exp-decay", n=64, k=4, rate=0.9)
-    lam = spec.eigenvalues()
-    assert not np.array_equal(namespace["_flat_entries"](lam), generators._flat_entries(lam))
+    a, _, _ = planted_instance(spec, CoherencePlan("flat"), RngSeed(0, 0))
+    assert a.entries.tobytes() == xor_entries(a)
     monkeypatch.setattr(generators, "_flat_entries", namespace["_flat_entries"])
-    with pytest.raises(FloatingPointError, match="certificate"):
-        planted_instance(spec, CoherencePlan("flat"), RngSeed(0, 0))
+    a, _, _ = planted_instance(spec, CoherencePlan("flat"), RngSeed(0, 0))
+    assert a.entries.tobytes() != xor_entries(a)
 
 
-@pytest.mark.parametrize("n", [1, 2, 8, 64, 256, FLAT_IMPLICIT_N, 2 * FLAT_IMPLICIT_N])
+@pytest.mark.parametrize("n", [1, 2, 8, 64, 256, 512, 1024])
 @pytest.mark.parametrize("kind,lambda1", [("exp-decay", 1e-200), ("exp-decay", 1.0),
                                           ("exact-rank-k", 1e200)])
 def test_flat_matrix_equals_its_dense_entries(n, kind, lambda1):
-    # Built directly below FLAT_IMPLICIT_N and by planted_instance from
-    # there on.  entries and rows are bit for bit the dense route's.  A @ x
-    # lies within (2 (a + b) + 1) u s ||x||_1 of the exact product
-    # (FlatMatrix), the entries within log2(n) u s of the exact ones
-    # (_certify_dominant_block) and entries @ x within n u s ||x||_1 of
-    # their own exact product, so A @ x and entries @ x differ by at most
-    # the sum, allowed twice with EPS = 2 u.
+    # block() gathers entries bit for bit.  A @ x lies within
+    # (2 (a + b) + 1) u s ||x||_1 of the exact product (FlatMatrix), the
+    # entries within log2(n) u s of the exact ones (the depth of the
+    # transform's tree, as in _certify_spectrum) and entries @ x within
+    # n u s ||x||_1 of their own exact product, so A @ x and entries @ x
+    # differ by at most the sum, allowed twice with EPS = 2 u.
     spec = SpectrumSpec(kind=kind, n=n, k=max(n // 4, 1), lambda1=lambda1, rate=0.9)
     lam = spec.eigenvalues()
-    if n >= FLAT_IMPLICIT_N:
-        a, _, _ = planted_instance(spec, CoherencePlan("flat"), RngSeed(0, 0))
-    else:
-        a = FlatMatrix(lam)
+    a, _, _ = planted_instance(spec, CoherencePlan("flat"), RngSeed(0, 0))
     assert isinstance(a, FlatMatrix) and a.n == n
     dense = generators._flat_entries(lam)
     index = np.sort(sample_uniform(n, max(n // 5, 1), RngSeed(n, 1)).indices)
-    assert a.rows(index).tobytes() == dense.take(index, axis=0).tobytes()
+    cols = np.arange(n)[::-1]
+    assert a.block(index, cols).tobytes() == dense[np.ix_(index, cols)].tobytes()
     assert a.max_diagonal() == float(np.max(np.diagonal(dense)))
     assert a.entries.tobytes() == dense.tobytes() and not a.entries.flags.writeable
     b = 2 ** math.ceil(math.log2(n) / 2)
@@ -389,37 +391,38 @@ def test_flat_matrix_needs_a_power_of_two():
 
 
 def test_flat_trial_error_matches_the_dense_route_and_the_sqrt_route():
-    # criterion 1's tolerance, between the implicit route, the dense route
-    # and the sqrt-projection route on the same entries
-    n = FLAT_IMPLICIT_N
-    spec = SpectrumSpec(kind="exp-decay", n=n, k=8, rate=0.9)
-    a, part, _ = planted_instance(spec, CoherencePlan("flat"), RngSeed(3, 0))
-    dense = SymMatrix(a.entries)
-    lam1 = float(part.eigenvalues[0])
-    for t in range(3):
-        sample = sample_uniform(n, n // 5, RngSeed(3, t + 1))
-        e = nystrom_extend(a, sample).spectral_error
-        for ref in (nystrom_extend(dense, sample).spectral_error,
-                    sqrt_projection_error(dense, sample)):
-            assert abs(e - ref) <= 1e-8 * max(e, ref) + 1e-12 * lam1
+    # criterion 1's tolerance, between the FlatMatrix, a SymMatrix of its
+    # entries and the sqrt-projection route
+    for n in (64, 512):
+        spec = SpectrumSpec(kind="exp-decay", n=n, k=8, rate=0.9)
+        a, part, _ = planted_instance(spec, CoherencePlan("flat"), RngSeed(3, 0))
+        dense = SymMatrix(a.entries)
+        lam1 = float(part.eigenvalues[0])
+        for t in range(3):
+            sample = sample_uniform(n, n // 5, RngSeed(3, t + 1))
+            e = nystrom_extend(a, sample).spectral_error
+            for ref in (nystrom_extend(dense, sample).spectral_error,
+                        sqrt_projection_error(dense, sample)):
+                assert abs(e - ref) <= 1e-8 * max(e, ref) + 1e-12 * lam1
 
 
-def test_certificate_rejects_a_broken_butterfly_above_the_threshold(monkeypatch):
+def test_certificate_rejects_a_broken_butterfly(monkeypatch):
     # a scratch copy of _walsh that takes the difference of each pair the
-    # wrong way round builds a wrong f, which the certificate of the
-    # implicit route refuses
+    # wrong way round builds a wrong f, which the certificate refuses
     source = inspect.getsource(generators._walsh)
     diff = "np.subtract(pairs[:, 0], pairs[:, 1], out=pairs[:, 1])"
     assert source.count(diff) == 1
     namespace = dict(vars(generators))
     exec(source.replace(diff, "np.subtract(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])"),
          namespace)
-    spec = SpectrumSpec(kind="exp-decay", n=FLAT_IMPLICIT_N, k=4, rate=0.9)
-    lam = spec.eigenvalues()
-    assert not np.array_equal(namespace["_walsh"](lam / spec.n), generators._walsh(lam / spec.n))
+    specs = [SpectrumSpec(kind="exp-decay", n=n, k=4, rate=0.9) for n in (64, 512)]
+    for spec in specs:
+        lam = spec.eigenvalues() / spec.n
+        assert not np.array_equal(namespace["_walsh"](lam.copy()), generators._walsh(lam))
     monkeypatch.setattr(generators, "_walsh", namespace["_walsh"])
-    with pytest.raises(FloatingPointError, match="certificate"):
-        planted_instance(spec, CoherencePlan("flat"), RngSeed(0, 0))
+    for spec in specs:
+        with pytest.raises(FloatingPointError, match="certificate"):
+            planted_instance(spec, CoherencePlan("flat"), RngSeed(0, 0))
 
 
 def test_planted_spiked_hits_worst_case_coherence():
@@ -488,8 +491,9 @@ def test_planted_instance_does_no_eigensolve(target, monkeypatch):
 @pytest.mark.parametrize("plan", [CoherencePlan("flat"), CoherencePlan("low"),
                                   CoherencePlan("spiked", m=2)])
 def test_exactly_symmetric_sites_are_stored_without_averaging(plan, tmp_path, monkeypatch):
-    # planted A (a SYRK product), Z Z^T and a saved matrix read back all
-    # equal their transpose bit for bit; W is gathered without a SymMatrix
+    # planted A (a SYRK product, or the flat f[i XOR j], which is no
+    # SymMatrix), Z Z^T and a saved matrix read back all equal their
+    # transpose bit for bit; W is gathered without a SymMatrix
     original, seen = matcore._bitwise_symmetric, []
 
     def spy(a):
@@ -504,7 +508,7 @@ def test_exactly_symmetric_sites_are_stored_without_averaging(plan, tmp_path, mo
     dense_extension(res)
     save_matrix(a, tmp_path / "a.txt")
     assert load_matrix(tmp_path / "a.txt").entries.tobytes() == a.entries.tobytes()
-    assert seen == [True] * 3
+    assert seen == [True] * (2 if plan.target == "flat" else 3)
 
 
 def test_planted_deterministic():

@@ -26,7 +26,7 @@ from nystromlab.matcore import (
     clamp_psd_eigenvalues,
     lowrank_residual_norm,
 )
-from nystromlab.sampling import lanczos_start
+from nystromlab.sampling import LANCZOS_SEED, lanczos_start, rng_from
 
 from helpers import (
     gram_psd,
@@ -300,6 +300,24 @@ def test_lanczos_product_does_not_overflow(n):
             lowrank_residual_norm(a, lanczos_start(n))
 
 
+@pytest.mark.parametrize("n", [1, 100, matcore.DOT_CHUNK, matcore.DOT_CHUNK + 1,
+                               3 * matcore.DOT_CHUNK - 5])
+def test_stable_dot_is_one_blas_dot_up_to_its_chunk(n):
+    # up to DOT_CHUNK elements the sum is the one dot, so the start vector
+    # and the Lanczos sums keep their bits there; beyond it, the chunks'
+    # dots (each short enough for one BLAS thread) are added in order
+    x, y = np.random.default_rng(n).standard_normal((2, n))
+    c = matcore.DOT_CHUNK
+    want = x[:c] @ y[:c]
+    for i in range(c, n, c):
+        want += x[i:i + c] @ y[i:i + c]
+    assert matcore._stable_dot(x, y) == float(want)
+    if n <= c:
+        assert matcore._stable_dot(x, y) == float(x @ y)
+        v = rng_from(LANCZOS_SEED).standard_normal(n)
+        assert lanczos_start(n).tobytes() == (v / np.linalg.norm(v)).tobytes()
+
+
 def _exact_at(x, s: int) -> bool:
     """True when x scaled by 2**s scales back to x: nothing over- or underflows."""
     return np.array_equal(np.ldexp(np.ldexp(x, s), -s), x)
@@ -314,15 +332,16 @@ def _exact_at(x, s: int) -> bool:
     l=st.integers(1, 24),
 )
 def test_lanczos_results_scale_exactly_by_a_power_of_two(n, family, seed, t, l):
-    # A -> 2^s A, C -> 2^s C and M -> 2^(-s/2) M scale the operator by 2^s;
-    # theta and r then scale by exactly 2^s, with and without the C term
+    # A -> 2^s A (so C = A S -> 2^s C) and M -> 2^(-s/2) M scale the
+    # operator by 2^s; theta and r then scale by exactly 2^s, with and
+    # without the C term
     s = 2 * t
     a = list(mixed_spectrum_cases(np.random.default_rng(seed), n))[family][1]
     sample = sample_uniform(n, min(l, n), RngSeed(seed, 0))
     res = nystrom_extend(a, sample)
     index = np.sort(sample.indices)
-    args = (res.columns, index, res.linv)
-    scaled_args = (np.ldexp(res.columns, s), index, np.ldexp(res.linv, -t))
+    args = (index, res.linv)
+    scaled_args = (index, np.ldexp(res.linv, -t))
     assume(_exact_at(a.entries, s) and _exact_at(res.linv, -t))
     scaled = SymMatrix(np.ldexp(a.entries, s))
     for plain, times in (((), ()), (args, scaled_args)):

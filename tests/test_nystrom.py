@@ -27,6 +27,7 @@ from nystromlab import (
     SpectrumSpec,
 )
 from nystromlab import experiment
+from nystromlab.generators import parse_plan, parse_spectrum
 from nystromlab.nystrom import GATHER_ROWS, _gather_w, _pivoted_cholesky
 from nystromlab.matcore import EPS, PSD_CLAMP_REL, clamp_psd_eigenvalues, lowrank_residual_norm
 from nystromlab.sampling import lanczos_start
@@ -369,18 +370,16 @@ def test_lanczos_error_scales_with_the_matrix(scale, n, family, seed, full, data
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(exponent=st.sampled_from([-250, 250]), **_case)
 def test_lanczos_operator_scaling_is_exact(exponent, n, family, seed, full, data):
-    # scaling A (and so C) by c = 4^k and L^{-1} by 2^-k scales the operator
-    # exactly, and the power-of-two scaling inside the routine cancels it
-    # bit for bit
+    # scaling A (and so C = A S) by c = 4^k and L^{-1} by 2^-k scales the
+    # operator exactly, and the power-of-two scaling inside the routine
+    # cancels it bit for bit
     a = _psd_case(n, family, seed)
     res = nystrom_extend(a, _draw_sample(n, seed, full, data))
     index = np.sort(res.sample.indices)
     v = lanczos_start(n)
-    theta, r = lowrank_residual_norm(a, v, res.columns, index, res.linv)
+    theta, r = lowrank_residual_norm(a, v, index, res.linv)
     a_c = SymMatrix(np.ldexp(a.entries, 2 * exponent))
-    theta_c, r_c = lowrank_residual_norm(
-        a_c, v, np.ldexp(res.columns, 2 * exponent), index, np.ldexp(res.linv, -exponent)
-    )
+    theta_c, r_c = lowrank_residual_norm(a_c, v, index, np.ldexp(res.linv, -exponent))
     assert theta_c == math.ldexp(theta, 2 * exponent)
     assert r_c == math.ldexp(r, 2 * exponent)
 
@@ -471,9 +470,8 @@ def test_lanczos_state_matches_the_growing_basis(n, family, seed, full, data):
     # the preallocated basis and T keep the arithmetic of the growing ones
     a = _psd_case(n, family, seed)
     res = nystrom_extend(a, _draw_sample(n, seed, full, data))
-    index = np.sort(res.sample.indices)
     v = lanczos_start(n)
-    args = (res.columns, index, res.linv)
+    args = (np.sort(res.sample.indices), res.linv)
     assert lowrank_residual_norm(a, v, *args) == lanczos_growing(a, v, *args)
     assert lowrank_residual_norm(a, v) == lanczos_growing(a, v)
 
@@ -485,7 +483,7 @@ def test_lanczos_state_matches_the_growing_basis_past_its_first_doubling():
     v = lanczos_start(n)
     assert lowrank_residual_norm(a, v) == lanczos_growing(a, v)
     res = nystrom_extend(a, sample_uniform(n, 30, RngSeed(3, 0)))
-    args = (res.columns, np.sort(res.sample.indices), res.linv)
+    args = (np.sort(res.sample.indices), res.linv)
     assert lowrank_residual_norm(a, v, *args) == lanczos_growing(a, v, *args)
 
 
@@ -657,3 +655,48 @@ def test_flat_extend_peaks_below_half_of_an_l_by_n_block():
         tracemalloc.stop()
     assert res.rank_w >= 0.5 * l
     assert peak < l * n * 8 / 2, f"peak {peak} bytes"
+
+
+# ---------------------------------------------------------------------------
+# the paper's invariants on the instances the CLI plants
+
+@st.composite
+def _planted_trials(draw):
+    """``(spectrum, plan, n, k, l, seed)`` as ``trials --gen`` takes them:
+    flat at powers of two up to 512, low and spiked:m at n up to 256."""
+    plan = draw(st.sampled_from(["flat", "low", "spiked"]), label="plan")
+    n = 2 ** draw(st.integers(1, 9)) if plan == "flat" else draw(st.integers(2, 256))
+    k = draw(st.integers(1, min(n - 1, 12)), label="k")
+    if plan == "spiked":
+        plan = f"spiked:{draw(st.integers(1, k), label='m')}"
+    gen = draw(st.one_of(st.just("exact-rank-k"),
+                         st.floats(0.3, 0.95).map(lambda r: f"exp:{r!r}"),
+                         st.floats(0.5, 3.0).map(lambda x: f"pow:{x!r}")), label="gen")
+    l = draw(st.integers(1, min(n, 3 * k + 8)), label="l")
+    return gen, plan, n, k, l, draw(st.integers(0, 2**32 - 1), label="seed")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=_planted_trials())
+def test_planted_trials_keep_the_papers_invariants(case):
+    # 80 examples, 2 of them flat at n = 512, about 2 s.  On an instance
+    # planted as `prepare` plants it: the error lies within the structural
+    # bound where Omega_1 has full rank, the extension is PSD within the
+    # clamp window, an exact-rank-k A is recovered once rank(W) >= k, and
+    # at n <= 256 the error matches the sqrt-projection route within
+    # criterion 1's tolerance.
+    gen, plan, n, k, l, seed = case
+    spec = parse_spectrum(gen, n, k)
+    a, part, _ = planted_instance(spec, parse_plan(plan), RngSeed(seed, 2**63))
+    s = sample_uniform(n, l, RngSeed(seed, 0))
+    res = nystrom_extend(a, s)
+    e, lam1 = res.spectral_error, float(part.eigenvalues[0])
+    floor = n * EPS * lam1
+    if min_eig_gram(part.u1, s) > full_rank_tolerance(n):
+        assert e <= deterministic_bound(part, s) + floor
+    assert res.psd_violation >= -PSD_CLAMP_REL * lam1
+    if gen == "exact-rank-k" and res.rank_w >= k:
+        assert e <= floor
+    if n <= 256:
+        proj = sqrt_projection_error(a, s)
+        assert abs(e - proj) <= 1e-8 * max(e, proj) + 1e-12 * lam1

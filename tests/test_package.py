@@ -27,6 +27,8 @@ REMOVED = (
     "sym_eig",
     "sym_eigvals",
     "spectral_norm",
+    "FLAT_IMPLICIT_N",
+    "_certify_dominant_block",
 )
 
 
