@@ -16,6 +16,7 @@ a non-finite value).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -167,6 +168,7 @@ def _cmd_chernoff(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nystromlab",

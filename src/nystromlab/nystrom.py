@@ -93,42 +93,47 @@ def _pivoted_cholesky(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
     the other positions in index order.  Row j of h is ``f_j``, column j of
     L, at the non-pivots and ``m_j``, row j of ``L_P^{-1}``, at the pivots,
     both from one ``j x l'`` product that eliminates ``[w[p], e_p]``
-    against the rows so far.  A column holds ``f`` entries until it
-    becomes a pivot, when its earlier entries (that step's coefficients,
-    and ``m_i[p] = 0``) are zeroed.  Row j of h overwrites row j of w,
-    whose input row moves to the row that pivot p's leaves.  The Schur
-    diagonal is updated at the non-pivots only, where ``f_j^2 <= w_cc``
-    cannot overflow.
+    against the rows so far.  It overwrites row j of w, whose input row
+    moves to the row that pivot p's leaves.  The rest of a step is plain
+    elementwise work, with no masks, by three invariants:
+
+    * column p is zeroed in every row after the product (``m_i[p] = 0``
+      above row j), so an input row reads +0.0 at the earlier pivots and
+      subtracting it leaves the ``m`` entries as they are (``x - 0.0 == x``);
+    * the Schur diagonal d stays -inf at the pivots, minus any square;
+    * the squares of ``m`` entries may overflow, so overflow is ignored,
+      but they only meet that -inf; at the non-pivots ``f_j^2 <= w_cc``.
     """
     l = w.shape[0]
     d = w.diagonal().copy()  # Schur diagonal; -inf marks a pivot
-    free = np.ones(l, dtype=bool)
-    order = np.arange(l)  # row k of w holds input row order[k] for k >= j
-    where = np.arange(l)  # and input row i is row where[i] of w
+    order = list(range(l))  # row k of w holds input row order[k] for k >= j
+    where = list(range(l))  # and input row i is row where[i] of w
     wp, sq = np.empty(l), np.empty(l)
     j = 0
-    while j < l:
-        p = int(d.argmax())
-        dp = float(d[p])
-        if not dp > tol:
-            break
-        k = where[p]
-        wp[:] = w[k, :l]
-        w[k], order[k] = w[j], order[j]  # the input row at j moves to row k
-        where[order[k]] = k
-        np.matmul(w[:j, p], w[:j], out=w[j])
-        w[:j, p] = 0.0
-        free[p] = False
-        row = w[j, :l]
-        np.subtract(row, wp, out=row, where=free)
-        row[p] = -1.0
-        row /= -math.sqrt(dp)  # row = ([w[p], e_p] - h[:j, p] @ h[:j]) / sqrt(dp)
-        np.multiply(row, row, out=sq, where=free)
-        np.subtract(d, sq, out=d, where=free)
-        d[p] = -math.inf
-        order[j] = p
-        j += 1
-    return w[:j, :l], order[:j], w[np.ix_(where[free], free)]
+    with np.errstate(over="ignore"):  # only the squares at the pivots overflow
+        while j < l:
+            p = int(d.argmax())
+            dp = float(d[p])
+            if not dp > tol:
+                break
+            k = where[p]
+            wp[:] = w[k, :l]
+            w[k], order[k] = w[j], order[j]  # the input row at j moves to row k
+            where[order[k]] = k
+            np.matmul(w[:j, p], w[:j], out=w[j])
+            w[:, p] = 0.0
+            row = w[j, :l]
+            row -= wp
+            row[p] = -1.0
+            row /= -math.sqrt(dp)  # row = ([w[p], e_p] - h[:j, p] @ h[:j]) / sqrt(dp)
+            np.multiply(row, row, out=sq)
+            d -= sq
+            d[p] = -math.inf
+            order[j] = p
+            j += 1
+    free = np.ones(l, dtype=bool)
+    free[order[:j]] = False
+    return w[:j, :l], np.array(order[:j], dtype=int), w[np.ix_(np.array(where)[free], free)]
 
 
 def _gather_w(a: SymMatrix | FlatMatrix, index: np.ndarray) -> np.ndarray:
@@ -136,9 +141,12 @@ def _gather_w(a: SymMatrix | FlatMatrix, index: np.ndarray) -> np.ndarray:
     gathered by ``a.block`` ``GATHER_ROWS`` rows at a time.
     ``l'`` is l rounded up to a multiple of 4, the row block of OpenBLAS's
     gemv kernels, so each position of the ``j x l'`` products runs in the
-    kernel's main loop, as in the first half of a ``j x 2l`` one."""
+    kernel's main loop, as in the first half of a ``j x 2l`` one.  The
+    array starts on a 64-byte boundary, where those products run fastest."""
     l = len(index)
-    w = np.zeros((l, -(-l // 4) * 4))
+    lp = -(-l // 4) * 4
+    buf = np.zeros(l * lp + 7)
+    w = buf[-buf.ctypes.data % 64 // 8:][:l * lp].reshape(l, lp)
     for i in range(0, l, GATHER_ROWS):
         w[i:i + GATHER_ROWS, :l] = a.block(index[i:i + GATHER_ROWS], index)
     return w

@@ -6,7 +6,8 @@ where a test targets them specifically.  The oracles (``sym_eig``,
 ``sym_eigvals``, ``spectral_norm``, ``pinv``, ``selection_matrix``,
 ``extract_cw``, ``omega_matrices``, ``dense_extension``,
 ``save_matrix_rowwise``, ``sample_uniform_loop``, ``eigh_factor``,
-``lanczos_growing``, ``pivoted_cholesky_2l``, ``mp_nystrom_error``) spell
+``lanczos_growing``, ``pivoted_cholesky_2l``, ``pivoted_cholesky_masked``,
+``mp_nystrom_error``) spell
 out the textbook
 definitions that the package evaluates in shortcut form;
 ``davis_kahan_distance`` and ``davis_kahan_bound`` measure the
@@ -302,6 +303,59 @@ def pivoted_cholesky_2l(w: np.ndarray, tol: float) -> tuple[np.ndarray, list[int
         d[p] = -math.inf
         pivots.append(p)
     return g[:len(pivots)], pivots
+
+
+def pivoted_cholesky_masked(w: np.ndarray, tol: float
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``nystrom._pivoted_cholesky`` as it was with masked updates, frozen.
+
+    Same contract and arithmetic; the subtractions and the square run only
+    at the free positions (``where=free``), the pivot column is zeroed in
+    the rows above j only, and the row permutation is kept in arrays.
+
+    w is l x l', W in its first l columns and zeros after them
+    (:func:`_gather_w`).  Each step pivots on the largest remaining Schur
+    diagonal, the lowest position on a tie, until it is ``<= tol``.
+    Returns ``(h, pivots, rest)``: r x l, the r pivots in order, and W at
+    the other positions in index order.  Row j of h is ``f_j``, column j of
+    L, at the non-pivots and ``m_j``, row j of ``L_P^{-1}``, at the pivots,
+    both from one ``j x l'`` product that eliminates ``[w[p], e_p]``
+    against the rows so far.  A column holds ``f`` entries until it
+    becomes a pivot, when its earlier entries (that step's coefficients,
+    and ``m_i[p] = 0``) are zeroed.  Row j of h overwrites row j of w,
+    whose input row moves to the row that pivot p's leaves.  The Schur
+    diagonal is updated at the non-pivots only, where ``f_j^2 <= w_cc``
+    cannot overflow.
+    """
+    l = w.shape[0]
+    d = w.diagonal().copy()  # Schur diagonal; -inf marks a pivot
+    free = np.ones(l, dtype=bool)
+    order = np.arange(l)  # row k of w holds input row order[k] for k >= j
+    where = np.arange(l)  # and input row i is row where[i] of w
+    wp, sq = np.empty(l), np.empty(l)
+    j = 0
+    while j < l:
+        p = int(d.argmax())
+        dp = float(d[p])
+        if not dp > tol:
+            break
+        k = where[p]
+        wp[:] = w[k, :l]
+        w[k], order[k] = w[j], order[j]  # the input row at j moves to row k
+        where[order[k]] = k
+        np.matmul(w[:j, p], w[:j], out=w[j])
+        w[:j, p] = 0.0
+        free[p] = False
+        row = w[j, :l]
+        np.subtract(row, wp, out=row, where=free)
+        row[p] = -1.0
+        row /= -math.sqrt(dp)  # row = ([w[p], e_p] - h[:j, p] @ h[:j]) / sqrt(dp)
+        np.multiply(row, row, out=sq, where=free)
+        np.subtract(d, sq, out=d, where=free)
+        d[p] = -math.inf
+        order[j] = p
+        j += 1
+    return w[:j, :l], order[:j], w[np.ix_(where[free], free)]
 
 
 def mp_nystrom_error(a: SymMatrix, sample: ColumnSample, dps: int = 50) -> float:

@@ -675,6 +675,47 @@ def test_help_exits_0(capsys):
     assert "approx" in capsys.readouterr().out
 
 
+def _alone(argv, capsys) -> tuple[int, str, str]:
+    """``main(argv)`` as the first call of a process: on a new parser."""
+    cli.build_parser.cache_clear()
+    return main(argv), *capsys.readouterr()
+
+
+_CHERNOFF = ["chernoff", "--n", "16", "--coherence", "flat", "--epsilon", "0.5",
+             "--trials", "10", "--seed", "2"]
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_repeated_flags_do_not_carry_over_between_calls(capsys):
+    # --k appends to a list; a list kept in the cached parser would grow
+    first, second = _CHERNOFF + ["--k", "2", "--k", "4"], _CHERNOFF + ["--k", "3"]
+    want = [_alone(first, capsys), _alone(second, capsys)]
+    cli.build_parser.cache_clear()
+    assert [(main(argv), *capsys.readouterr()) for argv in (first, second)] == want
+    assert want[0][1].count("\n") == 3 and want[1][1].count("\n") == 2
+
+
+def test_a_flag_of_one_call_is_not_set_in_the_next(capsys):
+    # trials suppresses defaults, so a given flag lives only in its Namespace
+    want = _alone(_trials_args(), capsys)
+    assert main(_trials_args("--timings")) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert rows[0][-1] == "wall_ms" and all(r[-1] != "NA" for r in rows[1:])
+    assert (main(_trials_args()), *capsys.readouterr()) == want
+    assert all(line.endswith(",NA") for line in want[1].splitlines()[1:])
+
+
+def test_a_call_after_a_bad_flag_runs_as_it_does_alone(capsys):
+    want = _alone(_trials_args(), capsys)
+    assert want[0] == 0
+    assert main(_trials_args("--bogus")) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert (main(_trials_args()), *capsys.readouterr()) == want
+
+
 # ---------------------------------------------------------------------------
 # extreme scales: the scaled error route reports the right value
 

@@ -42,6 +42,7 @@ from helpers import (
     mp_nystrom_error,
     pinv,
     pivoted_cholesky_2l,
+    pivoted_cholesky_masked,
     planted_psd,
     spectral_norm,
     sym_eigvals,
@@ -595,6 +596,41 @@ def test_pivot_loop_matches_the_two_l_wide_oracle(source, kind, log_n, family, s
     m_new[:, ~piv] = 0.0
     cols = slice(0, l - 2 if l % 2 else l)
     assert m_new[:, cols].tobytes() == m_old[:, cols].tobytes()
+
+
+@pytest.mark.parametrize("residue", range(4))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(source=st.sampled_from(["flat", "low", "spiked", "psd"]),
+       kind=st.sampled_from(["exact-rank-k", "exp-decay", "power-law"]),
+       log_n=st.integers(2, 7), family=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from(_W_SCALES + (2.0**-1060,)), data=st.data())
+def test_pivot_loop_matches_the_masked_loop_bit_for_bit(residue, source, kind, log_n, family,
+                                                       seed, scale, data):
+    # The unmasked loop on a 64-byte aligned W from _gather_w against the
+    # masked one on a plain array: same pivots, every byte of h (F, L^{-1}
+    # and no tail exemption) and of the remainder.  l = residue mod 4 puts
+    # the padded tail, or none, after the last column; near-singular W at
+    # 1e-300 and below squares L^{-1} entries to inf at the pivots.
+    n = 2**log_n
+    if source == "psd":
+        a = _psd_case(n, family, seed).entries
+    else:
+        k = data.draw(st.integers(1, n), label="k")
+        a = _planted_w(source, kind, n, k, seed)
+    q = data.draw(st.integers(int(residue == 0), (n - residue) // 4), label="q")
+    index = np.sort(sample_uniform(n, 4 * q + residue, RngSeed(seed, 0)).indices)
+    w = scale * a[np.ix_(index, index)]
+    l = len(index)
+    tol = l * EPS * max(float(np.max(w.diagonal())), 0.0)
+    padded = np.zeros((l, -(-l // 4) * 4))
+    padded[:, :l] = w
+    h_old, pivots, rest_old = pivoted_cholesky_masked(padded, tol)  # warnings are errors here
+    gathered = _gather_w(SymMatrix(w), np.arange(l))
+    assert gathered.ctypes.data % 64 == 0
+    h, got, rest = _pivoted_cholesky(gathered, tol)
+    assert list(got) == list(pivots)
+    assert h.tobytes() == h_old.tobytes()
+    assert rest.tobytes() == rest_old.tobytes()
 
 
 # ---------------------------------------------------------------------------
