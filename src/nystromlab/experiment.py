@@ -35,12 +35,11 @@ from .generators import (
     FlatMatrix,
     SpectrumSpec,
     check_plan,
-    flat_orthonormal,
     parse_plan,
     parse_spectrum,
+    plan_basis,
+    plan_label,
     planted_instance,
-    random_orthonormal,
-    _planted_basis,
 )
 from .matcore import (
     EPS,
@@ -431,12 +430,6 @@ def emit_results(
 _TAIL_TARGET = math.sqrt(0.01 * 0.5)
 
 
-def _plan_label(plan: CoherencePlan) -> str:
-    if plan.target == "spiked":
-        return f"spiked:{plan.m}"
-    return plan.target
-
-
 def _auto_l(n: int, k: int, tau: float, epsilon: float) -> int:
     """Pick l so the theoretical tail sits inside [0.01, 0.5] if it can.
 
@@ -486,12 +479,7 @@ def chernoff_sweep(
         raise ConfigError("l", f"need 1 or {len(grid)} values, got {len(ls)}")
     rows = []
     for p, (k, plan, eps) in enumerate(grid):
-        if plan.target == "flat":
-            u1 = flat_orthonormal(n, k)
-        elif plan.target == "low":
-            u1 = random_orthonormal(n, k, RngSeed(master_seed, INSTANCE_STREAM + p))
-        else:
-            u1 = _planted_basis(n, plan, k, RngSeed(master_seed, INSTANCE_STREAM + p))[:, :k]
+        u1 = plan_basis(n, plan, k, RngSeed(master_seed, INSTANCE_STREAM + p))
         tau = coherence(u1)
         if ls is None:
             l = _auto_l(n, k, tau, eps)
@@ -511,7 +499,7 @@ def chernoff_sweep(
         empirical = hits / trials
         rows.append({
             "k": k,
-            "plan": _plan_label(plan),
+            "plan": plan_label(plan),
             "tau": tau,
             "epsilon": eps,
             "l": l,

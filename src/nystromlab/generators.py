@@ -10,7 +10,7 @@ The ``low`` and ``spiked`` instances are assembled from their basis by
 needs no basis product: with the Sylvester-Hadamard basis,
 ``A[i, j] = f[i XOR j]`` for ``f = H (lambdas / n)``, one fast
 Walsh-Hadamard transform.  It is a :class:`FlatMatrix`, which applies A
-by transforms and never forms its entries for a trial
+by transforms and, unlike a :class:`SymMatrix`, has no dense entries
 (:func:`planted_instance`).
 
 Coherence plans
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -239,41 +238,16 @@ def _walsh(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _flat_entries(lam: np.ndarray) -> np.ndarray:
-    """Entries of ``U diag(lam) U^T`` for ``U = flat_orthonormal(n, n)``.
-
-    With ``H[i, j] = (-1)^popcount(i & j)`` (Sylvester order) and
-    ``U = H / sqrt(n)``, ``A[i, j] = sum_m H[i, m] H[j, m] lam[m] / n``,
-    and ``H[i, m] H[j, m] = H[i XOR j, m]``, so ``A[i, j] = f[i XOR j]``
-    with ``f = H (lam / n)``, one :func:`_walsh`; ``lam / n`` is scaled
-    first, so every partial sum is bounded by ``sum(lam) / n <= lam[0]``
-    and cannot overflow.  Row 0 of A is f, and ``A[i + m, j] = A[i, j XOR
-    m]`` for ``i < m`` (m a power of two), so rows ``m .. 2m-1`` are rows
-    ``0 .. m-1`` with their column blocks of width m swapped pairwise.
-    ``A[i, j] = A[j, i]`` bit for bit, by construction.  O(n^2) work.
-    """
-    n = lam.size
-    a = np.empty((n, n))
-    a[0] = _walsh(lam / n)
-    m = 1
-    while m < n:
-        src = a[:m].reshape(m, -1, 2, m)
-        dst = a[m:2 * m].reshape(m, -1, 2, m)
-        dst[:, :, 0] = src[:, :, 1]
-        dst[:, :, 1] = src[:, :, 0]
-        m *= 2
-    return a
-
-
 class FlatMatrix:
     """The flat instance ``A = H diag(lam) H / n``, kept without its n x n
     entries.
 
-    ``f = H (lam / n)`` is row 0 of A and ``A[i, j] = f[i XOR j]``
-    (:func:`_flat_entries`), so a sub-block gathered from f, ``block(rows,
-    cols)``, is bit for bit that of ``entries``.
-    ``A @ x`` (x of length n) is ``H ((lam / n) * (H x))``, two
-    Walsh-Hadamard transforms, and ``max_diagonal()`` is ``f[0]``.
+    ``H[i, m] H[j, m] = H[i XOR j, m]`` for ``H[i, j] = (-1)^popcount(i &
+    j)``, so ``A[i, j] = f[i XOR j]`` with ``f = H (lam / n)``, one
+    :func:`_walsh` whose partial sums are at most ``sum(lam) / n``.
+    ``block(rows, cols)`` gathers from f, so ``A[i, j] = A[j, i]`` bit for
+    bit.  ``A @ x`` is ``H ((lam / n) * (H x))``, two Walsh-Hadamard
+    transforms, and ``max_diagonal()`` is ``f[0]``.
 
     A transform splits each index as ``i = i_a b + i_b``, ``n = a b`` with
     ``a <= b`` powers of two, so ``H_n = H_a (x) H_b`` and ``H x`` is
@@ -282,23 +256,27 @@ class FlatMatrix:
     (u = EPS / 2, first order) ``|fl(H x) - H x| <= (a + b) u ||x||_1``.
     Hence ``A @ x`` lies within ``(2 (a + b) + 1) u s ||x||_1`` of the
     exact ``H diag(lam / n) H x``, with ``s = sum(lam) / n = A[0, 0]``;
-    every partial sum is at most ``n s max|x|``, as in ``entries @ x``.
+    every partial sum is at most ``n s max|x|``, as in a dense product.
 
-    Memory is ``O(n)``.  ``entries`` is :func:`_flat_entries` of lam,
-    built on first read (for ``save_matrix``, ``check_psd`` and the
-    sqrt-route oracle) and read-only.
+    Memory is ``O(n)``; a dense copy is ``SymMatrix(a.block(ar, ar))``,
+    ``ar = np.arange(n)``.  Construction raises ValueError unless n is a
+    power of two and lam finite and non-negative, and FloatingPointError
+    unless f passes :func:`_certify_spectrum`.
     """
 
     def __init__(self, lam: np.ndarray):
         n = lam.size
         check_plan(CoherencePlan("flat"), n, 1)
+        if not np.all(np.isfinite(lam) & (lam >= 0.0)):
+            raise ValueError("lambdas must be finite and non-negative")
         b = 1 << n.bit_length() // 2  # 2^ceil(log2(n) / 2)
         self.n = n
         self.f = _walsh(lam / n)
         self.f.flags.writeable = False
-        self._lam, self._g = lam, lam / n
+        self._g = lam / n
         self._hb = np.sign(flat_orthonormal(b, b))  # H_b, exactly +-1
         self._ha = self._hb[:n // b, :n // b].copy()  # H_a leads H_b (Sylvester)
+        _certify_spectrum(self, lam)
 
     def hadamard(self, x: np.ndarray) -> np.ndarray:
         """``H x`` for a length-n x, as ``H_a X H_b``."""
@@ -313,12 +291,6 @@ class FlatMatrix:
 
     def max_diagonal(self) -> float:
         return float(self.f[0])
-
-    @cached_property
-    def entries(self) -> np.ndarray:
-        a = _flat_entries(self._lam)
-        a.flags.writeable = False
-        return a
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FlatMatrix(n={self.n})"
@@ -380,6 +352,16 @@ def _planted_basis(n: int, plan: CoherencePlan, k: int, seed: RngSeed) -> np.nda
     return u
 
 
+def plan_basis(n: int, plan: CoherencePlan, k: int, seed: RngSeed) -> np.ndarray:
+    """The n x k basis the Chernoff sweep draws for plan: for low an n x k
+    Haar draw, not the first k columns of the planted n x n basis."""
+    if plan.target == "flat":
+        return flat_orthonormal(n, k)
+    if plan.target == "low":
+        return random_orthonormal(n, k, seed)
+    return _planted_basis(n, plan, k, seed)[:, :k]
+
+
 def planted_instance(
     spec: SpectrumSpec, plan: CoherencePlan, seed: RngSeed
 ) -> tuple[SymMatrix | FlatMatrix, SpectralPartition, float]:
@@ -390,17 +372,14 @@ def planted_instance(
     exact coherence of the planted dominant basis.
 
     ``low`` and ``spiked`` instances come from :func:`psd_from_spectrum`,
-    which checks the basis.  The ``flat`` instance is a :class:`FlatMatrix`
-    built from the spectrum alone, with only ``U_1`` of the basis, and
-    certified by ``H f = lambda`` against a derived rounding bound
-    (:func:`_certify_spectrum`).  A spectrum or instance that overflows
-    raises FloatingPointError naming lambda1.
+    which checks the basis.  The ``flat`` instance is a :class:`FlatMatrix`,
+    which certifies itself, with only ``U_1`` of the basis.  A spectrum or
+    instance that overflows raises FloatingPointError naming lambda1.
     """
     lam = spec.eigenvalues()
     if plan.target == "flat":
         u1 = flat_orthonormal(spec.n, spec.k)
         a = FlatMatrix(lam)
-        _certify_spectrum(a, lam)
     else:
         u = _planted_basis(spec.n, plan, spec.k, seed)
         a = psd_from_spectrum(u, lam)
@@ -450,3 +429,8 @@ def parse_plan(text: str) -> CoherencePlan:
     raise ValueError(
         f"unrecognized coherence plan {text!r}; expected 'flat', 'low', or 'spiked:M'"
     )
+
+
+def plan_label(plan: CoherencePlan) -> str:
+    """The CLI string of plan, which :func:`parse_plan` reads back."""
+    return f"spiked:{plan.m}" if plan.target == "spiked" else plan.target

@@ -10,9 +10,10 @@ Conventions
 * Matrices are dense float64 arrays.  Symmetric ones travel as
   :class:`SymMatrix`, which stores an exactly symmetric, read-only array
   and rejects inputs whose asymmetry exceeds ``1e-8 * ||A||_F``.  The
-  extension and :func:`lowrank_residual_norm` read A only through ``n``,
-  ``A @ x``, ``max_diagonal`` and ``block(rows, cols)``, so the implicit
-  :class:`generators.FlatMatrix` serves them as well.
+  extension, :func:`lowrank_residual_norm` and the sqrt-route oracle read
+  A only through ``n``, ``A @ x``, ``max_diagonal`` and ``block(rows,
+  cols)``, so the implicit :class:`generators.FlatMatrix` serves them as
+  well.  Only a SymMatrix has dense ``entries``.
 * Scale safety: :func:`lowrank_residual_norm` and :class:`SymMatrix`
   (when ``||A||_F`` overflows or underflows) work on copies scaled by a
   power of two.  That scaling is exact, so extreme input scales such as

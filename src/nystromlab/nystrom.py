@@ -205,20 +205,22 @@ def nystrom_extend(a: SymMatrix | FlatMatrix, sample: ColumnSample) -> NystromRe
     )
 
 
-def sqrt_projection_error(a: SymMatrix, sample: ColumnSample) -> float:
+def sqrt_projection_error(a: SymMatrix | FlatMatrix, sample: ColumnSample) -> float:
     """Spectral error of the extension via the square-root projection route.
 
     Returns ``||(I - P) A^(1/2)||_2 ** 2`` where P projects onto the column
     space of ``A^(1/2) S``.  Agrees with ``nystrom_extend(...).spectral_error``
     for every PSD A and every sample, which makes it an independent check
-    of the extension path.  ``A^(1/2)`` comes from the eigenpairs of A in
+    of the extension path.  A is read as ``a.block(ar, ar)``, ``ar =
+    np.arange(n)``.  ``A^(1/2)`` comes from the eigenpairs of A in
     descending order (a stable sort of ``np.linalg.eigh``), with round-off
     negatives inside the clamp window set to zero (NotPSDError below it);
     P keeps the left singular vectors of ``A^(1/2) S`` above the rank
     cutoff ``max(shape) * eps * sigma_1``.  The norm comes from ``R R^T``,
     R scaled by the power of two that puts ``max |r_ij|`` in ``[0.5, 1)``.
     """
-    vals, vecs = np.linalg.eigh(a.entries)
+    ar = np.arange(a.n)
+    vals, vecs = np.linalg.eigh(a.block(ar, ar))
     order = np.argsort(-vals, kind="stable")
     vals, vecs = vals[order], vecs[:, order]
     root = SymMatrix((vecs * np.sqrt(clamp_psd_eigenvalues(vals))) @ vecs.T).entries

@@ -3,7 +3,7 @@
 Everything is seeded through numpy's default_rng so the suite is
 deterministic end to end; the package's own Philox streams are only used
 where a test targets them specifically.  The oracles (``sym_eig``,
-``sym_eigvals``, ``spectral_norm``, ``pinv``, ``selection_matrix``,
+``sym_eigvals``, ``spectral_norm``, ``pinv``, ``selection_matrix``, ``dense``,
 ``extract_cw``, ``omega_matrices``, ``dense_extension``,
 ``save_matrix_rowwise``, ``sample_uniform_loop``, ``eigh_factor``,
 ``lanczos_growing``, ``pivoted_cholesky_2l``, ``pivoted_cholesky_masked``,
@@ -152,6 +152,13 @@ def omega_matrices(
     for the full n x n eigenbasis ``u = [U_1, U_2]`` split at k."""
     idx = list(sample.indices)
     return u[idx, :k].T.copy(), u[idx, k:].T.copy()
+
+
+def dense(a) -> SymMatrix:
+    """A dense copy of A read through ``block``; for a FlatMatrix, which
+    has no dense view, its n x n entries ``f[i XOR j]``."""
+    ar = np.arange(a.n)
+    return SymMatrix(a.block(ar, ar))
 
 
 def dense_extension(res: NystromResult) -> SymMatrix:

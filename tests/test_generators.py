@@ -28,10 +28,10 @@ from nystromlab import (
 )
 from nystromlab.analysis import ORTHONORMAL_TOL, _orthonormal_deviation
 from nystromlab.generators import parse_plan, parse_spectrum
-from nystromlab.matcore import EPS, SymMatrix
+from nystromlab.matcore import EPS, SymMatrix, check_psd, partition
 from nystromlab.sampling import lanczos_start
 
-from helpers import davis_kahan_distance, dense_extension, sym_eig
+from helpers import davis_kahan_distance, dense, dense_extension, sym_eig
 
 # ---------------------------------------------------------------------------
 # bases
@@ -277,7 +277,7 @@ def test_planted_exact_rank_tail_is_zero():
     a, part, tau = planted_instance(spec, CoherencePlan(target="flat"), RngSeed(1, 0))
     assert np.array_equal(part.eigenvalues[4:], np.zeros(12))
     assert part.eigenvalues[0] == 2.0
-    assert abs(float(sym_eig(a)[0][4])) <= 1e-10
+    assert abs(float(sym_eig(dense(a))[0][4])) <= 1e-10
     assert tau == pytest.approx(1.0, abs=1e-12)
 
 
@@ -317,8 +317,9 @@ def test_flat_instance_agrees_with_basis_product(n, kind, data):
     lam = spec.eigenvalues()
     ref = psd_from_spectrum(flat_orthonormal(n, n), lam).entries
     bound = (n + math.log2(n) + 8) * EPS * float(np.sum(lam / n))
-    assert float(np.max(np.abs(a.entries - ref))) <= bound
-    assert a.entries.tobytes() == a.entries.T.copy().tobytes()
+    full = dense(a).entries
+    assert float(np.max(np.abs(full - ref))) <= bound
+    assert full.tobytes() == full.T.copy().tobytes()
     assert np.array_equal(part.u1, flat_orthonormal(n, spec.k))
 
 
@@ -335,59 +336,65 @@ def test_planted_flat_u1_is_the_leading_block_of_the_full_basis(e, data):
     assert part.u1.tobytes() == flat_orthonormal(n, n)[:, :k].tobytes()
 
 
-def test_flat_entries_are_f_at_i_xor_j(monkeypatch):
-    # FlatMatrix.entries is A[i, j] = f[i XOR j] bit for bit, the entries
-    # that block() gathers; a copy of _flat_entries that copies each
-    # column block to its own place instead of swapping the pair fails that
-    source = inspect.getsource(generators._flat_entries)
-    swap = "dst[:, :, 0] = src[:, :, 1]\n        dst[:, :, 1] = src[:, :, 0]"
-    in_place = "dst[:, :, 0] = src[:, :, 0]\n        dst[:, :, 1] = src[:, :, 1]"
-    assert source.count(swap) == 1
-    namespace = dict(vars(generators))
-    exec(source.replace(swap, in_place), namespace)
-
-    def xor_entries(a):
-        i = np.arange(a.n)
-        return a.f[i[:, None] ^ i].tobytes()
-
-    spec = SpectrumSpec(kind="exp-decay", n=64, k=4, rate=0.9)
-    a, _, _ = planted_instance(spec, CoherencePlan("flat"), RngSeed(0, 0))
-    assert a.entries.tobytes() == xor_entries(a)
-    monkeypatch.setattr(generators, "_flat_entries", namespace["_flat_entries"])
-    a, _, _ = planted_instance(spec, CoherencePlan("flat"), RngSeed(0, 0))
-    assert a.entries.tobytes() != xor_entries(a)
-
-
 @pytest.mark.parametrize("n", [1, 2, 8, 64, 256, 512, 1024])
 @pytest.mark.parametrize("kind,lambda1", [("exp-decay", 1e-200), ("exp-decay", 1.0),
                                           ("exact-rank-k", 1e200)])
 def test_flat_matrix_equals_its_dense_entries(n, kind, lambda1):
-    # block() gathers entries bit for bit.  A @ x lies within
-    # (2 (a + b) + 1) u s ||x||_1 of the exact product (FlatMatrix), the
-    # entries within log2(n) u s of the exact ones (the depth of the
-    # transform's tree, as in _certify_spectrum) and entries @ x within
-    # n u s ||x||_1 of their own exact product, so A @ x and entries @ x
-    # differ by at most the sum, allowed twice with EPS = 2 u.
+    # block() gathers entries bit for bit, and there is no dense view.
+    # A @ x lies within (2 (a + b) + 1) u s ||x||_1 of the exact product
+    # (FlatMatrix), the entries within log2(n) u s of the exact ones (the
+    # depth of the transform's tree, as in _certify_spectrum) and
+    # entries @ x within n u s ||x||_1 of their own exact product, so
+    # A @ x and entries @ x differ by at most the sum, allowed twice with
+    # EPS = 2 u.
     spec = SpectrumSpec(kind=kind, n=n, k=max(n // 4, 1), lambda1=lambda1, rate=0.9)
     lam = spec.eigenvalues()
     a, _, _ = planted_instance(spec, CoherencePlan("flat"), RngSeed(0, 0))
     assert isinstance(a, FlatMatrix) and a.n == n
-    dense = generators._flat_entries(lam)
+    full = dense(a).entries
     index = np.sort(sample_uniform(n, max(n // 5, 1), RngSeed(n, 1)).indices)
     cols = np.arange(n)[::-1]
-    assert a.block(index, cols).tobytes() == dense[np.ix_(index, cols)].tobytes()
-    assert a.max_diagonal() == float(np.max(np.diagonal(dense)))
-    assert a.entries.tobytes() == dense.tobytes() and not a.entries.flags.writeable
+    assert a.block(index, cols).tobytes() == full[np.ix_(index, cols)].tobytes()
+    assert a.max_diagonal() == float(np.max(np.diagonal(full)))
+    assert not hasattr(a, "entries") and not a.f.flags.writeable
     b = 2 ** math.ceil(math.log2(n) / 2)
     s = float(np.sum(lam / n))
     for x in (lanczos_start(n), np.random.default_rng(n).standard_normal(n)):
         bound = (2 * (n // b + b) + 1 + math.log2(n) + n) * EPS * s * float(np.sum(np.abs(x)))
-        assert float(np.max(np.abs(a @ x - dense @ x))) <= bound
+        assert float(np.max(np.abs(a @ x - full @ x))) <= bound
 
 
 def test_flat_matrix_needs_a_power_of_two():
     with pytest.raises(ValueError, match="power of two"):
         FlatMatrix(np.ones(6))
+
+
+@pytest.mark.parametrize("bad", [-2.0, np.nan, np.inf])
+def test_flat_matrix_refuses_a_negative_or_non_finite_spectrum(bad):
+    # H f = lambda holds for a negative lambda too, so the certificate
+    # alone would pass a matrix that is not PSD
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        FlatMatrix(np.array([1.0, bad, 0.5, 0.25]))
+
+
+def test_dense_only_functions_refuse_a_flat_matrix(tmp_path):
+    # check_psd, partition and save_matrix read SymMatrix.entries, which a
+    # FlatMatrix does not have: they fail instead of building 8 n^2 bytes
+    a = FlatMatrix(np.full(16, 0.5))
+    for call in (lambda: check_psd(a), lambda: partition(a, 2),
+                 lambda: save_matrix(a, tmp_path / "a.txt")):
+        with pytest.raises(AttributeError, match="entries"):
+            call()
+    assert not (tmp_path / "a.txt").exists()
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_sqrt_route_reads_a_flat_matrix_through_block(n):
+    # the oracle gives the bits of a dense SymMatrix of the same entries
+    spec = SpectrumSpec(kind="exp-decay", n=n, k=8, rate=0.9)
+    a, _, _ = planted_instance(spec, CoherencePlan("flat"), RngSeed(4, 0))
+    sample = sample_uniform(n, n // 8, RngSeed(4, 1))
+    assert sqrt_projection_error(a, sample) == sqrt_projection_error(dense(a), sample)
 
 
 def test_flat_trial_error_matches_the_dense_route_and_the_sqrt_route():
@@ -396,13 +403,13 @@ def test_flat_trial_error_matches_the_dense_route_and_the_sqrt_route():
     for n in (64, 512):
         spec = SpectrumSpec(kind="exp-decay", n=n, k=8, rate=0.9)
         a, part, _ = planted_instance(spec, CoherencePlan("flat"), RngSeed(3, 0))
-        dense = SymMatrix(a.entries)
+        d = dense(a)
         lam1 = float(part.eigenvalues[0])
         for t in range(3):
             sample = sample_uniform(n, n // 5, RngSeed(3, t + 1))
             e = nystrom_extend(a, sample).spectral_error
-            for ref in (nystrom_extend(dense, sample).spectral_error,
-                        sqrt_projection_error(dense, sample)):
+            for ref in (nystrom_extend(d, sample).spectral_error,
+                        sqrt_projection_error(d, sample)):
                 assert abs(e - ref) <= 1e-8 * max(e, ref) + 1e-12 * lam1
 
 
@@ -423,6 +430,8 @@ def test_certificate_rejects_a_broken_butterfly(monkeypatch):
     for spec in specs:
         with pytest.raises(FloatingPointError, match="certificate"):
             planted_instance(spec, CoherencePlan("flat"), RngSeed(0, 0))
+        with pytest.raises(FloatingPointError, match="certificate"):
+            FlatMatrix(spec.eigenvalues())
 
 
 def test_planted_spiked_hits_worst_case_coherence():
@@ -491,9 +500,10 @@ def test_planted_instance_does_no_eigensolve(target, monkeypatch):
 @pytest.mark.parametrize("plan", [CoherencePlan("flat"), CoherencePlan("low"),
                                   CoherencePlan("spiked", m=2)])
 def test_exactly_symmetric_sites_are_stored_without_averaging(plan, tmp_path, monkeypatch):
-    # planted A (a SYRK product, or the flat f[i XOR j], which is no
-    # SymMatrix), Z Z^T and a saved matrix read back all equal their
-    # transpose bit for bit; W is gathered without a SymMatrix
+    # planted A (a SYRK product, or a dense copy of the flat f[i XOR j],
+    # which is no SymMatrix itself), Z Z^T and a saved matrix read back
+    # all equal their transpose bit for bit; W is gathered without a
+    # SymMatrix
     original, seen = matcore._bitwise_symmetric, []
 
     def spy(a):
@@ -503,12 +513,13 @@ def test_exactly_symmetric_sites_are_stored_without_averaging(plan, tmp_path, mo
     monkeypatch.setattr(matcore, "_bitwise_symmetric", spy)
     spec = SpectrumSpec(kind="exp-decay", n=256, k=4, rate=0.9)
     a, _, _ = planted_instance(spec, plan, RngSeed(11, 0))
-    assert a.entries.tobytes() == a.entries.T.copy().tobytes()
+    d = dense(a) if plan.target == "flat" else a
+    assert d.entries.tobytes() == d.entries.T.copy().tobytes()
     res = nystrom_extend(a, sample_uniform(256, 40, RngSeed(11, 1)))
     dense_extension(res)
-    save_matrix(a, tmp_path / "a.txt")
-    assert load_matrix(tmp_path / "a.txt").entries.tobytes() == a.entries.tobytes()
-    assert seen == [True] * (2 if plan.target == "flat" else 3)
+    save_matrix(d, tmp_path / "a.txt")
+    assert load_matrix(tmp_path / "a.txt").entries.tobytes() == d.entries.tobytes()
+    assert seen == [True] * 3
 
 
 def test_planted_deterministic():

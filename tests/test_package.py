@@ -29,6 +29,7 @@ REMOVED = (
     "spectral_norm",
     "FLAT_IMPLICIT_N",
     "_certify_dominant_block",
+    "_flat_entries",
 )
 
 
