@@ -5,10 +5,13 @@ orthogonal U, so the dominant subspace, its coherence, and every
 eigenvalue are known exactly - which is what lets the Monte-Carlo harness
 compare measured errors against the bounds without estimating anything.
 
-The ``low`` and ``spiked`` instances are assembled from their basis by
-:func:`psd_from_spectrum` (one SYRK, n^3 work).  The ``flat`` instance
-needs no basis product: with the Sylvester-Hadamard basis,
-``A[i, j] = f[i XOR j]`` for ``f = H (lambdas / n)``, one fast
+The ``low`` and ``spiked`` instances are assembled from their basis as
+in :func:`psd_from_spectrum` (one SYRK, n^3 work), with the basis scaled
+in place, so planting holds at most two n x n arrays at a time.  Their
+Haar block is built in place on its Gaussian draw (:func:`_haar`: one
+Householder QR up to ``HAAR_BLOCK`` columns, block Gram-Schmidt beyond).
+The ``flat`` instance needs no basis product: with the Sylvester-Hadamard
+basis, ``A[i, j] = f[i XOR j]`` for ``f = H (lambdas / n)``, one fast
 Walsh-Hadamard transform.  It is a :class:`FlatMatrix`, which applies A
 by transforms and, unlike a :class:`SymMatrix`, has no dense entries
 (:func:`planted_instance`).
@@ -39,6 +42,9 @@ from .sampling import RngSeed, rng_from
 
 _SPECTRUM_KINDS = ("exact-rank-k", "exp-decay", "power-law", "custom")
 _PLAN_TARGETS = ("flat", "low", "spiked")
+
+# Column panel of the block Gram-Schmidt Haar basis in _haar.
+HAAR_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -146,14 +152,48 @@ def check_plan(plan: CoherencePlan, n: int, k: int) -> None:
 def _haar(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     """Haar n x k orthonormal basis drawn from the next n*k normals of rng.
 
-    QR of an iid standard normal matrix with the sign of each R diagonal
-    folded into the corresponding Q column, which is what makes the
-    distribution exactly Haar rather than QR-convention dependent.
+    Q of the QR factorization ``G = Q R`` of an iid standard normal G
+    whose R has a positive diagonal: each sign of R's diagonal is folded
+    into the corresponding Q column, which makes the distribution exactly
+    Haar rather than QR-convention dependent (Mezzadri,
+    arXiv:math-ph/0609050).
+
+    Up to ``k = HAAR_BLOCK`` this is one Householder ``np.linalg.qr`` of G.
+    A wider G is orthonormalised in place, ``HAAR_BLOCK`` columns at a
+    time, by block classical Gram-Schmidt run twice (BCGS2; Barlow and
+    Smoktunowicz, Numer. Math. 2013).  Each panel P is projected against
+    the finished panels before it and divided by the sign-folded R of its
+    Householder QR; the result is orthonormal up to ``cond(P) eps``.  It is
+    projected again and divided by its Cholesky factor (a Cholesky QR,
+    stable on columns that are orthonormal to that degree).  Each panel's R
+    is thus a product of two upper triangles with positive diagonals, so Q
+    is the same positive-diagonal factor of the same normals, with
+    ``O(eps)`` loss of orthogonality.  It holds G plus a few n x
+    ``HAAR_BLOCK`` arrays, where one QR of the whole of G holds about four
+    copies of it.
     """
-    q, r = np.linalg.qr(rng.standard_normal((n, k)))
+    g = rng.standard_normal((n, k))
+    if k <= HAAR_BLOCK:
+        q, r = np.linalg.qr(g)
+        q *= _positive_signs(r)
+        return q
+    for j in range(0, k, HAAR_BLOCK):
+        panel, done = g[:, j:j + HAAR_BLOCK], g[:, :j]
+        panel -= done @ (done.T @ panel)
+        r = np.linalg.qr(panel, mode="r")
+        r *= _positive_signs(r)[:, None]
+        panel[...] = np.linalg.solve(r.T, panel.T).T  # P R^{-1}
+        panel -= done @ (done.T @ panel)
+        factor = np.linalg.cholesky(panel.T @ panel)
+        panel[...] = np.linalg.solve(factor, panel.T).T
+    return g
+
+
+def _positive_signs(r: np.ndarray) -> np.ndarray:
+    """The signs of r's diagonal, with +1 for a zero."""
     sign = np.sign(np.diag(r))
     sign[sign == 0.0] = 1.0
-    return q * sign
+    return sign
 
 
 def random_orthonormal(n: int, k: int, seed: RngSeed) -> np.ndarray:
@@ -202,11 +242,18 @@ def psd_from_spectrum(u: np.ndarray, lambdas: np.ndarray) -> SymMatrix:
     A is formed as ``H H^T`` with ``H = U diag(sqrt(lambdas))``: numpy runs
     a product with its own transpose as one SYRK and mirrors the triangle,
     so A is exactly symmetric, and it is handed over read-only, so
-    :class:`SymMatrix` stores it without a copy.
-    :func:`planted_instance` uses this for the ``low`` and ``spiked``
-    plans; the ``flat`` plan needs no basis product (:class:`FlatMatrix`).
+    :class:`SymMatrix` stores it without a copy.  U is not modified: H is
+    a scaled copy of it.  :func:`planted_instance` builds the ``low`` and
+    ``spiked`` plans the same way but scales its own basis in place; the
+    ``flat`` plan needs no basis product (:class:`FlatMatrix`).
     """
-    u = np.asarray(u, dtype=np.float64)
+    return _assemble(np.array(u, dtype=np.float64), lambdas)
+
+
+def _assemble(u: np.ndarray, lambdas: np.ndarray) -> SymMatrix:
+    """:func:`psd_from_spectrum` on a float64 basis u that it overwrites
+    with H: U, the Gram matrix of its check, then H and A are live, at
+    most two n x n arrays at a time."""
     lam = np.asarray(lambdas, dtype=np.float64)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"u must be square orthogonal, got shape {u.shape}")
@@ -218,8 +265,8 @@ def psd_from_spectrum(u: np.ndarray, lambdas: np.ndarray) -> SymMatrix:
         raise ValueError("lambdas must be non-negative")
     if np.any(np.diff(lam) > 0.0):
         raise ValueError("lambdas must be non-increasing")
-    h = u * np.sqrt(lam)
-    a = h @ h.T
+    u *= np.sqrt(lam)
+    a = u @ u.T
     a.flags.writeable = False
     return SymMatrix(a)
 
@@ -346,9 +393,10 @@ def _planted_basis(n: int, plan: CoherencePlan, k: int, seed: RngSeed) -> np.nda
     spikes = [int(x) for x in rng.permutation(n)[:m]]
     spiked = set(spikes)
     rest = [i for i in range(n) if i not in spiked]
+    haar = _haar(rng, n - m, n - m)  # before u exists: its work arrays never meet u
     u = np.zeros((n, n))
     u[spikes, np.arange(m)] = 1.0
-    u[np.ix_(rest, np.arange(m, n))] = _haar(rng, n - m, n - m)
+    u[np.ix_(rest, np.arange(m, n))] = haar
     return u
 
 
@@ -371,8 +419,10 @@ def planted_instance(
     dominant basis at the spec's k and the planted spectrum, and tau is the
     exact coherence of the planted dominant basis.
 
-    ``low`` and ``spiked`` instances come from :func:`psd_from_spectrum`,
-    which checks the basis.  The ``flat`` instance is a :class:`FlatMatrix`,
+    ``low`` and ``spiked`` instances are assembled as in
+    :func:`psd_from_spectrum`, with the same checks, but their freshly
+    drawn basis is scaled in place, so planting holds at most two n x n
+    arrays at a time.  The ``flat`` instance is a :class:`FlatMatrix`,
     which certifies itself, with only ``U_1`` of the basis.  A spectrum or
     instance that overflows raises FloatingPointError naming lambda1.
     """
@@ -382,8 +432,8 @@ def planted_instance(
         a = FlatMatrix(lam)
     else:
         u = _planted_basis(spec.n, plan, spec.k, seed)
-        a = psd_from_spectrum(u, lam)
         u1 = u[:, :spec.k].copy()
+        a = _assemble(u, lam)
     return a, SpectralPartition(u1, lam), coherence(u1)
 
 

@@ -3,7 +3,10 @@
 Everything downstream is written against this small kernel: the PSD
 check, the matrix-free Lanczos norm of a low-rank update ``A - C M^T M
 C^T`` with ``C = A S``, and :func:`partition`, one eigensolve of A that
-keeps the k dominant eigenvectors ``U_1`` and the whole spectrum.
+keeps the k dominant eigenvectors ``U_1`` and the whole spectrum.  The
+PSD check holds the lower triangle of A in column panels, and
+:class:`SymMatrix` averages an asymmetric input into one new array, so
+neither holds a second n x n array besides A.
 
 Conventions
 -----------
@@ -15,10 +18,10 @@ Conventions
   cols)``, so the implicit :class:`generators.FlatMatrix` serves them as
   well.  Only a SymMatrix has dense ``entries``.
 * Scale safety: :func:`lowrank_residual_norm` and :class:`SymMatrix`
-  (when ``||A||_F`` overflows or underflows) work on copies scaled by a
-  power of two.  That scaling is exact, so extreme input scales such as
-  1e+-160 give the right value; a norm beyond the float64 range raises
-  FloatingPointError.
+  (when ``||A||_F`` overflows or underflows) work on vectors or tiles
+  scaled by a power of two.  That scaling is exact, so extreme input
+  scales such as 1e+-160 give the right value; a norm beyond the float64
+  range raises FloatingPointError.
 * Eigenvalues are reported in non-increasing order; ties keep the
   backend's order.  A solver that fails to converge raises
   ``np.linalg.LinAlgError``.
@@ -105,6 +108,21 @@ def _bitwise_symmetric(a: np.ndarray) -> bool:
     return True
 
 
+def _tiled_sum_sq(a: np.ndarray, sym: np.ndarray | None, e: int) -> float:
+    """``||(a - sym) 2**-e||_F^2`` (sym None: of a alone), summed over
+    ``SYMMETRY_TILE``-sided tiles, so that no n x n temporary is formed."""
+    n, t = a.shape[0], SYMMETRY_TILE
+    total = 0.0
+    for i in range(0, n, t):
+        for j in range(0, n, t):
+            tile = a[i:i + t, j:j + t]
+            if sym is not None:
+                tile = tile - sym[i:i + t, j:j + t]
+            tile = np.ldexp(tile, -e).ravel()
+            total += float(tile @ tile)
+    return total
+
+
 class SymMatrix:
     """Dense real symmetric matrix.
 
@@ -120,8 +138,11 @@ class SymMatrix:
     it is a read-only float64 array that owns its data (the caller hands
     it over).  A writeable input is never frozen or aliased.  When
     ``||A||_F`` overflows or underflows for a nonzero matrix, the check
-    runs on a copy scaled by a power of two, and mirrored pairs whose sum
-    overflows are averaged on it, so both hold at any scale.
+    runs on entries scaled by a power of two, and mirrored pairs whose sum
+    overflows are averaged on them, so both hold at any scale.  The
+    average is formed in place, and the asymmetry norm (with ``||A||_F``
+    of a scaled input) is summed over ``SYMMETRY_TILE``-sided tiles, so an
+    averaged input costs one n x n array besides itself.
     """
 
     __slots__ = ("entries",)
@@ -141,22 +162,22 @@ class SymMatrix:
             self.entries = a
             return
         with np.errstate(over="ignore"):  # inf sums and norms are handled below
-            sym = (a + a.T) / 2.0
+            sym = a + a.T
+            sym /= 2.0
             fro = float(np.linalg.norm(a))
         e = 0
         if fro in (0.0, math.inf):
-            e = _scale_exponent(float(np.max(np.abs(a))))
-            scaled = np.ldexp(a, -e)
-            fro = float(np.linalg.norm(scaled))
+            e = _scale_exponent(max(float(np.max(a)), -float(np.min(a))))
+            fro = math.sqrt(_tiled_sum_sq(a, None, e))
             # A mirrored pair can sum past the float64 maximum.  Such a pair
-            # is far from subnormal, so its average on the scaled copy is
+            # is far from subnormal, so its average on the scaled entries is
             # exact; every other entry keeps the unscaled average.
-            over = np.isinf(sym)
-            if over.any():
-                sym[over] = np.ldexp((scaled + scaled.T) / 2.0, e)[over]
-        half_asym = a - sym
+            over = np.nonzero(np.isinf(sym))
+            if over[0].size:
+                pair = np.ldexp(a[over], -e) + np.ldexp(a.T[over], -e)
+                sym[over] = np.ldexp(pair / 2.0, e)
         with np.errstate(over="ignore"):
-            asym = 2.0 * float(np.linalg.norm(np.ldexp(half_asym, -e) if e else half_asym))
+            asym = 2.0 * math.sqrt(_tiled_sum_sq(a, sym, e))
         if asym > ASYMMETRY_REL_TOL * fro and fro > 0.0:
             raise ValueError(
                 f"matrix is not symmetric within tolerance: "
@@ -223,8 +244,9 @@ def check_psd(a: SymMatrix) -> None:
     """Certify that A is PSD within the clamp window, or raise NotPSDError.
 
     Runs the blocked Cholesky factorization of :func:`shifted_cholesky_ok`
-    on ``A + PSD_CLAMP_REL * max(max_i a_ii, 0) I``, in place on one n x n
-    scratch copy.  It succeeds only if every eigenvalue of A exceeds
+    on ``A + PSD_CLAMP_REL * max(max_i a_ii, 0) I``, on a copy of its lower
+    triangle in column panels (at most about ``0.9 n^2`` doubles besides A
+    from n = 1024 on).  It succeeds only if every eigenvalue of A exceeds
     ``-PSD_CLAMP_REL * max_i a_ii``, and ``max_i a_ii <= lambda_max``, so
     success certifies the window at about a quarter of the flops of an
     eigensolve (Higham, "Analysis of the Cholesky decomposition of a
@@ -244,33 +266,43 @@ def shifted_cholesky_ok(m: np.ndarray, shift: float) -> bool:
     certifies that every eigenvalue of the symmetric array m exceeds
     ``-shift``.
 
-    Right-looking and blocked, in place on one copy of m: for each block
-    of ``CHOLESKY_BLOCK`` columns, ``np.linalg.cholesky`` factors the
-    diagonal block (it reads only its lower triangle), ``np.linalg.solve``
-    turns the panel below it into the factor's panel, and one matmul per
-    block-strip subtracts the panel product from the trailing lower
-    triangle.  Only the copy, one panel and one strip product are live;
-    no n x n factor is formed.  A blocked Cholesky has the backward error
-    of the unblocked one (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, ch. 10), so it certifies the same window.  For
-    ``n <= CHOLESKY_BLOCK`` this is one ``np.linalg.cholesky`` of the whole
-    shifted copy.
+    Right-looking and blocked over ``CHOLESKY_BLOCK``-column panels of the
+    lower triangle, ``P_j = (m + shift I)[j:, j:j + b]``, copied from m
+    once: ``np.linalg.cholesky`` factors the diagonal block of ``P_j`` (it
+    reads only its lower triangle), ``np.linalg.solve`` turns the rest of
+    ``P_j`` into the factor's panel, and one matmul per block-strip
+    subtracts the panel product from the trailing lower triangle, which the
+    later panels hold.  ``P_j`` is dropped once it is factored, so at most
+    the lower panels (about ``n^2 / 2`` entries), one factor panel and one
+    strip product are live; no n x n array is formed.  The arithmetic is
+    that of the same algorithm run in place on a full copy of m.  A blocked
+    Cholesky has the backward error of the unblocked one (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, ch. 10), so it certifies the
+    same window.  For ``n <= CHOLESKY_BLOCK`` this is one
+    ``np.linalg.cholesky`` of the whole shifted copy.
     """
     n, b = m.shape[0], CHOLESKY_BLOCK
-    s = m.copy()
-    diag = np.arange(n)
-    s[diag, diag] += shift
+    panels = {}
+    for j in range(0, n, b):
+        p = panels[j] = m[j:, j:j + b].copy()
+        diag = np.arange(p.shape[1])
+        p[diag, diag] += shift
     for j in range(0, n, b):
         e = min(j + b, n)
+        p = panels.pop(j)
         try:
-            factor = np.linalg.cholesky(s[j:e, j:e])
+            factor = np.linalg.cholesky(p[:e - j])
         except np.linalg.LinAlgError:
             return False
         if e < n:  # solve costs a factorization even with no panel rows
-            panel = np.linalg.solve(factor, s[e:, j:e].T).T
+            panel = np.linalg.solve(factor, p[e - j:].T).T
+        del p
         for i in range(e, n, b):
             t = min(i + b, n)
-            s[i:t, e:t] -= panel[i - e:t - e] @ panel[:t - e].T
+            strip = panel[i - e:t - e] @ panel[:t - e].T  # rows i:t, columns e:t
+            for c in range(e, t, b):
+                panels[c][i - c:t - c] -= strip[:, c - e:c - e + b]
+            del strip  # before the next strip product is formed
     return True
 
 

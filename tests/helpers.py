@@ -7,7 +7,7 @@ where a test targets them specifically.  The oracles (``sym_eig``,
 ``extract_cw``, ``omega_matrices``, ``dense_extension``,
 ``save_matrix_rowwise``, ``sample_uniform_loop``, ``eigh_factor``,
 ``lanczos_growing``, ``pivoted_cholesky_2l``, ``pivoted_cholesky_masked``,
-``mp_nystrom_error``) spell
+``shifted_cholesky_in_place``, ``mp_nystrom_error``) spell
 out the textbook
 definitions that the package evaluates in shortcut form;
 ``davis_kahan_distance`` and ``davis_kahan_bound`` measure the
@@ -15,6 +15,7 @@ dominant-subspace perturbation that the acceptance suite checks.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -35,8 +36,11 @@ def gram_psd(n: int, rng: np.random.Generator, scale: float = 1.0) -> SymMatrix:
     return SymMatrix(scale * (g @ g.T) / n)
 
 
-def haar(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random n x k orthonormal basis (QR with sign fix)."""
+def haar_householder(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random n x k orthonormal basis: one Householder QR of an n x k
+    Gaussian with the signs of R's diagonal folded into Q.  The package's
+    ``generators._haar`` runs this formula up to ``HAAR_BLOCK`` columns and
+    block Gram-Schmidt beyond, so this is the reference it is held to."""
     q, r = np.linalg.qr(rng.standard_normal((n, k)))
     sign = np.sign(np.diag(r))
     sign[sign == 0.0] = 1.0
@@ -53,7 +57,7 @@ def planted_psd(
     lam = np.sort(np.asarray(eigs, dtype=np.float64))[::-1]
     if np.any(lam < 0):
         raise ValueError("helper expects a non-negative spectrum")
-    u = haar(n, n, rng)
+    u = haar_householder(n, n, rng)
     return SymMatrix((u * lam) @ u.T), u, lam
 
 
@@ -363,6 +367,39 @@ def pivoted_cholesky_masked(w: np.ndarray, tol: float
         order[j] = p
         j += 1
     return w[:j, :l], order[:j], w[np.ix_(where[free], free)]
+
+
+def shifted_cholesky_in_place(m: np.ndarray, shift: float, b: int = 256) -> bool:
+    """``matcore.shifted_cholesky_ok`` as the same blocked right-looking
+    Cholesky run in place on one full n x n copy of ``m + shift I``."""
+    n = m.shape[0]
+    s = m.copy()
+    diag = np.arange(n)
+    s[diag, diag] += shift
+    for j in range(0, n, b):
+        e = min(j + b, n)
+        try:
+            factor = np.linalg.cholesky(s[j:e, j:e])
+        except np.linalg.LinAlgError:
+            return False
+        if e < n:
+            panel = np.linalg.solve(factor, s[e:, j:e].T).T
+        for i in range(e, n, b):
+            t = min(i + b, n)
+            s[i:t, e:t] -= panel[i - e:t - e] @ panel[:t - e].T
+    return True
+
+
+def traced_peak(f) -> int:
+    """The tracemalloc peak of ``f()`` in bytes, above what was allocated
+    before the call."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        f()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def mp_nystrom_error(a: SymMatrix, sample: ColumnSample, dps: int = 50) -> float:

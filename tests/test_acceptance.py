@@ -37,7 +37,7 @@ from helpers import (
     davis_kahan_distance,
     dense_extension,
     gram_psd,
-    haar,
+    haar_householder,
     mixed_spectrum_cases,
     pinv,
     spectral_norm,
@@ -217,12 +217,12 @@ def test_criterion_6_coherence_properties():
     for t in range(1000):
         n = int(rng.integers(2, 65))
         k = int(rng.integers(1, min(n, 8) + 1))
-        u = haar(n, k, rng)
+        u = haar_householder(n, k, rng)
         mu = coherence(u)
         if not (1.0 - 1e-9 <= mu <= n / k + 1e-9):
             range_ok = False
         if t % 10 == 0:
-            q = haar(k, k, rng)
+            q = haar_householder(k, k, rng)
             if abs(coherence(u @ q) - mu) > 1e-9 * mu:
                 invariance_ok = False
     flat_ok = all(

@@ -28,8 +28,9 @@ from nystromlab import (
 )
 
 from helpers import (
-    GapViolatedError, davis_kahan_bound, davis_kahan_distance, dense_extension, gram_psd, haar,
-    mixed_spectrum_cases, omega_matrices, pinv, planted_psd, spectral_norm, sym_eig,
+    GapViolatedError, davis_kahan_bound, davis_kahan_distance, dense_extension, gram_psd,
+    haar_householder, mixed_spectrum_cases, omega_matrices, pinv, planted_psd, spectral_norm,
+    sym_eig,
 )
 
 # ---------------------------------------------------------------------------
@@ -69,11 +70,11 @@ def test_coherence_range_and_rotation_invariance():
     for trial in range(300):
         n = int(rng.integers(2, 24))
         k = int(rng.integers(1, n + 1))
-        u = haar(n, k, rng)
+        u = haar_householder(n, k, rng)
         mu = coherence(u)
         assert 1.0 - 1e-9 <= mu <= n / k + 1e-9, f"trial {trial}: mu={mu}, n={n}, k={k}"
         # right-multiplying by any orthogonal q leaves row norms' max unchanged
-        q = haar(k, k, rng)
+        q = haar_householder(k, k, rng)
         assert coherence(u @ q) == pytest.approx(mu, rel=1e-9)
 
 
@@ -323,7 +324,7 @@ def test_chernoff_tail_validation():
 
 def test_min_eig_gram_full_sample_is_one():
     rng = np.random.default_rng(53)
-    u = haar(9, 3, rng)
+    u = haar_householder(9, 3, rng)
     s = ColumnSample(n=9, indices=tuple(range(9)))
     assert min_eig_gram(u, s) == pytest.approx(1.0, abs=1e-10)
 
@@ -340,7 +341,7 @@ def test_min_eig_gram_matches_explicit_product():
     for trial in range(25):
         n = int(rng.integers(3, 12))
         k = int(rng.integers(1, n))
-        u = haar(n, k, rng)
+        u = haar_householder(n, k, rng)
         l = int(rng.integers(1, n + 1))
         s = sample_uniform(n, l, RngSeed(12, trial))
         rows = u[np.asarray(s.indices), :]
@@ -357,7 +358,7 @@ def _part_with_u1(u1):
 def test_pinv_norm_sq_full_sample_is_one():
     rng = np.random.default_rng(61)
     s = ColumnSample(n=7, indices=tuple(range(7)))
-    assert 1.0 / min_eig_gram(haar(7, 2, rng), s) == pytest.approx(1.0, rel=1e-9)
+    assert 1.0 / min_eig_gram(haar_householder(7, 2, rng), s) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_pinv_norm_sq_trivial_two_dim():
@@ -374,7 +375,7 @@ def test_pinv_norm_sq_matches_pinv_route():
         trial += 1
         n = int(rng.integers(3, 14))
         k = int(rng.integers(1, min(n, 5)))
-        u = haar(n, k, rng)
+        u = haar_householder(n, k, rng)
         l = int(rng.integers(k, n + 1))
         s = sample_uniform(n, l, RngSeed(13, trial))
         if min_eig_gram(u, s) <= full_rank_tolerance(n):
@@ -403,8 +404,8 @@ def test_pinv_norm_sq_raises_when_rank_deficient():
 
 def test_davis_kahan_distance_same_span_zero():
     rng = np.random.default_rng(71)
-    u = haar(6, 2, rng)
-    q = haar(2, 2, rng)
+    u = haar_householder(6, 2, rng)
+    q = haar_householder(2, 2, rng)
     assert davis_kahan_distance(u, u @ q) <= 1e-10
 
 

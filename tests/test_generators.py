@@ -29,9 +29,11 @@ from nystromlab import (
 from nystromlab.analysis import ORTHONORMAL_TOL, _orthonormal_deviation
 from nystromlab.generators import parse_plan, parse_spectrum
 from nystromlab.matcore import EPS, SymMatrix, check_psd, partition
-from nystromlab.sampling import lanczos_start
+from nystromlab.sampling import lanczos_start, rng_from
 
-from helpers import davis_kahan_distance, dense, dense_extension, sym_eig
+from helpers import (
+    davis_kahan_distance, dense, dense_extension, haar_householder, sym_eig, traced_peak,
+)
 
 # ---------------------------------------------------------------------------
 # bases
@@ -77,6 +79,32 @@ def test_random_orthonormal_validation():
         random_orthonormal(4, 0, RngSeed(0, 0))
     with pytest.raises(ValueError):
         random_orthonormal(4, 5, RngSeed(0, 0))
+
+
+def test_haar_is_one_householder_qr_up_to_one_panel():
+    # every k <= HAAR_BLOCK keeps the single sign-folded QR, bit for bit
+    n = generators.HAAR_BLOCK + 3
+    for k in range(1, generators.HAAR_BLOCK + 1):
+        got = generators._haar(np.random.default_rng(k), n, k)
+        want = haar_householder(n, k, np.random.default_rng(k))
+        assert got.tobytes() == want.tobytes() and got.strides == want.strides, f"k={k}"
+
+
+@pytest.mark.parametrize("n", [300, 1024])
+def test_haar_by_block_gram_schmidt_is_the_householder_basis(n):
+    q = generators._haar(np.random.default_rng(n), n, n)
+    g = np.random.default_rng(n).standard_normal((n, n))
+    assert np.max(np.abs(q - haar_householder(n, n, np.random.default_rng(n)))) <= 1e-12
+    assert _orthonormal_deviation(q) <= 1e-12
+    # Q^T G is R: upper triangular with a positive diagonal
+    r = q.T @ g
+    assert np.max(np.abs(np.tril(r, -1))) <= 1e-12 * np.max(np.abs(r))
+    assert np.all(np.diag(r) > 0.0)
+
+
+def test_random_orthonormal_holds_little_more_than_the_basis():
+    n = 1024
+    assert traced_peak(lambda: random_orthonormal(n, n, RngSeed(1, 0))) <= 1.5 * n * n * 8
 
 
 def test_flat_orthonormal_coherence_exactly_one():
@@ -207,6 +235,32 @@ def test_psd_from_spectrum_round_trip():
     lam = np.array([5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.25, 0.0])
     a = psd_from_spectrum(u, lam)
     assert np.allclose(sym_eig(a)[0], lam, atol=1e-8 * lam[0])
+
+
+def test_psd_from_spectrum_leaves_its_basis_alone():
+    u = random_orthonormal(6, 6, RngSeed(13, 1))
+    before = u.copy()
+    psd_from_spectrum(u, np.array([3.0, 2.0, 1.0, 0.5, 0.0, 0.0]))
+    assert np.array_equal(u, before)
+
+
+@pytest.mark.parametrize("n", [5, 128])
+def test_planted_low_instance_keeps_the_householder_bits(n):
+    # the basis is scaled in place, with the bits of a scaled copy
+    spec = SpectrumSpec(kind="exp-decay", n=n, k=2, rate=0.7)
+    a, part, _ = planted_instance(spec, CoherencePlan("low"), RngSeed(4, 2))
+    u = haar_householder(n, n, rng_from(RngSeed(4, 2)))
+    want = psd_from_spectrum(u, spec.eigenvalues())
+    assert a.entries.tobytes() == want.entries.tobytes()
+    assert part.u1.tobytes() == u[:, :2].copy().tobytes()
+
+
+@pytest.mark.parametrize("plan", [CoherencePlan("low"), CoherencePlan("spiked", 2)])
+def test_planting_holds_two_n_by_n_arrays(plan):
+    n = 1024
+    spec = SpectrumSpec(kind="exp-decay", n=n, k=8, rate=0.9)
+    peak = traced_peak(lambda: planted_instance(spec, plan, RngSeed(1, 0)))
+    assert peak <= 2.5 * n * n * 8
 
 
 def test_psd_from_spectrum_validation():

@@ -2,7 +2,6 @@
 eigensolve, pinv and norm oracles of helpers."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,9 +32,11 @@ from helpers import (
     mixed_spectrum_cases,
     pinv,
     planted_psd,
+    shifted_cholesky_in_place,
     spectral_norm,
     sym_eig,
     sym_eigvals,
+    traced_peak,
 )
 
 
@@ -78,6 +79,26 @@ def test_symmatrix_mirrored_pair_summing_past_float_max():
     bad = np.array([[1.5e308, 1.7e308], [1.0e308, 1.5e308]])
     with pytest.raises(ValueError, match="not symmetric"):
         SymMatrix(bad)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2e307, 1e-300])
+def test_symmatrix_average_has_the_bits_of_the_formula(scale):
+    # at 2e307 some mirrored pairs sum past the float64 maximum
+    g = np.random.default_rng(9).standard_normal((300, 300))
+    a = scale * (g + g.T + 1e-12 * g)
+    with np.errstate(over="ignore"):
+        want = (a + a.T) / 2.0
+    over = np.isinf(want)
+    assert over.any() == (scale == 2e307)
+    want[over] = np.ldexp((np.ldexp(a, -1024) + np.ldexp(a.T, -1024)) / 2.0, 1024)[over]
+    assert SymMatrix(a).entries.tobytes() == want.tobytes()
+
+
+def test_symmatrix_average_holds_one_n_by_n_array():
+    n = 1024
+    g = np.random.default_rng(7).standard_normal((n, n))
+    a = g + g.T + 1e-12 * g
+    assert traced_peak(lambda: SymMatrix(a)) <= 1.2 * n * n * 8
 
 
 def test_symmatrix_rejects_bad_shapes_and_values():
@@ -396,17 +417,23 @@ def test_shifted_cholesky_ok_decides_at_the_last_pivot(n):
         assert matcore.shifted_cholesky_ok(m, 0.0) is want
 
 
-def test_check_psd_peak_memory_is_one_scratch_copy():
+def test_check_psd_peak_memory_is_the_lower_triangle():
     n = 1024
     a = gram_psd(n, np.random.default_rng(6))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        check_psd(a)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * n * n * 8
+    assert traced_peak(lambda: check_psd(a)) <= 1.1 * n * n * 8
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 600, 1024])
+def test_shifted_cholesky_ok_decides_as_the_in_place_factorization(n):
+    rng = np.random.default_rng(n)
+    psd = gram_psd(n, rng).entries
+    g = rng.standard_normal((n, n // 2))
+    deficient = g @ g.T  # rank n / 2
+    indefinite = psd.copy()
+    indefinite[0, 0] = -1.0
+    for m in (psd, deficient, indefinite):
+        for shift in (0.0, PSD_CLAMP_REL * float(np.max(np.diagonal(m)))):
+            assert matcore.shifted_cholesky_ok(m, shift) is shifted_cholesky_in_place(m, shift)
 
 
 def test_shifted_cholesky_ok_is_one_cholesky_up_to_one_block(monkeypatch):
