@@ -4,9 +4,10 @@ Everything downstream is written against this small kernel: the PSD
 check, the matrix-free Lanczos norm of a low-rank update ``A - C M^T M
 C^T`` with ``C = A S``, and :func:`partition`, one eigensolve of A that
 keeps the k dominant eigenvectors ``U_1`` and the whole spectrum.  The
-PSD check holds the lower triangle of A in column panels, and
-:class:`SymMatrix` averages an asymmetric input into one new array, so
-neither holds a second n x n array besides A.
+PSD check factors A in place in its own lower triangle, which it copies
+back from the upper one when it is done, and :class:`SymMatrix` averages
+an asymmetric input into one new array, so neither holds a second n x n
+array besides A.
 
 Conventions
 -----------
@@ -54,6 +55,10 @@ SYMMETRY_TILE = 128
 
 # Column block of the blocked Cholesky in shifted_cholesky_ok.
 CHOLESKY_BLOCK = 256
+
+# Side of the tiles in which shifted_cholesky_ok updates the diagonal blocks
+# and copies its strict upper triangle back onto the lower one.
+TRIANGLE_TILE = 64
 
 # Lanczos stopping rule of lowrank_residual_norm: Ritz residual relative to
 # the Ritz value.
@@ -130,7 +135,10 @@ class SymMatrix:
     asymmetry ``2 ||A - (A + A^T) / 2||_F`` exceeds ``ASYMMETRY_REL_TOL *
     ||A||_F``, and stores the average ``(A + A^T) / 2``, which is symmetric
     bit for bit (IEEE addition is commutative).  The stored array is
-    read-only; treat instances as immutable values.
+    read-only and owns its buffer on every path (a copy, a handed-over
+    array, or the average); treat instances as immutable values.  Only
+    :func:`check_psd` lifts its write flag, for the span of its in-place
+    factorization, and restores the entries bit for bit.
 
     An input equal to its transpose bit for bit (compared in
     ``SYMMETRY_TILE``-sided tiles; ``-0.0`` differs from ``0.0``) is its
@@ -244,17 +252,19 @@ def check_psd(a: SymMatrix) -> None:
     """Certify that A is PSD within the clamp window, or raise NotPSDError.
 
     Runs the blocked Cholesky factorization of :func:`shifted_cholesky_ok`
-    on ``A + PSD_CLAMP_REL * max(max_i a_ii, 0) I``, on a copy of its lower
-    triangle in column panels (at most about ``0.9 n^2`` doubles besides A
-    from n = 1024 on).  It succeeds only if every eigenvalue of A exceeds
-    ``-PSD_CLAMP_REL * max_i a_ii``, and ``max_i a_ii <= lambda_max``, so
-    success certifies the window at about a quarter of the flops of an
-    eigensolve (Higham, "Analysis of the Cholesky decomposition of a
-    semi-definite matrix", 1990).  When it fails, the eigenvalues decide
-    through :func:`clamp_psd_eigenvalues`: NotPSDError names the offending
-    eigenvalue, and a PSD matrix that Cholesky rejects through rounding
-    (for example one whose entries are near the subnormal range) is
-    accepted.
+    on ``A + PSD_CLAMP_REL * max(max_i a_ii, 0) I``, in place in the lower
+    triangle of ``a.entries`` itself (its strict upper triangle is the
+    copy it is restored from), so it holds about ``CHOLESKY_BLOCK * n``
+    doubles besides A and leaves ``a.entries`` as it was, bit for bit and
+    read-only, on every exit.  It succeeds only if every eigenvalue of A
+    exceeds ``-PSD_CLAMP_REL * max_i a_ii``, and ``max_i a_ii <=
+    lambda_max``, so success certifies the window at about a quarter of
+    the flops of an eigensolve (Higham, "Analysis of the Cholesky
+    decomposition of a semi-definite matrix", 1990).  When it fails, the
+    eigenvalues decide through :func:`clamp_psd_eigenvalues`: NotPSDError
+    names the offending eigenvalue, and a PSD matrix that Cholesky rejects
+    through rounding (for example one whose entries are near the subnormal
+    range) is accepted.
     """
     shift = PSD_CLAMP_REL * max(float(np.max(np.diagonal(a.entries))), 0.0)
     if not shifted_cholesky_ok(a.entries, shift):
@@ -263,47 +273,79 @@ def check_psd(a: SymMatrix) -> None:
 
 def shifted_cholesky_ok(m: np.ndarray, shift: float) -> bool:
     """True when a Cholesky factorization of ``m + shift I`` succeeds, which
-    certifies that every eigenvalue of the symmetric array m exceeds
-    ``-shift``.
+    certifies that every eigenvalue of the exactly symmetric array m
+    exceeds ``-shift``.
 
-    Right-looking and blocked over ``CHOLESKY_BLOCK``-column panels of the
-    lower triangle, ``P_j = (m + shift I)[j:, j:j + b]``, copied from m
-    once: ``np.linalg.cholesky`` factors the diagonal block of ``P_j`` (it
-    reads only its lower triangle), ``np.linalg.solve`` turns the rest of
-    ``P_j`` into the factor's panel, and one matmul per block-strip
-    subtracts the panel product from the trailing lower triangle, which the
-    later panels hold.  ``P_j`` is dropped once it is factored, so at most
-    the lower panels (about ``n^2 / 2`` entries), one factor panel and one
-    strip product are live; no n x n array is formed.  The arithmetic is
-    that of the same algorithm run in place on a full copy of m.  A blocked
-    Cholesky has the backward error of the unblocked one (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, ch. 10), so it certifies the
-    same window.  For ``n <= CHOLESKY_BLOCK`` this is one
-    ``np.linalg.cholesky`` of the whole shifted copy.
+    Right-looking and blocked over the ``CHOLESKY_BLOCK``-column panels
+    ``m[j:, j:j + b]`` of m's own lower triangle: ``np.linalg.cholesky``
+    factors the diagonal block (it reads only its lower triangle),
+    ``np.linalg.solve`` turns the rest of the panel into the factor's
+    panel, written back over it, and one matmul per block-strip subtracts
+    the panel product from the trailing lower triangle.  The arithmetic is
+    that of the same algorithm run on a full copy of ``m + shift I``; a
+    blocked Cholesky has the backward error of the unblocked one (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 10), so it
+    certifies the same window.  For ``n <= CHOLESKY_BLOCK`` it is one
+    ``np.linalg.cholesky``.  The lower triangle is the workspace because
+    its column panels hand ``np.linalg.solve`` contiguous right-hand
+    sides; the row panels of the upper one would be read at a stride of n.
+
+    As in LAPACK's ``dpotrf``, the other triangle is left alone: the
+    updates of a diagonal block skip its strict upper half, so only the
+    diagonal is saved.  On every exit, an exception included, the strict
+    lower triangle is copied back from the strict upper one and the
+    diagonal from its copy, so m comes back bit for bit, with its write
+    flag as it was (m must be writeable or own its buffer; no concurrent
+    calls on one array).  Besides m it holds one factor panel or strip
+    product, about ``n * CHOLESKY_BLOCK`` entries.
     """
     n, b = m.shape[0], CHOLESKY_BLOCK
-    panels = {}
-    for j in range(0, n, b):
-        p = panels[j] = m[j:, j:j + b].copy()
-        diag = np.arange(p.shape[1])
-        p[diag, diag] += shift
-    for j in range(0, n, b):
-        e = min(j + b, n)
-        p = panels.pop(j)
-        try:
-            factor = np.linalg.cholesky(p[:e - j])
-        except np.linalg.LinAlgError:
-            return False
-        if e < n:  # solve costs a factorization even with no panel rows
-            panel = np.linalg.solve(factor, p[e - j:].T).T
-        del p
-        for i in range(e, n, b):
-            t = min(i + b, n)
-            strip = panel[i - e:t - e] @ panel[:t - e].T  # rows i:t, columns e:t
-            for c in range(e, t, b):
-                panels[c][i - c:t - c] -= strip[:, c - e:c - e + b]
-            del strip  # before the next strip product is formed
-    return True
+    d = np.arange(n)
+    diag = m[d, d]
+    writeable = m.flags.writeable
+    m.flags.writeable = True
+    try:
+        m[d, d] += shift
+        s = TRIANGLE_TILE
+        lower = np.tri(min(s, n), dtype=bool)
+        for j in range(0, n, b):
+            e = min(j + b, n)
+            try:
+                factor = np.linalg.cholesky(m[j:e, j:e])
+            except np.linalg.LinAlgError:
+                return False
+            if e == n:  # solve costs a factorization even with no panel rows
+                break
+            m[e:, j:e] = np.linalg.solve(factor, m[e:, j:e].T).T
+            panel = m[e:, j:e]
+            for i in range(e, n, b):
+                t = min(i + b, n)
+                strip = panel[i - e:t - e] @ panel[:t - e].T  # rows i:t, columns e:t
+                for r in range(i, t, s):  # left of the diagonal, then its lower half
+                    q = min(r + s, t)
+                    m[r:q, e:r] -= strip[r - i:q - i, :r - e]
+                    tile = m[r:q, r:q]
+                    np.subtract(tile, strip[r - i:q - i, r - e:q - e], out=tile,
+                                where=lower[:q - r, :q - r])
+                del strip  # before the next strip product is formed
+        return True
+    finally:
+        _mirror_upper(m)
+        m[d, d] = diag
+        m.flags.writeable = writeable
+
+
+def _mirror_upper(m: np.ndarray) -> None:
+    """Copy the strict upper triangle of the square array m onto its strict
+    lower one, in ``TRIANGLE_TILE``-sided tiles, each a transposed copy."""
+    n, t = m.shape[0], TRIANGLE_TILE
+    below = ~np.tri(min(t, n), dtype=bool).T  # strict lower triangle of a tile
+    for i in range(0, n, t):
+        tile = m[i:i + t, i:i + t]
+        k = tile.shape[0]
+        np.copyto(tile, tile.T, where=below[:k, :k])
+        for c in range(i + t, n, t):
+            m[c:c + t, i:i + t] = m[i:i + t, c:c + t].T
 
 
 def lowrank_residual_norm(

@@ -167,7 +167,8 @@ def nystrom_extend(a: SymMatrix | FlatMatrix, sample: ColumnSample) -> NystromRe
     The non-pivot Schur remainder R bounds W from below, ``lambda_min(W) >=
     min(lambda_min(R), 0)``, so a Cholesky of R shifted by the PSD clamp
     window ``PSD_CLAMP_REL * max_i w_ii`` certifies W, as
-    :func:`matcore.check_psd` does for A.  When it fails the eigenvalues of
+    :func:`matcore.check_psd` does for A.  It runs in place on the fresh
+    array R, which is symmetric bit for bit (``f.T @ f`` is one SYRK).  When it fails the eigenvalues of
     W decide: one below the clamp window certifies that A itself is not PSD
     (W is a principal submatrix) and raises :class:`NotPSDError` naming it.
 

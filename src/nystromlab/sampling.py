@@ -85,6 +85,8 @@ class ColumnSample:
     indices: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         l = len(self.indices)

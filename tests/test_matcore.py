@@ -219,6 +219,21 @@ def test_symmatrix_averages_a_handed_over_asymmetric_array():
     assert m.entries.tobytes() == _averaged(a).tobytes()
 
 
+def test_symmatrix_entries_own_their_buffer_on_every_path():
+    # shifted_cholesky_ok can lift the write flag of an array that owns its data
+    a = gram_psd(6, np.random.default_rng(5)).entries.copy()
+    handed = _handed_over(a)
+    asym = a.copy()
+    asym[5, 4] = np.nextafter(asym[5, 4], np.inf)
+    copied, kept, averaged = SymMatrix(a), SymMatrix(handed), SymMatrix(asym)
+    assert not np.shares_memory(copied.entries, a)
+    assert kept.entries is handed
+    assert averaged.entries.tobytes() != asym.tobytes()
+    for m in (copied, kept, averaged):
+        assert m.entries.flags.owndata and m.entries.base is None
+        assert not m.entries.flags.writeable
+
+
 def test_symmatrix_checks_finiteness_before_symmetry():
     a = np.full((3, 3), np.inf)
     with pytest.raises(ValueError, match="finite"):
@@ -417,10 +432,92 @@ def test_shifted_cholesky_ok_decides_at_the_last_pivot(n):
         assert matcore.shifted_cholesky_ok(m, 0.0) is want
 
 
-def test_check_psd_peak_memory_is_the_lower_triangle():
+def test_check_psd_holds_no_copy_of_a_triangle():
+    # one factor panel or strip product: 0.276 n^2 doubles at n = 1024, plus 10%
     n = 1024
     a = gram_psd(n, np.random.default_rng(6))
-    assert traced_peak(lambda: check_psd(a)) <= 1.1 * n * n * 8
+    assert traced_peak(lambda: check_psd(a)) <= 0.304 * n * n * 8
+
+
+_RESTORE_NS = [200, matcore.CHOLESKY_BLOCK + 1, 600]
+
+
+def _subnormal_psd(n: int) -> SymMatrix:
+    """An exactly PSD matrix of rank n / 3 whose entries are integer
+    multiples of the smallest subnormal: Cholesky rejects it through
+    rounding, and the eigenvalues accept it."""
+    g = np.random.default_rng(n).integers(-3, 4, size=(n, n // 3))
+    return SymMatrix(np.ldexp((g @ g.T).astype(np.float64), -1074))
+
+
+def _assert_left_as_it_was(a: SymMatrix, before: bytes) -> None:
+    assert a.entries.tobytes() == before
+    assert not a.entries.flags.writeable and a.entries.flags.owndata
+
+
+@pytest.mark.parametrize("n", _RESTORE_NS)
+def test_check_psd_leaves_the_entries_as_they_were(n, monkeypatch):
+    psd = gram_psd(n, np.random.default_rng(n))
+    indefinite = psd.entries.copy()
+    indefinite[-1, -1] = -1.0  # decided in the last block, after every update
+    indefinite = SymMatrix(indefinite)
+    subnormal = _subnormal_psd(n)
+    eigvalsh = np.linalg.eigvalsh
+    fallbacks = []
+
+    def spy(x):
+        fallbacks.append(n)
+        return eigvalsh(x)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    for a, refused in ((psd, False), (indefinite, True), (subnormal, False)):
+        before = a.entries.tobytes()
+        if refused:
+            with pytest.raises(NotPSDError):
+                check_psd(a)
+        else:
+            check_psd(a)
+        _assert_left_as_it_was(a, before)
+    assert len(fallbacks) == 2  # the indefinite and the subnormal matrix
+    zeros = SymMatrix(np.zeros((3, 3)))
+    check_psd(zeros)
+    _assert_left_as_it_was(zeros, np.zeros((3, 3)).tobytes())
+    assert len(fallbacks) == 3
+
+
+@pytest.mark.parametrize("n, name, call", [
+    (200, "cholesky", 1),
+    (matcore.CHOLESKY_BLOCK + 1, "solve", 1),
+    (matcore.CHOLESKY_BLOCK + 1, "cholesky", 2),
+    (600, "solve", 2),
+    (600, "cholesky", 3),
+])
+def test_check_psd_leaves_the_entries_as_they_were_when_a_step_raises(
+        n, name, call, monkeypatch):
+    # the given call of np.linalg.<name> raises: the last of its calls, after
+    # the diagonal shift and, from the second block on, the trailing updates
+    a = gram_psd(n, np.random.default_rng(n))
+    before = a.entries.tobytes()
+    step = getattr(np.linalg, name)
+    calls = []
+
+    def raising(*args):
+        calls.append(name)
+        if len(calls) == call:
+            raise RuntimeError("interrupted")
+        return step(*args)
+
+    monkeypatch.setattr(np.linalg, name, raising)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        check_psd(a)
+    _assert_left_as_it_was(a, before)
+
+
+def test_shifted_cholesky_ok_leaves_a_writeable_array_writeable():
+    m = gram_psd(600, np.random.default_rng(9)).entries.copy()
+    before = m.tobytes()
+    assert matcore.shifted_cholesky_ok(m, 0.0)
+    assert m.tobytes() == before and m.flags.writeable
 
 
 @pytest.mark.parametrize("n", [255, 256, 257, 600, 1024])

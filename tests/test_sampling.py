@@ -89,6 +89,16 @@ def test_column_sample_validation():
         ColumnSample(n=0, indices=(0,))
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "2", None])
+def test_column_sample_n_must_be_an_integer(n):
+    with pytest.raises(ValueError, match=r"^n must be an integer, got "):
+        ColumnSample(n=n, indices=(0,))
+
+
+def test_column_sample_accepts_a_numpy_integer_n():
+    assert ColumnSample(n=np.int64(3), indices=(0, 2)).l == 2
+
+
 def test_rng_seed_validation():
     with pytest.raises(ValueError):
         RngSeed(-1, 0)
