@@ -1,10 +1,5 @@
-"""Column-sampled Nystrom extension of PSD matrices, with error analysis.
-
-The package builds the extension ``A_tilde = C W^+ C^T`` from a uniform
-sample of columns, measures its spectral error, and evaluates the
-structural and probabilistic bounds that govern when uniform sampling is
-enough: subspace coherence, the deterministic error bound, and the
-sample-size rule with its Chernoff failure tail.
+"""Column-sampled Nystrom extension of PSD matrices, with the error
+analysis that says when uniform sampling is enough (README.md).
 """
 
 from types import ModuleType as _ModuleType
@@ -40,7 +35,6 @@ from .generators import (
     SpectrumSpec,
     flat_orthonormal,
     planted_instance,
-    psd_from_spectrum,
     random_orthonormal,
 )
 from .matfile import MatrixFileError, load_matrix, save_matrix

@@ -1,22 +1,6 @@
-"""Coherence and error bounds.
-
-This module carries the quantitative story behind uniform column sampling:
-
-* ``coherence`` measures how concentrated a k-dimensional subspace is on
-  the coordinate axes; it ranges over ``[1, n/k]`` and is what makes
-  uniform sampling succeed or fail.
-* ``deterministic_bound`` evaluates the structural error bound
-  ``||Sigma_2||_2 * (1 + ||Omega_2 Omega_1^+||_2^2)`` for a concrete
-  sample, valid whenever ``Omega_1 = U_1^T S`` has full row rank.  Since
-  ``[Omega_1; Omega_2] = U^T S`` has orthonormal columns, the bound has
-  the closed form ``||Sigma_2||_2 / lambda_min(Omega_1 Omega_1^T)``.
-* ``required_samples`` / ``probabilistic_bound`` / ``chernoff_tail`` form
-  the probabilistic counterpart: sampling
-  ``l >= 2 tau k ln(k/delta) / (1-eps)^2`` columns keeps the error below
-  ``lambda_{k+1} * (1 + n/(eps l))`` with probability at least
-  ``1 - delta``, and the tail of the event that dominates the failure mode
-  (the sampled rows of U_1 losing their smallest Gram eigenvalue) decays
-  like ``k * exp(-(1-eps)^2 l / (2 k tau))``.
+"""Coherence and the paper's error bounds: the structural bound of one
+sample (:func:`deterministic_bound`) and the sample-size rule with its
+error level and Chernoff failure tail (README "bounds" and "Trials CSV").
 """
 
 from __future__ import annotations
@@ -73,12 +57,9 @@ def _orthonormal_deviation(u: np.ndarray) -> float:
 
 
 def _check_orthonormal(u: np.ndarray, what: str) -> None:
-    """Reject u unless it is n x k, 1 <= k <= n, with orthonormal columns.
-
-    The deviation is measured as ``||U^T U - I||_F``, which needs no
-    eigensolve and bounds ``||U^T U - I||_2`` from above, so every accepted
-    u also meets ``ORTHONORMAL_TOL`` in the spectral norm.  A non-finite
-    deviation (a NaN or inf entry) is rejected.
+    """Reject u unless it is n x k, 1 <= k <= n, with orthonormal columns:
+    ``||U^T U - I||_F <= ORTHONORMAL_TOL``, which needs no eigensolve.  A
+    non-finite deviation (a NaN or inf entry) is rejected.
     """
     if u.ndim != 2:
         raise ValueError(f"{what} must be a 2-d array, got ndim={u.ndim}")
@@ -138,11 +119,8 @@ def deterministic_bound(part: SpectralPartition, sample: ColumnSample) -> float:
     and ``||Omega_2 Omega_1^+||_2^2 = 1 / lambda_min(Omega_1 Omega_1^T) - 1``,
     which makes the bound ``||Sigma_2||_2 / min_eig_gram(U_1, S)``.
 
-    Raises
-    ------
-    BoundInapplicableError
-        When Omega_1 is numerically rank deficient (min Gram eigenvalue
-        at or below ``n * eps``), in which case the bound does not apply.
+    Raises BoundInapplicableError when Omega_1 is numerically rank deficient
+    (min Gram eigenvalue at or below ``n * eps``): the bound does not apply.
     """
     return _structural_bound(part, min_eig_gram(part.u1, sample))
 
@@ -190,7 +168,7 @@ def probabilistic_bound(lambda_k1: float, n: int, l: int, epsilon: float) -> flo
         raise ValueError(f"lambda_k1 must be finite and >= 0, got {lambda_k1!r}")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(l, (int, np.integer)) or not 1 <= l <= n:
+    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or not 1 <= l <= n:
         raise ValueError(f"l must be an integer in [1, n={n}], got {l!r}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
@@ -231,7 +209,8 @@ def bound_report(
 
     ``l`` defaults to ``min(required_samples(...), n)`` - the formula has
     no n in it and can exceed the matrix size, in which case sampling
-    without replacement saturates at full sampling.  A ``prob_bound`` that
+    without replacement saturates at full sampling.  A given ``l`` is
+    checked as :func:`probabilistic_bound` checks it.  A ``prob_bound`` that
     overflows raises FloatingPointError naming lambda_k1, and epsilon too
     when ``n / (epsilon l)`` overflows on its own.
     """
@@ -242,7 +221,7 @@ def bound_report(
     if not (1.0 - 1e-9) <= tau <= n / k + 1e-9:
         raise ValueError(f"tau must lie in [1, n/k={n / k:g}], got {tau!r}")
     l_required = required_samples(k, tau, delta, epsilon)
-    l = int(l) if l is not None else min(l_required, n)
+    l = min(l_required, n) if l is None else l
     prob_bound = probabilistic_bound(lambda_k1, n, l, epsilon)
     if not math.isfinite(prob_bound):
         at = f"lambda_k1={lambda_k1!r}"

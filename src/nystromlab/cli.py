@@ -1,16 +1,6 @@
-"""Command-line front end.
-
-Subcommands
------------
-approx     one extension from explicit columns or a seeded uniform sample
-trials     Monte-Carlo sampling experiment, CSV/JSON records + summary
-bounds     evaluate the sample-size rule and bound values for parameters
-chernoff   empirical validation sweep of the Gram-eigenvalue tail bound
-
-Exit codes: 0 success; 2 configuration error (bad flags or parameters);
-3 input-data error (a path that cannot be opened, or a malformed matrix
-file); 4 numerical error (input not PSD, eigensolver failure, overflow to
-a non-finite value).
+"""Command-line front end: ``approx``, ``trials``, ``bounds`` and
+``chernoff`` (README "CLI").  Exit codes (README "Exit codes"): 0 success,
+2 configuration error, 3 input-data error, 4 numerical error.
 """
 
 from __future__ import annotations

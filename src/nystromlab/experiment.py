@@ -1,13 +1,6 @@
-"""Monte-Carlo experiment harness: config, trials, summaries, emission.
-
-An experiment fixes one PSD matrix (loaded from a file or planted by the
-generators), then repeatedly samples columns, builds the extension, and
-records the measured error next to the deterministic and probabilistic
-bounds.  Each trial is keyed by ``(master_seed, trial_index)``, so any
-record can be reproduced in isolation and the emitted artifact is byte
-identical across runs.  Matrix files are read and written by
-:mod:`nystromlab.matfile`, whose ``load_matrix`` and ``save_matrix``
-are bound here too.
+"""Monte-Carlo experiment harness: config, trials, summaries, emission
+(README "trials", "Trials CSV" and "Determinism").  ``load_matrix`` and
+``save_matrix`` of :mod:`nystromlab.matfile` are bound here too.
 """
 
 from __future__ import annotations
@@ -150,10 +143,8 @@ def _check_plan(plan: CoherencePlan, n: int, k: int) -> None:
 def config_from_mapping(d: dict) -> ExperimentConfig:
     """Build a config from a plain mapping (the JSON config-file schema).
 
-    Checks the keys and the values parsed here (gen; coherence, flat only
-    at a power-of-two n and spiked:M only at M <= k; lambda1, a finite
-    number > 0);
-    :class:`ExperimentConfig` checks every field it is given.
+    Checks the keys and the values parsed here (gen, coherence at n and k,
+    lambda1); :class:`ExperimentConfig` checks every field it is given.
     """
     unknown = set(d) - _CONFIG_KEYS
     if unknown:
@@ -212,13 +203,9 @@ def read_config(path) -> dict:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One sampled trial: measurements, bounds, and success flags.
-
-    ``error_residual`` is the Lanczos residual of ``spectral_error``: the
-    true error lies in ``[spectral_error, spectral_error + error_residual]``,
-    and ``error_le_bound`` compares the upper end with ``prob_bound`` plus
-    ``n * eps * lambda1``, the rounding floor of the error route (an
-    exact-rank-k ``prob_bound`` is 0).  It is not an artifact column.
+    """One sampled trial: the fields of README "Trials CSV", plus
+    ``error_residual``, the Lanczos residual of ``spectral_error``, which is
+    not an artifact column; ``error_le_bound`` compares their sum.
     """
 
     trial: int
@@ -323,12 +310,9 @@ def run_trial(setup: ExperimentSetup, master_seed: int, t: int) -> TrialRecord:
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
-    """Run all trials, in index order, and summarize.
-
-    Each trial is keyed by its own (master_seed, index) stream, so the
-    records, and hence the emitted artifact, depend on nothing else.
-    ``config.jobs`` is validated but ignored: trials run serially, since
-    a thread pool ran them slower than one thread.
+    """Run all trials, in index order, and summarize.  Trial t draws from
+    stream t of the master seed, so the records depend on nothing else;
+    ``config.jobs`` is ignored (README "trials" says why).
     """
     setup = prepare(config)
     records = [run_trial(setup, config.master_seed, t) for t in range(config.trials)]
@@ -408,13 +392,10 @@ def emit_results(
     path=None,
     timings: bool = False,
 ) -> str:
-    """Serialize records to CSV (fixed header) or JSON (same field names).
-
-    Numbers use shortest round-trip decimal formatting; inapplicable
-    values (det_bound / pinv_norm_sq on rank-deficient trials, wall_ms
-    unless ``timings``, as a measured time breaks byte-identical reruns)
-    are the ``NA`` token in CSV and null in JSON.
-    Returns the serialized text; also writes it when ``path`` is given.
+    """Serialize records as README "Trials CSV" says, as CSV or JSON, with
+    ``wall_ms`` NA unless ``timings``, as a measured time breaks
+    byte-identical reruns.  Returns the text, also written to ``path``
+    when given.
     """
     rows = [_record_row(r, summary, timings) for r in records]
     doc = {"summary": summary, "records": rows}
@@ -431,12 +412,9 @@ _TAIL_TARGET = math.sqrt(0.01 * 0.5)
 
 
 def _auto_l(n: int, k: int, tau: float, epsilon: float) -> int:
-    """Pick l so the theoretical tail sits inside [0.01, 0.5] if it can.
-
-    For highly coherent bases the tail exceeds 0.5 at every l <= n, and at
-    ``epsilon = 1`` it is ``k >= 1`` at every l; there l falls back to
-    ceil(0.6 n), which keeps the sampled fraction high without saturating
-    at full sampling.
+    """Pick l so the theoretical tail sits inside [0.01, 0.5] if it can,
+    else ``ceil(0.6 n)`` (README "chernoff"), which keeps the sampled
+    fraction high without saturating at full sampling.
     """
     denom = (1.0 - epsilon) ** 2
     if denom > 0.0 and 2.0 * k * tau * math.log(k / 0.5) / denom <= n:
@@ -455,13 +433,9 @@ def chernoff_sweep(
     ls: list[int] | None = None,
     jobs: int = 1,
 ) -> list[dict]:
-    """Empirically validate the Gram-eigenvalue tail bound over a grid.
-
-    For each (k, plan, epsilon) grid point, builds the planted dominant
-    basis, samples ``trials`` times, counts how often
-    ``min_eig_gram <= epsilon * l / n``, and compares the frequency
-    against ``chernoff_tail`` at the basis' measured coherence.  Trials
-    run serially; ``jobs`` is checked (>= 1) and otherwise ignored.
+    """The rows of the Gram-eigenvalue tail sweep (README "chernoff") over
+    the (k, plan, epsilon) grid, in that order.  A value out of its range
+    raises ConfigError naming it; ``jobs`` changes nothing.
     """
     _check_int("n", n, 1)
     _check_int("trials", trials, 1)
@@ -469,6 +443,7 @@ def chernoff_sweep(
     for k in ks:
         if not 1 <= k <= n:
             raise ConfigError("k", f"must lie in [1, n={n}], got {k}")
+        _check_int("k", k, 1)  # rejects a float or bool that lies in range
     for eps in epsilons:
         if not 0.0 <= eps <= 1.0:
             raise ConfigError("epsilon", f"must lie in [0, 1], got {eps!r}")
@@ -477,6 +452,10 @@ def chernoff_sweep(
         _check_plan(plan, n, k)
     if ls is not None and len(ls) not in (1, len(grid)):
         raise ConfigError("l", f"need 1 or {len(grid)} values, got {len(ls)}")
+    for l in ls or ():
+        if not 1 <= l <= n:
+            raise ConfigError("l", f"must lie in [1, n={n}], got {l}")
+        _check_int("l", l, 1)
     rows = []
     for p, (k, plan, eps) in enumerate(grid):
         u1 = plan_basis(n, plan, k, RngSeed(master_seed, INSTANCE_STREAM + p))
@@ -485,8 +464,6 @@ def chernoff_sweep(
             l = _auto_l(n, k, tau, eps)
         else:
             l = ls[0] if len(ls) == 1 else ls[p]
-        if not 1 <= l <= n:
-            raise ConfigError("l", f"must lie in [1, n={n}], got {l}")
         threshold = eps * l / n
         base = p * trials
         hits = sum(

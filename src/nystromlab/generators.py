@@ -1,32 +1,9 @@
 """Synthetic PSD instances with planted spectrum and planted coherence.
 
-An instance is ``A = U diag(lambdas) U^T`` for an explicitly constructed
-orthogonal U, so the dominant subspace, its coherence, and every
-eigenvalue are known exactly - which is what lets the Monte-Carlo harness
-compare measured errors against the bounds without estimating anything.
-
-The ``low`` and ``spiked`` instances are assembled from their basis as
-in :func:`psd_from_spectrum` (one SYRK, n^3 work), with the basis scaled
-in place, so planting holds at most two n x n arrays at a time.  Their
-Haar block is built in place on its Gaussian draw (:func:`_haar`: one
-Householder QR up to ``HAAR_BLOCK`` columns, block Gram-Schmidt beyond).
-The ``flat`` instance needs no basis product: with the Sylvester-Hadamard
-basis, ``A[i, j] = f[i XOR j]`` for ``f = H (lambdas / n)``, one fast
-Walsh-Hadamard transform.  It is a :class:`FlatMatrix`, which applies A
-by transforms and, unlike a :class:`SymMatrix`, has no dense entries
-(:func:`planted_instance`).
-
-Coherence plans
----------------
-``flat``      columns of the normalized Sylvester-Hadamard matrix; every
-              row norm is identical, so the dominant subspace has
-              coherence exactly 1 (n must be a power of two).
-``low``       Haar-random orthogonal basis; coherence is small but random,
-              typically a few multiples of max(k, ln n)/k.
-``spiked(m)`` the first m dominant directions are standard basis vectors,
-              the rest Haar in their orthogonal complement; the dominant
-              subspace then contains a coordinate axis and its coherence
-              is exactly n/k, the worst case.
+An instance is ``A = U diag(lambdas) U^T`` for a constructed orthogonal U,
+so its dominant subspace, coherence and eigenvalues are known exactly and
+the bounds are checked without estimating anything.  README "trials"
+describes the spectra, the coherence plans and how each instance is built.
 """
 
 from __future__ import annotations
@@ -150,27 +127,15 @@ def check_plan(plan: CoherencePlan, n: int, k: int) -> None:
 
 
 def _haar(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    """Haar n x k orthonormal basis drawn from the next n*k normals of rng.
+    """Haar n x k orthonormal basis drawn from the next n*k normals of rng:
+    Q of ``G = Q R`` for the Gaussian G, with R's diagonal made positive.
 
-    Q of the QR factorization ``G = Q R`` of an iid standard normal G
-    whose R has a positive diagonal: each sign of R's diagonal is folded
-    into the corresponding Q column, which makes the distribution exactly
-    Haar rather than QR-convention dependent (Mezzadri,
-    arXiv:math-ph/0609050).
-
-    Up to ``k = HAAR_BLOCK`` this is one Householder ``np.linalg.qr`` of G.
-    A wider G is orthonormalised in place, ``HAAR_BLOCK`` columns at a
-    time, by block classical Gram-Schmidt run twice (BCGS2; Barlow and
-    Smoktunowicz, Numer. Math. 2013).  Each panel P is projected against
-    the finished panels before it and divided by the sign-folded R of its
-    Householder QR; the result is orthonormal up to ``cond(P) eps``.  It is
-    projected again and divided by its Cholesky factor (a Cholesky QR,
-    stable on columns that are orthonormal to that degree).  Each panel's R
-    is thus a product of two upper triangles with positive diagonals, so Q
-    is the same positive-diagonal factor of the same normals, with
-    ``O(eps)`` loss of orthogonality.  It holds G plus a few n x
-    ``HAAR_BLOCK`` arrays, where one QR of the whole of G holds about four
-    copies of it.
+    Up to ``HAAR_BLOCK`` columns this is one Householder QR.  Wider, G is
+    orthonormalised in place, panel by panel, by block Gram-Schmidt run
+    twice (BCGS2): a sign-folded Householder R, then a Cholesky QR.  Each
+    panel's R is then a product of two upper triangles with positive
+    diagonals, so Q is the same factor up to ``O(eps)``, and it holds G plus
+    a few n x ``HAAR_BLOCK`` arrays, where one QR of G holds about four copies.
     """
     g = rng.standard_normal((n, k))
     if k <= HAAR_BLOCK:
@@ -230,30 +195,16 @@ def flat_orthonormal(n: int, k: int) -> np.ndarray:
     return h
 
 
-def psd_from_spectrum(u: np.ndarray, lambdas: np.ndarray) -> SymMatrix:
-    """Assemble ``U diag(lambdas) U^T`` from an n x n orthogonal U.
-
-    U is checked by the same test as :func:`~nystromlab.analysis.coherence`
-    uses: ``||U^T U - I||_F <= ORTHONORMAL_TOL`` (1e-8), which implies the
-    same bound on ``||U^T U - I||_2``.  The eigenvalues must already be
-    non-increasing and non-negative; this is a constructor, so nothing is
-    clamped here.
-
-    A is formed as ``H H^T`` with ``H = U diag(sqrt(lambdas))``: numpy runs
-    a product with its own transpose as one SYRK and mirrors the triangle,
-    so A is exactly symmetric, and it is handed over read-only, so
-    :class:`SymMatrix` stores it without a copy.  U is not modified: H is
-    a scaled copy of it.  :func:`planted_instance` builds the ``low`` and
-    ``spiked`` plans the same way but scales its own basis in place; the
-    ``flat`` plan needs no basis product (:class:`FlatMatrix`).
-    """
-    return _assemble(np.array(u, dtype=np.float64), lambdas)
-
-
 def _assemble(u: np.ndarray, lambdas: np.ndarray) -> SymMatrix:
-    """:func:`psd_from_spectrum` on a float64 basis u that it overwrites
-    with H: U, the Gram matrix of its check, then H and A are live, at
-    most two n x n arrays at a time."""
+    """``U diag(lambdas) U^T`` for the n x n float64 orthogonal u, which it
+    overwrites with ``H = U diag(sqrt(lambdas))``.
+
+    Raises ValueError unless u is square and orthonormal (the check of
+    :func:`~nystromlab.analysis.coherence`) and lambdas non-negative and
+    non-increasing; nothing is clamped.  A is ``H H^T``, which numpy runs as
+    one SYRK, so it is exactly symmetric, and it is handed to
+    :class:`SymMatrix` read-only, uncopied.  U, the Gram matrix of its
+    check, then H and A are live: at most two n x n arrays at a time."""
     lam = np.asarray(lambdas, dtype=np.float64)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"u must be square orthogonal, got shape {u.shape}")
@@ -339,9 +290,6 @@ class FlatMatrix:
     def max_diagonal(self) -> float:
         return float(self.f[0])
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FlatMatrix(n={self.n})"
-
 
 def _certify_spectrum(a: FlatMatrix, lam: np.ndarray) -> None:
     """Raise FloatingPointError unless ``H f = lam`` within rounding.
@@ -413,18 +361,14 @@ def plan_basis(n: int, plan: CoherencePlan, k: int, seed: RngSeed) -> np.ndarray
 def planted_instance(
     spec: SpectrumSpec, plan: CoherencePlan, seed: RngSeed
 ) -> tuple[SymMatrix | FlatMatrix, SpectralPartition, float]:
-    """Build a PSD instance with known spectrum and known dominant subspace.
+    """``(A, partition, tau)`` for the spectrum of spec and the dominant
+    basis of plan: the partition holds that basis at spec's k and the whole
+    spectrum, and tau is its exact coherence.
 
-    Returns ``(A, partition, tau)`` where the partition holds the planted
-    dominant basis at the spec's k and the planted spectrum, and tau is the
-    exact coherence of the planted dominant basis.
-
-    ``low`` and ``spiked`` instances are assembled as in
-    :func:`psd_from_spectrum`, with the same checks, but their freshly
-    drawn basis is scaled in place, so planting holds at most two n x n
-    arrays at a time.  The ``flat`` instance is a :class:`FlatMatrix`,
-    which certifies itself, with only ``U_1`` of the basis.  A spectrum or
-    instance that overflows raises FloatingPointError naming lambda1.
+    For ``low`` and ``spiked``, A is a :class:`SymMatrix` from
+    :func:`_assemble` on the drawn basis; for ``flat``, a :class:`FlatMatrix`.
+    A spectrum or instance that overflows raises FloatingPointError naming
+    lambda1.
     """
     lam = spec.eigenvalues()
     if plan.target == "flat":

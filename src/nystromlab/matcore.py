@@ -1,33 +1,15 @@
-"""Dense symmetric-matrix primitives.
+"""Symmetric-matrix primitives: :class:`SymMatrix`, the PSD certificate
+:func:`check_psd`, the Lanczos norm :func:`lowrank_residual_norm` and the
+eigensolve :func:`partition` (README "Library quick start").
 
-Everything downstream is written against this small kernel: the PSD
-check, the matrix-free Lanczos norm of a low-rank update ``A - C M^T M
-C^T`` with ``C = A S``, and :func:`partition`, one eigensolve of A that
-keeps the k dominant eigenvectors ``U_1`` and the whole spectrum.  The
-PSD check factors A in place in its own lower triangle, which it copies
-back from the upper one when it is done, and :class:`SymMatrix` averages
-an asymmetric input into one new array, so neither holds a second n x n
-array besides A.
-
-Conventions
------------
-* Matrices are dense float64 arrays.  Symmetric ones travel as
-  :class:`SymMatrix`, which stores an exactly symmetric, read-only array
-  and rejects inputs whose asymmetry exceeds ``1e-8 * ||A||_F``.  The
-  extension, :func:`lowrank_residual_norm` and the sqrt-route oracle read
-  A only through ``n``, ``A @ x``, ``max_diagonal`` and ``block(rows,
-  cols)``, so the implicit :class:`generators.FlatMatrix` serves them as
-  well.  Only a SymMatrix has dense ``entries``.
-* Scale safety: :func:`lowrank_residual_norm` and :class:`SymMatrix`
-  (when ``||A||_F`` overflows or underflows) work on vectors or tiles
-  scaled by a power of two.  That scaling is exact, so extreme input
-  scales such as 1e+-160 give the right value; a norm beyond the float64
-  range raises FloatingPointError.
-* Eigenvalues are reported in non-increasing order; ties keep the
-  backend's order.  A solver that fails to converge raises
-  ``np.linalg.LinAlgError``.
-* Eigenvalues of a nominally PSD matrix in ``[-1e-10 * lambda_max, 0)``
-  count as zero; anything below raises :class:`NotPSDError`.
+The extension, :func:`lowrank_residual_norm` and the square-root oracle
+read A only through ``n``, ``A @ x``, ``max_diagonal()`` and
+``block(rows, cols)``, so :class:`generators.FlatMatrix` serves them too;
+only a SymMatrix has dense ``entries``.  Eigenvalues are non-increasing,
+ties in the backend's order; a solver that does not converge raises
+``np.linalg.LinAlgError``.  Eigenvalues of a nominally PSD matrix in
+``[-PSD_CLAMP_REL * lambda_max, 0)`` count as zero; any below raise
+:class:`NotPSDError`.
 """
 
 from __future__ import annotations
@@ -129,28 +111,17 @@ def _tiled_sum_sq(a: np.ndarray, sym: np.ndarray | None, e: int) -> float:
 
 
 class SymMatrix:
-    """Dense real symmetric matrix.
+    """Dense real symmetric matrix: read-only float64 ``entries`` that own
+    their buffer, stored as README "Library quick start" says.
 
-    The constructor validates shape and finiteness, rejects inputs whose
-    asymmetry ``2 ||A - (A + A^T) / 2||_F`` exceeds ``ASYMMETRY_REL_TOL *
-    ||A||_F``, and stores the average ``(A + A^T) / 2``, which is symmetric
-    bit for bit (IEEE addition is commutative).  The stored array is
-    read-only and owns its buffer on every path (a copy, a handed-over
-    array, or the average); treat instances as immutable values.  Only
-    :func:`check_psd` lifts its write flag, for the span of its in-place
-    factorization, and restores the entries bit for bit.
-
-    An input equal to its transpose bit for bit (compared in
-    ``SYMMETRY_TILE``-sided tiles; ``-0.0`` differs from ``0.0``) is its
-    own average, so it is stored unaveraged: as a copy, or as it is when
-    it is a read-only float64 array that owns its data (the caller hands
-    it over).  A writeable input is never frozen or aliased.  When
-    ``||A||_F`` overflows or underflows for a nonzero matrix, the check
-    runs on entries scaled by a power of two, and mirrored pairs whose sum
-    overflows are averaged on them, so both hold at any scale.  The
-    average is formed in place, and the asymmetry norm (with ``||A||_F``
-    of a scaled input) is summed over ``SYMMETRY_TILE``-sided tiles, so an
-    averaged input costs one n x n array besides itself.
+    Raises ValueError unless the input is square, non-empty, finite and
+    has ``2 ||A - (A + A^T) / 2||_F <= ASYMMETRY_REL_TOL * ||A||_F``.
+    Bitwise symmetry is compared, and the asymmetry norm summed, in
+    ``SYMMETRY_TILE``-sided tiles, so an averaged input costs one n x n
+    array besides itself.  Where ``||A||_F`` overflows or underflows, the
+    check and any mirrored pair whose sum overflows run on entries scaled
+    by a power of two, so both hold at any scale.  Only :func:`check_psd`
+    lifts the write flag, and it restores the entries bit for bit.
     """
 
     __slots__ = ("entries",)
@@ -209,17 +180,12 @@ class SymMatrix:
     def max_diagonal(self) -> float:
         return float(np.max(np.diagonal(self.entries)))
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SymMatrix(n={self.n})"
-
 
 @dataclass(frozen=True)
 class SpectralPartition:
     """A spectrum split at k: ``u1`` holds the k dominant eigenvectors
     (n x k) and ``eigenvalues`` the whole non-increasing spectrum, so
-    ``eigenvalues[:k]`` is ``Sigma_1`` and ``eigenvalues[k:]`` is
-    ``Sigma_2``.  The tail eigenvectors are not kept: the bounds read only
-    ``U_1`` and ``||Sigma_2||_2``.
+    ``eigenvalues[k:]`` is ``Sigma_2``; no tail eigenvector is kept.
     """
 
     u1: np.ndarray
@@ -249,22 +215,17 @@ def clamp_psd_eigenvalues(vals: np.ndarray) -> np.ndarray:
 
 
 def check_psd(a: SymMatrix) -> None:
-    """Certify that A is PSD within the clamp window, or raise NotPSDError.
+    """Certify that A is PSD within the clamp window, or raise NotPSDError
+    (README "approx").
 
-    Runs the blocked Cholesky factorization of :func:`shifted_cholesky_ok`
-    on ``A + PSD_CLAMP_REL * max(max_i a_ii, 0) I``, in place in the lower
-    triangle of ``a.entries`` itself (its strict upper triangle is the
-    copy it is restored from), so it holds about ``CHOLESKY_BLOCK * n``
-    doubles besides A and leaves ``a.entries`` as it was, bit for bit and
-    read-only, on every exit.  It succeeds only if every eigenvalue of A
-    exceeds ``-PSD_CLAMP_REL * max_i a_ii``, and ``max_i a_ii <=
-    lambda_max``, so success certifies the window at about a quarter of
-    the flops of an eigensolve (Higham, "Analysis of the Cholesky
+    A Cholesky of ``A + PSD_CLAMP_REL * max(max_i a_ii, 0) I``
+    (:func:`shifted_cholesky_ok`, in place in A's lower triangle) succeeds
+    only if every eigenvalue of A exceeds ``-PSD_CLAMP_REL * max_i a_ii``,
+    and ``max_i a_ii <= lambda_max`` (Higham, "Analysis of the Cholesky
     decomposition of a semi-definite matrix", 1990).  When it fails, the
-    eigenvalues decide through :func:`clamp_psd_eigenvalues`: NotPSDError
-    names the offending eigenvalue, and a PSD matrix that Cholesky rejects
-    through rounding (for example one whose entries are near the subnormal
-    range) is accepted.
+    eigenvalues decide (:func:`clamp_psd_eigenvalues`), so a PSD matrix
+    that Cholesky rejects through rounding is accepted.  ``a.entries``
+    comes back bit for bit and read-only on every exit.
     """
     shift = PSD_CLAMP_REL * max(float(np.max(np.diagonal(a.entries))), 0.0)
     if not shifted_cholesky_ok(a.entries, shift):
@@ -356,28 +317,19 @@ def lowrank_residual_norm(
 ) -> tuple[float, float]:
     """``||A - C M^T M C^T||_2`` by Lanczos, matrix-free, with its residual bound.
 
-    ``C = A S`` holds the columns ``A[:, index]`` and ``m`` is r x l; the
-    Nystrom extension passes ``M = L^{-1}`` of its pivoted Cholesky, placed
-    at the pivot columns.  C is not formed: ``C z`` is ``A @ (S z)``, z
-    scattered to the sampled positions.  Without ``m`` the operator is A
-    and the result is ``||A||_2``.
+    ``C = A S`` holds the columns ``A[:, index]`` and is applied as ``A (S
+    z)``; m is r x l.  Without m the operator is A.  Returns ``(theta,
+    r)``, the Ritz value of largest modulus and its Ritz residual, so
+    ``[theta, theta + r]`` brackets the norm once the Krylov space has found
+    the top eigenvector, which a random start does with probability one
+    (Parlett, *The Symmetric Eigenvalue Problem*; Kuczynski and
+    Wozniakowski, SIAM J. Matrix Anal. Appl. 1992).  FloatingPointError
+    when either is beyond the float64 range.
 
-    Returns ``(theta, r)``, the Ritz value of largest modulus and its Ritz
-    residual, so an eigenvalue of the operator lies in ``[theta - r, theta
-    + r]`` (Parlett, *The Symmetric Eigenvalue Problem*).  The extreme Ritz
-    value does not overshoot, so ``[theta, theta + r]`` brackets the norm
-    once the Krylov space has found the top eigenvector, which a random
-    start does with probability one (Kuczynski and Wozniakowski, SIAM J.
-    Matrix Anal. Appl. 1992).
-
-    Each step applies ``x -> y - A (S (M^T (M y[index])))`` with ``y = A
-    @ (s x)`` and forms no n x r array.  ``s`` is the power of two that puts
-    ``s * A.max_diagonal()`` in ``[0.5, 1)`` (1 when that is 0); for PSD A,
-    ``|a_ij| <= max_i a_ii``, so the recurrence stays near 1 at any input
-    scale, and ``A (s x)`` does not overflow where ``A x`` would.
-    ``theta / s`` and ``r / s`` are returned (FloatingPointError when
-    either is beyond the float64 range).  ``start`` is the unit start
-    vector, and the basis is fully reorthogonalised (two classical
+    ``start`` is the unit start vector.  The recurrence runs on ``A (s
+    x)``, s the power of two that puts ``s * A.max_diagonal()`` in ``[0.5,
+    1)`` (1 when that is 0), so for PSD A it stays near 1 at any input
+    scale, and the basis is fully reorthogonalised (two classical
     Gram-Schmidt passes).  Fixed stopping rule, checked after every step:
     ``r <= LANCZOS_REL_TOL * theta``, ``r <= n * eps`` (scaled units), a
     zero next residual ``beta``, or a Krylov dimension of ``n``.

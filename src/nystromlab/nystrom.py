@@ -1,16 +1,6 @@
-"""The column-sampled Nystrom extension of a PSD matrix.
-
-Given a PSD matrix A and a sample S of its columns, the extension is
-``A_tilde = C W^+ C^T`` with ``C = A S`` and ``W = S^T A S``.  It is PSD
-whenever W is, and it reproduces A exactly when ``rank(W) == rank(A)``.
-:func:`nystrom_extend` gathers W from A, factors it by a pivoted partial
-Cholesky and bounds the spectral error by matrix-free Lanczos, applying
-``C z`` as ``A (S z)``, so it forms no n x n array and no C.
-
-:func:`sqrt_projection_error` is the independent check: the paper's
-identity ``||A - A_tilde||_2 = ||(I - P) A^(1/2)||_2^2``, with P the
-orthogonal projector onto the range of ``A^(1/2) S``, computed densely
-from its own eigensolve of A and SVD of ``A^(1/2) S``.
+"""The column-sampled Nystrom extension ``A_tilde = C W^+ C^T`` of a PSD
+matrix, ``C = A S`` and ``W = S^T A S``, and the square-root route that
+checks its error independently (README "Library quick start").
 """
 
 from __future__ import annotations
@@ -41,20 +31,16 @@ GATHER_ROWS = 32  # rows of W per block of _gather_w
 
 @dataclass(frozen=True, eq=False)
 class NystromResult:
-    """One extension in factored form, with its error and diagnostics.
+    """One extension in factored form, ``A_tilde = Z Z^T`` with ``Z = C_P
+    L^{-T}``, with its error bracket and diagnostics.
 
-    ``columns`` is C, the sampled columns in index order (n x l), gathered
-    from ``matrix`` on first read, and ``linv`` is ``L^{-1}`` of the
-    pivoted Cholesky ``W_PP = L L^T``, placed at the pivot columns P and
-    zero elsewhere (``rank_w x l``, ``rank_w`` the pivot count).  The
-    extension is ``Z Z^T`` with ``Z = C_P L^{-T}``, which ``factor`` builds
-    (n x ``rank_w``) on first read.  The norm of ``A - Z Z^T`` lies in
-    ``[spectral_error, spectral_error + error_residual]`` (see
-    :func:`matcore.lowrank_residual_norm`).
-
-    ``psd_violation`` is the most negative eigenvalue of ``Z Z^T``, 0.0
-    when there is none.  It is read on first access from the ``rank_w x
-    rank_w`` matrix ``Z^T Z``, which has the same nonzero spectrum.
+    ``linv`` is ``L^{-1}`` of the pivoted Cholesky ``W_PP = L L^T``, at the
+    pivot columns P and zero elsewhere (``rank_w x l``).  ``columns`` (C,
+    n x l, in index order), ``factor`` (Z, n x ``rank_w``) and
+    ``psd_violation`` (the most negative eigenvalue of ``Z Z^T``, read from
+    ``Z^T Z``; 0.0 when there is none) are computed on first read.  The
+    norm of ``A - Z Z^T`` lies in ``[spectral_error, spectral_error +
+    error_residual]``.
     """
 
     sample: ColumnSample
@@ -155,29 +141,21 @@ def _gather_w(a: SymMatrix | FlatMatrix, index: np.ndarray) -> np.ndarray:
 def nystrom_extend(a: SymMatrix | FlatMatrix, sample: ColumnSample) -> NystromResult:
     """Extend the sampled columns of a PSD matrix to a full PSD matrix.
 
-    Column Nystrom on a sample S is a partial Cholesky of A with its pivots
-    restricted to S (Chen, Epperly, Tropp and Webber, "Randomly pivoted
-    Cholesky", arXiv:2207.06503).  W is gathered from A at the sample
-    sorted by index, bit for bit.  W is factored by a pivoted partial
-    Cholesky that stops once every remaining Schur diagonal is ``<= l * eps
-    * max_i w_ii``; its pivots P (``rank_w`` of them) give the extension
-    ``C_P W_PP^{-1} C_P^T``.  Pivot ties go to the lowest index, so the
-    result does not depend on the order of the sample.
+    W, gathered at the sample sorted by index, is factored by
+    :func:`_pivoted_cholesky` down to ``l * eps * max_i w_ii``; pivot ties
+    go to the lowest index, so the result does not depend on the sample's
+    order (column Nystrom is a partial Cholesky with pivots in S: Chen,
+    Epperly, Tropp and Webber, arXiv:2207.06503).  The non-pivot Schur
+    remainder R bounds W from below, ``lambda_min(W) >= min(lambda_min(R),
+    0)``, so a Cholesky of R shifted by ``PSD_CLAMP_REL * max_i w_ii``
+    certifies W; R is symmetric bit for bit (``f.T @ f`` is one SYRK).
+    When it fails, an eigenvalue of W below the window raises
+    :class:`NotPSDError`: W is a principal submatrix, so A is not PSD.
 
-    The non-pivot Schur remainder R bounds W from below, ``lambda_min(W) >=
-    min(lambda_min(R), 0)``, so a Cholesky of R shifted by the PSD clamp
-    window ``PSD_CLAMP_REL * max_i w_ii`` certifies W, as
-    :func:`matcore.check_psd` does for A.  It runs in place on the fresh
-    array R, which is symmetric bit for bit (``f.T @ f`` is one SYRK).  When it fails the eigenvalues of
-    W decide: one below the clamp window certifies that A itself is not PSD
-    (W is a principal submatrix) and raises :class:`NotPSDError` naming it.
-
-    The error is the scaled Lanczos estimate started from
+    The error is :func:`matcore.lowrank_residual_norm` from
     :func:`sampling.lanczos_start`, so it depends only on A and the sample
-    set; one that is not finite raises :class:`FloatingPointError`.  It
-    applies ``C z`` as ``A (S z)``, so a trial holds W and the Lanczos
-    basis, ``O(l^2 + n)`` floats besides A, and no n x l or n x ``rank_w``
-    array.  A sample over another n raises ValueError.
+    set, and a trial holds ``O(l^2 + n)`` floats besides A.  A non-finite
+    error raises FloatingPointError, a sample over another n ValueError.
     """
     if sample.n != a.n:
         raise ValueError(f"sample is over n={sample.n} but the matrix has n={a.n}")
@@ -207,18 +185,15 @@ def nystrom_extend(a: SymMatrix | FlatMatrix, sample: ColumnSample) -> NystromRe
 
 
 def sqrt_projection_error(a: SymMatrix | FlatMatrix, sample: ColumnSample) -> float:
-    """Spectral error of the extension via the square-root projection route.
+    """``||(I - P) A^(1/2)||_2 ** 2``, P the projector onto the range of
+    ``A^(1/2) S``: the spectral error of the extension by a dense route, an
+    independent check of :func:`nystrom_extend`.
 
-    Returns ``||(I - P) A^(1/2)||_2 ** 2`` where P projects onto the column
-    space of ``A^(1/2) S``.  Agrees with ``nystrom_extend(...).spectral_error``
-    for every PSD A and every sample, which makes it an independent check
-    of the extension path.  A is read as ``a.block(ar, ar)``, ``ar =
-    np.arange(n)``.  ``A^(1/2)`` comes from the eigenpairs of A in
-    descending order (a stable sort of ``np.linalg.eigh``), with round-off
-    negatives inside the clamp window set to zero (NotPSDError below it);
-    P keeps the left singular vectors of ``A^(1/2) S`` above the rank
-    cutoff ``max(shape) * eps * sigma_1``.  The norm comes from ``R R^T``,
-    R scaled by the power of two that puts ``max |r_ij|`` in ``[0.5, 1)``.
+    ``A^(1/2)`` comes from a stable-sorted ``np.linalg.eigh`` of ``a.block(ar,
+    ar)``, ``ar = np.arange(n)``, its spectrum clamped (NotPSDError below the
+    window).  P keeps the left singular vectors of ``A^(1/2) S`` above
+    ``max(shape) * eps * sigma_1``, and the norm comes from ``R R^T``, R
+    scaled by the power of two that puts ``max |r_ij|`` in ``[0.5, 1)``.
     """
     ar = np.arange(a.n)
     vals, vecs = np.linalg.eigh(a.block(ar, ar))

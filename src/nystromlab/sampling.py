@@ -1,25 +1,9 @@
-"""Uniform column sampling with reproducible, parallel-safe streams.
+"""Uniform column sampling on reproducible streams (README "Determinism").
 
-Randomness policy
------------------
-Every random draw in the package flows through a counter-based Philox
-bit generator keyed by the pair ``(master_seed, stream_id)``.  Philox is a
-stateless 64-bit counter/key design, so distinct stream ids give
-statistically independent streams and the draw for a given key is
-identical across platforms, runs, and thread schedules.  A trial's stream
-id is its trial index, which is what makes per-trial records reproducible
-in isolation.  One key is reserved: ``LANCZOS_SEED`` draws the start
-vector of the Lanczos error estimate (:func:`lanczos_start`), fixed per
-``n`` so that the error of an extension depends on nothing but the matrix
-and the sample.
-
-Sampling ``l`` of ``n`` columns without replacement is the first ``l``
-entries of a Fisher-Yates shuffle of ``0..n-1``: at step ``i`` the pool
-entry at a uniform position ``j`` in ``[i, n)`` is swapped into slot ``i``.
-Each ``j`` comes from ``Generator.integers``, which is unbiased, so every
-size-``l`` subset (in every order) is equally likely.  All ``l`` positions
-are drawn in one call with the lower bounds ``0..l-1``; that call reads the
-Philox stream exactly as ``l`` scalar calls in turn would.
+Every random draw in the package comes from a counter-based Philox
+generator keyed by ``(master_seed, stream_id)``, so a draw depends on its
+key alone, not on the platform, the run or the thread schedule.  Trial t
+uses stream t; ``LANCZOS_SEED`` is reserved for :func:`lanczos_start`.
 """
 
 from __future__ import annotations
@@ -110,8 +94,11 @@ class ColumnSample:
 def sample_uniform(n: int, l: int, seed: RngSeed) -> ColumnSample:
     """Draw l distinct indices from 0..n-1, uniformly over subsets.
 
-    Deterministic given the seed: the same (master_seed, stream_id) yields
-    the same sample on every run and under any thread schedule.
+    They are the first l entries of a Fisher-Yates shuffle of ``0..n-1``:
+    slot i takes the pool entry at a uniform j in ``[i, n)``.  The l
+    positions come from one unbiased ``Generator.integers`` call, which
+    reads the stream as l scalar calls in turn would, so the sample depends
+    only on the seed.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

@@ -27,6 +27,7 @@ from nystromlab import (
     rng_from,
 )
 from nystromlab.analysis import _check_orthonormal
+from nystromlab.generators import _assemble
 from nystromlab.matcore import EPS, LANCZOS_REL_TOL, _scale_exponent, clamp_psd_eigenvalues
 
 
@@ -45,6 +46,13 @@ def haar_householder(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     sign = np.sign(np.diag(r))
     sign[sign == 0.0] = 1.0
     return q * sign
+
+
+def psd_from_spectrum(u: np.ndarray, lambdas: np.ndarray) -> SymMatrix:
+    """``U diag(lambdas) U^T`` for an n x n orthogonal U, by the package's
+    ``generators._assemble`` on a float64 copy of U, so U is left alone
+    and the checks and bits are those of a planted ``low`` instance."""
+    return _assemble(np.array(u, dtype=np.float64), lambdas)
 
 
 def planted_psd(

@@ -278,6 +278,8 @@ def test_probabilistic_bound_validation():
     with pytest.raises(ValueError):
         probabilistic_bound(lambda_k1=1.0, n=10, l=11, epsilon=0.5)
     with pytest.raises(ValueError):
+        probabilistic_bound(lambda_k1=1.0, n=10, l=True, epsilon=0.5)
+    with pytest.raises(ValueError):
         probabilistic_bound(lambda_k1=-1.0, n=10, l=5, epsilon=0.5)
     with pytest.raises(ValueError):
         probabilistic_bound(lambda_k1=1.0, n=10, l=5, epsilon=0.0)
@@ -525,3 +527,6 @@ def test_bound_report_validation():
         bound_report(n=10, k=2, tau=1.0, epsilon=0.5, delta=0.05, l=0)
     with pytest.raises(ValueError):
         bound_report(n=10, k=2, tau=1.0, epsilon=0.5, delta=0.05, l=11)
+    for l in (3.7, 2.0, True):  # not truncated or coerced, as probabilistic_bound
+        with pytest.raises(ValueError, match="l must be an integer"):
+            bound_report(n=100, k=2, tau=1.0, epsilon=0.5, delta=0.05, l=l)

@@ -1417,6 +1417,8 @@ def test_chernoff_sweep_deterministic_and_grid_order():
 
 @pytest.mark.parametrize("over,field", [
     ({"trials": 0}, "trials"), ({"trials": -3}, "trials"), ({"jobs": 0}, "jobs"),
+    # a k or l in range that is not an integer
+    ({"ks": [2.5]}, "k"), ({"ks": [True]}, "k"), ({"ls": [3.5]}, "l"), ({"ls": [True]}, "l"),
 ])
 def test_chernoff_sweep_rejects_counts_below_one(over, field):
     args = dict(n=16, ks=[2], plans=[CoherencePlan(target="flat")], epsilons=[0.5],

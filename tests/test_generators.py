@@ -20,7 +20,6 @@ from nystromlab import (
     matcore,
     nystrom_extend,
     planted_instance,
-    psd_from_spectrum,
     random_orthonormal,
     sample_uniform,
     save_matrix,
@@ -32,7 +31,8 @@ from nystromlab.matcore import EPS, SymMatrix, check_psd, partition
 from nystromlab.sampling import lanczos_start, rng_from
 
 from helpers import (
-    davis_kahan_distance, dense, dense_extension, haar_householder, sym_eig, traced_peak,
+    davis_kahan_distance, dense, dense_extension, haar_householder, psd_from_spectrum, sym_eig,
+    traced_peak,
 )
 
 # ---------------------------------------------------------------------------
