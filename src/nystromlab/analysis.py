@@ -10,12 +10,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import EPS, SpectralPartition
+from .matcore import EPS, SpectralPartition, check_integer, check_real
 from .sampling import ColumnSample
 
 # Orthonormality tolerance on ||U^T U - I||_F, which bounds the spectral
 # deviation ||U^T U - I||_2 from above.
 ORTHONORMAL_TOL = 1e-8
+
+# Slack on each end of tau's range, for a coherence measured in floating point.
+TAU_SLACK = 1e-9
 
 
 class BoundInapplicableError(ValueError):
@@ -142,14 +145,10 @@ def required_samples(k: int, tau: float, delta: float, epsilon: float) -> int:
     ``l >= 2 * tau * k * ln(k / delta) / (1 - epsilon)^2``, floored at 1.
     At ``epsilon = 1/2`` the prefactor is ``8 tau k``.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if not tau >= 1.0 - 1e-9:
-        raise ValueError(f"tau must be >= 1, got {tau!r}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    check_integer("k", k)
+    check_real("tau", tau, 1.0 - TAU_SLACK, math.inf, "[]")
+    check_real("delta", delta, 0.0, 1.0)
+    check_real("epsilon", epsilon, 0.0, 1.0)
     ratio = float(k) / float(delta)  # inf for a tiny delta, whose log is finite
     log_ratio = math.log(ratio) if ratio < math.inf else math.log(k) - math.log(delta)
     value = 2.0 * tau * k * log_ratio / (1.0 - epsilon) ** 2
@@ -161,17 +160,13 @@ def probabilistic_bound(lambda_k1: float, n: int, l: int, epsilon: float) -> flo
 
     With ``l`` at least :func:`required_samples`, the spectral error of the
     extension stays below this value with probability above ``1 - delta``.
-    At ``epsilon = 1/2`` the factor is ``1 + 2n/l``.  ``lambda_k1`` must be
-    finite and >= 0; at 0 the level is 0 even where the factor overflows.
+    At ``epsilon = 1/2`` the factor is ``1 + 2n/l``.  At ``lambda_k1 = 0``
+    the level is 0 even where the factor overflows.
     """
-    if not 0.0 <= lambda_k1 < math.inf:
-        raise ValueError(f"lambda_k1 must be finite and >= 0, got {lambda_k1!r}")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or not 1 <= l <= n:
-        raise ValueError(f"l must be an integer in [1, n={n}], got {l!r}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    check_real("lambda_k1", lambda_k1, 0.0, math.inf, "[)")
+    check_integer("n", n)
+    check_integer("l", l, 1, n, "n")
+    check_real("epsilon", epsilon, 0.0, 1.0)
     if lambda_k1 == 0.0:
         return float(lambda_k1)  # not 0 * inf = nan; keeps the sign of a -0.0
     return float(lambda_k1) * (1.0 + n / (epsilon * l))
@@ -185,14 +180,10 @@ def chernoff_tail(k: int, tau: float, l: int, epsilon: float) -> float:
     ``lambda_k(U^T S S^T U) <= eps * l / n``.  ``epsilon`` may take the
     closed endpoints: at ``epsilon = 1`` the bound is the trivial ``k``.
     """
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    if not tau >= 1.0 - 1e-9:
-        raise ValueError(f"tau must be >= 1, got {tau!r}")
-    if not isinstance(l, (int, np.integer)) or l < 1:
-        raise ValueError(f"l must be a positive integer, got {l!r}")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon!r}")
+    check_integer("k", k)
+    check_real("tau", tau, 1.0 - TAU_SLACK, math.inf, "[]")
+    check_integer("l", l)
+    check_real("epsilon", epsilon, 0.0, 1.0, "[]")
     return k * math.exp(-((1.0 - epsilon) ** 2) * l / (2.0 * k * tau))
 
 
@@ -209,17 +200,13 @@ def bound_report(
 
     ``l`` defaults to ``min(required_samples(...), n)`` - the formula has
     no n in it and can exceed the matrix size, in which case sampling
-    without replacement saturates at full sampling.  A given ``l`` is
-    checked as :func:`probabilistic_bound` checks it.  A ``prob_bound`` that
+    without replacement saturates at full sampling.  A ``prob_bound`` that
     overflows raises FloatingPointError naming lambda_k1, and epsilon too
     when ``n / (epsilon l)`` overflows on its own.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
-        raise ValueError(f"k must be an integer in [1, n={n}], got {k!r}")
-    if not (1.0 - 1e-9) <= tau <= n / k + 1e-9:
-        raise ValueError(f"tau must lie in [1, n/k={n / k:g}], got {tau!r}")
+    check_integer("n", n)
+    check_integer("k", k, 1, n, "n")
+    check_real("tau", tau, 1.0 - TAU_SLACK, n / k + TAU_SLACK, "[]", "n/k")
     l_required = required_samples(k, tau, delta, epsilon)
     l = min(l_required, n) if l is None else l
     prob_bound = probabilistic_bound(lambda_k1, n, l, epsilon)

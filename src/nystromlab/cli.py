@@ -55,9 +55,8 @@ def _cmd_approx(args) -> int:
             sample = ColumnSample(n=a.n, indices=idx)
         except ValueError as exc:
             raise ConfigError("indices", str(exc)) from None
-    elif args.l > a.n:
-        raise ConfigError("l", f"must lie in [1, n={a.n}], got {args.l}")
     else:
+        _check_int("l", args.l, 1, a.n)
         sample = sample_uniform(a.n, args.l, RngSeed(args.seed, 0))
     check_psd(a)
     # ||A||_2 by the seeded Lanczos of the error route: lambda_1 of a PSD A
@@ -242,9 +241,6 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except (MatrixFileError, OSError) as exc:  # OSError: a path that cannot be opened
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -39,6 +39,8 @@ from .matcore import (
     SpectralPartition,
     SymMatrix,
     clamp_psd_eigenvalues,
+    is_integer,
+    is_real,
     partition,
 )
 from .matfile import MatrixFileError, load_matrix, save_matrix
@@ -65,9 +67,13 @@ class ConfigError(ValueError):
         super().__init__(f"config error in {field!r}: {message}")
 
 
-def _check_int(key: str, value, low: int) -> None:
-    """Raise ConfigError(key) unless value is an int, not a bool, in [low, 2^64)."""
-    if type(value) is not int or not low <= value < 2**64:
+def _check_int(key: str, value, low: int, n: int | None = None) -> None:
+    """Raise ConfigError(key) unless value is an integer (the integer rule of
+    :func:`matcore.is_integer`) in [low, 2^64), and in [low, n] when n is
+    given, and a Python int, as ``json.dumps`` writes no numpy integer."""
+    if n is not None and is_integer(value) and not low <= value <= n:
+        raise ConfigError(key, f"must lie in [{low}, n={n}], got {value}")
+    if not (is_integer(value) and isinstance(value, int)) or not low <= value < 2**64:
         raise ConfigError(key, f"must be an integer in [{low}, 2^64), got {value!r}")
 
 
@@ -108,7 +114,7 @@ class ExperimentConfig:
                 raise ConfigError(key, f"must be a path string, got {value!r}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError("format", f"must be 'csv' or 'json', got {self.fmt!r}")
-        if type(self.timings) is not bool:
+        if self.timings is not True and self.timings is not False:
             raise ConfigError("timings", f"must be true or false, got {self.timings!r}")
         if (self.matrix_path is None) == (self.gen is None):
             raise ConfigError(
@@ -152,11 +158,11 @@ def config_from_mapping(d: dict) -> ExperimentConfig:
     for key in ("k", "trials", "seed"):
         if key not in d:
             raise ConfigError(key, "a value is required")
-    for key in ("gen", "coherence", "lambda1"):
-        kind = (int, float) if key == "lambda1" else str
-        if key in d and (not isinstance(d[key], kind) or isinstance(d[key], bool)):
-            what = "a number" if key == "lambda1" else "a string"
-            raise ConfigError(key, f"must be {what}, got {d[key]!r}")
+    for key in ("gen", "coherence"):
+        if key in d and not isinstance(d[key], str):
+            raise ConfigError(key, f"must be a string, got {d[key]!r}")
+    if "lambda1" in d and not is_real(d["lambda1"]):
+        raise ConfigError("lambda1", f"must be a number, got {d['lambda1']!r}")
     if not 0.0 < d.get("lambda1", 1.0) <= sys.float_info.max:  # exact for a big int too
         raise ConfigError("lambda1", f"must be finite and > 0, got {d['lambda1']!r}")
     gen = plan = None
@@ -259,8 +265,8 @@ def prepare(config: ExperimentConfig) -> ExperimentSetup:
     lam = part.eigenvalues
     lambda1 = float(lam[0])
     lambda_k1 = float(max(lam[config.k], 0.0))
-    if config.l is not None and config.l > n:
-        raise ConfigError("l", f"must lie in [1, n={n}], got {config.l}")
+    if config.l is not None:
+        _check_int("l", config.l, 1, n)
     try:
         report = bound_report(
             n, config.k, tau, config.epsilon, config.delta, config.l, lambda_k1
@@ -352,7 +358,7 @@ def _cell(v) -> str:
     """One CSV cell: shortest round-trip floats, true/false, NA for None."""
     if v is None:
         return NA
-    if isinstance(v, bool):
+    if v is True or v is False:
         return "true" if v else "false"
     if isinstance(v, float):
         return repr(float(v))
@@ -437,15 +443,12 @@ def chernoff_sweep(
     the (k, plan, epsilon) grid, in that order.  A value out of its range
     raises ConfigError naming it; ``jobs`` changes nothing.
     """
-    _check_int("n", n, 1)
-    _check_int("trials", trials, 1)
-    _check_int("jobs", jobs, 1)
+    for key, value in (("n", n), ("trials", trials), ("jobs", jobs)):
+        _check_int(key, value, 1)
     for k in ks:
-        if not 1 <= k <= n:
-            raise ConfigError("k", f"must lie in [1, n={n}], got {k}")
-        _check_int("k", k, 1)  # rejects a float or bool that lies in range
+        _check_int("k", k, 1, n)
     for eps in epsilons:
-        if not 0.0 <= eps <= 1.0:
+        if not (is_real(eps) and 0.0 <= eps <= 1.0):
             raise ConfigError("epsilon", f"must lie in [0, 1], got {eps!r}")
     grid = [(k, plan, eps) for k in ks for plan in plans for eps in epsilons]
     for k, plan, _ in grid:
@@ -453,9 +456,7 @@ def chernoff_sweep(
     if ls is not None and len(ls) not in (1, len(grid)):
         raise ConfigError("l", f"need 1 or {len(grid)} values, got {len(ls)}")
     for l in ls or ():
-        if not 1 <= l <= n:
-            raise ConfigError("l", f"must lie in [1, n={n}], got {l}")
-        _check_int("l", l, 1)
+        _check_int("l", l, 1, n)
     rows = []
     for p, (k, plan, eps) in enumerate(grid):
         u1 = plan_basis(n, plan, k, RngSeed(master_seed, INSTANCE_STREAM + p))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import _check_orthonormal, coherence
-from .matcore import EPS, SpectralPartition, SymMatrix
+from .matcore import EPS, SpectralPartition, SymMatrix, check_integer, check_real
 from .sampling import RngSeed, rng_from
 
 _SPECTRUM_KINDS = ("exact-rank-k", "exp-decay", "power-law", "custom")
@@ -33,12 +33,13 @@ class SpectrumSpec:
         the top k, exactly zero after - rank k with no ties.
       * ``exp-decay``: ``lambda1 * rate ** (j - 1)``, full rank.
       * ``power-law``: ``lambda1 * j ** (-exponent)``, full rank.
-      * ``custom``: explicit values (length n), finite, non-negative and
-        non-increasing, all checked on construction.
+      * ``custom``: n explicit values, non-negative and non-increasing.
 
-    ``lambda1`` must be finite and > 0.  Only ``exact-rank-k`` can overflow
-    (``lambda1 * k`` is formed first); :meth:`eigenvalues` then raises
-    FloatingPointError naming lambda1.
+    Each field is checked on construction, by the rule of README "Library
+    quick start": ``lambda1`` finite and > 0 (``custom`` ignores it),
+    ``rate`` in ``(0, 1]``, ``exponent > 0`` and each value finite.  Only
+    ``exact-rank-k`` can overflow (``lambda1 * k`` is formed first);
+    :meth:`eigenvalues` then raises FloatingPointError naming lambda1.
     """
 
     kind: str
@@ -54,26 +55,20 @@ class SpectrumSpec:
             raise ValueError(
                 f"unknown spectrum kind {self.kind!r}; expected one of {_SPECTRUM_KINDS}"
             )
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"k must lie in [1, n={self.n}], got {self.k}")
-        if self.kind != "custom" and not 0.0 < self.lambda1 < math.inf:
-            raise ValueError(f"lambda1 must be finite and > 0, got {self.lambda1!r}")
+        check_integer("n", self.n)
+        check_integer("k", self.k, 1, self.n, "n")
+        if self.kind != "custom":
+            check_real("lambda1", self.lambda1, 0.0)
         if self.kind == "exp-decay":
-            if self.rate is None or not 0.0 < self.rate <= 1.0:
-                raise ValueError(f"exp-decay needs rate in (0, 1], got {self.rate!r}")
+            check_real("rate", self.rate, 0.0, 1.0, "(]")
         if self.kind == "power-law":
-            if self.exponent is None or not self.exponent > 0.0:
-                raise ValueError(
-                    f"power-law needs a positive exponent, got {self.exponent!r}"
-                )
+            check_real("exponent", self.exponent, 0.0, math.inf, "(]")
         if self.kind == "custom":
             if self.values is None or len(self.values) != self.n:
                 got = None if self.values is None else len(self.values)
                 raise ValueError(f"custom spectrum needs exactly n={self.n} values, got {got}")
-            if not all(math.isfinite(v) for v in self.values):
-                raise ValueError("custom spectrum values must be finite")
+            for i, v in enumerate(self.values):
+                check_real(f"values[{i}]", v)
             self.eigenvalues()  # a negative or increasing profile raises here
 
     def eigenvalues(self) -> np.ndarray:
@@ -111,8 +106,7 @@ class CoherencePlan:
             raise ValueError(
                 f"unknown coherence plan {self.target!r}; expected one of {_PLAN_TARGETS}"
             )
-        if self.target == "spiked" and self.m < 1:
-            raise ValueError(f"spiked plan needs m >= 1, got {self.m}")
+        check_integer("m", self.m)
 
 
 def check_plan(plan: CoherencePlan, n: int, k: int) -> None:
@@ -163,8 +157,8 @@ def _positive_signs(r: np.ndarray) -> np.ndarray:
 
 def random_orthonormal(n: int, k: int, seed: RngSeed) -> np.ndarray:
     """Haar-distributed n x k orthonormal basis on the stream of ``seed``."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
+    check_integer("n", n)
+    check_integer("k", k, 1, n, "n")
     return _haar(rng_from(seed), n, k)
 
 
@@ -175,9 +169,9 @@ def flat_orthonormal(n: int, k: int) -> np.ndarray:
     the span is exactly 1 for any k.  Deterministic; n must be a power of
     two.
     """
+    check_integer("n", n)
+    check_integer("k", k, 1, n, "n")
     check_plan(CoherencePlan("flat"), n, k)
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
     # H_2m = [[H_m, H_m], [H_m, -H_m]], doubled in place from the top-left
     # entry; only the first k columns are kept.  Every entry is
     # +-(1/sqrt(n)), as the division of a +-1 matrix by sqrt(n) rounds.

@@ -10,6 +10,10 @@ ties in the backend's order; a solver that does not converge raises
 ``np.linalg.LinAlgError``.  Eigenvalues of a nominally PSD matrix in
 ``[-PSD_CLAMP_REL * lambda_max, 0)`` count as zero; any below raise
 :class:`NotPSDError`.
+
+Every module checks its integer and real parameters with
+:func:`check_integer` and :func:`check_real`, the rule README "Library
+quick start" states.
 """
 
 from __future__ import annotations
@@ -49,6 +53,49 @@ LANCZOS_REL_TOL = 1e-12
 # Longest BLAS dot product in _stable_dot.  OpenBLAS splits a longer one
 # between threads, which moves its bits with the thread count.
 DOT_CHUNK = 8192
+
+INTEGER_TYPES = (int, np.integer)
+REAL_TYPES = (int, float, np.integer, np.floating)
+
+
+def is_integer(x) -> bool:
+    """The integer rule: an int or a numpy integer, never a bool (an int
+    subclass; a ``np.bool_`` is neither)."""
+    return isinstance(x, INTEGER_TYPES) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    """The real rule: an int, a float or a numpy integer or float, never a bool."""
+    return isinstance(x, REAL_TYPES) and not isinstance(x, bool)
+
+
+def check_integer(name: str, x, low: int = 1, high: float = math.inf, of: str = "") -> None:
+    """Raise ValueError naming ``name`` unless x passes :func:`is_integer`
+    and lies in ``[low, high]``; ``of`` names a data-dependent ``high``."""
+    if not is_integer(x):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    check_real(name, x, low, high, "[]", of)
+
+
+def check_real(name: str, x, low: float = -math.inf, high: float = math.inf,
+               ends: str = "()", of: str = "") -> None:
+    """Raise ValueError naming ``name`` unless x passes :func:`is_real` and
+    lies between low and high, each end closed or open as ``ends`` says
+    (``"()"``, ``"[]"``, ``"[)"`` or ``"(]"``), so by default x is finite; a
+    NaN lies nowhere.  The message prints an int end in full and a float
+    end to six significant digits (format ``n`` in the C locale)."""
+    if not is_real(x):
+        raise ValueError(f"{name} must be a number, got {x!r}")
+    if (low <= x if ends[0] == "[" else low < x) and (x <= high if ends[1] == "]" else x < high):
+        return
+    if high < math.inf:
+        need = f"lie in {ends[0]}{low:n}, {of + '=' if of else ''}{high:n}{ends[1]}"
+    else:
+        terms = ["finite"] if ends[1] == ")" else []
+        if low > -math.inf:
+            terms.append(f"{'>=' if ends[0] == '[' else '>'} {low:n}")
+        need = "be " + " and ".join(terms)
+    raise ValueError(f"{name} must {need}, got {x!r}")
 
 
 class NotPSDError(ValueError):
@@ -384,8 +431,7 @@ def partition(a: SymMatrix, k: int) -> SpectralPartition:
     ``k == n`` is allowed and leaves an empty tail.  ``u1`` is an n x k
     copy, so the n x n eigenvector array is not kept alive.
     """
-    if not 1 <= k <= a.n:
-        raise ValueError(f"partition index k={k} out of range [1, {a.n}]")
+    check_integer("k", k, 1, a.n, "n")
     vals, vecs = np.linalg.eigh(a.entries)
     order = np.argsort(-vals, kind="stable")
     return SpectralPartition(u1=vecs[:, order[:k]].copy(), eigenvalues=vals[order])

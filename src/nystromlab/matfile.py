@@ -164,7 +164,7 @@ def _split_point(fb) -> int:
     """The byte where a worker process takes over the parse of fb, or -1."""
     st = os.fstat(fb.fileno())
     if (not stat.S_ISREG(st.st_mode) or st.st_size < SPLIT_BYTES
-            or isinstance(fb.name, int)):  # the worker opens fb by name
+            or not isinstance(fb.name, (str, bytes))):  # the worker opens fb by name
         return -1
     fb.seek((st.st_size + SPLIT_BYTES // 2) // 2)
     while (raw := fb.readline(READ_BYTES)) and not raw.endswith(b"\n"):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import _stable_dot
+from .matcore import _stable_dot, check_integer, is_integer
 
 _U64_MAX = 2**64 - 1
 
@@ -27,12 +27,8 @@ class RngSeed:
     stream_id: int
 
     def __post_init__(self):
-        for name in ("master_seed", "stream_id"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-            if not 0 <= int(v) <= _U64_MAX:
-                raise ValueError(f"{name} must lie in [0, 2^64), got {v}")
+        check_integer("master_seed", self.master_seed, 0, _U64_MAX)
+        check_integer("stream_id", self.stream_id, 0, _U64_MAX)
 
 
 def rng_from(seed: RngSeed) -> np.random.Generator:
@@ -69,19 +65,16 @@ class ColumnSample:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        check_integer("n", self.n)
         l = len(self.indices)
         if not 1 <= l <= self.n:
             raise ValueError(f"sample size {l} out of range [1, {self.n}]")
-        seen = set()
+        n, seen = self.n, set()
         for idx in self.indices:
-            if not isinstance(idx, (int, np.integer)) or isinstance(idx, bool):
+            if not is_integer(idx):
                 raise ValueError(f"index {idx!r} is not an integer")
-            if not 0 <= idx < self.n:
-                raise ValueError(f"index {idx} out of range [0, {self.n})")
+            if not 0 <= idx < n:
+                raise ValueError(f"index {idx} out of range [0, {n})")
             if idx in seen:
                 raise ValueError(f"duplicate index {idx} in sample")
             seen.add(idx)
@@ -100,10 +93,8 @@ def sample_uniform(n: int, l: int, seed: RngSeed) -> ColumnSample:
     reads the stream as l scalar calls in turn would, so the sample depends
     only on the seed.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 1 <= l <= n:
-        raise ValueError(f"sample size l={l} out of range [1, {n}]")
+    check_integer("n", n)
+    check_integer("l", l, 1, n, "n")
     pool = list(range(n))
     for i, j in enumerate(rng_from(seed).integers(np.arange(l), n).tolist()):
         pool[i], pool[j] = pool[j], pool[i]
