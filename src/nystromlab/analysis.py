@@ -109,6 +109,7 @@ def min_eig_gram(u: np.ndarray, sample: ColumnSample) -> float:
 
 def full_rank_tolerance(n: int) -> float:
     """Rank-decision threshold for the sampled Gram matrix: n * eps."""
+    check_integer("n", n)
     return n * EPS
 
 

@@ -450,6 +450,7 @@ def chernoff_sweep(
     for eps in epsilons:
         if not (is_real(eps) and 0.0 <= eps <= 1.0):
             raise ConfigError("epsilon", f"must lie in [0, 1], got {eps!r}")
+    epsilons = [float(eps) for eps in epsilons]  # so that no numpy scalar reaches a row
     grid = [(k, plan, eps) for k in ks for plan in plans for eps in epsilons]
     for k, plan, _ in grid:
         _check_plan(plan, n, k)
@@ -467,10 +468,10 @@ def chernoff_sweep(
             l = ls[0] if len(ls) == 1 else ls[p]
         threshold = eps * l / n
         base = p * trials
-        hits = sum(
+        hits = int(sum(
             min_eig_gram(u1, sample_uniform(n, l, RngSeed(master_seed, base + t))) <= threshold
             for t in range(trials)
-        )
+        ))
         tail = chernoff_tail(k, tau, l, eps)
         p_cap = min(tail, 1.0)
         sigma = math.sqrt(p_cap * (1.0 - p_cap) / trials)

@@ -36,7 +36,8 @@ ASYMMETRY_REL_TOL = 1e-8
 # the largest eigenvalue.
 PSD_CLAMP_REL = 1e-10
 
-# Side of the square tiles in which SymMatrix compares A with A^T.
+# Side of the square tiles in which SymMatrix compares A with A^T, and
+# rows of the slices in which it checks that A is finite.
 SYMMETRY_TILE = 128
 
 # Column block of the blocked Cholesky in shifted_cholesky_ok.
@@ -163,7 +164,8 @@ class SymMatrix:
 
     Raises ValueError unless the input is square, non-empty, finite and
     has ``2 ||A - (A + A^T) / 2||_F <= ASYMMETRY_REL_TOL * ||A||_F``.
-    Bitwise symmetry is compared, and the asymmetry norm summed, in
+    Finiteness is checked in ``SYMMETRY_TILE``-row slices, and bitwise
+    symmetry compared, and the asymmetry norm summed, in
     ``SYMMETRY_TILE``-sided tiles, so an averaged input costs one n x n
     array besides itself.  Where ``||A||_F`` overflows or underflows, the
     check and any mirrored pair whose sum overflows run on entries scaled
@@ -179,7 +181,8 @@ class SymMatrix:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise ValueError("matrix dimension must be at least 1")
-        if not np.all(np.isfinite(a)):
+        t = SYMMETRY_TILE
+        if not all(np.isfinite(a[i:i + t]).all() for i in range(0, a.shape[0], t)):
             raise ValueError("matrix entries must be finite")
         if _bitwise_symmetric(a):
             if a.flags.writeable or not a.flags.owndata:

@@ -36,6 +36,12 @@ READ_BYTES = 1 << 20
 # SPLIT_BYTES / 2 takes, so the reading parent takes that much more of the
 # file; a split write breaks even at about this size.
 SPLIT_BYTES = 20 << 20
+# Rows formatted at a time by save_matrix: a mirrored text waiting for a
+# row past them waits joined with theirs, one piece per block of rows.
+# A piece of 16 texts, each at most 24 characters, is a small object that
+# Python's own allocator gives back when it is freed; a larger one comes
+# from the C heap, which keeps such pieces resident after the save.
+WRITE_BLOCK = 16
 
 
 class MatrixFileError(ValueError):
@@ -310,15 +316,30 @@ def _joined(row: np.ndarray) -> str:
     return " ".join(map(repr, row.tolist()))
 
 
+def _mirrored(part: np.ndarray, pending: list[list[str]]) -> list[str]:
+    """The texts of each row of part joined, each entry formatted once; the
+    texts of its column j are appended to pending[j] joined into one piece."""
+    texts = [list(map(repr, row.tolist())) for row in part]
+    for later, column in zip(pending, zip(*texts)):
+        later.append(" ".join(column))
+    return [" ".join(row) for row in texts]
+
+
 def _upper_lines(block: np.ndarray, pending: list[list[str]]):
-    """The lines of the symmetric block's rows, each entry formatted once:
-    the text of block[i, j], j > i, waits in pending[j] for row j."""
-    for i, row in enumerate(block):
-        upper = list(map(repr, row[i:].tolist()))
-        for later, text in zip(pending[i + 1:], upper[1:]):
-            later.append(text)
-        yield " ".join(pending[i] + upper)
-        pending[i] = None
+    """The lines of the symmetric block's rows, each entry formatted once,
+    WRITE_BLOCK rows at a time: the texts of block[:, j] in those rows wait
+    in pending[j] joined into one piece (:func:`_mirrored`) for each row j
+    past them, and one by one for a row j among them."""
+    n = len(block)
+    for s in range(0, n, WRITE_BLOCK):
+        e = min(s + WRITE_BLOCK, n)
+        rests = _mirrored(block[s:e, e:], pending[e:])
+        for i, rest in zip(range(s, e), rests):
+            texts = list(map(repr, block[i, i:e].tolist()))
+            for later, text in zip(pending[i + 1:e], texts[1:]):
+                later.append(text)
+            yield " ".join(pending[i] + texts + ([rest] if rest else []))
+            pending[i] = None
 
 
 def _write_cut(entries: np.ndarray) -> int:
@@ -351,11 +372,9 @@ def _write_worker(n: str, cut: str) -> None:
     writer = threading.Thread(target=_drain, args=(texts, sys.stdout.buffer))
     writer.start()
     pending = [[] for _ in rows]
-    for col in rows[:, :cut].T:  # the tail of row i < cut, mirrored
-        tail = list(map(repr, col.tolist()))
-        for later, text in zip(pending, tail):
-            later.append(text)
-        texts.put((" ".join(tail) + "\n").encode())
+    for s in range(0, cut, WRITE_BLOCK):  # the tails of rows s.., mirrored
+        for tail in _mirrored(rows[:, s:min(s + WRITE_BLOCK, cut)].T, pending):
+            texts.put((tail + "\n").encode())
     for line in _upper_lines(rows[:, cut:], pending):
         texts.put((line + "\n").encode())
     texts.put(b"")

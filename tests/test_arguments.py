@@ -20,6 +20,7 @@ from nystromlab import (
     chernoff_sweep,
     chernoff_tail,
     flat_orthonormal,
+    full_rank_tolerance,
     partition,
     probabilistic_bound,
     random_orthonormal,
@@ -67,6 +68,7 @@ TABLE = [
     ("RngSeed", "master_seed", "int", 2, lambda v: RngSeed(v, 0)),
     ("RngSeed", "stream_id", "int", 2, lambda v: RngSeed(0, v)),
     ("ColumnSample", "n", "int", 2, lambda v: ColumnSample(n=v, indices=(0,))),
+    ("full_rank_tolerance", "n", "int", 2, full_rank_tolerance),
     ("required_samples", "tau", "real", 1.5, lambda v: required_samples(2, v, 0.05, 0.5)),
     ("required_samples", "delta", "real", 0.05, lambda v: required_samples(2, 1.0, v, 0.5)),
     ("required_samples", "epsilon", "real", 0.5, lambda v: required_samples(2, 1.0, 0.05, v)),

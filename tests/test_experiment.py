@@ -10,10 +10,11 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nystromlab import (
@@ -46,7 +47,7 @@ from nystromlab.experiment import (
     run_trial,
 )
 
-from helpers import gram_psd, save_matrix_rowwise
+from helpers import gram_psd, save_matrix_rowwise, traced_peak
 
 # ---------------------------------------------------------------------------
 # matrix files
@@ -123,11 +124,15 @@ def _palette_matrix(n, seed, average, extra) -> SymMatrix:
 
 
 _EXTRA_FLOATS = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4)
+# Rows save_matrix formats at a time: the sizes below cross several blocks.
+_BLOCK = matfile.WRITE_BLOCK
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(1, 70), seed=st.integers(0, 2**32 - 1),
+@given(n=st.integers(1, 100), seed=st.integers(0, 2**32 - 1),
        average=st.booleans(), extra=_EXTRA_FLOATS)
+@example(n=_BLOCK, seed=1, average=True, extra=[])
+@example(n=_BLOCK + 1, seed=2, average=False, extra=[])
 def test_save_matrix_matches_rowwise_writer(tmp_path_factory, n, seed, average, extra):
     m = _palette_matrix(n, seed, average, extra)
     base = tmp_path_factory.getbasetemp()
@@ -786,14 +791,18 @@ def _saved(m, p) -> bytes:
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1), average=st.booleans(),
+@given(n=st.integers(2, 100), seed=st.integers(0, 2**32 - 1), average=st.booleans(),
        extra=_EXTRA_FLOATS, where=st.sampled_from(["rule", "first", "last", "any"]),
        data=st.data())
+@example(n=_BLOCK, seed=3, average=True, extra=[], where="last", data=None)
+@example(n=_BLOCK + 1, seed=4, average=False, extra=[], where="last", data=None)
+@example(n=_BLOCK + 1, seed=5, average=True, extra=[], where="first", data=None)
+@example(n=3 * _BLOCK + 1, seed=6, average=False, extra=[], where="rule", data=None)
 def test_split_write_matches_rowwise_writer(tmp_path_factory, n, seed, average, extra, where,
                                             data):
     # the worker writes from row cut: the size rule's row, 1, n - 1 or any
-    cut = {"rule": None, "first": 1, "last": n - 1}.get(where) or data.draw(
-        st.integers(1, n - 1), label="cut")
+    cut = data.draw(st.integers(1, n - 1), label="cut") if where == "any" else {
+        "rule": None, "first": 1, "last": n - 1}[where]
     m = _palette_matrix(n, seed, average, extra)
     base = tmp_path_factory.getbasetemp()
     save_matrix_rowwise(m, base / "rowwise.txt")
@@ -928,6 +937,35 @@ def test_split_write_peak_is_at_most_the_serial_peak(tmp_path):
     split = _save_peak(m, tmp_path / "split.txt", split=True)
     assert (tmp_path / "serial.txt").read_bytes() == (tmp_path / "split.txt").read_bytes()
     assert split <= serial, f"split peak {split} > serial peak {serial}"
+
+
+def test_serial_save_holds_its_waiting_texts_joined(tmp_path):
+    # At the middle row about n^2 / 4 mirrored texts wait.  Joined per
+    # block of rows, each costs its 20-odd characters; a str of its own
+    # would cost about 80 bytes, 2.5 x 8 n^2 bytes in all at this n.
+    n = 1024
+    m = gram_psd(n, np.random.default_rng(3))
+    peak = _save_peak(m, tmp_path / "m.txt", split=False)
+    assert peak <= 1.2 * 8 * n * n, f"peak {peak / (8 * n * n):.3f} x 8 n^2 bytes"
+
+
+def test_write_worker_holds_its_waiting_texts_joined():
+    # the worker in this process, on the rows and cut of a split save; what
+    # it holds besides the text it wrote is its rows and the waiting texts,
+    # joined per block of the parent's rows and of its own
+    n = 1024
+    m = gram_psd(n, np.random.default_rng(3))
+    cut = round(n / math.sqrt(2))
+    stdin = types.SimpleNamespace(buffer=io.BytesIO(m.entries[cut:].tobytes()))
+    stdout = types.SimpleNamespace(buffer=io.BytesIO())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "stdin", stdin)
+        mp.setattr(sys, "stdout", stdout)
+        peak = traced_peak(lambda: matfile._write_worker(str(n), str(cut)))
+    text = stdout.buffer.getvalue()
+    assert text.count(b"\n") == n
+    held = peak - len(text)
+    assert held <= 1.1 * 8 * n * n, f"held {held / (8 * n * n):.3f} x 8 n^2 bytes"
 
 
 # ---------------------------------------------------------------------------
@@ -1413,6 +1451,16 @@ def test_chernoff_sweep_deterministic_and_grid_order():
     assert len(r1) == 8
     assert [r["k"] for r in r1] == [1, 1, 1, 1, 2, 2, 2, 2]
     assert [r["epsilon"] for r in r1[:4]] == [0.25, 0.5, 0.25, 0.5]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_chernoff_sweep_numpy_epsilon_emits_plain_values(fmt):
+    # the rows hold no numpy scalar: the CSV writes true/false, and JSON works
+    rows = chernoff_sweep(4, [1], [CoherencePlan("flat")], [np.float64(0.5)], 2, 0)
+    plain = chernoff_sweep(4, [1], [CoherencePlan("flat")], [0.5], 2, 0)
+    assert emit_table(rows, fmt) == emit_table(plain, fmt)
+    assert [type(rows[0][key]) for key in ("epsilon", "failures", "dominated")] == [
+        float, int, bool]
 
 
 @pytest.mark.parametrize("over,field", [

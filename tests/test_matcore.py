@@ -238,6 +238,23 @@ def test_symmatrix_checks_finiteness_before_symmetry():
     a = np.full((3, 3), np.inf)
     with pytest.raises(ValueError, match="finite"):
         SymMatrix(a)
+    # one bad entry, off the diagonal, in the last and partial tile of rows
+    n = 2 * matcore.SYMMETRY_TILE + 3
+    for bad in (np.nan, np.inf, -np.inf):
+        b = np.eye(n)
+        b[n - 1, n - 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SymMatrix(b)
+
+
+def test_symmatrix_checks_finiteness_without_an_n_by_n_mask():
+    # a handed-over symmetric array is stored as is; an n x n bool mask
+    # alone would be 1/8 of n^2 doubles
+    n = 1024
+    g = np.random.default_rng(4).standard_normal((n, n))
+    a = _handed_over(g + g.T)
+    peak = traced_peak(lambda: SymMatrix(a))
+    assert peak < 8 * n * n / 16, f"peak {peak / (8 * n * n):.4f} n^2 doubles"
 
 
 # ---------------------------------------------------------------------------
