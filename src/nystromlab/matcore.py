@@ -291,8 +291,9 @@ def shifted_cholesky_ok(m: np.ndarray, shift: float) -> bool:
     ``m[j:, j:j + b]`` of m's own lower triangle: ``np.linalg.cholesky``
     factors the diagonal block (it reads only its lower triangle),
     ``np.linalg.solve`` turns the rest of the panel into the factor's
-    panel, written back over it, and one matmul per block-strip subtracts
-    the panel product from the trailing lower triangle.  The arithmetic is
+    panel, ``2 * CHOLESKY_BLOCK`` rows at a time, written back over it, and
+    one matmul per strip of ``2 * TRIANGLE_TILE`` rows subtracts the panel
+    product from the trailing lower triangle.  The arithmetic is
     that of the same algorithm run on a full copy of ``m + shift I``; a
     blocked Cholesky has the backward error of the unblocked one (Higham,
     *Accuracy and Stability of Numerical Algorithms*, ch. 10), so it
@@ -307,8 +308,9 @@ def shifted_cholesky_ok(m: np.ndarray, shift: float) -> bool:
     lower triangle is copied back from the strict upper one and the
     diagonal from its copy, so m comes back bit for bit, with its write
     flag as it was (m must be writeable or own its buffer; no concurrent
-    calls on one array).  Besides m it holds one factor panel or strip
-    product, about ``n * CHOLESKY_BLOCK`` entries.
+    calls on one array).  Besides m it holds one solved block of the panel,
+    ``2 * CHOLESKY_BLOCK**2`` entries, or one strip product, at most
+    ``2 * TRIANGLE_TILE * n`` entries.
     """
     n, b = m.shape[0], CHOLESKY_BLOCK
     d = np.arange(n)
@@ -325,12 +327,11 @@ def shifted_cholesky_ok(m: np.ndarray, shift: float) -> bool:
                 factor = np.linalg.cholesky(m[j:e, j:e])
             except np.linalg.LinAlgError:
                 return False
-            if e == n:  # solve costs a factorization even with no panel rows
-                break
-            m[e:, j:e] = np.linalg.solve(factor, m[e:, j:e].T).T
+            for i in range(e, n, 2 * b):
+                m[i:i + 2 * b, j:e] = np.linalg.solve(factor, m[i:i + 2 * b, j:e].T).T
             panel = m[e:, j:e]
-            for i in range(e, n, b):
-                t = min(i + b, n)
+            for i in range(e, n, 2 * s):
+                t = min(i + 2 * s, n)
                 strip = panel[i - e:t - e] @ panel[:t - e].T  # rows i:t, columns e:t
                 for r in range(i, t, s):  # left of the diagonal, then its lower half
                     q = min(r + s, t)

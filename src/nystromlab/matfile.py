@@ -28,7 +28,7 @@ if TYPE_CHECKING:
     from .matcore import SymMatrix
 
 # Data lines per np.loadtxt call in load_matrix.
-LOAD_CHUNK = 32
+LOAD_CHUNK = 8
 # The most bytes load_matrix reads at once: a longer line is read in pieces.
 READ_BYTES = 1 << 20
 # load_matrix parses, and save_matrix formats, at least this much text in
@@ -118,22 +118,25 @@ def _reserve(rows, need: int, n: int) -> np.ndarray:
 
 class _Span(NamedTuple):
     """What :func:`_read_span` found in a run of lines.  Indices count
-    lines from 1 at the span's first line; ``last`` is that of the last
-    non-blank line (0 if none), and ``defect`` is ``(index, kind, detail)``
-    for the first bad data line."""
+    lines from 1 at the span's first line; ``count`` is that of the last
+    line, ``last`` that of the last non-blank line (0 if none), and
+    ``defect`` is ``(index, kind, detail)`` for the first bad data line."""
 
     rows: np.ndarray | None
+    count: int
     last: int
     defect: tuple | None
 
 
-def _read_span(lines, n: int) -> _Span:
-    """Parse lines into a new buffer of rows, up to the first bad data
-    line; lines past the first n are only checked for blankness."""
-    rows = None
-    count = last = 0
-    defect = None
-    for i in range(0, n, LOAD_CHUNK):
+_NO_LINES = _Span(None, 0, 0, None)
+
+
+def _read_span(lines, n: int, start: _Span = _NO_LINES) -> _Span:
+    """Parse lines into start's buffer of rows (a new one if None), as the
+    lines after start's, up to the first bad data line; lines past the
+    first n are only checked for blankness."""
+    rows, count, last, defect = start
+    for i in range(count, n, LOAD_CHUNK):
         chunk = list(itertools.islice(lines, min(LOAD_CHUNK, n - i)))
         if not chunk:
             break
@@ -163,7 +166,12 @@ def _read_span(lines, n: int) -> _Span:
         count += 1
         if line.strip():
             last = count
-    return _Span(rows, last, defect)
+    return _Span(rows, count, last, defect)
+
+
+def _count_error(n: int, last: int) -> MatrixFileError:
+    return MatrixFileError(f"expected {n} data lines after the header, found {last}",
+                           last + 1, "count")
 
 
 def _split_point(fb) -> int:
@@ -252,14 +260,17 @@ def _span_worker(path, start: str, n: str, dev: str, ino: str) -> None:
 
 
 def _from_worker(proc, first: _Span, n: int) -> np.ndarray | None:
-    """The n rows of first's buffer, completed by the worker's, or None
-    unless the worker's count completes n and all its row bytes arrive."""
+    """The n rows of first's buffer (a clean span), completed by the
+    worker's; None unless the worker reports its count and then all its
+    row bytes arrive.  A count that does not complete n raises the count
+    error that one read of the file reports."""
     try:
         count = int(proc.stdout.readline())
     except ValueError:
         return None
-    if first.last + count != n:
-        return None
+    last = first.count + count if count else first.last
+    if last != n:
+        raise _count_error(n, last)
     rows = _reserve(first.rows, n, n)
     if proc.stdout.readinto(rows[first.last:]) != count * n * 8:
         return None
@@ -286,21 +297,21 @@ def load_matrix(path) -> SymMatrix:
         if n < 1:
             raise MatrixFileError(f"line 1: dimension must be >= 1, got {n}", 1, "header")
         rows = None
+        span = _NO_LINES
         if split > 0:
             st = os.fstat(fb.fileno())
             where = (fb.name, *map(str, (split, n, st.st_dev, st.st_ino)))
             with _worker("_span_worker", *where) as proc:
-                first = _read_span(lines, n)
-                if proc and not first.defect:  # else the worker is killed unread
-                    rows = _from_worker(proc, first, n)
-            if rows is None:  # any defect is reported by one read of the whole file
-                fb.seek(0)
-                lines = itertools.islice(_lines(fb), 1, None)
+                span = _read_span(lines, n)
+                if proc and not span.defect:  # else the worker is killed unread
+                    rows = _from_worker(proc, span, n)
+            if rows is None:  # this process goes on with the worker's lines
+                fb.seek(split)
+                lines = _lines(fb)
         if rows is None:
-            span = _read_span(lines, n)
+            span = _read_span(lines, n, span)
             if span.last != n:
-                raise MatrixFileError(f"expected {n} data lines after the header, "
-                                      f"found {span.last}", span.last + 1, "count")
+                raise _count_error(n, span.last)
             if span.defect:
                 lineno, kind, detail = 1 + span.defect[0], *span.defect[1:]
                 raise MatrixFileError(f"line {lineno}: {detail}", lineno, kind)

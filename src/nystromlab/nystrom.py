@@ -38,8 +38,11 @@ class NystromResult:
     pivot columns P and zero elsewhere (``rank_w x l``).  ``columns`` (C,
     n x l, in index order), ``factor`` (Z, n x ``rank_w``) and
     ``psd_violation`` (the most negative eigenvalue of ``Z Z^T``, read from
-    ``Z^T Z``; 0.0 when there is none) are computed on first read.  The
-    norm of ``A - Z Z^T`` lies in ``[spectral_error, spectral_error +
+    ``Z^T Z``; 0.0 when there is none) are computed on first read.
+    ``psd_violation`` sums ``Z^T Z`` as ``Z_b^T Z_b`` over blocks of
+    ``8 * GATHER_ROWS`` rows, each ``Z_b`` formed from its rows of C, so
+    it reads neither ``columns`` nor ``factor`` and forms no n x l array.
+    The norm of ``A - Z Z^T`` lies in ``[spectral_error, spectral_error +
     error_residual]``.
     """
 
@@ -66,7 +69,12 @@ class NystromResult:
     def psd_violation(self) -> float:
         if self.rank_w == 0:
             return 0.0
-        return min(float(np.linalg.eigvalsh(self.factor.T @ self.factor)[0]), 0.0)
+        a, index, b = self.matrix, np.sort(self.sample.indices), 8 * GATHER_ROWS
+        gram = np.zeros((self.rank_w, self.rank_w))
+        for i in range(0, a.n, b):
+            z = a.block(index, np.arange(i, min(i + b, a.n))).T @ self.linv.T
+            gram += z.T @ z
+        return min(float(np.linalg.eigvalsh(gram)[0]), 0.0)
 
 
 def _pivoted_cholesky(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

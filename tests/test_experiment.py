@@ -478,6 +478,20 @@ def test_load_full_file_peak(tmp_path):
     assert peak <= 1.75 * n * n * 8, f"peak is {peak / (n * n * 8):.2f} n^2 doubles"
 
 
+def test_load_holds_a_few_lines_beside_its_rows(tmp_path):
+    # read by this process alone, so its rows fill a buffer of all n: beyond
+    # those 8 n^2 bytes, the text of 22.4 lines and the values parsed from
+    # it, plus 15%; 32-line chunks held 79.6 lines' worth
+    n = 1024
+    p = tmp_path / "m.txt"
+    save_matrix(gram_psd(n, np.random.default_rng(3)), p)
+    with _split_io(split_bytes=1 << 62):
+        a, peak = _load_peak(p)
+    assert a.n == n
+    lines = (peak - 8 * n * n) / (p.stat().st_size / n)
+    assert lines <= 26, f"{lines:.1f} lines beside the rows"
+
+
 @pytest.mark.parametrize("kind", ["file", "pipe"])
 def test_load_non_utf8_byte_is_a_value_defect(tmp_path, kind):
     with pytest.raises(MatrixFileError) as ei:
@@ -691,6 +705,46 @@ def test_no_worker_outlives_load_matrix(tmp_path, case):
         "parent raises": [], "defect before the cut": [], "defect": [False],
         "worker fails": [False], "worker's file differs": [False],
     }.get(case, [True])
+
+
+@pytest.mark.parametrize("case", ["clean", "defect", "defect before the cut", "worker fails",
+                                  "too few lines", "too many lines"])
+def test_split_read_parses_no_line_twice(tmp_path, case):
+    # this process reads each data line at most once, in order: after a
+    # worker that fails, it goes on from the cut with its rows and count;
+    # a count off n from two clean spans is reported with no read at all
+    p = tmp_path / "m.txt"
+    save_matrix(gram_psd(40, np.random.default_rng(5)), p)
+    head, *rows = p.read_bytes().split(b"\n")[:-1]
+    if case == "defect":
+        rows[-1] = rows[-1][:rows[-1].rindex(b" ")] + b" x"
+    elif case == "defect before the cut":
+        rows[0] = b"x" + rows[0][rows[0].index(b" "):]
+    elif case == "too few lines":
+        del rows[-1]
+    elif case == "too many lines":
+        rows.append(rows[-1])
+    p.write_bytes(b"\n".join([head, *rows, b""]))
+    one = _load(p)
+    seen, read_span = [], matfile._read_span
+
+    def spy(lines, *args):
+        def tee():
+            for line in lines:
+                seen.append(line)
+                yield line
+        return read_span(tee(), *args)
+
+    with _split_io(_after_lines(p.read_bytes(), 21)) as (started, kept), \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matfile, "_read_span", spy)
+        if case == "worker fails":
+            mp.setattr(matfile, "_WORKER", "import sys; sys.exit(3)")
+        assert _load(p) == one
+    assert len(started) == 1 and started[0].returncode is not None
+    assert seen == [row.decode() for row in rows][:len(seen)]
+    assert len(seen) == (20 if case in ("clean", "too few lines", "too many lines")
+                         else len(rows))
 
 
 @pytest.mark.parametrize("executable", ["no-such-python", "", None])

@@ -47,6 +47,7 @@ from helpers import (
     planted_psd,
     spectral_norm,
     sym_eigvals,
+    traced_peak,
 )
 
 
@@ -292,6 +293,39 @@ def test_dense_extension_is_built_on_demand():
     # the nonzero spectrum of Z Z^T is that of Z^T Z; the rest is exactly 0
     assert res.psd_violation == min(float(np.linalg.eigvalsh(z.T @ z)[0]), 0.0)
     assert abs(res.psd_violation - dense) <= 8 * a.n * EPS * spectral_norm(z) ** 2
+
+
+@pytest.mark.parametrize("n,l,rank", [(600, 60, None), (1024, 100, None), (600, 60, 20),
+                                      (1024, 100, 40)])
+def test_psd_violation_sums_the_gram_over_row_blocks(n, l, rank, monkeypatch):
+    # n = 600 and 1024 span 3 and 4 blocks of 8 * GATHER_ROWS rows; at rank
+    # below l, W is rank-deficient and Z has fewer columns than C
+    g = np.random.default_rng(n + l).standard_normal((n, rank or n + 2))
+    a = SymMatrix(g @ g.T / n)
+    res = nystrom_extend(a, sample_uniform(n, l, RngSeed(n, 0)))
+    assert res.rank_w == l if rank is None else 0 < res.rank_w <= rank
+    grams, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: grams.append(m) or eigvalsh(m))
+    violation = res.psd_violation
+    monkeypatch.undo()
+    z = res.factor
+    tol = 8 * n * EPS * spectral_norm(z) ** 2
+    # the summed Gram is Z^T Z within rounding, entry by entry
+    assert len(grams) == 1 and np.abs(grams[0] - z.T @ z).max() <= tol
+    want = min(float(np.linalg.eigvalsh(z.T @ z)[0]), 0.0)
+    assert abs(violation - want) <= tol
+
+
+def test_psd_violation_forms_no_n_by_l_array():
+    # one block of C's rows and its Z_b: 0.85 n l doubles; the whole C and
+    # Z took 2.1
+    n, l = 1024, 100
+    a = gram_psd(n, np.random.default_rng(6))
+    res = nystrom_extend(a, sample_uniform(n, l, RngSeed(1, 0)))
+    assert res.rank_w == l
+    peak = traced_peak(lambda: res.psd_violation)
+    assert peak < n * l * 8, f"peak is {peak / (n * l * 8):.2f} n l doubles"
+    assert "columns" not in vars(res) and "factor" not in vars(res)
 
 
 def test_zero_matrix_has_zero_error():
