@@ -1,10 +1,8 @@
 """The plain-text matrix format: :func:`load_matrix` and :func:`save_matrix`.
 
 README "File formats" describes the format and how a large file is read
-and written.
-This module imports only the standard library and numpy at module level:
-the worker processes that parse or format the second part of a large file
-run this file alone, without importing the package.
+and written: a forked child of this process parses, or formats, its second
+part.
 """
 
 from __future__ import annotations
@@ -16,26 +14,26 @@ import json
 import math
 import os
 import queue
+import signal
 import stat
-import subprocess
-import sys
 import threading
-from typing import TYPE_CHECKING, NamedTuple
+import warnings
+from typing import NamedTuple
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .matcore import SymMatrix
+from .matcore import SymMatrix
 
 # Data lines per np.loadtxt call in load_matrix.
 LOAD_CHUNK = 8
 # The most bytes load_matrix reads at once: a longer line is read in pieces.
 READ_BYTES = 1 << 20
 # load_matrix parses, and save_matrix formats, at least this much text in
-# two processes.  A worker takes about 0.2 s to start, as long as parsing
-# SPLIT_BYTES / 2 takes, so the reading parent takes that much more of the
-# file; a split write breaks even at about this size.
-SPLIT_BYTES = 20 << 20
+# two processes, this one and a forked child.  Split over one process, a
+# fresh process per call took 0.81 to read and 1.09 to write Gram files of
+# 1.3 MiB, 0.74 and 0.95 at 2 MiB, 0.66 and 0.88 at 3 MiB, and 0.69 and
+# 0.83 at 4 MiB (medians of 15 alternating pairs, 2 vCPUs, Python 3.11).
+SPLIT_BYTES = 2 << 20
 # Rows formatted at a time by save_matrix: a mirrored text waiting for a
 # row past them waits joined with theirs, one piece per block of rows.
 # A piece of 16 texts, each at most 24 characters, is a small object that
@@ -169,18 +167,14 @@ def _read_span(lines, n: int, start: _Span = _NO_LINES) -> _Span:
     return _Span(rows, count, last, defect)
 
 
-def _count_error(n: int, last: int) -> MatrixFileError:
-    return MatrixFileError(f"expected {n} data lines after the header, found {last}",
-                           last + 1, "count")
-
-
 def _split_point(fb) -> int:
-    """The byte where a worker process takes over the parse of fb, or -1."""
+    """The byte where a forked child takes over the parse of fb, after the
+    first LF at or past its middle, or -1."""
     st = os.fstat(fb.fileno())
     if (not stat.S_ISREG(st.st_mode) or st.st_size < SPLIT_BYTES
-            or not isinstance(fb.name, (str, bytes))):  # the worker opens fb by name
+            or not isinstance(fb.name, (str, bytes))):  # the child opens fb by name
         return -1
-    fb.seek((st.st_size + SPLIT_BYTES // 2) // 2)
+    fb.seek(st.st_size // 2)
     while (raw := fb.readline(READ_BYTES)) and not raw.endswith(b"\n"):
         pass
     split = fb.tell()
@@ -188,100 +182,93 @@ def _split_point(fb) -> int:
     return split if split < st.st_size else -1
 
 
-# The worker runs isolated (-I), so neither its working directory nor a
-# PYTHON* variable adds to its import path, which is set to this process's
-# sys.path.  It runs this file by its path, so it imports no package module,
-# and calls the function argv[2] names (popped first) on the rest of argv.
-_WORKER = ("import sys, json, runpy; sys.path[:] = json.loads(sys.argv[1]); "
-           f"runpy.run_path({os.path.abspath(__file__)!r})[sys.argv.pop(2)](*sys.argv[2:])")
-
-
-def _feed(pipe, rows: np.ndarray) -> None:
-    """Write rows to pipe as C-ordered bytes and close it; the reader may be gone."""
-    with contextlib.suppress(OSError), pipe:
-        pipe.write(np.ascontiguousarray(rows))
-
-
 @contextlib.contextmanager
-def _worker(*args: str, feed: np.ndarray | None = None):
-    """A worker process that runs this file's function args[0] on args[1:],
-    with the rows feed (fed by a thread) or else this process's stdin as
-    its stdin; None where Python cannot name its executable, only one CPU
-    is usable or no process starts.  On exit it is killed and reaped."""
+def _worker(child, *args):
+    """A forked child of this process that runs child(out, *args), out the
+    write end of a pipe, and then ends in os._exit: 0 if child returned, 1
+    if it raised, so it never returns into the caller or flushes a stream
+    it inherited.  Yields the pipe's read end, or None where only one CPU is
+    usable or os.fork is missing or fails.  On exit the child is killed and
+    reaped, before the pipe is closed."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    proc = None
-    if sys.executable and cpus > 1:  # it can be empty or None
-        path = json.dumps([d for d in sys.path if isinstance(d, str)])
+    pid = None
+    if cpus > 1 and hasattr(os, "fork"):
+        fds = ()
         try:
-            # an inherited stdin keeps /dev/stdin the same file
-            proc = subprocess.Popen(
-                [sys.executable, "-I", "-c", _WORKER, path, *args],
-                stdin=None if feed is None else subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-                env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},  # it runs no BLAS
-            )
+            fds = r, w = os.pipe()
+            # Python 3.12+ warns of a fork in a process with several threads,
+            # such as a caller's (OpenBLAS stops its own at a fork).  The child
+            # runs no BLAS, takes no lock another thread may hold, writes only
+            # to its pipe and never returns.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
         except OSError:
-            pass
-    if proc is None:
+            for fd in fds:
+                os.close(fd)
+    if pid is None:
         yield None
         return
-    with proc:  # closes the pipes and waits
-        feeder = threading.Thread(target=_feed, args=(proc.stdin, feed))
+    if pid == 0:
+        status = 1
         try:
-            if feed is not None:
-                feeder.start()
-            yield proc
+            os.close(r)
+            with open(w, "wb") as out:
+                child(out, *args)
+            status = 0
         finally:
-            proc.kill()  # a feeder still writing gets a broken pipe
-            if feeder.is_alive():
-                feeder.join()
+            os._exit(status)
+    os.close(w)
+    with open(r, "rb") as out:
+        try:
+            yield out
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
-def _span_worker(path, start: str, n: str, dev: str, ino: str) -> None:
-    """The worker's side: parse path from byte start, then write its row
-    count as one line and the rows as raw float64 bytes.  It exits 1 if
-    path is no longer the parent's file, if a line up to its last non-blank
-    one is not a row, or if it holds more than n rows."""
-    n = int(n)
+def _span_worker(out, path, start: int, n: int, dev: int, ino: int) -> None:
+    """The child's side of a split load: parse path from byte start, then
+    send one JSON line [last, defect], the index of its last non-blank line
+    and its first bad data line up to there as (index, kind, detail) or
+    null, and after a null its rows as raw float64 bytes.  It sends nothing
+    if path is no longer the parent's file."""
     with open(path, "rb") as fb:
         st = os.fstat(fb.fileno())
-        if (st.st_dev, st.st_ino) != (int(dev), int(ino)):
-            sys.exit(1)
-        fb.seek(int(start))
+        if (st.st_dev, st.st_ino) != (dev, ino):
+            return
+        fb.seek(start)
         span = _read_span(_lines(fb), n)
-    if span.last > n or span.defect and span.defect[0] <= span.last:
-        sys.exit(1)
-    out = sys.stdout.buffer
-    out.write(b"%d\n" % span.last)
-    if span.last:
+    defect = span.defect if span.defect and span.defect[0] <= span.last else None
+    out.write(json.dumps([span.last, defect]).encode() + b"\n")
+    if span.last and not defect:
         out.write(span.rows[:span.last])
-    out.flush()
 
 
-def _from_worker(proc, first: _Span, n: int) -> np.ndarray | None:
-    """The n rows of first's buffer (a clean span), completed by the
-    worker's; None unless the worker reports its count and then all its
-    row bytes arrive.  A count that does not complete n raises the count
-    error that one read of the file reports."""
+def _from_worker(out, first: _Span, n: int) -> _Span | None:
+    """The span of the whole file, from first (a clean span) and the
+    child's line; its count is that of its last non-blank line.  For a
+    clean file its rows are first's buffer completed by the child's.  None
+    unless the child's line arrives, and then every row byte it owes."""
     try:
-        count = int(proc.stdout.readline())
+        last, defect = json.loads(out.readline())
     except ValueError:
         return None
-    last = first.count + count if count else first.last
-    if last != n:
-        raise _count_error(n, last)
+    last = first.count + last if last else first.last
+    if defect:
+        defect = (first.count + defect[0], *defect[1:])
+    if last != n or defect:
+        return _Span(None, last, last, defect)
     rows = _reserve(first.rows, n, n)
-    if proc.stdout.readinto(rows[first.last:]) != count * n * 8:
+    if out.readinto(rows[first.last:]) != (n - first.last) * n * 8:
         return None
-    return rows
+    return _Span(rows, n, n, None)
 
 
 def load_matrix(path) -> SymMatrix:
     """Read the plain-text matrix format (README "File formats"); raises
     :class:`MatrixFileError` with the kind and line of the first defect."""
-    from .matcore import SymMatrix  # here, so that the worker imports no package module
-
     with open(path, "rb") as fb:
         split = _split_point(fb)
         lines = _lines(fb, split)
@@ -296,26 +283,24 @@ def load_matrix(path) -> SymMatrix:
             ) from None
         if n < 1:
             raise MatrixFileError(f"line 1: dimension must be >= 1, got {n}", 1, "header")
-        rows = None
-        span = _NO_LINES
+        span, whole = _NO_LINES, None
         if split > 0:
             st = os.fstat(fb.fileno())
-            where = (fb.name, *map(str, (split, n, st.st_dev, st.st_ino)))
-            with _worker("_span_worker", *where) as proc:
+            with _worker(_span_worker, fb.name, split, n, st.st_dev, st.st_ino) as out:
                 span = _read_span(lines, n)
-                if proc and not span.defect:  # else the worker is killed unread
-                    rows = _from_worker(proc, span, n)
-            if rows is None:  # this process goes on with the worker's lines
+                if out and not span.defect:  # else the child is killed unread
+                    whole = _from_worker(out, span, n)
+            if whole is None:  # this process goes on from the cut
                 fb.seek(split)
                 lines = _lines(fb)
-        if rows is None:
-            span = _read_span(lines, n, span)
-            if span.last != n:
-                raise _count_error(n, span.last)
-            if span.defect:
-                lineno, kind, detail = 1 + span.defect[0], *span.defect[1:]
-                raise MatrixFileError(f"line {lineno}: {detail}", lineno, kind)
-            rows = span.rows
+        span = whole or _read_span(lines, n, span)
+    if span.last != n:
+        raise MatrixFileError(f"expected {n} data lines after the header, found {span.last}",
+                              span.last + 1, "count")
+    if span.defect:
+        lineno, kind, detail = 1 + span.defect[0], *span.defect[1:]
+        raise MatrixFileError(f"line {lineno}: {detail}", lineno, kind)
+    rows = span.rows
     rows.flags.writeable = False  # handed over: SymMatrix stores it as is
     try:
         return SymMatrix(rows)
@@ -354,7 +339,7 @@ def _upper_lines(block: np.ndarray, pending: list[list[str]]):
 
 
 def _write_cut(entries: np.ndarray) -> int:
-    """The first row a worker writes: n where the text, estimated as n times
+    """The first row the child formats: n where the text, estimated as n times
     that of row 0, is below SPLIT_BYTES; else n / sqrt(2), where the two
     processes format as many entries each."""
     n = len(entries)
@@ -372,15 +357,12 @@ def _drain(texts, out) -> None:
             return
 
 
-def _write_worker(n: str, cut: str) -> None:
-    """The worker's side of a save (README "File formats"); a thread writes,
-    so that formatting never waits on the pipe."""
-    n, cut = int(n), int(cut)
-    rows = np.empty((n - cut, n))
-    if sys.stdin.buffer.readinto(rows) != rows.nbytes:
-        sys.exit(1)
+def _write_worker(out, entries: np.ndarray, cut: int) -> None:
+    """The child's side of a split save (README "File formats"); a thread
+    writes, so that formatting never waits on the pipe."""
+    rows = entries[cut:]
     texts = queue.SimpleQueue()
-    writer = threading.Thread(target=_drain, args=(texts, sys.stdout.buffer))
+    writer = threading.Thread(target=_drain, args=(texts, out))
     writer.start()
     pending = [[] for _ in rows]
     for s in range(0, cut, WRITE_BLOCK):  # the tails of rows s.., mirrored
@@ -392,11 +374,11 @@ def _write_worker(n: str, cut: str) -> None:
     writer.join()
 
 
-def _from_writer(proc, n: int, cut: int):
-    """The worker's lines, while each is whole ASCII text: the tails of rows
+def _from_writer(out, n: int, cut: int):
+    """The child's lines, while each is whole ASCII text: the tails of rows
     0..cut-1 hold n - cut values, the rows after them n."""
     for i in range(n):
-        line = proc.stdout.readline()
+        line = out.readline()
         values = n - cut if i < cut else n
         if not line.endswith(b"\n") or line.count(b" ") != values - 1 or not line.isascii():
             return
@@ -409,10 +391,10 @@ def save_matrix(a: SymMatrix, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"{n}\n")
         cut = _write_cut(entries)
-        with (_worker("_write_worker", str(n), str(cut), feed=entries[cut:]) if cut < n
-              else contextlib.nullcontext()) as proc:
-            cut = cut if proc else n
-            lines = _from_writer(proc, n, cut)
+        with (_worker(_write_worker, entries, cut) if cut < n
+              else contextlib.nullcontext()) as out:
+            cut = cut if out else n
+            lines = _from_writer(out, n, cut)
             for i, text in enumerate(_upper_lines(entries[:cut, :cut], [[] for _ in range(cut)])):
                 if cut < n:
                     text += " " + (next(lines, None) or _joined(entries[i, cut:]))

@@ -6,11 +6,11 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
-import sys
 import threading
 import tracemalloc
-import types
+import warnings
 
 import numpy as np
 import pytest
@@ -518,30 +518,53 @@ def test_load_from_a_pipe_matches_the_regular_file(tmp_path):
 def _split_io(cut=None, split_bytes=0, cpus=(0, 1)):
     """Split regular files and matrix texts of split_bytes or more (read
     files at byte cut, if given), with the usable CPUs cpus.  Yields the
-    worker processes load_matrix and save_matrix start, None for each that
-    could not start, and for each call of _from_worker whether load_matrix
-    kept the worker's rows: True only for a clean file."""
+    pids of the children load_matrix and save_matrix fork, None for each
+    fork that raised, and for each call of _from_worker what load_matrix
+    got: the child's rows (True, only for a clean file), only its report
+    of the count and first defect (False), or nothing (None)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matfile, "SPLIT_BYTES", split_bytes)
         mp.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
         if cut is not None:
             mp.setattr(matfile, "_split_point", lambda fb: cut)
         started, kept = [], []
-        popen, from_worker = subprocess.Popen, matfile._from_worker
+        fork, from_worker = os.fork, matfile._from_worker
 
-        def spy(*args, **kwargs):
+        def spy():
             started.append(None)
-            started[-1] = popen(*args, **kwargs)
+            started[-1] = fork()
             return started[-1]
 
-        def spy_rows(*args):
-            rows = from_worker(*args)
-            kept.append(rows is not None)
-            return rows
+        def spy_span(*args):
+            span = from_worker(*args)
+            kept.append(span and span.rows is not None)
+            return span
 
-        mp.setattr(subprocess, "Popen", spy)
-        mp.setattr(matfile, "_from_worker", spy_rows)
+        mp.setattr(os, "fork", spy)
+        mp.setattr(matfile, "_from_worker", spy_span)
         yield started, kept
+
+
+def _reaped(pid) -> bool:
+    """Whether this process has no child pid left to wait for."""
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _open_fds() -> int:
+    """The number of file descriptors this process holds open."""
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _child_fails(out, *args):
+    raise RuntimeError("the child fails")
+
+
+def _fork_fails():
+    raise OSError("no fork")
 
 
 def _load(src):
@@ -584,13 +607,13 @@ def _after_lines(text: bytes, cut: int) -> int:
 
 def _assert_split_matches_one_span(p, cut: int) -> None:
     """load_matrix(p) cut after the first cut LFs gives what one span gives,
-    from a worker that ran and was reaped; its rows are kept exactly when
-    the file is clean."""
+    from a child that ran and was reaped; its report is used whenever it is
+    read, and its rows exactly when the file is clean."""
     one = _load(p)
     with _split_io(_after_lines(p.read_bytes(), cut)) as (started, kept):
         assert _load(p) == one
-    assert len(started) == 1 and started[0].returncode is not None
-    assert (kept == [True]) == isinstance(one, bytes) and len(kept) <= 1
+    assert len(started) == 1 and _reaped(started[0])
+    assert (kept == [True]) == isinstance(one, bytes) and kept in ([], [False], [True])
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -649,14 +672,13 @@ def test_split_read_cases(tmp_path, cut, defects, extra, end):
 @pytest.mark.parametrize("text", [b"3\n1 0 0\n0 1 0\n0 0 1\n", b"2\n1 0\n0 1",
                                   b"3\r\n1 0 0\r\n0 1 0\r\n0 0 1\r\n\r\n", b"1\n" + b"5" * 10])
 def test_split_point_is_a_line_end_past_the_middle(tmp_path, text):
-    # the first span takes SPLIT_BYTES / 2 more bytes than the second
+    # the first span ends at the first LF at or past the middle
     p = tmp_path / "m.txt"
     p.write_bytes(text)
-    for split_bytes in (0, len(text)):
-        at = text.find(b"\n", (len(text) + split_bytes // 2) // 2) + 1
-        with _split_io(split_bytes=split_bytes), open(p, "rb") as fb:
-            assert matfile._split_point(fb) == (at if 0 < at < len(text) else -1)
-            assert fb.tell() == 0
+    at = text.find(b"\n", len(text) // 2) + 1
+    with _split_io(split_bytes=len(text)), open(p, "rb") as fb:
+        assert matfile._split_point(fb) == (at if 0 < at < len(text) else -1)
+        assert fb.tell() == 0
 
 
 @pytest.mark.parametrize("case", ["pipe", "small file", "one CPU", "descriptor"])
@@ -683,6 +705,7 @@ def test_no_worker_outlives_load_matrix(tmp_path, case):
         head, row, rest = p.read_bytes().split(b"\n", 2)
         p.write_bytes(b"\n".join([head, b"x" + row[row.index(b" "):], rest]))
     one = _load(p)
+    fds = _open_fds()
     with _split_io() as (started, kept), pytest.MonkeyPatch.context() as mp:
         if case == "parent raises":
             def boom(*args):
@@ -692,18 +715,19 @@ def test_no_worker_outlives_load_matrix(tmp_path, case):
                 load_matrix(p)
         else:
             if case == "worker fails":
-                mp.setattr(matfile, "_WORKER", "import sys; sys.exit(3)")
-            elif case == "worker's file differs":  # the worker sees inode 0
-                mp.setattr(matfile, "_WORKER",
-                           matfile._WORKER.replace("*sys.argv[2:]", "*sys.argv[2:6], '0'"))
+                mp.setattr(matfile, "_span_worker", _child_fails)
+            elif case == "worker's file differs":  # the child sees inode 0
+                span_worker = matfile._span_worker
+                mp.setattr(matfile, "_span_worker",
+                           lambda out, *args: span_worker(out, *args[:4], 0))
             assert _load(p) == one
-    assert len(started) == 1
-    assert started[0].returncode is not None and started[0].stdout.closed
-    # _from_worker runs after a clean parent's span, and its rows are kept
-    # exactly when the file is clean; else this process reads the file again
+    assert len(started) == 1 and _reaped(started[0]) and _open_fds() == fds
+    # _from_worker runs after a clean parent's span; the child's rows are
+    # kept exactly when the file is clean, and its report of a defect is
+    # used as it stands; else this process reads on from the cut
     assert kept == {
         "parent raises": [], "defect before the cut": [], "defect": [False],
-        "worker fails": [False], "worker's file differs": [False],
+        "worker fails": [None], "worker's file differs": [None],
     }.get(case, [True])
 
 
@@ -711,8 +735,9 @@ def test_no_worker_outlives_load_matrix(tmp_path, case):
                                   "too few lines", "too many lines"])
 def test_split_read_parses_no_line_twice(tmp_path, case):
     # this process reads each data line at most once, in order: after a
-    # worker that fails, it goes on from the cut with its rows and count;
-    # a count off n from two clean spans is reported with no read at all
+    # child that fails, it goes on from the cut with its rows and count;
+    # a count off n, or a defect past the cut, is reported from the child's
+    # report with no read at all
     p = tmp_path / "m.txt"
     save_matrix(gram_psd(40, np.random.default_rng(5)), p)
     head, *rows = p.read_bytes().split(b"\n")[:-1]
@@ -739,80 +764,69 @@ def test_split_read_parses_no_line_twice(tmp_path, case):
             pytest.MonkeyPatch.context() as mp:
         mp.setattr(matfile, "_read_span", spy)
         if case == "worker fails":
-            mp.setattr(matfile, "_WORKER", "import sys; sys.exit(3)")
+            mp.setattr(matfile, "_span_worker", _child_fails)
         assert _load(p) == one
-    assert len(started) == 1 and started[0].returncode is not None
+    assert len(started) == 1 and _reaped(started[0])
     assert seen == [row.decode() for row in rows][:len(seen)]
-    assert len(seen) == (20 if case in ("clean", "too few lines", "too many lines")
-                         else len(rows))
+    assert len(seen) == (len(rows) if case in ("defect before the cut", "worker fails")
+                         else 20)
 
 
-@pytest.mark.parametrize("executable", ["no-such-python", "", None])
+@pytest.mark.parametrize("case", ["fork raises", "no fork"])
 def test_worker_that_cannot_start_leaves_its_span_to_this_process(tmp_path, monkeypatch,
-                                                                  executable):
-    # sys.executable is empty or None where Python cannot tell its own path;
-    # then no start is tried
+                                                                  case):
     p = tmp_path / "m.txt"
     save_matrix(gram_psd(40, np.random.default_rng(5)), p)
     one = _load(p)
-    monkeypatch.setattr(sys, "executable",
-                        executable and str(tmp_path / executable))
-    with _split_io() as (started, kept):
+    fds = _open_fds()
+    if case == "fork raises":
+        monkeypatch.setattr(os, "fork", _fork_fails)
+    with _split_io() as (started, kept), pytest.MonkeyPatch.context() as mp:
+        if case == "no fork":
+            mp.delattr(os, "fork")
         assert _load(p) == one
-    assert started == ([None] if executable else []) and kept == []
+    assert started == ([None] if case == "fork raises" else []) and kept == []
+    assert _open_fds() == fds  # the pipe made for the child is closed
 
 
 def test_worker_that_sends_too_few_row_bytes_leaves_its_span_to_this_process(tmp_path,
                                                                            monkeypatch):
-    # the count that completes the 40 rows after the parent's 20, then the
+    # the report that completes the 40 rows after the parent's 20, then the
     # bytes of only 3 of those rows and the end; with all 20, they are kept
     p = tmp_path / "m.txt"
     save_matrix(gram_psd(40, np.random.default_rng(5)), p)
     one = _load(p)
     tail = np.frombuffer(one).reshape(40, 40)[20:]
     for sent in (3, 20):
-        out = b"20\n" + tail[:sent].tobytes()
-        monkeypatch.setattr(matfile, "_WORKER", f"import sys; sys.stdout.buffer.write({out!r})")
+        def child(out, *args, data=b"[20, null]\n" + tail[:sent].tobytes()):
+            out.write(data)
+
+        monkeypatch.setattr(matfile, "_span_worker", child)
         with _split_io(_after_lines(p.read_bytes(), 21)) as (started, kept):
             assert _load(p) == one
-        assert len(started) == 1 and started[0].returncode is not None
-        assert kept == [sent == 20]
+        assert len(started) == 1 and _reaped(started[0])
+        assert kept == [True if sent == 20 else None]
 
 
-def test_worker_imports_nothing_from_the_working_directory(tmp_path, monkeypatch):
-    # modules the worker imports, shadowed in the directory it starts in
-    p = tmp_path / "m.txt"
-    save_matrix(gram_psd(40, np.random.default_rng(5)), p)
-    one = _load(p)
-    cwd = tmp_path / "cwd"
-    cwd.mkdir()
-    marker = tmp_path / "marker"
-    for name in ("json", "subprocess", "dataclasses", "typing", "numpy", "nystromlab"):
-        (cwd / f"{name}.py").write_text(f"open({str(marker)!r}, 'a').write({name!r})\n")
-    monkeypatch.chdir(cwd)
-    # this process's own path holds no working directory either
-    monkeypatch.setattr(sys, "path", [d for d in sys.path if d not in ("", ".", str(cwd))])
-    with _split_io() as (started, kept):
-        assert _load(p) == one
-    assert len(started) == 1 and kept == [True]
-    assert not marker.exists()
+@pytest.mark.parametrize("case", ["raises", "returns"])
+def test_forked_child_never_returns_into_the_caller(tmp_path, case):
+    # the child ends in os._exit, 1 if its function raised and 0 if it
+    # returned; the body of the with statement runs once, in this process
+    log = tmp_path / "pids"
 
+    def child(out):
+        if case == "raises":
+            raise RuntimeError("in the child")
 
-def test_worker_imports_no_package_module(tmp_path):
-    # the worker's own command line, re-run with -X importtime: it parses
-    # with numpy and the format module's file, not with the package
-    p = tmp_path / "m.txt"
-    save_matrix(gram_psd(40, np.random.default_rng(5)), p)
     with _split_io() as (started, _):
-        _load(p)
-    exe, *args = started[0].args
-    run = subprocess.run([exe, "-X", "importtime", *args], capture_output=True, text=True,
-                         errors="replace")
-    assert run.returncode == 0 and run.stdout
-    imported = [line.rsplit("|", 1)[1].strip() for line in run.stderr.splitlines()
-                if line.startswith("import time:") and "|" in line]
-    assert "numpy" in imported
-    assert [name for name in imported if name.split(".")[0] == "nystromlab"] == []
+        with matfile._worker(child) as out:
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            info = os.waitid(os.P_PID, started[0], os.WEXITED | os.WNOWAIT)
+            assert out.read() == b""
+    assert log.read_text().split() == [str(os.getpid())]
+    assert info.si_code == os.CLD_EXITED and info.si_status == (case == "raises")
+    assert _reaped(started[0])
 
 
 # ---------------------------------------------------------------------------
@@ -821,9 +835,9 @@ def test_worker_imports_no_package_module(tmp_path):
 
 @contextlib.contextmanager
 def _split_writes(cut=None, cpus=(0, 1)):
-    """save_matrix with a worker from row cut (the size rule's row if None)
-    and the usable CPUs cpus.  Yields the worker processes started and the
-    number of whole lines save_matrix took from each worker."""
+    """save_matrix with a child from row cut (the size rule's row if None)
+    and the usable CPUs cpus.  Yields the pids of the children forked and
+    the number of whole lines save_matrix took from each child."""
     with _split_io(cpus=cpus) as (started, _), pytest.MonkeyPatch.context() as mp:
         if cut is not None:
             mp.setattr(matfile, "_write_cut", lambda entries: cut)
@@ -862,8 +876,8 @@ def test_split_write_matches_rowwise_writer(tmp_path_factory, n, seed, average, 
     save_matrix_rowwise(m, base / "rowwise.txt")
     with _split_writes(cut) as (started, taken):
         assert _saved(m, base / "split.txt") == (base / "rowwise.txt").read_bytes()
-    assert len(started) == 1 and started[0].returncode is not None
-    assert taken == [n]  # every line after the cut came from the worker
+    assert len(started) == 1 and _reaped(started[0])
+    assert taken == [n]  # every line after the cut came from the child
 
 
 def test_write_cut_follows_the_text_size():
@@ -881,8 +895,8 @@ def test_write_cut_follows_the_text_size():
 
 
 def test_split_write_of_a_fortran_ordered_matrix(tmp_path):
-    # SymMatrix keeps a read-only F-ordered array as is; the worker still
-    # gets its rows, not its columns
+    # SymMatrix keeps a read-only F-ordered array as is; the child still
+    # formats its rows, not its columns
     g = np.random.default_rng(7).standard_normal((30, 30))
     f = np.asfortranarray(np.triu(g) + np.triu(g, 1).T)
     f.flags.writeable = False
@@ -894,33 +908,35 @@ def test_split_write_of_a_fortran_ordered_matrix(tmp_path):
     assert len(started) == 1 and taken == [30]
 
 
-@pytest.mark.parametrize("case", ["no-such-python", "empty executable", "no executable",
-                                  "one CPU", "killed mid-stream", "short tail line"])
+@pytest.mark.parametrize("case", ["fork raises", "no fork", "one CPU", "killed mid-stream",
+                                  "short tail line"])
 def test_split_write_falls_back_to_this_process(tmp_path, monkeypatch, case):
-    # 300 rows: the worker's text is many times what a pipe holds, so a
-    # worker killed after its first line has not sent the rest
+    # 300 rows: the child's text is many times what a pipe holds, so a
+    # child killed after its first line has not sent the rest
     n = 300
     m = gram_psd(n, np.random.default_rng(5))
     save_matrix_rowwise(m, tmp_path / "rowwise.txt")
-    executable = {"no-such-python": str(tmp_path / "no-such-python"), "empty executable": "",
-                  "no executable": None}.get(case, sys.executable)
-    monkeypatch.setattr(sys, "executable", executable)
+    if case == "fork raises":
+        monkeypatch.setattr(os, "fork", _fork_fails)
     if case == "short tail line":  # a whole line with too few values for a tail
-        monkeypatch.setattr(matfile, "_WORKER", "import sys; sys.stdout.buffer.write(b'0.5\\n')")
-    if case == "killed mid-stream":
-        from_writer = matfile._from_writer
+        monkeypatch.setattr(matfile, "_write_worker", lambda out, *args: out.write(b"0.5\n"))
+    with _split_writes(cut=200, cpus=(0,) if case == "one CPU" else (0, 1)) as (started, taken), \
+            pytest.MonkeyPatch.context() as mp:
+        if case == "no fork":
+            mp.delattr(os, "fork")
+        if case == "killed mid-stream":
+            from_writer = matfile._from_writer
 
-        def kill_after_one(proc, n, cut):
-            for i, line in enumerate(from_writer(proc, n, cut)):
-                if i == 0:
-                    proc.kill()
-                yield line
+            def kill_after_one(out, n, cut):
+                for i, line in enumerate(from_writer(out, n, cut)):
+                    if i == 0:
+                        os.kill(started[0], signal.SIGKILL)
+                    yield line
 
-        monkeypatch.setattr(matfile, "_from_writer", kill_after_one)
-    with _split_writes(cut=200, cpus=(0,) if case == "one CPU" else (0, 1)) as (started, taken):
+            mp.setattr(matfile, "_from_writer", kill_after_one)
         assert _saved(m, tmp_path / "split.txt") == (tmp_path / "rowwise.txt").read_bytes()
-    assert [p is not None and p.returncode is not None for p in started] == {
-        "no-such-python": [False], "killed mid-stream": [True], "short tail line": [True],
+    assert [p is not None and _reaped(p) for p in started] == {
+        "fork raises": [False], "killed mid-stream": [True], "short tail line": [True],
     }.get(case, [])
     if case == "killed mid-stream":
         assert len(taken) == 1 and 1 <= taken[0] < n
@@ -930,13 +946,13 @@ def test_split_write_falls_back_to_this_process(tmp_path, monkeypatch, case):
 
 @pytest.mark.parametrize("case", ["whole", "directory", "parent raises"])
 def test_no_worker_outlives_save_matrix(tmp_path, case):
-    # the 280 rows fed to the worker fill more than a pipe holds, so the
-    # feeding thread may still be writing when the parent raises
+    # the 280 rows the child formats fill more than a pipe holds, so it may
+    # still be writing when the parent raises
     m = gram_psd(300, np.random.default_rng(5))
     p = tmp_path / "m.txt"
     if case == "directory":
         p.mkdir()
-    threads = threading.active_count()
+    threads, fds = threading.active_count(), _open_fds()
     with _split_writes(cut=20) as (started, _), pytest.MonkeyPatch.context() as mp:
         if case == "whole":
             save_matrix(m, p)
@@ -947,28 +963,50 @@ def test_no_worker_outlives_save_matrix(tmp_path, case):
             mp.setattr(matfile, "_upper_lines", boom)
             with pytest.raises(IsADirectoryError if case == "directory" else RuntimeError):
                 save_matrix(m, p)
-    # the path is opened before the worker starts
+    # the path is opened before the child is forked
     assert len(started) == (case != "directory")
-    assert all(w.returncode is not None and w.stdin.closed and w.stdout.closed
-               for w in started)
-    assert threading.active_count() == threads  # the thread that fed the worker is done
+    assert all(map(_reaped, started)) and _open_fds() == fds
+    assert threading.active_count() == threads
 
 
-def test_write_worker_imports_no_package_module(tmp_path):
-    # the worker's own command line and input, re-run with -X importtime
+def test_split_io_launches_no_interpreter(tmp_path, monkeypatch):
+    # a split save and a split load fork their child; starting a program
+    # fails here, so they would otherwise run in one process
+    def no_popen(*args, **kwargs):
+        raise OSError("no program is started")
+
+    monkeypatch.setattr(subprocess, "Popen", no_popen)
     m = gram_psd(40, np.random.default_rng(5))
-    with _split_writes(cut=25) as (started, _):
-        save_matrix(m, tmp_path / "m.txt")
-    exe, *args = started[0].args
-    run = subprocess.run([exe, "-X", "importtime", *args], capture_output=True,
-                         input=m.entries[25:].tobytes())
-    lines = run.stdout.decode().splitlines()
-    assert run.returncode == 0 and len(lines) == 40
-    assert lines[25:] == (tmp_path / "m.txt").read_text().splitlines()[26:]
-    imported = [line.rsplit("|", 1)[1].strip() for line in run.stderr.decode().splitlines()
-                if line.startswith("import time:") and "|" in line]
-    assert "numpy" in imported
-    assert [name for name in imported if name.split(".")[0] == "nystromlab"] == []
+    save_matrix_rowwise(m, tmp_path / "rowwise.txt")
+    with _split_writes(cut=25) as (started, taken):
+        assert _saved(m, tmp_path / "m.txt") == (tmp_path / "rowwise.txt").read_bytes()
+    assert len(started) == 1 and taken == [40]
+    with _split_io() as (started, kept):
+        assert np.array_equal(load_matrix(tmp_path / "m.txt").entries, m.entries)
+    assert len(started) == 1 and kept == [True]
+
+
+def test_split_io_with_another_thread_alive_warns_nothing(tmp_path):
+    # Python 3.12+ warns of a fork in a process with several threads; the
+    # fork in matfile is silenced, and the bytes do not change
+    m = gram_psd(300, np.random.default_rng(5))
+    save_matrix_rowwise(m, tmp_path / "rowwise.txt")
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with _split_writes(cut=200) as (started, taken):
+                assert _saved(m, tmp_path / "m.txt") == (tmp_path / "rowwise.txt").read_bytes()
+            with _split_io() as (loads, kept):
+                assert np.array_equal(load_matrix(tmp_path / "m.txt").entries, m.entries)
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert len(started) == 1 and taken == [300] and len(loads) == 1 and kept == [True]
+    assert caught == []
 
 
 def _save_peak(m, p, split: bool) -> int:
@@ -1004,19 +1042,15 @@ def test_serial_save_holds_its_waiting_texts_joined(tmp_path):
 
 
 def test_write_worker_holds_its_waiting_texts_joined():
-    # the worker in this process, on the rows and cut of a split save; what
-    # it holds besides the text it wrote is its rows and the waiting texts,
-    # joined per block of the parent's rows and of its own
+    # the child's function in this process, on the matrix and cut of a
+    # split save; what it holds besides the text it wrote is the waiting
+    # texts, joined per block of the parent's rows and of its own
     n = 1024
     m = gram_psd(n, np.random.default_rng(3))
     cut = round(n / math.sqrt(2))
-    stdin = types.SimpleNamespace(buffer=io.BytesIO(m.entries[cut:].tobytes()))
-    stdout = types.SimpleNamespace(buffer=io.BytesIO())
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sys, "stdin", stdin)
-        mp.setattr(sys, "stdout", stdout)
-        peak = traced_peak(lambda: matfile._write_worker(str(n), str(cut)))
-    text = stdout.buffer.getvalue()
+    out = io.BytesIO()
+    peak = traced_peak(lambda: matfile._write_worker(out, m.entries, cut))
+    text = out.getvalue()
     assert text.count(b"\n") == n
     held = peak - len(text)
     assert held <= 1.1 * 8 * n * n, f"held {held / (8 * n * n):.3f} x 8 n^2 bytes"
