@@ -67,14 +67,16 @@ class ConfigError(ValueError):
         super().__init__(f"config error in {field!r}: {message}")
 
 
-def _check_int(key: str, value, low: int, n: int | None = None) -> None:
-    """Raise ConfigError(key) unless value is an integer (the integer rule of
-    :func:`matcore.is_integer`) in [low, 2^64), and in [low, n] when n is
-    given, and a Python int, as ``json.dumps`` writes no numpy integer."""
+def _check_int(key: str, value, low: int, n: int | None = None) -> int:
+    """value as an int, or ConfigError(key) unless it is an integer (the
+    integer rule of :func:`matcore.is_integer`) in [low, 2^64), and in
+    [low, n] when n is given.  A numpy integer comes back as an int, which
+    ``json.dumps`` writes."""
     if n is not None and is_integer(value) and not low <= value <= n:
         raise ConfigError(key, f"must lie in [{low}, n={n}], got {value}")
-    if not (is_integer(value) and isinstance(value, int)) or not low <= value < 2**64:
+    if not is_integer(value) or not low <= value < 2**64:
         raise ConfigError(key, f"must be an integer in [{low}, 2^64), got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ class ExperimentConfig:
     """Everything a `trials` run needs, checked field by field on construction.
 
     Each check raises :class:`ConfigError` named by the config-file key, so
-    an invalid config never exists.
+    an invalid config never exists; a numpy integer is stored as an int.
     """
 
     k: int
@@ -101,11 +103,11 @@ class ExperimentConfig:
     timings: bool = False
 
     def __post_init__(self):
-        for key, value, low in (("n", self.n, 2), ("k", self.k, 1), ("l", self.l, 1),
-                                ("trials", self.trials, 1), ("seed", self.master_seed, 0),
-                                ("jobs", self.jobs, 1)):
+        for key, low in (("n", 2), ("k", 1), ("l", 1), ("trials", 1), ("seed", 0), ("jobs", 1)):
+            field = _CONFIG_FIELDS[key]
+            value = getattr(self, field)
             if value is not None or key not in ("n", "l"):  # n, l: None is allowed
-                _check_int(key, value, low)
+                object.__setattr__(self, field, _check_int(key, value, low))
         for key, value in (("epsilon", self.epsilon), ("delta", self.delta)):
             if not (isinstance(value, float) and 0.0 < value < 1.0):
                 raise ConfigError(key, f"must be a number in (0, 1), got {value!r}")
@@ -441,12 +443,12 @@ def chernoff_sweep(
 ) -> list[dict]:
     """The rows of the Gram-eigenvalue tail sweep (README "chernoff") over
     the (k, plan, epsilon) grid, in that order.  A value out of its range
-    raises ConfigError naming it; ``jobs`` changes nothing.
+    raises ConfigError naming it; a numpy integer counts as the int it
+    equals; ``jobs`` changes nothing.
     """
-    for key, value in (("n", n), ("trials", trials), ("jobs", jobs)):
-        _check_int(key, value, 1)
-    for k in ks:
-        _check_int("k", k, 1, n)
+    n, trials = _check_int("n", n, 1), _check_int("trials", trials, 1)
+    _check_int("jobs", jobs, 1)
+    ks = [_check_int("k", k, 1, n) for k in ks]
     for eps in epsilons:
         if not (is_real(eps) and 0.0 <= eps <= 1.0):
             raise ConfigError("epsilon", f"must lie in [0, 1], got {eps!r}")
@@ -456,8 +458,8 @@ def chernoff_sweep(
         _check_plan(plan, n, k)
     if ls is not None and len(ls) not in (1, len(grid)):
         raise ConfigError("l", f"need 1 or {len(grid)} values, got {len(ls)}")
-    for l in ls or ():
-        _check_int("l", l, 1, n)
+    if ls is not None:
+        ls = [_check_int("l", l, 1, n) for l in ls]
     rows = []
     for p, (k, plan, eps) in enumerate(grid):
         u1 = plan_basis(n, plan, k, RngSeed(master_seed, INSTANCE_STREAM + p))

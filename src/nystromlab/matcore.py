@@ -43,10 +43,6 @@ SYMMETRY_TILE = 128
 # Column block of the blocked Cholesky in shifted_cholesky_ok.
 CHOLESKY_BLOCK = 256
 
-# Side of the tiles in which shifted_cholesky_ok updates the diagonal blocks
-# and copies its strict upper triangle back onto the lower one.
-TRIANGLE_TILE = 64
-
 # Lanczos stopping rule of lowrank_residual_norm: Ritz residual relative to
 # the Ritz value.
 LANCZOS_REL_TOL = 1e-12
@@ -269,13 +265,14 @@ def check_psd(a: SymMatrix) -> None:
     (README "approx").
 
     A Cholesky of ``A + PSD_CLAMP_REL * max(max_i a_ii, 0) I``
-    (:func:`shifted_cholesky_ok`, in place in A's lower triangle) succeeds
-    only if every eigenvalue of A exceeds ``-PSD_CLAMP_REL * max_i a_ii``,
-    and ``max_i a_ii <= lambda_max`` (Higham, "Analysis of the Cholesky
-    decomposition of a semi-definite matrix", 1990).  When it fails, the
-    eigenvalues decide (:func:`clamp_psd_eigenvalues`), so a PSD matrix
-    that Cholesky rejects through rounding is accepted.  ``a.entries``
-    comes back bit for bit and read-only on every exit.
+    (:func:`shifted_cholesky_ok`, which writes its factor below A's
+    diagonal blocks) succeeds only if every eigenvalue of A exceeds
+    ``-PSD_CLAMP_REL * max_i a_ii``, and ``max_i a_ii <= lambda_max``
+    (Higham, "Analysis of the Cholesky decomposition of a semi-definite
+    matrix", 1990).  The Cholesky only decides whether the eigenvalues are
+    computed: when it fails, they decide (:func:`clamp_psd_eigenvalues`),
+    so a PSD matrix that Cholesky rejects through rounding is accepted.
+    ``a.entries`` comes back bit for bit and read-only on every exit.
     """
     shift = PSD_CLAMP_REL * max(float(np.max(np.diagonal(a.entries))), 0.0)
     if not shifted_cholesky_ok(a.entries, shift):
@@ -287,77 +284,55 @@ def shifted_cholesky_ok(m: np.ndarray, shift: float) -> bool:
     certifies that every eigenvalue of the exactly symmetric array m
     exceeds ``-shift``.
 
-    Right-looking and blocked over the ``CHOLESKY_BLOCK``-column panels
-    ``m[j:, j:j + b]`` of m's own lower triangle: ``np.linalg.cholesky``
-    factors the diagonal block (it reads only its lower triangle),
-    ``np.linalg.solve`` turns the rest of the panel into the factor's
-    panel, ``2 * CHOLESKY_BLOCK`` rows at a time, written back over it, and
-    one matmul per strip of ``2 * TRIANGLE_TILE`` rows subtracts the panel
-    product from the trailing lower triangle.  The arithmetic is
-    that of the same algorithm run on a full copy of ``m + shift I``; a
-    blocked Cholesky has the backward error of the unblocked one (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, ch. 10), so it
-    certifies the same window.  For ``n <= CHOLESKY_BLOCK`` it is one
-    ``np.linalg.cholesky``.  The lower triangle is the workspace because
-    its column panels hand ``np.linalg.solve`` contiguous right-hand
-    sides; the row panels of the upper one would be read at a stride of n.
+    Left-looking and blocked over ``CHOLESKY_BLOCK`` columns.  For block
+    ``j:e`` the diagonal block ``m[j:e, j:e] - L[j:e, :j] L[j:e, :j]^T``
+    plus ``shift`` on its diagonal is formed in a temporary and factored by
+    ``np.linalg.cholesky``; then, ``2 * CHOLESKY_BLOCK`` rows at a time,
+    ``L[i, :j] L[j:e, :j]^T`` is subtracted from the panel ``m[i, j:e]``
+    below it, and ``np.linalg.solve`` against the factor turns the result
+    into ``L[i, j:e]``, written back there.  No later block reads a
+    diagonal block's factor, so only those panels, m's strict lower
+    triangle outside the diagonal blocks, are written: m's diagonal blocks
+    and upper triangle keep their bits throughout.  A blocked Cholesky has
+    the backward error of the unblocked one (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 10), so it certifies the same
+    window.  For ``n <= CHOLESKY_BLOCK`` it is one ``np.linalg.cholesky``.
+    The lower triangle is the workspace because the rows of its panels are
+    the contiguous right-hand sides that ``np.linalg.solve`` reads.
 
-    As in LAPACK's ``dpotrf``, the other triangle is left alone: the
-    updates of a diagonal block skip its strict upper half, so only the
-    diagonal is saved.  On every exit, an exception included, the strict
-    lower triangle is copied back from the strict upper one and the
-    diagonal from its copy, so m comes back bit for bit, with its write
-    flag as it was (m must be writeable or own its buffer; no concurrent
-    calls on one array).  Besides m it holds one solved block of the panel,
-    ``2 * CHOLESKY_BLOCK**2`` entries, or one strip product, at most
-    ``2 * TRIANGLE_TILE * n`` entries.
+    On every exit, an exception included, the panels written are copied
+    back from the upper triangle, so m comes back bit for bit, with its
+    write flag as it was (m must be writeable or own its buffer; no
+    concurrent calls on one array).  Besides m it holds the factor of one
+    diagonal block and one product or solve of ``2 * CHOLESKY_BLOCK`` panel
+    rows, ``3 * CHOLESKY_BLOCK**2`` entries.
     """
     n, b = m.shape[0], CHOLESKY_BLOCK
-    d = np.arange(n)
-    diag = m[d, d]
     writeable = m.flags.writeable
     m.flags.writeable = True
+    j = 0
     try:
-        m[d, d] += shift
-        s = TRIANGLE_TILE
-        lower = np.tri(min(s, n), dtype=bool)
         for j in range(0, n, b):
             e = min(j + b, n)
+            left = m[j:e, :j]  # rows j:e of the factor's columns so far
+            factor = m[j:e, j:e] - left @ left.T if j else m[j:e, j:e].copy()
+            factor.flat[::e - j + 1] += shift
             try:
-                factor = np.linalg.cholesky(m[j:e, j:e])
+                factor = np.linalg.cholesky(factor)
             except np.linalg.LinAlgError:
                 return False
             for i in range(e, n, 2 * b):
-                m[i:i + 2 * b, j:e] = np.linalg.solve(factor, m[i:i + 2 * b, j:e].T).T
-            panel = m[e:, j:e]
-            for i in range(e, n, 2 * s):
-                t = min(i + 2 * s, n)
-                strip = panel[i - e:t - e] @ panel[:t - e].T  # rows i:t, columns e:t
-                for r in range(i, t, s):  # left of the diagonal, then its lower half
-                    q = min(r + s, t)
-                    m[r:q, e:r] -= strip[r - i:q - i, :r - e]
-                    tile = m[r:q, r:q]
-                    np.subtract(tile, strip[r - i:q - i, r - e:q - e], out=tile,
-                                where=lower[:q - r, :q - r])
-                del strip  # before the next strip product is formed
+                panel = m[i:i + 2 * b, j:e]
+                if j:  # subtract into the product, the one temporary
+                    update = m[i:i + 2 * b, :j] @ left.T
+                    panel[...] = np.subtract(panel, update, out=update)
+                    del update
+                panel[...] = np.linalg.solve(factor, panel.T).T
         return True
     finally:
-        _mirror_upper(m)
-        m[d, d] = diag
+        for k in range(0, j + 1, b):
+            m[k + b:, k:k + b] = m[k:k + b, k + b:].T
         m.flags.writeable = writeable
-
-
-def _mirror_upper(m: np.ndarray) -> None:
-    """Copy the strict upper triangle of the square array m onto its strict
-    lower one, in ``TRIANGLE_TILE``-sided tiles, each a transposed copy."""
-    n, t = m.shape[0], TRIANGLE_TILE
-    below = ~np.tri(min(t, n), dtype=bool).T  # strict lower triangle of a tile
-    for i in range(0, n, t):
-        tile = m[i:i + t, i:i + t]
-        k = tile.shape[0]
-        np.copyto(tile, tile.T, where=below[:k, :k])
-        for c in range(i + t, n, t):
-            m[c:c + t, i:i + t] = m[i:i + t, c:c + t].T
 
 
 def lowrank_residual_norm(

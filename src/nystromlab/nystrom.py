@@ -35,13 +35,13 @@ class NystromResult:
     L^{-T}``, with its error bracket and diagnostics.
 
     ``linv`` is ``L^{-1}`` of the pivoted Cholesky ``W_PP = L L^T``, at the
-    pivot columns P and zero elsewhere (``rank_w x l``).  ``columns`` (C,
-    n x l, in index order), ``factor`` (Z, n x ``rank_w``) and
-    ``psd_violation`` (the most negative eigenvalue of ``Z Z^T``, read from
-    ``Z^T Z``; 0.0 when there is none) are computed on first read.
+    pivot columns P and zero elsewhere (``rank_w x l``).  ``factor`` (Z, n x
+    ``rank_w``) and ``psd_violation`` (the most negative eigenvalue of ``Z
+    Z^T``, read from ``Z^T Z``; 0.0 when there is none) are computed on
+    first read, each from rows of C gathered by ``matrix.block``.
     ``psd_violation`` sums ``Z^T Z`` as ``Z_b^T Z_b`` over blocks of
-    ``8 * GATHER_ROWS`` rows, each ``Z_b`` formed from its rows of C, so
-    it reads neither ``columns`` nor ``factor`` and forms no n x l array.
+    ``8 * GATHER_ROWS`` rows, so it does not read ``factor`` and forms no
+    n x l array.
     The norm of ``A - Z Z^T`` lies in ``[spectral_error, spectral_error +
     error_residual]``.
     """
@@ -56,23 +56,22 @@ class NystromResult:
     def rank_w(self) -> int:
         return self.linv.shape[0]
 
-    @cached_property
-    def columns(self) -> np.ndarray:
-        # A is exactly symmetric: C is the transpose of the sampled rows
-        return self.matrix.block(np.sort(self.sample.indices), np.arange(self.matrix.n)).T
+    def _factor_rows(self, rows: np.ndarray) -> np.ndarray:
+        # A is exactly symmetric: C's rows are the transposed sampled rows
+        return self.matrix.block(np.sort(self.sample.indices), rows).T @ self.linv.T
 
     @cached_property
     def factor(self) -> np.ndarray:
-        return self.columns @ self.linv.T
+        return self._factor_rows(np.arange(self.matrix.n))
 
     @cached_property
     def psd_violation(self) -> float:
         if self.rank_w == 0:
             return 0.0
-        a, index, b = self.matrix, np.sort(self.sample.indices), 8 * GATHER_ROWS
+        n, b = self.matrix.n, 8 * GATHER_ROWS
         gram = np.zeros((self.rank_w, self.rank_w))
-        for i in range(0, a.n, b):
-            z = a.block(index, np.arange(i, min(i + b, a.n))).T @ self.linv.T
+        for i in range(0, n, b):
+            z = self._factor_rows(np.arange(i, min(i + b, n)))
             gram += z.T @ z
         return min(float(np.linalg.eigvalsh(gram)[0]), 0.0)
 

@@ -378,8 +378,11 @@ def pivoted_cholesky_masked(w: np.ndarray, tol: float
 
 
 def shifted_cholesky_in_place(m: np.ndarray, shift: float, b: int = 256) -> bool:
-    """``matcore.shifted_cholesky_ok`` as the same blocked right-looking
-    Cholesky run in place on one full n x n copy of ``m + shift I``."""
+    """The reference decision for ``matcore.shifted_cholesky_ok``: a blocked
+    right-looking Cholesky of one full n x n copy of ``m + shift I``, which
+    subtracts each panel's product from the whole trailing matrix.  The
+    library's left-looking one rounds differently but must decide alike
+    wherever the pivots are not at round-off."""
     n = m.shape[0]
     s = m.copy()
     diag = np.arange(n)

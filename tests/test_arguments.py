@@ -2,6 +2,8 @@
 shared definitions in ``matcore`` (README "Library quick start")."""
 
 import ast
+import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -19,14 +21,18 @@ from nystromlab import (
     bound_report,
     chernoff_sweep,
     chernoff_tail,
+    config_from_mapping,
+    emit_results,
     flat_orthonormal,
     full_rank_tolerance,
     partition,
     probabilistic_bound,
     random_orthonormal,
     required_samples,
+    run_experiment,
     sample_uniform,
 )
+from nystromlab.experiment import emit_table
 
 SEED = RngSeed(0, 0)
 FLAT = [CoherencePlan("flat")]
@@ -45,7 +51,7 @@ def _config(**over):
 # (entry point, parameter as its error names it, kind, valid value, call).
 # "int" and "real" are library parameters, which raise ValueError naming the
 # parameter; the config layer raises ConfigError with the parameter as its
-# field and, for an integer, also refuses a numpy one.
+# field, and stores a numpy integer as the int it equals.
 TABLE = [
     ("required_samples", "k", "int", 2, lambda v: required_samples(v, 1.0, 0.05, 0.5)),
     ("chernoff_tail", "k", "int", 2, lambda v: chernoff_tail(v, 1.0, 4, 0.5)),
@@ -95,7 +101,9 @@ TABLE = [
     ("chernoff_sweep", "l", "config-int", 2, lambda v: _sweep(ls=[v])),
     ("chernoff_sweep", "trials", "config-int", 2, lambda v: _sweep(trials=v)),
     ("chernoff_sweep", "jobs", "config-int", 2, lambda v: _sweep(jobs=v)),
+    ("ExperimentConfig", "n", "config-int", 2, lambda v: _config(n=v)),
     ("ExperimentConfig", "k", "config-int", 2, lambda v: _config(k=v)),
+    ("ExperimentConfig", "l", "config-int", 2, lambda v: _config(l=v)),
     ("ExperimentConfig", "trials", "config-int", 2, lambda v: _config(trials=v)),
     ("ExperimentConfig", "seed", "config-int", 2, lambda v: _config(master_seed=v)),
     ("ExperimentConfig", "jobs", "config-int", 2, lambda v: _config(jobs=v)),
@@ -109,8 +117,9 @@ REFUSED = {
     "real": (True, "0.5", None),
 }
 
-# Parameters for which None is valid: bound_report's l then defaults.
-NONE_ALLOWED = {("bound_report", "l")}
+# Parameters for which None is valid: bound_report's l then defaults, and a
+# config's n and l are then taken from the matrix and the sample-size rule.
+NONE_ALLOWED = {("bound_report", "l"), ("ExperimentConfig", "n"), ("ExperimentConfig", "l")}
 
 
 def _refusals():
@@ -143,13 +152,32 @@ def test_parameter_refuses_a_value_outside_its_rule(name, kind, call, value):
     _expect_refusal(name, kind, call, value)
 
 
+def _written(result) -> str:
+    """What a run writes of a config or of a sweep's rows."""
+    if isinstance(result, ExperimentConfig):
+        return repr(result) + json.dumps(dataclasses.asdict(result))
+    return emit_table(result, "json") + emit_table(result, "csv")
+
+
 @pytest.mark.parametrize("name,kind,call,valid,numpy", _accepted())
 def test_parameter_accepts_its_valid_value(name, kind, call, valid, numpy):
-    call(valid)
-    if kind == "config-int":  # json.dumps writes no numpy integer
-        _expect_refusal(name, kind, call, numpy)
-    else:
-        call(numpy)
+    want = call(valid)
+    got = call(numpy)
+    if kind == "config-int":  # stored as an int, so json.dumps writes it
+        assert _written(got) == _written(want)
+
+
+@pytest.mark.parametrize("convert", [np.int64, np.uint32], ids=["int64", "uint32"])
+def test_numpy_integers_run_as_the_ints_they_equal(convert):
+    def run(to):
+        d = {"n": to(16), "k": to(2), "l": to(6), "trials": to(3), "seed": to(1),
+             "jobs": to(1), "gen": "exp:0.5", "coherence": "flat"}
+        records, summary = run_experiment(config_from_mapping(d))
+        rows = chernoff_sweep(to(16), [to(2)], FLAT, [0.5], to(5), to(1), ls=[to(6)], jobs=to(1))
+        return (emit_results(records, summary, "json") + emit_results(records, summary, "csv")
+                + emit_table(rows, "json") + emit_table(rows, "csv"))
+
+    assert run(convert) == run(int)
 
 
 def test_range_messages_name_the_parameter_and_its_ends():
@@ -230,8 +258,6 @@ def test_integer_and_bool_type_tests_live_in_the_shared_definitions():
             ("is_real", "isinstance(x, REAL_TYPES)"),
             ("is_real", "isinstance(x, bool)"),
         ],
-        # the config layer's one extra condition: a Python int, for json.dumps
-        "experiment": [("_check_int", "isinstance(value, int)")],
     }
 
 

@@ -573,6 +573,59 @@ def test_shifted_cholesky_ok_is_one_cholesky_up_to_one_block(monkeypatch):
     assert np.array_equal(calls[0], m + 0.5 * np.eye(m.shape[0]))
 
 
+@pytest.mark.parametrize("n", [200, matcore.CHOLESKY_BLOCK + 1, 600, 1100])
+def test_shifted_cholesky_ok_writes_only_below_the_diagonal_blocks(n, monkeypatch):
+    # at every Cholesky and every solve, m's diagonal blocks and strict upper
+    # triangle hold their input bytes; only the panels below are written
+    m = gram_psd(n, np.random.default_rng(n)).entries.copy()
+    before = m.copy()
+    b = matcore.CHOLESKY_BLOCK
+    kept = np.triu(np.ones((n, n), dtype=bool))
+    for j in range(0, n, b):
+        kept[j:j + b, j:j + b] = True
+    calls = []
+
+    def checked(name):
+        step = getattr(np.linalg, name)
+
+        def call(*args):
+            calls.append(name)
+            assert m.view(np.int64)[kept].tobytes() == before.view(np.int64)[kept].tobytes()
+            return step(*args)
+        return call
+
+    for name in ("cholesky", "solve"):
+        monkeypatch.setattr(np.linalg, name, checked(name))
+    assert matcore.shifted_cholesky_ok(m, 0.5)
+    assert calls.count("cholesky") == -(-n // b)
+    assert calls.count("solve") == sum(-(-(n - e) // (2 * b)) for e in range(b, n, b))
+    assert m.tobytes() == before.tobytes()
+
+
+class _Products(np.ndarray):
+    """An array that records the inner dimension of every ``@`` it starts."""
+
+    inner: list = []
+
+    def __matmul__(self, other):
+        _Products.inner.append(self.shape[-1])
+        return super().__matmul__(other)
+
+
+@pytest.mark.parametrize("n, inner", [
+    (matcore.CHOLESKY_BLOCK, []),
+    (600, [256, 256, 512]),
+])
+def test_shifted_cholesky_ok_forms_no_empty_product(n, inner):
+    # the first block has no factor columns to its left, so it forms no
+    # product: a one-block matrix is the one Cholesky; at n = 600 the second
+    # block's diagonal and panel and the third block's diagonal each form one
+    m = gram_psd(n, np.random.default_rng(n)).entries.copy().view(_Products)
+    _Products.inner = []
+    assert matcore.shifted_cholesky_ok(m, 0.0)
+    assert _Products.inner == inner
+
+
 def test_check_psd_falls_back_to_the_eigenvalues():
     # Cholesky rejects the zero matrix; the eigenvalues accept it
     check_psd(SymMatrix(np.zeros((3, 3))))

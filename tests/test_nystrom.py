@@ -60,10 +60,11 @@ def test_identity_partial_sample():
 
 
 def test_nystrom_extend_columns_are_a_bit_exact_gather():
-    # C is A[:, sorted(S)] bit for bit, whatever the order of the sample
+    # Z = C L^{-T} with C = A[:, sorted(S)] bit for bit, whatever the order
+    # of the sample
     a = gram_psd(6, np.random.default_rng(8))
     res = nystrom_extend(a, ColumnSample(n=6, indices=(5, 0, 3)))
-    assert res.columns.tobytes() == a.entries[:, [0, 3, 5]].tobytes()
+    assert res.factor.tobytes() == (a.entries[[0, 3, 5]].T @ res.linv.T).tobytes()
 
 
 def test_nystrom_extend_size_mismatch():
@@ -325,7 +326,7 @@ def test_psd_violation_forms_no_n_by_l_array():
     assert res.rank_w == l
     peak = traced_peak(lambda: res.psd_violation)
     assert peak < n * l * 8, f"peak is {peak / (n * l * 8):.2f} n l doubles"
-    assert "columns" not in vars(res) and "factor" not in vars(res)
+    assert "factor" not in vars(res)
 
 
 def test_zero_matrix_has_zero_error():
@@ -709,9 +710,9 @@ def test_flat_columns_by_transforms_lie_within_their_bound(n, l):
 def test_flat_columns_are_gathered_on_first_read_only():
     a = _flat(512)
     res = nystrom_extend(a, sample_uniform(512, 60, RngSeed(2, 0)))
-    assert "columns" not in vars(res)
+    assert "factor" not in vars(res)
     index = np.sort(res.sample.indices)
-    assert res.columns.tobytes() == dense(a).entries[:, index].tobytes()
+    assert res.factor.tobytes() == (dense(a).entries[index].T @ res.linv.T).tobytes()
 
 
 def test_flat_extend_peaks_below_half_of_an_l_by_n_block():

@@ -88,3 +88,30 @@ def test_dotted_doc_references_resolve():
         if obj is None or isinstance(obj, types.ModuleType):  # a module it imports is no name
             missing.append(f"{where}: {module}.{name}")
     assert not missing, missing
+
+
+def test_linecount_gives_each_line_one_kind():
+    import linecount
+
+    snippet = '''"""Module docstring,
+
+over three lines."""
+
+# a comment
+x = 1  # code with a comment
+
+
+def f(a):
+    """One line."""
+    message = (
+        "a string continued "
+        # a comment inside brackets
+        """on a second line"""
+    )
+    "a bare string statement"
+    return a + 1
+'''
+    kinds = ["docstring", "docstring", "docstring", "blank", "comment", "code", "blank",
+             "blank", "code", "docstring", "code", "code", "comment", "code", "code",
+             "docstring", "code"]
+    assert linecount.classify(snippet) == kinds
